@@ -68,18 +68,27 @@ class _Out:
         sys.stdout.write("\n".join(self.lines) + "\n")
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file; an unreadable file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise MatroidError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise MatroidError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+
+
 def _load_matroid(args) -> Matroid:
     if not args.input:
         raise MatroidError("this command needs a matroid file (-i FILE)")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return parse_matroid_text(fh.read())
+    return parse_matroid_text(_read_text(args.input))
 
 
 def _load_lists(args, n: int):
     if not args.lists:
         raise MatroidError("this command needs a listing file (--lists FILE)")
-    with open(args.lists, "r", encoding="utf-8") as fh:
-        return parse_listing_text(fh.read(), n=n)
+    return parse_listing_text(_read_text(args.lists), n=n)
 
 
 def _parse_order(text: str, n: int):
@@ -111,7 +120,7 @@ def cmd_validate(args, out: _Out) -> int:
     report = validate_axioms(m, max_n=args.max_n)
     out.kv("axioms", "pass" if report.ok else "fail")
     if report.ok:
-        out.note(f"exhaustive check over all {1 << m.n} subsets and subset pairs")
+        out.note(f"exhaustive check over all {1 << m.n} subsets and element pairs")
         return 0
     out.kv("axiom", report.axiom)
     out.kv("witness", " ".join(set_literal(w) for w in report.witness))
@@ -292,11 +301,10 @@ def cmd_compactness(args, out: _Out) -> int:
     else:
         # a file of concatenated matroid blocks acts as an explicit chain
         try:
-            with open(args.family, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError:
+            text = _read_text(args.family)
+        except MatroidError as e:
             raise MatroidError(
-                f"--family must name one of {sorted(BUILTIN_FAMILIES)} or a chain file"
+                f"--family must name one of {sorted(BUILTIN_FAMILIES)} or a chain file; {e}"
             ) from None
         blocks = ["matroid " + b for b in text.split("matroid ") if b.strip()]
         chain = chain_from_matroids([parse_matroid_text(b) for b in blocks], name=args.family)

@@ -2,6 +2,8 @@ import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from matroidkit.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -222,3 +224,30 @@ def test_roundtrip_through_cli_formats():
         for size in range(m1.n + 1):
             for combo in itertools.combinations(range(m1.n), size):
                 assert m1.rank(combo) == m2.rank(combo)
+
+
+def _unreadable(tmp_path, failure):
+    if failure == "missing":
+        return str(tmp_path / "missing.m")
+    if failure == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.m"
+    path.write_bytes("matroid uniform\nn 2\nk 1\n# caf\xe9\n".encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("failure", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("kind", ["input", "lists", "family"])
+def test_unreadable_file_exits_2(tmp_path, capsys, kind, failure):
+    bad = _unreadable(tmp_path, failure)
+    lists = tmp_path / "lists.l"
+    lists.write_text("".join(f"list {x} : a b c\n" for x in range(4)))
+    argv = {
+        "input": ["validate", "-i", bad],
+        "lists": ["color-from-base", "-i", U24, "--lists", bad],
+        "family": ["compactness", "--family", bad, "--lists", str(lists)],
+    }[kind]
+    code, _ = invoke(argv)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

@@ -1,18 +1,30 @@
+import random
+
 import pytest
 
 from matroidkit import (
     BoundExceededError,
     GroundSetError,
     Matroid,
+    VectorSpec,
     check_circuit_elimination,
     circuits,
+    graphic,
     is_loop_free,
+    linear,
     loops,
     uniform,
     validate_axioms,
 )
 from matroidkit.catalog import theta, triangle
-from matroidkit.core import bits, mask_of, set_literal
+from matroidkit.core import (
+    VALIDATION_BOUND,
+    AxiomReport,
+    _first_violation,
+    bits,
+    mask_of,
+    set_literal,
+)
 
 from conftest import brute_circuits, brute_max_independent_size, powerset
 
@@ -66,6 +78,54 @@ def test_validate_axioms_bad_table():
     assert report.witness == ((0,), (1,))
 
 
+def _random_matroid(rng, kind, n):
+    if kind == "uniform":
+        return uniform(n, rng.randint(0, n))
+    if kind == "graphic":
+        vertices = [f"v{i}" for i in range(rng.randint(1, n + 1))]
+        return graphic([(i, rng.choice(vertices), rng.choice(vertices)) for i in range(n)])
+    p = 2 if kind == "gf2" else 3
+    dim = rng.randint(1, 3)
+    vectors = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(n))
+    return linear(VectorSpec(p, dim, vectors))
+
+
+def _perturbed_tables(seed, per_base):
+    """Rank tables of random matroids with one entry moved by +-1 or +-2."""
+    rng = random.Random(seed)
+    for kind in ("uniform", "graphic", "gf2", "gf3"):
+        for n in range(1, 7):
+            base = _random_matroid(rng, kind, n).mask_table()
+            for _ in range(per_base):
+                mask = rng.randrange(1 << n)
+                delta = rng.choice([d for d in (-2, -1, 1, 2) if base[mask] + d >= 0])
+                table = list(base)
+                table[mask] += delta
+                yield f"{kind} n={n} mask={mask} {delta:+d}", n, table
+
+
+def test_validate_axioms_matches_full_scan(suite7):
+    for m in suite7:
+        assert validate_axioms(m) == _first_violation(m.mask_table(), m.n) == AxiomReport(True), m.name
+    failed_axioms = set()
+    passed = 0
+    for label, n, table in _perturbed_tables(seed=2, per_base=40):
+        m = Matroid(n, lambda a, t=table: t[mask_of(a)])
+        report = validate_axioms(m)
+        assert report == _first_violation(table, n), label
+        if report.ok:
+            passed += 1
+        else:
+            failed_axioms.add(report.axiom)
+    # both verdicts and every axiom's witness path are exercised
+    assert passed > 0
+    assert failed_axioms == {"normalization", "subcardinality", "monotonicity", "submodularity"}
+
+
+def test_validate_axioms_at_validation_bound():
+    assert validate_axioms(uniform(VALIDATION_BOUND, VALIDATION_BOUND // 2)).ok
+
+
 def test_validate_axioms_refuses_above_bound():
     m = Matroid(17, lambda a: len(a))
     with pytest.raises(BoundExceededError):
@@ -91,7 +151,14 @@ def test_circuits_free_and_triangle():
 
 
 def test_circuits_match_bruteforce(suite6):
-    for m in suite6:
+    rng = random.Random(3)
+    randoms = [
+        _random_matroid(rng, kind, n)
+        for kind in ("uniform", "graphic", "gf2", "gf3")
+        for n in range(1, 8)
+        for _ in range(3)
+    ]
+    for m in suite6 + randoms:
         assert [c.members for c in circuits(m)] == brute_circuits(m), m.name
 
 
