@@ -26,7 +26,6 @@ from .compactness import (
     chain_from_matroids,
     extend_coloring,
     first_uncolorable_level,
-    restriction_colorings,
 )
 from .contraction import contract
 from .core import Matroid, MatroidError, circuits, set_literal, validate_axioms

@@ -27,6 +27,7 @@ from .core import (
     LoopError,
     Matroid,
     MatroidError,
+    VALIDATION_BOUND,
     circuits,
     loops,
     set_literal,
@@ -141,6 +142,43 @@ def _color_sort_key(c):
     return (c.__class__.__name__, str(c))
 
 
+def _list_colorings(table, order, lists, phi, class_masks):
+    """Every proper list coloring of the elements in `order`, extending phi.
+
+    Elements are assigned in the given order, each trying its list's
+    colors in list order; a color is allowed while its class mask stays
+    independent by the rank table (``table[mask] == popcount``).  phi and
+    class_masks (color -> mask) are extended in place and restored on
+    backtrack, so the yielded phi is live: callers copy what they keep.
+    Yields nothing when a list in `order` is empty.
+    """
+    order = tuple(order)
+    if not all(lists[x] for x in order):
+        return
+
+    def dfs(i: int):
+        if i == len(order):
+            yield phi
+            return
+        x = order[i]
+        bit = 1 << x
+        for c in lists[x]:
+            prev = class_masks.get(c)
+            new = (prev or 0) | bit
+            if table[new] != new.bit_count():
+                continue
+            class_masks[c] = new
+            phi[x] = c
+            yield from dfs(i + 1)
+            del phi[x]
+            if prev is None:
+                del class_masks[c]
+            else:
+                class_masks[c] = prev
+
+    yield from dfs(0)
+
+
 def is_list_colorable(m: Matroid, lists, max_n: int | None = None):
     """First proper coloring drawing each element's color from its list.
 
@@ -148,7 +186,8 @@ def is_list_colorable(m: Matroid, lists, max_n: int | None = None):
     ascending list size (ties by id) and colors in sorted order, so the
     returned coloring is the first in that deterministic order.  Returns
     None if the lists admit no proper coloring (immediately so when some
-    list is empty).
+    list is empty).  Independence is read from the rank table, so the
+    default bound is the table's own, VALIDATION_BOUND.
     """
     _check_total(m, lists, "listing")
     norm = {x: tuple(sorted(lists[x], key=_color_sort_key)) for x in lists}
@@ -156,35 +195,12 @@ def is_list_colorable(m: Matroid, lists, max_n: int | None = None):
     if empty:
         logger.debug("no list coloring: empty lists on %s", set_literal(empty))
         return None
-    if m.n == 0:
-        return {}
-    circ_masks = [c.mask() for c in circuits(m, max_n=max_n)]
+    bound = VALIDATION_BOUND if max_n is None else max_n
+    if m.n > bound:
+        raise BoundExceededError(f"list coloring search needs n <= {bound}, got {m.n}")
     order = sorted(range(m.n), key=lambda x: (len(norm[x]), x))
-    phi: dict[int, object] = {}
-    class_masks: dict[object, int] = {}
-
-    def dfs(i: int) -> bool:
-        if i == m.n:
-            return True
-        x = order[i]
-        bit = 1 << x
-        for c in norm[x]:
-            new = class_masks.get(c, 0) | bit
-            if any(cm & ~new == 0 for cm in circ_masks):
-                continue
-            prev = class_masks.get(c)
-            class_masks[c] = new
-            phi[x] = c
-            if dfs(i + 1):
-                return True
-            del phi[x]
-            if prev is None:
-                del class_masks[c]
-            else:
-                class_masks[c] = prev
-        return False
-
-    return dict(phi) if dfs(0) else None
+    phi = next(_list_colorings(m.mask_table(max_n=bound), order, norm, {}, {}), None)
+    return None if phi is None else dict(phi)
 
 
 # --- canonical k-listing enumeration -------------------------------------
@@ -262,32 +278,6 @@ def hall_violator_listings(n: int, k: int):
                 yield from rec(0, u)
 
 
-def _listing_colorable(circ_masks, listing, n: int) -> bool:
-    order = sorted(range(n), key=lambda x: (len(listing[x]), x))
-    class_masks: dict[int, int] = {}
-
-    def dfs(i: int) -> bool:
-        if i == n:
-            return True
-        x = order[i]
-        bit = 1 << x
-        for c in listing[x]:
-            new = class_masks.get(c, 0) | bit
-            if any(cm & ~new == 0 for cm in circ_masks):
-                continue
-            prev = class_masks.get(c)
-            class_masks[c] = new
-            if dfs(i + 1):
-                return True
-            if prev is None:
-                del class_masks[c]
-            else:
-                class_masks[c] = prev
-        return False
-
-    return dfs(0)
-
-
 @dataclass(frozen=True)
 class ListChromaticResult:
     """Outcome of the exact list-chromatic computation.
@@ -331,12 +321,13 @@ def list_chromatic_number(
         raise BoundExceededError(f"kmax must be in 1..{LIST_ENUM_KMAX}, got {kmax}")
     if m.n == 0:
         return ListChromaticResult(0, kmax, {})
-    circ_masks = [c.mask() for c in circuits(m)]
+    table = m.mask_table()
+    order = range(m.n)  # every list of a k-listing has k colors
     bad_listings: dict[int, dict[int, tuple[int, ...]]] = {}
     for k in range(1, kmax + 1):
         gen = all_canonical_listings(m.n, k) if naive else hall_violator_listings(m.n, k)
         bad = next(
-            (cand for cand in gen if not _listing_colorable(circ_masks, cand, m.n)),
+            (c for c in gen if next(_list_colorings(table, order, c, {}, {}), None) is None),
             None,
         )
         if bad is None:

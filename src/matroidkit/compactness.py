@@ -16,18 +16,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
+from .coloring import _color_sort_key, _list_colorings
 from .constructions import graphic, uniform
 from .core import (
     BoundExceededError,
     GroundSetError,
     Matroid,
     MatroidError,
-    circuits,
     set_literal,
 )
 
 LEVEL_SIZE_BOUND = 16
-CONSISTENCY_EXHAUSTIVE = 12  # check all subsets of the smaller level up to 2^12
 
 
 class ChainError(MatroidError):
@@ -42,35 +41,43 @@ class MatroidChain:
     level_fn: Callable[[int], Matroid]
 
     def __post_init__(self):
-        self._cache: dict[int, Matroid] = {}
+        self._levels: list[Matroid] = []
 
     def level(self, i: int) -> Matroid:
-        """Level i, with growth and rank-consistency checked on first access."""
+        """Level i, with growth and rank-consistency checked on first access.
+
+        Missing levels are built and checked in ascending order.
+        """
         if i < 0:
             raise GroundSetError("chain levels are indexed from 0")
-        if i not in self._cache:
-            m = self.level_fn(i)
-            if i > 0:
-                prev = self.level(i - 1)
+        for j in range(len(self._levels), i + 1):
+            m = self.level_fn(j)
+            if j > 0:
+                prev = self._levels[j - 1]
                 if m.n <= prev.n:
                     raise ChainError(
-                        f"level {i} has {m.n} elements, not more than level "
-                        f"{i-1}'s {prev.n}"
+                        f"level {j} has {m.n} elements, not more than level "
+                        f"{j-1}'s {prev.n}"
                     )
-                _check_consistent(prev, m, i)
-            self._cache[i] = m
-        return self._cache[i]
+                _check_consistent(prev, m, j)
+            self._levels.append(m)
+        return self._levels[i]
 
 
 def _check_consistent(small: Matroid, big: Matroid, level: int):
-    """Ranks of the larger level must agree on the smaller ground set."""
-    if small.n <= CONSISTENCY_EXHAUSTIVE:
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(small.n), size)
-            for size in range(small.n + 1)
+    """Ranks of the larger level must agree on the smaller ground set.
+
+    Every subset is checked; above LEVEL_SIZE_BOUND this refuses rather
+    than sample.
+    """
+    if small.n > LEVEL_SIZE_BOUND:
+        raise BoundExceededError(
+            f"consistency check is exhaustive; level {level-1} has {small.n} "
+            f"elements, bound is {LEVEL_SIZE_BOUND}"
         )
-    else:
-        subsets = (tuple(range(0, small.n, step)) for step in range(1, small.n + 1))
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(small.n), size) for size in range(small.n + 1)
+    )
     for a in subsets:
         if small.rank(a) != big.rank(a):
             raise ChainError(
@@ -154,7 +161,7 @@ def _level_lists(m: Matroid, lists) -> dict[int, tuple]:
     for x in range(m.n):
         if x not in lists:
             raise GroundSetError(f"listing does not cover element {x}")
-        out[x] = tuple(sorted(lists[x], key=lambda c: (c.__class__.__name__, str(c))))
+        out[x] = tuple(sorted(lists[x], key=_color_sort_key))
     return out
 
 
@@ -165,32 +172,8 @@ def restriction_colorings(chain: MatroidChain, lists, i: int, max_level: int | N
     if m.n > bound:
         raise BoundExceededError(f"level {i} has {m.n} elements, bound is {bound}")
     norm = _level_lists(m, lists)
-    if any(not v for v in norm.values()):
-        return []
-    circ_masks = [c.mask() for c in circuits(m, max_n=bound)]
-    out = []
-
-    def dfs(x: int, phi: dict, class_masks: dict):
-        if x == m.n:
-            out.append(dict(phi))
-            return
-        bit = 1 << x
-        for c in norm[x]:
-            new = class_masks.get(c, 0) | bit
-            if any(cm & ~new == 0 for cm in circ_masks):
-                continue
-            prev = class_masks.get(c)
-            class_masks[c] = new
-            phi[x] = c
-            dfs(x + 1, phi, class_masks)
-            del phi[x]
-            if prev is None:
-                del class_masks[c]
-            else:
-                class_masks[c] = prev
-
-    dfs(0, {}, {})
-    return out
+    table = m.mask_table(max_n=bound)
+    return [dict(phi) for phi in _list_colorings(table, range(m.n), norm, {}, {})]
 
 
 def extend_coloring(chain: MatroidChain, lists, depth: int, max_level: int | None = None):
@@ -207,46 +190,20 @@ def extend_coloring(chain: MatroidChain, lists, depth: int, max_level: int | Non
         if m.n > bound:
             raise BoundExceededError(f"level {i} has {m.n} elements, bound is {bound}")
     norms = [_level_lists(m, lists) for m in levels]
-    circ_masks = [[c.mask() for c in circuits(m, max_n=bound)] for m in levels]
+    tables = [m.mask_table(max_n=bound) for m in levels]
+    phi: dict = {}
+    class_masks: dict = {}
 
-    def extensions(i: int, phi: dict, class_masks: dict):
-        """Proper colorings of level i extending phi (over its new elements)."""
-        m = levels[i]
+    def walk(i: int):
+        """Extend the shared phi over level i's new elements, then recurse."""
         start = levels[i - 1].n if i else 0
-        if any(not norms[i][x] for x in range(start, m.n)):
-            return
-
-        def dfs(x: int):
-            if x == m.n:
-                yield dict(phi), dict(class_masks)
-                return
-            bit = 1 << x
-            for c in norms[i][x]:
-                new = class_masks.get(c, 0) | bit
-                if any(cm & ~new == 0 for cm in circ_masks[i]):
-                    continue
-                prev = class_masks.get(c)
-                class_masks[c] = new
-                phi[x] = c
-                yield from dfs(x + 1)
-                del phi[x]
-                if prev is None:
-                    del class_masks[c]
-                else:
-                    class_masks[c] = prev
-
-        yield from dfs(start)
-
-    def walk(i: int, phi: dict, class_masks: dict):
-        for full_phi, full_masks in extensions(i, dict(phi), dict(class_masks)):
-            if i == depth:
-                return full_phi
-            found = walk(i + 1, full_phi, full_masks)
+        for _ in _list_colorings(tables[i], range(start, levels[i].n), norms[i], phi, class_masks):
+            found = dict(phi) if i == depth else walk(i + 1)
             if found is not None:
                 return found
         return None
 
-    return walk(0, {}, {})
+    return walk(0)
 
 
 def first_uncolorable_level(chain: MatroidChain, lists, depth: int, max_level: int | None = None):

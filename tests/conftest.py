@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from matroidkit import catalog
+from matroidkit import VectorSpec, catalog, circuits, graphic, linear, uniform
 
 
 def powerset(iterable):
@@ -32,6 +32,38 @@ def brute_circuits(m):
         ),
         key=lambda t: (len(t), t),
     )
+
+
+def brute_list_colorings(m, lists, order):
+    """Proper list colorings by a sweep over the product of the lists.
+
+    Elements are taken in `order`, colors in sorted order; an assignment is
+    kept when no color class contains a circuit.
+    """
+    circs = [frozenset(c.members) for c in circuits(m)]
+    lists_in_order = [sorted(lists[x]) for x in order]
+    out = []
+    for colors in itertools.product(*lists_in_order):
+        phi = dict(zip(order, colors))
+        classes = {}
+        for x, c in phi.items():
+            classes.setdefault(c, set()).add(x)
+        if not any(circ <= cls for circ in circs for cls in classes.values()):
+            out.append(phi)
+    return out
+
+
+def random_matroid(rng, kind, n):
+    """A seeded random uniform, graphic, GF(2) or GF(3) matroid on n elements."""
+    if kind == "uniform":
+        return uniform(n, rng.randint(0, n))
+    if kind == "graphic":
+        vertices = [f"v{i}" for i in range(rng.randint(1, n + 1))]
+        return graphic([(i, rng.choice(vertices), rng.choice(vertices)) for i in range(n)])
+    p = 2 if kind == "gf2" else 3
+    dim = rng.randint(1, 3)
+    vectors = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(n))
+    return linear(VectorSpec(p, dim, vectors))
 
 
 def brute_max_independent_size(m, subset):

@@ -226,6 +226,19 @@ def test_roundtrip_through_cli_formats():
                 assert m1.rank(combo) == m2.rank(combo)
 
 
+def test_compactness_absurd_depth_exits_2(tmp_path, capsys):
+    # levels are built in a loop, and the exhaustive consistency check
+    # refuses at the first level above its size bound
+    lists = tmp_path / "lists.l"
+    lists.write_text("list 0 : a b\n")
+    code, _ = invoke(
+        ["compactness", "--family", "growing-uniform", "--depth", "3000", "--lists", str(lists)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def _unreadable(tmp_path, failure):
     if failure == "missing":
         return str(tmp_path / "missing.m")

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from matroidkit import (
+    BoundExceededError,
     GroundSetError,
     ListDeficitError,
     LoopError,
     OrderedBase,
+    chain_from_matroids,
     chromatic_number,
     color_from_base,
     degree_bound_check,
@@ -15,10 +19,13 @@ from matroidkit import (
     is_proper,
     list_chromatic_number,
     ordered_bases,
+    restriction_colorings,
     uniform,
 )
 from matroidkit.catalog import triangle
 from matroidkit.core import is_loop_free
+
+from conftest import brute_list_colorings, random_matroid
 
 
 def test_is_proper_examples():
@@ -99,6 +106,49 @@ def test_is_list_colorable_singleton():
 
 def test_is_list_colorable_empty_list():
     assert is_list_colorable(uniform(2, 2), {0: set(), 1: {"a"}}) is None
+
+
+def test_list_searches_match_bruteforce():
+    # the one list-coloring search against a sweep over the product of the
+    # lists: every coloring in order for restriction_colorings, the first
+    # one in (list size, id) order for is_list_colorable
+    rng = random.Random(17)
+    checked = colorable = 0
+    for kind in ("uniform", "graphic", "gf2", "gf3"):
+        for n in range(1, 8):
+            for _ in range(3):
+                m = random_matroid(rng, kind, n)
+                lists = {x: frozenset(rng.sample("abcd", rng.choice((1, 2, 2, 3)))) for x in range(n)}
+                if rng.random() < 0.1:
+                    lists[rng.randrange(n)] = frozenset()
+                every = brute_list_colorings(m, lists, range(n))
+                got = restriction_colorings(chain_from_matroids([m]), lists, 0)
+                assert got == every, m.name
+                order = sorted(range(n), key=lambda x: (len(lists[x]), x))
+                first = brute_list_colorings(m, lists, order)[:1]
+                assert is_list_colorable(m, lists) == (first[0] if first else None), m.name
+                checked += 1
+                colorable += bool(every)
+    assert checked == 84 and 0 < colorable < checked
+
+
+def test_is_list_colorable_above_the_circuit_bound():
+    # independence is read from the rank table, so the ceiling is the
+    # table's own (16), not the circuit enumeration's (12)
+    rng = random.Random(5)
+    m = random_matroid(rng, "gf2", 14)
+    while not is_loop_free(m):
+        m = random_matroid(rng, "gf2", 14)
+    k = chromatic_number(m, max_n=14).value
+    lists = {x: frozenset(rng.sample("abcdefgh", k)) for x in range(m.n)}
+    phi = is_list_colorable(m, lists)
+    assert phi is not None and is_proper(m, phi)
+    assert all(phi[x] in lists[x] for x in range(m.n))
+    with pytest.raises(BoundExceededError):
+        is_list_colorable(m, lists, max_n=13)
+    big = uniform(17, 9)
+    with pytest.raises(BoundExceededError):
+        is_list_colorable(big, {x: {"a", "b"} for x in range(big.n)})
 
 
 def test_list_chromatic_examples():

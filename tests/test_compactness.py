@@ -2,7 +2,9 @@ import pytest
 
 from matroidkit import (
     BUILTIN_FAMILIES,
+    BoundExceededError,
     ChainError,
+    Matroid,
     MatroidChain,
     chain_from_matroids,
     extend_coloring,
@@ -114,6 +116,26 @@ def test_inconsistent_chain_rejected():
     with pytest.raises(ChainError) as err:
         chain.level(1)
     assert "{0,1}" in str(err.value)
+
+
+def test_inconsistency_on_a_small_subset_of_a_large_level_rejected():
+    # level 1 is a parallel extension at {1,2}: every subset of the 13
+    # elements is checked, not a sample of them
+    levels = [
+        uniform(13, 3),
+        Matroid(14, lambda a: min(3, len(a) - ({1, 2} <= a))),
+    ]
+    chain = MatroidChain("parallel-pair", lambda i: levels[i])
+    with pytest.raises(ChainError) as err:
+        chain.level(1)
+    assert "{1,2}" in str(err.value)
+
+
+def test_consistency_check_refuses_above_level_size_bound():
+    chain = MatroidChain("wide", lambda i: uniform(17 + i, 2))
+    assert chain.level(0).n == 17
+    with pytest.raises(BoundExceededError):
+        chain.level(1)
 
 
 def test_non_growing_chain_rejected():

@@ -6,12 +6,9 @@ from matroidkit import (
     BoundExceededError,
     GroundSetError,
     Matroid,
-    VectorSpec,
     check_circuit_elimination,
     circuits,
-    graphic,
     is_loop_free,
-    linear,
     loops,
     uniform,
     validate_axioms,
@@ -26,7 +23,7 @@ from matroidkit.core import (
     set_literal,
 )
 
-from conftest import brute_circuits, brute_max_independent_size, powerset
+from conftest import brute_circuits, brute_max_independent_size, powerset, random_matroid
 
 
 def test_rank_examples():
@@ -78,24 +75,12 @@ def test_validate_axioms_bad_table():
     assert report.witness == ((0,), (1,))
 
 
-def _random_matroid(rng, kind, n):
-    if kind == "uniform":
-        return uniform(n, rng.randint(0, n))
-    if kind == "graphic":
-        vertices = [f"v{i}" for i in range(rng.randint(1, n + 1))]
-        return graphic([(i, rng.choice(vertices), rng.choice(vertices)) for i in range(n)])
-    p = 2 if kind == "gf2" else 3
-    dim = rng.randint(1, 3)
-    vectors = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(n))
-    return linear(VectorSpec(p, dim, vectors))
-
-
 def _perturbed_tables(seed, per_base):
     """Rank tables of random matroids with one entry moved by +-1 or +-2."""
     rng = random.Random(seed)
     for kind in ("uniform", "graphic", "gf2", "gf3"):
         for n in range(1, 7):
-            base = _random_matroid(rng, kind, n).mask_table()
+            base = random_matroid(rng, kind, n).mask_table()
             for _ in range(per_base):
                 mask = rng.randrange(1 << n)
                 delta = rng.choice([d for d in (-2, -1, 1, 2) if base[mask] + d >= 0])
@@ -153,7 +138,7 @@ def test_circuits_free_and_triangle():
 def test_circuits_match_bruteforce(suite6):
     rng = random.Random(3)
     randoms = [
-        _random_matroid(rng, kind, n)
+        random_matroid(rng, kind, n)
         for kind in ("uniform", "graphic", "gf2", "gf3")
         for n in range(1, 8)
         for _ in range(3)

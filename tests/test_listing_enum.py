@@ -2,15 +2,19 @@
 
 import random
 
-from matroidkit import circuits, list_chromatic_number, uniform
+from matroidkit import list_chromatic_number, uniform
 from matroidkit.catalog import theta, triangle
 from matroidkit.coloring import (
-    _listing_colorable,
+    _list_colorings,
     all_canonical_listings,
     canonical_listing,
     hall_violator_listings,
 )
 from matroidkit.core import is_loop_free
+
+
+def _listing_colorable(table, listing, n):
+    return next(_list_colorings(table, range(n), listing, {}, {}), None) is not None
 
 
 def test_naive_enumeration_counts():
@@ -84,14 +88,14 @@ def test_violator_candidates_cover_every_uncolorable_listing():
         (uniform(3, 1), 2), (uniform(4, 3), 2),
     ]
     for m, k in cases:
-        masks = [c.mask() for c in circuits(m)]
+        table = m.mask_table()
         naive_bad = [
             cand
             for cand in all_canonical_listings(m.n, k)
-            if not _listing_colorable(masks, cand, m.n)
+            if not _listing_colorable(table, cand, m.n)
         ]
         candidates = list(hall_violator_listings(m.n, k))
-        fast_bad = [c for c in candidates if not _listing_colorable(masks, c, m.n)]
+        fast_bad = [c for c in candidates if not _listing_colorable(table, c, m.n)]
         for bad in naive_bad:
             assert any(_isomorphic(bad, c) for c in fast_bad), (m.name, k, bad)
         assert bool(fast_bad) == bool(naive_bad), (m.name, k)
