@@ -21,6 +21,7 @@ from .core import (
 from .constructions import (
     GraphSpec,
     TableSpec,
+    UniformSpec,
     VectorSpec,
     from_table,
     graphic,

@@ -170,10 +170,7 @@ def anchor_classes(m: Matroid, b: OrderedBase) -> AnchorDecomposition:
     with one fiber per base element.  Decompositions are cached on the
     matroid, keyed by the base sequence.
     """
-    cache = getattr(m, "_anchor_cache", None)
-    if cache is None:
-        cache = m._anchor_cache = {}
-    cached = cache.get(b.elements)
+    cached = m._anchor_cache.get(b.elements)
     if cached is not None:
         return cached
     lp = loops(m)
@@ -183,7 +180,7 @@ def anchor_classes(m: Matroid, b: OrderedBase) -> AnchorDecomposition:
     mapping = {x: anchor(m, b, x) for x in range(m.n)}
     classes = {e: tuple(sorted(x for x, a in mapping.items() if a == e)) for e in b}
     decomp = AnchorDecomposition(b, mapping, classes)
-    cache[b.elements] = decomp
+    m._anchor_cache[b.elements] = decomp
     return decomp
 
 

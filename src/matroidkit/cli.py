@@ -28,7 +28,7 @@ from .compactness import (
     first_uncolorable_level,
 )
 from .contraction import contract
-from .core import Matroid, MatroidError, circuits, set_literal, validate_axioms
+from .core import Matroid, MatroidError, circuits, mask_of, set_literal, validate_axioms
 from .files import (
     parse_listing_text,
     parse_matroid_text,
@@ -187,10 +187,7 @@ def cmd_contract(args, out: _Out) -> int:
     table = mc.mask_table()
     for size in range(mc.n + 1):
         for combo in itertools.combinations(range(mc.n), size):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            out.kv(f"rank {set_literal(combo)}", table[mask])
+            out.kv(f"rank {set_literal(combo)}", table[mask_of(combo)])
     out.note("contracted rank: r'(A) = r(A u Z) - r(Z), elements re-indexed densely")
     out.note("element-map lists new:original ids")
     return 0

@@ -12,7 +12,6 @@ coloring of the whole chain at once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,6 +22,8 @@ from .core import (
     GroundSetError,
     Matroid,
     MatroidError,
+    _masks_by_size,
+    bits,
     set_literal,
 )
 
@@ -75,14 +76,11 @@ def _check_consistent(small: Matroid, big: Matroid, level: int):
             f"consistency check is exhaustive; level {level-1} has {small.n} "
             f"elements, bound is {LEVEL_SIZE_BOUND}"
         )
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(small.n), size) for size in range(small.n + 1)
-    )
-    for a in subsets:
-        if small.rank(a) != big.rank(a):
+    for a in _masks_by_size(small.n):
+        if small.rank_of_mask(a) != big.rank_of_mask(a):
             raise ChainError(
                 f"level {level} disagrees with level {level-1} on "
-                f"{set_literal(a)}: {big.rank(a)} vs {small.rank(a)}"
+                f"{set_literal(bits(a))}: {big.rank_of_mask(a)} vs {small.rank_of_mask(a)}"
             )
 
 

@@ -8,6 +8,7 @@ from .core import (
     AxiomError,
     GroundSetError,
     Matroid,
+    _derived,
     bits,
     canonical,
     mask_of,
@@ -16,13 +17,20 @@ from .core import (
 )
 
 
+@dataclass(frozen=True)
+class UniformSpec:
+    """The uniform matroid of rank k on n elements."""
+
+    n: int
+    k: int
+
+
 def uniform(n: int, k: int) -> Matroid:
     """Uniform matroid: rank(A) = min(|A|, k)."""
     if n < 0 or k < 0 or k > n:
         raise GroundSetError(f"uniform needs 0 <= k <= n, got n={n}, k={k}")
-    m = Matroid(n, lambda a: min(len(a), k), name=f"uniform({n},{k})")
-    m.uniform_spec = (n, k)
-    return m
+    spec = UniformSpec(n, k)
+    return Matroid(n, lambda a: min(a.bit_count(), k), name=f"uniform({n},{k})", spec=spec)
 
 
 @dataclass(frozen=True)
@@ -55,8 +63,9 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]]) -> Matroid:
     by_id = {e[0]: (e[1], e[2]) for e in spec.edges}
     n = len(spec.edges)
 
-    def rank(a: frozenset[int]) -> int:
-        parent: dict[str, str] = {}
+    def rank(a: int) -> int:
+        edges = [by_id[e] for e in bits(a)]
+        parent = {v: v for edge in edges for v in edge}
 
         def find(v):
             while parent[v] != v:
@@ -64,24 +73,16 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]]) -> Matroid:
                 v = parent[v]
             return v
 
-        covered = set()
-        for e in a:
-            u, v = by_id[e]
-            covered.update((u, v))
-        for v in covered:
-            parent[v] = v
-        comps = len(covered)
-        for e in a:
-            u, v = by_id[e]
+        # covered vertices minus components = number of merging edges
+        merges = 0
+        for u, v in edges:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
-                comps -= 1
-        return len(covered) - comps
+                merges += 1
+        return merges
 
-    m = Matroid(n, rank, name=f"graphic({n} edges)")
-    m.graph_spec = spec
-    return m
+    return Matroid(n, rank, name=f"graphic({n} edges)", spec=spec)
 
 
 def _is_prime(p: int) -> bool:
@@ -143,14 +144,10 @@ def linear(spec: VectorSpec) -> Matroid:
     """
     vecs = [[c % spec.p for c in v] for v in spec.vectors]
 
-    def rank(a: frozenset[int]) -> int:
-        if not a:
-            return 0
-        return _gf_rank([vecs[i] for i in sorted(a)], spec.p)
+    def rank(a: int) -> int:
+        return _gf_rank([vecs[i] for i in bits(a)], spec.p)
 
-    m = Matroid(len(vecs), rank, name=f"linear(GF({spec.p}),{len(vecs)} vecs)")
-    m.vector_spec = spec
-    return m
+    return Matroid(len(vecs), rank, name=f"linear(GF({spec.p}),{len(vecs)} vecs)", spec=spec)
 
 
 @dataclass(frozen=True)
@@ -178,11 +175,11 @@ def from_table(spec: TableSpec) -> Matroid:
     (with the (size, lex)-minimal witness of the full scan) if the table
     is not a matroid rank function.
     """
-    m = Matroid(spec.n, lambda a: spec.ranks[a], name=f"table(n={spec.n})")
+    ranks = [spec.ranks[frozenset(bits(mask))] for mask in range(1 << spec.n)]
+    m = Matroid(spec.n, lambda a: ranks[a], name=f"table(n={spec.n})", spec=spec)
     report = validate_axioms(m)
     if not report.ok:
         raise AxiomError(report)
-    m.table_spec = spec
     return m
 
 
@@ -200,15 +197,8 @@ def restrict(m: Matroid, elements) -> Matroid:
     and composes: restricting a restriction maps through to the root.
     """
     keep = canonical(m.check_subset(elements))
-    base_map = m.element_map
 
-    def rank(a: frozenset[int]) -> int:
-        return m.rank(keep[i] for i in a)
+    def rank(a: int) -> int:
+        return m.rank_of_mask(mask_of(keep[i] for i in bits(a)))
 
-    element_map = tuple(base_map[e] for e in keep) if base_map else keep
-    return Matroid(
-        len(keep),
-        rank,
-        name=f"{m.name}|{set_literal(keep)}",
-        element_map=element_map,
-    )
+    return _derived(m, keep, rank, f"{m.name}|{set_literal(keep)}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import GroundSetError, Matroid, canonical, set_literal
+from .core import GroundSetError, Matroid, _derived, bits, canonical, mask_of, set_literal
 
 
 def contract(m: Matroid, z) -> Matroid:
@@ -20,20 +20,14 @@ def contract(m: Matroid, z) -> Matroid:
     ids back to the original ones.
     """
     zs = m.check_subset(z)
+    zmask = mask_of(zs)
     keep = canonical(x for x in range(m.n) if x not in zs)
-    rz = m.rank(zs)
-    base_map = m.element_map
+    rz = m.rank_of_mask(zmask)
 
-    def rank(a: frozenset[int]) -> int:
-        return m.rank(zs | {keep[i] for i in a}) - rz
+    def rank(a: int) -> int:
+        return m.rank_of_mask(zmask | mask_of(keep[i] for i in bits(a))) - rz
 
-    element_map = tuple(base_map[e] for e in keep) if base_map else keep
-    return Matroid(
-        len(keep),
-        rank,
-        name=f"{m.name}/{set_literal(zs)}",
-        element_map=element_map,
-    )
+    return _derived(m, keep, rank, f"{m.name}/{set_literal(zs)}")
 
 
 def contracted_rank_by_minimization(m: Matroid, z, a) -> int:

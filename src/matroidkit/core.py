@@ -71,18 +71,20 @@ def bits(mask: int) -> Iterator[int]:
 class Matroid:
     """A finite matroid given by a rank oracle over subsets of range(n).
 
-    The oracle must be pure: identical subsets give identical ranks.  Rank
-    values are memoized per canonical subset, so repeated axiom and lemma
-    sweeps do not re-pay oracle cost.  Instances are immutable after
-    construction apart from the memo, which only ever gains entries.
+    The oracle takes a subset as an int bitmask (bit i for element i),
+    returns a nonnegative int (not a bool), and must be pure.  Ranks are
+    memoized per mask by :meth:`rank_of_mask`.  ``spec`` is the typed
+    construction spec, or None for restrictions, contractions and user
+    oracles.  Instances are immutable apart from the caches.
     """
 
     def __init__(
         self,
         n: int,
-        oracle: Callable[[frozenset[int]], int],
+        oracle: Callable[[int], int],
         name: str = "",
         element_map: tuple[int, ...] | None = None,
+        spec: object = None,
     ):
         if n < 0:
             raise GroundSetError("ground set size must be nonnegative")
@@ -90,53 +92,66 @@ class Matroid:
         self.name = name or f"matroid(n={n})"
         #: for derived matroids (restriction, contraction): new id -> original id
         self.element_map = element_map
+        self.spec = spec
         self._oracle = oracle
-        self._memo: dict[frozenset[int], int] = {}
+        self._memo: dict[int, int] = {}
         self._mask_table: list[int] | None = None
+        #: anchor decompositions by base sequence, filled by bases.anchor_classes
+        self._anchor_cache: dict = {}
 
     def __repr__(self):
         return f"<Matroid {self.name}>"
 
-    def check_subset(self, elements: Iterable[int]) -> frozenset[int]:
-        s = frozenset(elements)
-        for e in s:
-            if not isinstance(e, int) or e < 0 or e >= self.n:
+    def _checked_mask(self, elements: Iterable[int]) -> int:
+        """The bitmask of a subset of range(n); a bool id is refused, not read as 0/1."""
+        mask = 0
+        for e in elements:
+            if type(e) is not int or e < 0 or e >= self.n:
                 raise GroundSetError(
                     f"element {e!r} outside ground set of size {self.n}"
                 )
-        return s
+            mask |= 1 << e
+        return mask
+
+    def check_subset(self, elements: Iterable[int]) -> frozenset[int]:
+        return frozenset(bits(self._checked_mask(elements)))
 
     def ground_set(self) -> tuple[int, ...]:
         return tuple(range(self.n))
 
     def rank(self, elements: Iterable[int]) -> int:
         """Rank of a subset; memoized; 0 <= rank <= |subset|."""
-        s = self.check_subset(elements)
-        r = self._memo.get(s)
-        if r is None:
-            r = self._oracle(s)
-            if not isinstance(r, int) or r < 0:
-                raise MatroidError(f"oracle returned {r!r} for {set_literal(s)}")
-            self._memo[s] = r
-        return r
+        return self.rank_of_mask(self._checked_mask(elements))
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         """True iff the subset's rank equals its size."""
-        s = self.check_subset(elements)
-        return self.rank(s) == len(s)
+        mask = self._checked_mask(elements)
+        return self.rank_of_mask(mask) == mask.bit_count()
 
     def full_rank(self) -> int:
         return self.rank(range(self.n))
 
     def rank_of_mask(self, mask: int) -> int:
-        """Rank by bitmask, backed by the full 2^n table (small n only)."""
-        return self.mask_table()[mask]
+        """Rank by bitmask (unchecked); every rank goes through here.
+
+        Reads the mask table once built, else an int-keyed memo.
+        """
+        if self._mask_table is not None:
+            return self._mask_table[mask]
+        r = self._memo.get(mask)
+        if r is None:
+            r = self._oracle(mask)
+            if type(r) is not int or r < 0:
+                raise MatroidError(f"oracle returned {r!r} for {set_literal(bits(mask))}")
+            self._memo[mask] = r
+        return r
 
     def mask_table(self, max_n: int | None = None) -> list[int]:
         """Rank of every subset, indexed by bitmask.  Built once, cached.
 
         The table is the workhorse behind every exhaustive sweep; it is
-        only sensible for small n (2^n entries).
+        only sensible for small n (2^n entries).  Once built it replaces
+        the memo, so each rank is stored once.
         """
         if self._mask_table is None:
             bound = VALIDATION_BOUND if max_n is None else max_n
@@ -144,11 +159,19 @@ class Matroid:
                 raise BoundExceededError(
                     f"mask table needs n <= {bound}, got {self.n}"
                 )
-            table = []
-            for mask in range(1 << self.n):
-                table.append(self.rank(frozenset(bits(mask))))
-            self._mask_table = table
+            self._mask_table = [self.rank_of_mask(x) for x in range(1 << self.n)]
+            self._memo.clear()
         return self._mask_table
+
+
+def _derived(m: Matroid, keep: tuple[int, ...], oracle: Callable[[int], int], name: str) -> Matroid:
+    """A matroid whose element i is m's element keep[i] (restriction, contraction).
+
+    Its element_map composes through m's, so it always names root ids.
+    """
+    base_map = m.element_map
+    element_map = tuple(base_map[e] for e in keep) if base_map else keep
+    return Matroid(len(keep), oracle, name=name, element_map=element_map)
 
 
 @dataclass(frozen=True)
@@ -223,15 +246,14 @@ def _first_violation(table: list[int], n: int) -> AxiomReport:
         return AxiomReport(False, "normalization", ((),), f"rank({{}}) = {table[0]}")
 
     order = _masks_by_size(n)
-    popcount = {mask: bin(mask).count("1") for mask in range(1 << n)}
 
     for a in order:
-        if table[a] > popcount[a]:
+        if table[a] > a.bit_count():
             return AxiomReport(
                 False,
                 "subcardinality",
                 (tuple(bits(a)),),
-                f"rank {table[a]} > size {popcount[a]}",
+                f"rank {table[a]} > size {a.bit_count()}",
             )
 
     for a in order:

@@ -14,6 +14,7 @@ import itertools
 from .constructions import (
     GraphSpec,
     TableSpec,
+    UniformSpec,
     VectorSpec,
     from_table,
     graphic,
@@ -171,21 +172,20 @@ def serialize_matroid(m: Matroid) -> str:
     grammar; anything else (restrictions, contractions) is frozen into a
     table.  Output is byte-deterministic.
     """
-    if hasattr(m, "uniform_spec"):
-        n, k = m.uniform_spec
-        return f"matroid uniform\nn {n}\nk {k}\n"
-    if hasattr(m, "graph_spec"):
+    spec = m.spec
+    if isinstance(spec, UniformSpec):
+        return f"matroid uniform\nn {spec.n}\nk {spec.k}\n"
+    if isinstance(spec, GraphSpec):
         lines = ["matroid graphic"]
-        for eid, u, v in sorted(m.graph_spec.edges):
+        for eid, u, v in sorted(spec.edges):
             lines.append(f"edge {eid} {u} {v}")
         return "\n".join(lines) + "\n"
-    if hasattr(m, "vector_spec"):
-        spec = m.vector_spec
+    if isinstance(spec, VectorSpec):
         lines = [f"matroid linear", f"field {spec.p}", f"dim {spec.dim}"]
         for i, vec in enumerate(spec.vectors):
             lines.append("vec " + str(i) + " " + " ".join(str(c) for c in vec))
         return "\n".join(lines) + "\n"
-    spec = m.table_spec if hasattr(m, "table_spec") else tabulate(m)
+    spec = spec if isinstance(spec, TableSpec) else tabulate(m)
     lines = ["matroid table", f"n {spec.n}"]
     for size in range(spec.n + 1):
         for combo in itertools.combinations(range(spec.n), size):

@@ -264,3 +264,22 @@ def test_unreadable_file_exits_2(tmp_path, capsys, kind, failure):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+GOLDEN = DATA / "golden"
+
+
+def _golden_cases():
+    for line in (GOLDEN / "cases.txt").read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            name, code, *argv = line.split()
+            yield pytest.param(name, int(code), argv, id=name)
+
+
+@pytest.mark.parametrize("name, code, argv", list(_golden_cases()))
+def test_stdout_matches_golden(monkeypatch, name, code, argv):
+    # each line of cases.txt is one invocation, run from tests/data; its
+    # stdout is stored byte for byte in golden/<name>.out
+    monkeypatch.chdir(DATA)
+    expected = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+    assert invoke(argv) == (code, expected)

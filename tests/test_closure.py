@@ -62,7 +62,7 @@ def test_closure_routes_agree(suite6):
 
 
 def test_closure_by_intersection_bound():
-    big = Matroid(13, lambda a: len(a))
+    big = Matroid(13, lambda a: a.bit_count())
     with pytest.raises(BoundExceededError):
         closure_by_intersection(big, set())
 

@@ -51,8 +51,8 @@ def test_graphic_duplicate_ids():
 def test_graphic_rank_equals_forest_greedy(suite6):
     # rank(A) must equal the number of edges a greedy forest keeps
     for m in suite6:
-        spec = getattr(m, "graph_spec", None)
-        if spec is None:
+        spec = m.spec
+        if not isinstance(spec, GraphSpec):
             continue
         by_id = {e[0]: (e[1], e[2]) for e in spec.edges}
         for size in range(m.n + 1):

@@ -40,6 +40,8 @@ def test_rank_rejects_out_of_range():
         m.rank({0, 4})
     with pytest.raises(GroundSetError):
         m.rank({-1})
+    with pytest.raises(GroundSetError):
+        m.rank({True})
 
 
 def test_rank_memoizes():
@@ -47,7 +49,7 @@ def test_rank_memoizes():
 
     def oracle(a):
         calls.append(a)
-        return min(len(a), 2)
+        return min(a.bit_count(), 2)
 
     m = Matroid(4, oracle)
     m.rank({0, 1})
@@ -68,7 +70,7 @@ def test_validate_axioms_bad_table():
         frozenset({1}): 1,
         frozenset({0, 1}): 2,
     }
-    m = Matroid(2, lambda a: table[a])
+    m = Matroid(2, lambda a: table[frozenset(bits(a))])
     report = validate_axioms(m)
     assert not report.ok
     assert report.axiom == "submodularity"
@@ -95,7 +97,7 @@ def test_validate_axioms_matches_full_scan(suite7):
     failed_axioms = set()
     passed = 0
     for label, n, table in _perturbed_tables(seed=2, per_base=40):
-        m = Matroid(n, lambda a, t=table: t[mask_of(a)])
+        m = Matroid(n, lambda a, t=table: t[a])
         report = validate_axioms(m)
         assert report == _first_violation(table, n), label
         if report.ok:
@@ -112,7 +114,7 @@ def test_validate_axioms_at_validation_bound():
 
 
 def test_validate_axioms_refuses_above_bound():
-    m = Matroid(17, lambda a: len(a))
+    m = Matroid(17, lambda a: a.bit_count())
     with pytest.raises(BoundExceededError):
         validate_axioms(m)
 
@@ -238,10 +240,13 @@ def test_misbehaving_oracle_is_reported():
     m = Matroid(2, lambda a: 0.5)
     with pytest.raises(MatroidError):
         m.rank({0})
+    m = Matroid(2, lambda a: True)
+    with pytest.raises(MatroidError):
+        m.rank({0})
 
 
 def test_circuits_refuses_above_bound():
-    big = Matroid(13, lambda a: len(a))
+    big = Matroid(13, lambda a: a.bit_count())
     with pytest.raises(BoundExceededError):
         circuits(big)
     # an explicit override runs it

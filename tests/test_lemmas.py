@@ -1,4 +1,5 @@
 from matroidkit import Matroid, run_lemma_battery, uniform
+from matroidkit.core import bits
 from matroidkit.lemmas import BATTERY
 
 
@@ -20,7 +21,7 @@ def test_battery_passes_on_suite(suite7):
 
 
 def test_battery_skips_above_bound():
-    big = Matroid(9, lambda a: len(a))
+    big = Matroid(9, lambda a: a.bit_count())
     results = run_lemma_battery(big)
     assert all(r.status == "skipped" for r in results)
     assert all("size 9" in r.detail for r in results)
@@ -44,7 +45,7 @@ def test_battery_catches_broken_oracles():
         frozenset({1}): 1,
         frozenset({0, 1}): 2,
     }
-    broken = Matroid(2, lambda a: table[a])
+    broken = Matroid(2, lambda a: table[frozenset(bits(a))])
     results = run_lemma_battery(broken)
     failed = [r.key for r in results if r.status == "fail"]
     assert failed, "a non-matroid sailed through the battery"
@@ -52,6 +53,6 @@ def test_battery_catches_broken_oracles():
 
 def test_battery_catches_nonlocal_rank_jump():
     # rank jumping by 2 breaks the flatness-transfer checks
-    bad = Matroid(3, lambda a: 2 * len(a))
+    bad = Matroid(3, lambda a: 2 * a.bit_count())
     results = run_lemma_battery(bad)
     assert any(r.status == "fail" for r in results)
