@@ -1,9 +1,13 @@
 """Deterministic command-line front end.
 
-Every command prints a machine-readable block of ``key: value`` lines
-followed by ``#`` certificate lines, and nothing else; identical inputs
-(and seed) give byte-identical stdout.  Exit codes: 0 success/pass,
-1 a checked property failed (a witness is printed), 2 input error.
+One parser serves every command: the first positional names the command
+(a key of ``_HANDLERS``) and all commands share one flag set, each
+ignoring the flags it does not read.  Every command prints a
+machine-readable block of ``key: value`` lines followed by ``#``
+certificate lines, and nothing else; identical inputs (and seed) give
+byte-identical stdout.  Exit codes: 0 success/pass, 1 a checked property
+failed (a witness is printed), 2 input error (argparse's own usage
+errors exit 2 as well).
 """
 
 from __future__ import annotations
@@ -30,28 +34,13 @@ from .compactness import (
 from .contraction import contract
 from .core import Matroid, MatroidError, circuits, mask_of, set_literal, validate_axioms
 from .files import (
+    ParseError,
     parse_listing_text,
     parse_matroid_text,
     parse_subset_literal,
     serialize_matroid,
 )
 from .lemmas import run_lemma_battery
-
-COMMANDS = (
-    "validate",
-    "circuits",
-    "closure",
-    "closed",
-    "contract",
-    "base",
-    "mb",
-    "chromatic",
-    "list-chromatic",
-    "color-from-base",
-    "check-lemmas",
-    "compactness",
-)
-
 
 class _Out:
     def __init__(self):
@@ -90,7 +79,10 @@ def _load_lists(args, n: int):
     return parse_listing_text(_read_text(args.lists), n=n)
 
 
-def _parse_order(text: str, n: int):
+def _parse_order(text: str | None, n: int):
+    """The --order permutation, or the identity when it is not given."""
+    if not text:
+        return tuple(range(n))
     try:
         order = tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -100,16 +92,12 @@ def _parse_order(text: str, n: int):
     return order
 
 
-def _header(out: _Out, args, command: str):
+def _header(out: _Out, args):
     out.kv("tool", f"matroidkit {__version__}")
-    out.kv("command", command)
+    out.kv("command", args.command)
     out.kv("seed", args.seed)
-    if getattr(args, "input", None):
+    if args.input:
         out.kv("input", args.input)
-
-
-def _fmt_color(c) -> str:
-    return str(c)
 
 
 def cmd_validate(args, out: _Out) -> int:
@@ -195,7 +183,7 @@ def cmd_contract(args, out: _Out) -> int:
 
 def cmd_base(args, out: _Out) -> int:
     m = _load_matroid(args)
-    order = _parse_order(args.order, m.n) if args.order else tuple(range(m.n))
+    order = _parse_order(args.order, m.n)
     ob = greedy_base(m, order)
     out.kv("matroid", m.name)
     out.kv("order", ",".join(str(x) for x in order))
@@ -207,7 +195,7 @@ def cmd_base(args, out: _Out) -> int:
 
 def cmd_mb(args, out: _Out) -> int:
     m = _load_matroid(args)
-    order = _parse_order(args.order, m.n) if args.order else tuple(range(m.n))
+    order = _parse_order(args.order, m.n)
     ob = greedy_base(m, order)
     decomp = anchor_classes(m, ob)
     out.kv("matroid", m.name)
@@ -258,7 +246,7 @@ def cmd_list_chromatic(args, out: _Out) -> int:
 
 def cmd_color_from_base(args, out: _Out) -> int:
     m = _load_matroid(args)
-    order = _parse_order(args.order, m.n) if args.order else tuple(range(m.n))
+    order = _parse_order(args.order, m.n)
     ob = greedy_base(m, order)
     lists = _load_lists(args, m.n)
     phi = color_from_base(m, ob, lists)
@@ -266,7 +254,7 @@ def cmd_color_from_base(args, out: _Out) -> int:
     out.kv("base", "(" + ",".join(str(x) for x in ob.elements) + ")")
     out.kv("max-class-size", anchor_classes(m, ob).max_class_size)
     for x in sorted(phi):
-        out.kv("color", f"{x} {_fmt_color(phi[x])}")
+        out.kv("color", f"{x} {phi[x]}")
     out.kv("proper", "true" if is_proper(m, phi) else "false")
     out.note("colors chosen injectively inside each anchor class")
     return 0
@@ -291,6 +279,27 @@ def cmd_check_lemmas(args, out: _Out) -> int:
     return 0 if failed == 0 else 1
 
 
+def _chain_blocks(text: str) -> list[str]:
+    """Split a chain file into matroid blocks.
+
+    A block opens at each line whose first token is ``matroid``; ``#`` and
+    blank lines before the first block are skipped, anything else there is
+    an input error.
+    """
+    blocks: list[list[str]] = []
+    for no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens[:1] == ["matroid"]:
+            blocks.append([])
+        elif not blocks and tokens and not tokens[0].startswith("#"):
+            raise ParseError(
+                no, f"chain file must open with 'matroid <kind>', got {line.strip()!r}"
+            )
+        if blocks:
+            blocks[-1].append(line)
+    return ["\n".join(b) for b in blocks]
+
+
 def cmd_compactness(args, out: _Out) -> int:
     if args.family in BUILTIN_FAMILIES:
         chain = BUILTIN_FAMILIES[args.family]()
@@ -302,8 +311,9 @@ def cmd_compactness(args, out: _Out) -> int:
             raise MatroidError(
                 f"--family must name one of {sorted(BUILTIN_FAMILIES)} or a chain file; {e}"
             ) from None
-        blocks = ["matroid " + b for b in text.split("matroid ") if b.strip()]
-        chain = chain_from_matroids([parse_matroid_text(b) for b in blocks], name=args.family)
+        chain = chain_from_matroids(
+            [parse_matroid_text(b) for b in _chain_blocks(text)], name=args.family
+        )
     depth = args.depth
     top = chain.level(depth)
     lists = _load_lists(args, top.n)
@@ -311,23 +321,20 @@ def cmd_compactness(args, out: _Out) -> int:
     out.kv("depth", depth)
     out.kv("levels", ",".join(str(chain.level(i).n) for i in range(depth + 1)))
     phi = extend_coloring(chain, lists, depth)
+    out.kv("extended", "false" if phi is None else "true")
     if phi is None:
-        out.kv("extended", "false")
         level = first_uncolorable_level(chain, lists, depth)
         out.kv("uncolorable-level", level if level is not None else "-")
-        out.note("finite-depth tree search over level colorings; each level extends")
-        out.note("the previous one, standing in for a single coherent global choice")
-        return 1
-    out.kv("extended", "true")
-    for x in sorted(phi):
-        out.kv("color", f"{x} {_fmt_color(phi[x])}")
-    for i in range(depth + 1):
-        mi = chain.level(i)
-        restricted = {x: phi[x] for x in range(mi.n)}
-        out.kv(f"level-{i}-proper", "true" if is_proper(mi, restricted) else "false")
+    else:
+        for x in sorted(phi):
+            out.kv("color", f"{x} {phi[x]}")
+        for i in range(depth + 1):
+            mi = chain.level(i)
+            restricted = {x: phi[x] for x in range(mi.n)}
+            out.kv(f"level-{i}-proper", "true" if is_proper(mi, restricted) else "false")
     out.note("finite-depth tree search over level colorings; each level extends")
     out.note("the previous one, standing in for a single coherent global choice")
-    return 0
+    return 1 if phi is None else 0
 
 
 _HANDLERS = {
@@ -359,27 +366,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="matroidkit",
         description="matroid rank-oracle toolkit with deterministic certificates",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("-i", "--input", help="matroid file")
-        p.add_argument("--subset", help="subset literal like {0,1}")
-        p.add_argument("--contract", help="subset literal to contract")
-        p.add_argument("--lists", help="listing file")
-        p.add_argument("--order", help="comma-separated permutation, e.g. 0,2,1")
-        p.add_argument("--kmax", type=int, default=3, help="largest list size to test")
-        p.add_argument("--depth", type=int, default=0, help="chain depth")
-        p.add_argument("--family", help="chain family name or chain file")
-        p.add_argument("--seed", type=int, default=0, help="seed echoed into output")
-        p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                       help="override the exhaustive size bound")
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("-i", "--input", help="matroid file")
+    parser.add_argument("--subset", help="subset literal like {0,1}")
+    parser.add_argument("--contract", help="subset literal to contract")
+    parser.add_argument("--lists", help="listing file")
+    parser.add_argument("--order", help="comma-separated permutation, e.g. 0,2,1")
+    parser.add_argument("--kmax", type=int, default=3, help="largest list size to test")
+    parser.add_argument("--depth", type=int, default=0, help="chain depth")
+    parser.add_argument("--family", help="chain family name or chain file")
+    parser.add_argument("--seed", type=int, default=0, help="seed echoed into output")
+    parser.add_argument("--max-n", type=int, default=None, dest="max_n",
+                        help="override the exhaustive size bound")
     return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = _Out()
-    _header(out, args, args.command)
+    _header(out, args)
     try:
         code = _HANDLERS[args.command](args, out)
     except MatroidError as e:

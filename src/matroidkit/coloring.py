@@ -92,9 +92,12 @@ class ChromaticResult:
 def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
     """Smallest k admitting a partition into k independent classes.
 
-    Iterative deepening over k with first-occurrence symmetry breaking
-    (element 0 opens class 0, a new class may only be the next unused
-    index).  Raises LoopError when no proper coloring exists at all.
+    Iterative deepening over k, each step one run of the list-coloring
+    search with element x allowed the colors 0..min(x, k-1).  The witness
+    is the lexicographically first proper k-coloring: swapping two color
+    labels keeps a coloring proper, so that coloring opens its colors in
+    order and lies inside those lists.  Raises LoopError when no proper
+    coloring exists at all.
     """
     lp = loops(m)
     if lp:
@@ -107,34 +110,11 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
     if m.n == 0:
         return ChromaticResult(0, {})
     table = m.mask_table(max_n=bound)
-    popcount = [bin(i).count("1") for i in range(1 << m.n)]
-
-    def attempt(k: int) -> dict[int, int] | None:
-        assignment: dict[int, int] = {}
-        masks = [0] * k
-
-        def dfs(x: int, opened: int) -> bool:
-            if x == m.n:
-                return True
-            limit = min(opened + 1, k)
-            for c in range(limit):
-                new = masks[c] | (1 << x)
-                if table[new] != popcount[new]:
-                    continue
-                masks[c] = new
-                assignment[x] = c
-                if dfs(x + 1, max(opened, c + 1)):
-                    return True
-                masks[c] ^= 1 << x
-                del assignment[x]
-            return False
-
-        return dict(assignment) if dfs(0, 0) else None
-
     for k in range(1, m.n + 1):
-        witness = attempt(k)
+        lists = {x: range(min(x + 1, k)) for x in range(m.n)}
+        witness = next(_list_colorings(table, range(m.n), lists, {}, {}), None)
         if witness is not None:
-            return ChromaticResult(k, witness)
+            return ChromaticResult(k, dict(witness))
     raise AssertionError("loop-free matroid must be |S|-colorable")
 
 
@@ -298,7 +278,7 @@ class ListChromaticResult:
 
 def list_chromatic_number(
     m: Matroid,
-    kmax: int = LIST_ENUM_KMAX,
+    kmax: int = 3,
     max_n: int | None = None,
     naive: bool = False,
 ) -> ListChromaticResult:

@@ -158,6 +158,11 @@ class TableSpec:
     ranks: dict[frozenset[int], int] = field(hash=False)
 
     def __post_init__(self):
+        for key in self.ranks:
+            if any(e < 0 or e >= self.n for e in key):
+                raise GroundSetError(
+                    f"subset {set_literal(key)} outside ground set (n={self.n})"
+                )
         want = 1 << self.n
         if len(self.ranks) != want:
             missing = want - len(self.ranks)

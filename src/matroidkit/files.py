@@ -159,9 +159,6 @@ def _parse_table(body) -> Matroid:
             raise ParseError(no, f"expected 'n <int>' or 'rank {{..}} <int>', got {line!r}")
     if n is None:
         raise ParseError(1, "table matroid needs an 'n' line")
-    for key in ranks:
-        if any(e < 0 or e >= n for e in key):
-            raise ParseError(1, f"subset {set_literal(key)} outside ground set (n={n})")
     return from_table(TableSpec(n, ranks))
 
 

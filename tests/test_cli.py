@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from matroidkit.cli import run
+from matroidkit import list_chromatic_number
+from matroidkit.cli import build_parser, run
 
 DATA = Path(__file__).parent / "data"
 U24 = str(DATA / "u24.m")
@@ -148,6 +149,30 @@ def test_compactness_chain_file(tmp_path):
     assert kv(out)["extended"] == ["true"]
 
 
+def test_compactness_chain_file_with_comments(tmp_path, capsys):
+    # a block opens only at a line whose first token is "matroid", so
+    # comments that mention matroids are skipped like any other comment
+    chain = tmp_path / "chain.m"
+    chain.write_text(
+        "# first matroid of the chain\n\n"
+        "matroid uniform\nn 3\nk 2\n"
+        "# the next matroid extends it\n"
+        "matroid uniform\nn 4\nk 2\n"
+    )
+    lists = tmp_path / "lists.l"
+    lists.write_text("".join(f"list {x} : a b c\n" for x in range(4)))
+    argv = ["compactness", "--family", str(chain), "--depth", "1", "--lists", str(lists)]
+    code, out = invoke(argv)
+    assert code == 0
+    assert kv(out)["levels"] == ["3,4"] and kv(out)["extended"] == ["true"]
+    capsys.readouterr()
+    chain.write_text("# comment\nn 3\nmatroid uniform\nn 3\nk 2\n")
+    code, _ = invoke(argv)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 2: chain file must open with 'matroid <kind>', got 'n 3'"]
+
+
 def test_exit_code_2_on_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.m"
     bad.write_text("matroid table\nn 1\nrank {} 1\nrank {0} 1\n")
@@ -159,6 +184,28 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     assert code == 0
     code, _ = invoke(["closure", "-i", U24])  # missing --subset
     assert code == 2
+
+
+def test_parser_errors_exit_2_and_help_exits_0(capsys):
+    for argv in (
+        [],
+        ["nosuch"],
+        ["validate", "--bogus"],
+        ["list-chromatic", "-i", U24, "--kmax", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", "-h"])
+    assert exc.value.code == 0
+
+
+def test_kmax_default_matches_library():
+    import inspect
+
+    library = inspect.signature(list_chromatic_number).parameters["kmax"].default
+    assert build_parser().get_default("kmax") == library
 
 
 def test_chromatic_refuses_loops(tmp_path):

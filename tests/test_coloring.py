@@ -70,14 +70,25 @@ def test_chromatic_rejects_loops():
 
 
 def test_chromatic_minimality(suite6):
-    # no proper coloring with one color fewer may exist
+    # no proper coloring with one color fewer may exist, and the witness is
+    # the lexicographically first proper coloring with k colors
     import itertools
 
-    for m in suite6:
-        if not is_loop_free(m) or not 0 < m.n <= 4:
+    rng = random.Random(23)
+    seeded = [
+        random_matroid(rng, kind, n)
+        for kind in ("uniform", "graphic", "gf2", "gf3")
+        for n in range(1, 8)
+        for _ in range(2)
+    ]
+    for m in [*suite6, *seeded]:
+        if not is_loop_free(m) or m.n == 0:
             continue
-        k = chromatic_number(m).value
-        if k <= 1:
+        result = chromatic_number(m)
+        k = result.value
+        first = brute_list_colorings(m, {x: range(k) for x in range(m.n)}, range(m.n))[0]
+        assert result.coloring == first, m.name
+        if k <= 1 or m.n > 4:
             continue
         smaller = k - 1
         found = any(

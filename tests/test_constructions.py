@@ -129,6 +129,15 @@ def test_from_table_rejects_incomplete():
         TableSpec(2, {frozenset(): 0})
 
 
+def test_table_spec_rejects_ids_outside_ground_set():
+    # the id check runs before the count check, so a table with the right
+    # number of entries but a foreign id never reaches from_table's lookup
+    with pytest.raises(GroundSetError, match=r"subset \{5\} outside ground set \(n=1\)"):
+        from_table(TableSpec(1, {frozenset(): 0, frozenset({5}): 1}))
+    with pytest.raises(GroundSetError, match="outside ground set"):
+        TableSpec(2, {frozenset({-1}): 0})
+
+
 def test_from_table_graphic():
     src = triangle()
     m = from_table(tabulate(src))
