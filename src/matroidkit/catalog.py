@@ -13,65 +13,50 @@ from .core import Matroid
 
 def triangle() -> Matroid:
     """Cycle matroid of a triangle: one circuit, the full edge set."""
-    m = graphic([(0, "a", "b"), (1, "a", "c"), (2, "b", "c")])
-    m.name = "triangle"
-    return m
+    return graphic([(0, "a", "b"), (1, "a", "c"), (2, "b", "c")], name="triangle")
 
 
 def theta() -> Matroid:
     """Two triangles sharing an edge (edge 1 = the shared one)."""
-    m = graphic(
-        [(0, "a", "b"), (1, "b", "c"), (2, "c", "a"), (3, "b", "d"), (4, "d", "c")]
+    return graphic(
+        [(0, "a", "b"), (1, "b", "c"), (2, "c", "a"), (3, "b", "d"), (4, "d", "c")],
+        name="theta",
     )
-    m.name = "theta"
-    return m
 
 
 def square() -> Matroid:
     """4-cycle."""
-    m = graphic([(0, "a", "b"), (1, "b", "c"), (2, "c", "d"), (3, "d", "a")])
-    m.name = "square"
-    return m
+    return graphic([(0, "a", "b"), (1, "b", "c"), (2, "c", "d"), (3, "d", "a")], name="square")
 
 
 def path(length: int = 3) -> Matroid:
     edges = [(i, f"v{i}", f"v{i+1}") for i in range(length)]
-    m = graphic(edges)
-    m.name = f"path({length})"
-    return m
+    return graphic(edges, name=f"path({length})")
 
 
 def self_loop_triangle() -> Matroid:
     """Triangle plus a self-loop: the smallest loopy graphic example."""
-    m = graphic([(0, "a", "b"), (1, "a", "c"), (2, "b", "c"), (3, "a", "a")])
-    m.name = "triangle+selfloop"
-    return m
+    return graphic(
+        [(0, "a", "b"), (1, "a", "c"), (2, "b", "c"), (3, "a", "a")], name="triangle+selfloop"
+    )
 
 
 def parallel_pair() -> Matroid:
-    m = graphic([(0, "a", "b"), (1, "a", "b")])
-    m.name = "parallel-pair"
-    return m
+    return graphic([(0, "a", "b"), (1, "a", "b")], name="parallel-pair")
 
 
 def gf2_line() -> Matroid:
     """(1,0), (0,1), (1,1) over GF(2): a 3-element circuit of rank 2."""
-    m = linear(VectorSpec(2, 2, ((1, 0), (0, 1), (1, 1))))
-    m.name = "gf2-line"
-    return m
+    return linear(VectorSpec(2, 2, ((1, 0), (0, 1), (1, 1))), name="gf2-line")
 
 
 def gf2_parallel() -> Matroid:
     """Two equal vectors plus two independent ones over GF(2)."""
-    m = linear(VectorSpec(2, 2, ((1, 0), (1, 0), (0, 1), (1, 1))))
-    m.name = "gf2-parallel"
-    return m
+    return linear(VectorSpec(2, 2, ((1, 0), (1, 0), (0, 1), (1, 1))), name="gf2-parallel")
 
 
 def gf2_with_loop() -> Matroid:
-    m = linear(VectorSpec(2, 2, ((0, 0), (1, 0), (0, 1))))
-    m.name = "gf2-loop"
-    return m
+    return linear(VectorSpec(2, 2, ((0, 0), (1, 0), (0, 1))), name="gf2-loop")
 
 
 def fano() -> Matroid:
@@ -83,9 +68,7 @@ def fano() -> Matroid:
         for c in (0, 1)
         if (a, b, c) != (0, 0, 0)
     )
-    m = linear(VectorSpec(2, 3, vecs))
-    m.name = "fano"
-    return m
+    return linear(VectorSpec(2, 3, vecs), name="fano")
 
 
 def desk_suite(max_n: int = 7, loop_free_only: bool = False) -> list[Matroid]:

@@ -34,7 +34,7 @@ from .compactness import (
 from .contraction import contract
 from .core import Matroid, MatroidError, circuits, mask_of, set_literal, validate_axioms
 from .files import (
-    ParseError,
+    parse_chain_text,
     parse_listing_text,
     parse_matroid_text,
     parse_subset_literal,
@@ -279,27 +279,6 @@ def cmd_check_lemmas(args, out: _Out) -> int:
     return 0 if failed == 0 else 1
 
 
-def _chain_blocks(text: str) -> list[str]:
-    """Split a chain file into matroid blocks.
-
-    A block opens at each line whose first token is ``matroid``; ``#`` and
-    blank lines before the first block are skipped, anything else there is
-    an input error.
-    """
-    blocks: list[list[str]] = []
-    for no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if tokens[:1] == ["matroid"]:
-            blocks.append([])
-        elif not blocks and tokens and not tokens[0].startswith("#"):
-            raise ParseError(
-                no, f"chain file must open with 'matroid <kind>', got {line.strip()!r}"
-            )
-        if blocks:
-            blocks[-1].append(line)
-    return ["\n".join(b) for b in blocks]
-
-
 def cmd_compactness(args, out: _Out) -> int:
     if args.family in BUILTIN_FAMILIES:
         chain = BUILTIN_FAMILIES[args.family]()
@@ -311,9 +290,7 @@ def cmd_compactness(args, out: _Out) -> int:
             raise MatroidError(
                 f"--family must name one of {sorted(BUILTIN_FAMILIES)} or a chain file; {e}"
             ) from None
-        chain = chain_from_matroids(
-            [parse_matroid_text(b) for b in _chain_blocks(text)], name=args.family
-        )
+        chain = chain_from_matroids(parse_chain_text(text), name=args.family)
     depth = args.depth
     top = chain.level(depth)
     lists = _load_lists(args, top.n)

@@ -8,6 +8,14 @@ every earlier level, so the proper colorings of the levels form a
 finitely-branching tree under restriction; a finite-depth backtracking
 walk of that tree is the constructive stand-in for choosing a coherent
 coloring of the whole chain at once.
+
+Level i is the restriction of every later level to the id prefix
+range(n_i), with the same ranks (checked subset by subset when the level
+is built).  So a color class inside level i is independent in level i
+exactly when it is independent in the deepest level, and walking the tree
+level by level, in id order, is the same depth-first search as a single
+``_list_colorings`` run over range(n) on the deepest level's rank table.
+Each query here is one such run on one level's table.
 """
 
 from __future__ import annotations
@@ -94,9 +102,7 @@ def disjoint_triangles() -> MatroidChain:
         for t in range(i + 1):
             a, b, c = f"t{t}a", f"t{t}b", f"t{t}c"
             edges += [(3 * t, a, b), (3 * t + 1, a, c), (3 * t + 2, b, c)]
-        m = graphic(edges)
-        m.name = f"triangles(level {i})"
-        return m
+        return graphic(edges, name=f"triangles(level {i})")
 
     return MatroidChain("disjoint-triangles", build)
 
@@ -116,9 +122,7 @@ def growing_cycle() -> MatroidChain:
             eid += 1
             edges.append((eid, "v0", f"v{j+1}"))
             eid += 1
-        m = graphic(edges)
-        m.name = f"fan(level {i})"
-        return m
+        return graphic(edges, name=f"fan(level {i})")
 
     return MatroidChain("growing-cycle", build)
 
@@ -163,50 +167,42 @@ def _level_lists(m: Matroid, lists) -> dict[int, tuple]:
     return out
 
 
-def restriction_colorings(chain: MatroidChain, lists, i: int, max_level: int | None = None):
-    """All proper list colorings of level i, in lexicographic assignment order."""
-    m = chain.level(i)
-    bound = LEVEL_SIZE_BOUND if max_level is None else max_level
-    if m.n > bound:
-        raise BoundExceededError(f"level {i} has {m.n} elements, bound is {bound}")
-    norm = _level_lists(m, lists)
-    table = m.mask_table(max_n=bound)
-    return [dict(phi) for phi in _list_colorings(table, range(m.n), norm, {}, {})]
+def _level_colorings(chain: MatroidChain, lists, i: int):
+    """Level i's proper list colorings in id order, as one lazy search.
 
-
-def extend_coloring(chain: MatroidChain, lists, depth: int, max_level: int | None = None):
-    """Proper list coloring of level `depth` found by walking the level tree.
-
-    Backtracks over proper colorings level by level; a coloring chosen at
-    level i is only ever extended (new elements assigned), so on success
-    the result restricts to a proper coloring of every earlier level.
-    Returns None when no coloring of the deepest level exists.
+    Building level i checks every earlier level, so the first level above
+    LEVEL_SIZE_BOUND is refused by name before the search starts.  The
+    yielded phi is live: callers copy what they keep.
     """
-    bound = LEVEL_SIZE_BOUND if max_level is None else max_level
-    levels = [chain.level(i) for i in range(depth + 1)]
-    for i, m in enumerate(levels):
-        if m.n > bound:
-            raise BoundExceededError(f"level {i} has {m.n} elements, bound is {bound}")
-    norms = [_level_lists(m, lists) for m in levels]
-    tables = [m.mask_table(max_n=bound) for m in levels]
-    phi: dict = {}
-    class_masks: dict = {}
-
-    def walk(i: int):
-        """Extend the shared phi over level i's new elements, then recurse."""
-        start = levels[i - 1].n if i else 0
-        for _ in _list_colorings(tables[i], range(start, levels[i].n), norms[i], phi, class_masks):
-            found = dict(phi) if i == depth else walk(i + 1)
-            if found is not None:
-                return found
-        return None
-
-    return walk(0)
+    m = chain.level(i)
+    if m.n > LEVEL_SIZE_BOUND:
+        raise BoundExceededError(f"level {i} has {m.n} elements, bound is {LEVEL_SIZE_BOUND}")
+    norm = _level_lists(m, lists)
+    table = m.mask_table(max_n=LEVEL_SIZE_BOUND)
+    return _list_colorings(table, range(m.n), norm, {}, {})
 
 
-def first_uncolorable_level(chain: MatroidChain, lists, depth: int, max_level: int | None = None):
-    """Smallest level index up to depth with no proper list coloring, or None."""
+def restriction_colorings(chain: MatroidChain, lists, i: int):
+    """All proper list colorings of level i, in lexicographic assignment order."""
+    return [dict(phi) for phi in _level_colorings(chain, lists, i)]
+
+
+def extend_coloring(chain: MatroidChain, lists, depth: int):
+    """First proper list coloring of level `depth`, or None if it has none.
+
+    This is the first leaf of the level-by-level tree walk, found by one
+    search on the deepest level's table (see the module docstring); it
+    restricts to a proper coloring of every earlier level.
+    """
+    return next((dict(phi) for phi in _level_colorings(chain, lists, depth)), None)
+
+
+def first_uncolorable_level(chain: MatroidChain, lists, depth: int):
+    """Smallest level index up to depth with no proper list coloring, or None.
+
+    Each level is tested for the existence of one coloring; none is listed.
+    """
     for i in range(depth + 1):
-        if not restriction_colorings(chain, lists, i, max_level=max_level):
+        if next(_level_colorings(chain, lists, i), None) is None:
             return i
     return None

@@ -51,7 +51,7 @@ class GraphSpec:
             raise GroundSetError("edge ids must be dense 0..n-1")
 
 
-def graphic(spec: GraphSpec | list[tuple[int, str, str]]) -> Matroid:
+def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Matroid:
     """Cycle matroid of a multigraph.
 
     rank(A) = (vertices covered by A) - (connected components of the
@@ -82,7 +82,7 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]]) -> Matroid:
                 merges += 1
         return merges
 
-    return Matroid(n, rank, name=f"graphic({n} edges)", spec=spec)
+    return Matroid(n, rank, name=name or f"graphic({n} edges)", spec=spec)
 
 
 def _is_prime(p: int) -> bool:
@@ -136,7 +136,7 @@ def _gf_rank(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def linear(spec: VectorSpec) -> Matroid:
+def linear(spec: VectorSpec, name: str = "") -> Matroid:
     """Linear matroid of a list of vectors over a prime field.
 
     rank(A) = dimension of the span of A's vectors, computed exactly.
@@ -147,7 +147,9 @@ def linear(spec: VectorSpec) -> Matroid:
     def rank(a: int) -> int:
         return _gf_rank([vecs[i] for i in bits(a)], spec.p)
 
-    return Matroid(len(vecs), rank, name=f"linear(GF({spec.p}),{len(vecs)} vecs)", spec=spec)
+    return Matroid(
+        len(vecs), rank, name=name or f"linear(GF({spec.p}),{len(vecs)} vecs)", spec=spec
+    )
 
 
 @dataclass(frozen=True)

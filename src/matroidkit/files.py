@@ -3,8 +3,8 @@
 Matroid files start with ``matroid <kind>`` where kind is uniform,
 graphic, linear or table; the body grammar per kind is fixed so that
 parse -> serialize -> parse is the identity on oracles.  ``#`` lines and
-blank lines are ignored.  Listing files hold one ``list <id> : tok ...``
-line per element.
+blank lines are ignored.  A chain file is matroid blocks one after another.
+Listing files hold one ``list <id> : tok ...`` line per element.
 """
 
 from __future__ import annotations
@@ -60,7 +60,28 @@ def _content_lines(text: str):
 
 def parse_matroid_text(text: str) -> Matroid:
     """Parse and construct a matroid; table kinds are validated on the spot."""
-    lines = list(_content_lines(text))
+    return _parse_block(list(_content_lines(text)))
+
+
+def parse_chain_text(text: str) -> list[Matroid]:
+    """Parse a chain file: matroid blocks, one per level, in file order.
+
+    A block opens at each line whose first token is ``matroid``; ``#`` and
+    blank lines before the first block are skipped, anything else there is
+    an input error.  Error line numbers count from the top of the file.
+    """
+    blocks: list[list[tuple[int, str]]] = []
+    for no, line in _content_lines(text):
+        if line.split()[0] == "matroid":
+            blocks.append([])
+        elif not blocks:
+            raise ParseError(no, f"chain file must open with 'matroid <kind>', got {line!r}")
+        blocks[-1].append((no, line))
+    return [_parse_block(b) for b in blocks]
+
+
+def _parse_block(lines: list[tuple[int, str]]) -> Matroid:
+    """A matroid from its content lines, each paired with its line number."""
     if not lines:
         raise ParseError(1, "empty matroid file")
     first_no, first = lines[0]

@@ -458,6 +458,15 @@ def check_flat_extension_count(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
+def _combined_fitting(m: Matroid) -> LemmaResult:
+    title = "fitting sets grow and combine"
+    a = check_fitting_monotone(m)
+    if a.status == "fail":
+        return LemmaResult("L10ab", title, "fail", a.detail)
+    b = check_fitting_common(m)
+    return LemmaResult("L10ab", title, b.status, b.detail)
+
+
 BATTERY = (
     ("L1", check_maximal_independent_size),
     ("L2a", check_weak_elimination),
@@ -469,7 +478,7 @@ BATTERY = (
     ("L7abc", check_closure_minimality),
     ("L8", check_closure_routes_agree),
     ("L9", check_base_characterization),
-    ("L10ab", None),  # composed below
+    ("L10ab", _combined_fitting),
     ("L11", check_contraction_is_matroid),
     ("L12", check_contraction_independence),
     ("L13", check_contraction_loop_free),
@@ -480,15 +489,6 @@ BATTERY = (
     ("L18", check_flat_extension_dependence),
     ("L19-analog", check_flat_extension_count),
 )
-
-
-def _combined_fitting(m: Matroid) -> LemmaResult:
-    title = "fitting sets grow and combine"
-    a = check_fitting_monotone(m)
-    if a.status == "fail":
-        return LemmaResult("L10ab", title, "fail", a.detail)
-    b = check_fitting_common(m)
-    return LemmaResult("L10ab", title, b.status, b.detail)
 
 
 def run_lemma_battery(m: Matroid, max_n: int | None = None) -> list[LemmaResult]:
@@ -502,10 +502,7 @@ def run_lemma_battery(m: Matroid, max_n: int | None = None) -> list[LemmaResult]
     results = []
     for key, fn in BATTERY:
         try:
-            if key == "L10ab":
-                results.append(_combined_fitting(m))
-            else:
-                results.append(fn(m))
+            results.append(fn(m))
         except (MatroidError, AssertionError) as e:
             # a check blowing up on a malformed oracle is still a failure
             results.append(LemmaResult(key, "", "fail", f"check aborted: {e}"))

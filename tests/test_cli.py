@@ -173,6 +173,20 @@ def test_compactness_chain_file_with_comments(tmp_path, capsys):
     assert err == ["error: line 2: chain file must open with 'matroid <kind>', got 'n 3'"]
 
 
+def test_chain_file_parse_error_names_the_file_line(tmp_path, capsys):
+    # the bad line is the second line of the second block, line 5 of the file
+    chain = tmp_path / "chain.m"
+    chain.write_text("matroid uniform\nn 3\nk 2\nmatroid uniform\nn four\nk 2\n")
+    lists = tmp_path / "lists.l"
+    lists.write_text("".join(f"list {x} : a b c\n" for x in range(4)))
+    code, _ = invoke(
+        ["compactness", "--family", str(chain), "--depth", "1", "--lists", str(lists)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 5: n must be an integer, got 'four'"]
+
+
 def test_exit_code_2_on_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.m"
     bad.write_text("matroid table\nn 1\nrank {} 1\nrank {0} 1\n")

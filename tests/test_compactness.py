@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matroidkit import (
@@ -11,9 +13,12 @@ from matroidkit import (
     first_uncolorable_level,
     is_proper,
     restriction_colorings,
+    restrict,
     uniform,
 )
 from matroidkit.compactness import disjoint_triangles, growing_cycle, growing_uniform
+
+from conftest import brute_list_colorings, random_matroid
 
 
 def two_lists(n, colors=("a", "b")):
@@ -149,3 +154,52 @@ def test_chain_from_matroids():
     assert chain.level(2).n == 5
     phi = extend_coloring(chain, two_lists(5, ("a", "b", "c")), 2)
     assert phi is not None
+
+
+def _check_against_bruteforce(chain, lists, depth):
+    """Chain queries against a product sweep of each level on its own."""
+    every = [
+        brute_list_colorings(chain.level(i), lists, range(chain.level(i).n))
+        for i in range(depth + 1)
+    ]
+    for i in range(depth + 1):
+        assert restriction_colorings(chain, lists, i) == every[i], (chain.name, i)
+    assert extend_coloring(chain, lists, depth) == (every[depth][0] if every[depth] else None)
+    first_empty = next((i for i in range(depth + 1) if not every[i]), None)
+    assert first_uncolorable_level(chain, lists, depth) == first_empty
+    return first_empty
+
+
+def _random_lists(rng, n, palette="abcd", sizes=(1, 2, 2, 3)):
+    return {x: frozenset(rng.sample(palette, rng.choice(sizes))) for x in range(n)}
+
+
+def test_chain_search_matches_bruteforce_on_builtin_families():
+    # the first coloring of the deepest level, and the first level without
+    # one, each against a sweep over the product of that level's lists
+    rng = random.Random(29)
+    outcomes = set()
+    for name, factory in BUILTIN_FAMILIES.items():
+        chain = factory()
+        for depth in range(3):
+            for _ in range(8):
+                lists = _random_lists(rng, chain.level(depth).n, "ab", (1, 2))
+                outcomes.add(_check_against_bruteforce(chain, lists, depth))
+    assert None in outcomes and len(outcomes) > 2  # colorable runs and failures at several levels
+
+
+def test_chain_search_matches_bruteforce_on_random_prefix_chains():
+    # levels are prefix restrictions of one random matroid (n <= 8), so the
+    # chain is consistent by construction and may contain loops
+    rng = random.Random(31)
+    outcomes = set()
+    for kind in ("uniform", "graphic", "gf2", "gf3"):
+        for _ in range(10):
+            top = random_matroid(rng, kind, rng.randint(2, 8))
+            sizes = sorted(rng.sample(range(1, top.n + 1), rng.randint(1, min(3, top.n))))
+            levels = [restrict(top, range(k)) for k in sizes]
+            chain = chain_from_matroids(levels, name=f"{top.name} prefixes")
+            depth = len(levels) - 1
+            lists = _random_lists(rng, levels[-1].n)
+            outcomes.add(_check_against_bruteforce(chain, lists, depth))
+    assert None in outcomes and len(outcomes) > 2
