@@ -3,13 +3,17 @@ coloring construction.
 
 A coloring is proper iff every color class is independent, equivalently
 iff no circuit is monochromatic; both routes are implemented and kept in
-agreement by the test suite.  List-colorability verification leans on one
-fact: assigning pairwise distinct list colors is always proper in a
-loop-free matroid, so a k-listing can only be uncolorable if it has no
-system of distinct representatives, i.e. some j elements jointly carry
-fewer than j colors.  Enumerating (up to color renaming) just those
-Hall-violating listings therefore decides whether *every* k-listing is
-colorable; the full canonical enumeration survives as the naive oracle.
+agreement by the test suite.  List-colorability verification leans on
+Rado's condition from matroid union: a listing L is colorable iff
+sum_c r(A & E_c) >= |A| for every A, where E_c holds the elements whose
+list contains c.  In a loop-free matroid each color on A adds at least
+one to that sum, so a k-listing that fails on A shows fewer than |A| <= n
+colors on A.  Giving every element outside A the first k of those colors
+keeps the failure on A, so if any k-listing is uncolorable, one with at
+most n - 1 colors in all is.  Enumerating (up to color renaming) just
+those palette-capped listings therefore decides whether *every* k-listing
+is colorable.  The sweep opens with the constant listing {0..k-1}, which
+is uncolorable exactly when k is below the chromatic number.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
         )
     if m.n == 0:
         return ChromaticResult(0, {})
-    table = m.mask_table(max_n=bound)
+    table = m.mask_table()
     for k in range(1, m.n + 1):
         lists = {x: range(min(x + 1, k)) for x in range(m.n)}
         witness = next(_list_colorings(table, range(m.n), lists, {}, {}), None)
@@ -179,30 +183,20 @@ def is_list_colorable(m: Matroid, lists, max_n: int | None = None):
     if m.n > bound:
         raise BoundExceededError(f"list coloring search needs n <= {bound}, got {m.n}")
     order = sorted(range(m.n), key=lambda x: (len(norm[x]), x))
-    phi = next(_list_colorings(m.mask_table(max_n=bound), order, norm, {}, {}), None)
+    phi = next(_list_colorings(m.mask_table(), order, norm, {}, {}), None)
     return None if phi is None else dict(phi)
 
 
 # --- canonical k-listing enumeration -------------------------------------
 
-def canonical_listing(lists_seq) -> tuple[tuple[int, ...], ...]:
-    """Relabel colors by first occurrence (elements in id order, lists sorted)."""
-    relabel: dict = {}
-    out = []
-    for lst in lists_seq:
-        for c in sorted(lst, key=_color_sort_key):
-            if c not in relabel:
-                relabel[c] = len(relabel)
-        out.append(tuple(sorted(relabel[c] for c in lst)))
-    return tuple(out)
-
-
-def all_canonical_listings(n: int, k: int):
-    """Every k-listing on n elements up to color renaming (naive oracle).
+def all_canonical_listings(n: int, k: int, colors: int):
+    """Every k-listing on n elements, up to renaming, with <= `colors` colors.
 
     Element i chooses a k-set from the colors seen so far plus a run of
     fresh ones; fresh colors take the next unused labels, which is exactly
-    the first-occurrence canonical form.
+    the first-occurrence canonical form.  The run is capped at
+    ``colors - used``; ``colors = n * k`` gives the full space.  The first
+    listing is the constant one, {0..k-1} on every element.
     """
     acc: list[tuple[int, ...]] = []
 
@@ -210,7 +204,7 @@ def all_canonical_listings(n: int, k: int):
         if i == n:
             yield tuple(acc)
             return
-        for fresh in range(k + 1):
+        for fresh in range(min(k, colors - used) + 1):
             for old in itertools.combinations(range(used), k - fresh):
                 acc.append(tuple(sorted(old + tuple(range(used, used + fresh)))))
                 yield from rec(i + 1, used + fresh)
@@ -219,52 +213,15 @@ def all_canonical_listings(n: int, k: int):
     yield from rec(0, 0)
 
 
-def hall_violator_listings(n: int, k: int):
-    """Canonical k-listings in which some j elements carry < j colors.
-
-    Every uncolorable k-listing of a loop-free matroid is of this shape
-    (distinct representatives would otherwise give a proper coloring), so
-    checking these candidates decides k-list-colorability.  Yields each
-    canonical form once, in a fixed order.
-    """
-    seen: set[tuple] = set()
-    for j in range(k + 1, n + 1):
-        for u in range(k, j):
-            for violator in itertools.combinations(range(n), j):
-                vset = set(violator)
-                acc: list[tuple[int, ...]] = []
-
-                def rec(i: int, used: int):
-                    if i == n:
-                        cf = canonical_listing(acc)
-                        if cf not in seen:
-                            seen.add(cf)
-                            yield cf
-                        return
-                    if i in vset:
-                        for combo in itertools.combinations(range(u), k):
-                            acc.append(combo)
-                            yield from rec(i + 1, used)
-                            acc.pop()
-                    else:
-                        for fresh in range(k + 1):
-                            for old in itertools.combinations(range(used), k - fresh):
-                                acc.append(
-                                    tuple(sorted(old + tuple(range(used, used + fresh))))
-                                )
-                                yield from rec(i + 1, used + fresh)
-                                acc.pop()
-
-                yield from rec(0, u)
-
-
 @dataclass(frozen=True)
 class ListChromaticResult:
     """Outcome of the exact list-chromatic computation.
 
     value is the least k <= kmax for which every k-listing is colorable,
     or None if kmax was exhausted (the true value is then >= kmax + 1).
-    bad_listings maps each failed k to a witness uncolorable k-listing.
+    bad_listings maps each failed k to the first uncolorable canonical
+    k-listing; for k below the chromatic number that is the constant
+    listing {0..k-1}.
     """
 
     value: int | None
@@ -277,17 +234,13 @@ class ListChromaticResult:
 
 
 def list_chromatic_number(
-    m: Matroid,
-    kmax: int = 3,
-    max_n: int | None = None,
-    naive: bool = False,
+    m: Matroid, kmax: int = 3, max_n: int | None = None
 ) -> ListChromaticResult:
     """Least k such that every k-listing admits a proper list coloring.
 
-    Exact, by enumeration of canonical listings: the fast route checks
-    only Hall-violating candidates (see module docstring), the naive route
-    (test oracle) sweeps the full canonical space.  For each k below the
-    answer a witness uncolorable listing is recorded.
+    Exact: for each k, every canonical k-listing with at most n - 1 colors
+    in all is checked (complete by Rado's condition, see the module
+    docstring), and the first uncolorable one is the witness for k.
     """
     lp = loops(m)
     if lp:
@@ -305,9 +258,12 @@ def list_chromatic_number(
     order = range(m.n)  # every list of a k-listing has k colors
     bad_listings: dict[int, dict[int, tuple[int, ...]]] = {}
     for k in range(1, kmax + 1):
-        gen = all_canonical_listings(m.n, k) if naive else hall_violator_listings(m.n, k)
         bad = next(
-            (c for c in gen if next(_list_colorings(table, order, c, {}, {}), None) is None),
+            (
+                c
+                for c in all_canonical_listings(m.n, k, m.n - 1)
+                if next(_list_colorings(table, order, c, {}, {}), None) is None
+            ),
             None,
         )
         if bad is None:

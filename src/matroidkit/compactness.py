@@ -178,7 +178,7 @@ def _level_colorings(chain: MatroidChain, lists, i: int):
     if m.n > LEVEL_SIZE_BOUND:
         raise BoundExceededError(f"level {i} has {m.n} elements, bound is {LEVEL_SIZE_BOUND}")
     norm = _level_lists(m, lists)
-    table = m.mask_table(max_n=LEVEL_SIZE_BOUND)
+    table = m.mask_table()
     return _list_colorings(table, range(m.n), norm, {}, {})
 
 

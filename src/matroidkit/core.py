@@ -146,18 +146,18 @@ class Matroid:
             self._memo[mask] = r
         return r
 
-    def mask_table(self, max_n: int | None = None) -> list[int]:
+    def mask_table(self) -> list[int]:
         """Rank of every subset, indexed by bitmask.  Built once, cached.
 
         The table is the workhorse behind every exhaustive sweep; it is
-        only sensible for small n (2^n entries).  Once built it replaces
-        the memo, so each rank is stored once.
+        only sensible for small n (2^n entries), so it refuses above
+        VALIDATION_BOUND even when a caller's own bound is higher.  Once
+        built it replaces the memo, so each rank is stored once.
         """
         if self._mask_table is None:
-            bound = VALIDATION_BOUND if max_n is None else max_n
-            if self.n > bound:
+            if self.n > VALIDATION_BOUND:
                 raise BoundExceededError(
-                    f"mask table needs n <= {bound}, got {self.n}"
+                    f"mask table needs n <= {VALIDATION_BOUND}, got {self.n}"
                 )
             self._mask_table = [self.rank_of_mask(x) for x in range(1 << self.n)]
             self._memo.clear()
@@ -304,7 +304,7 @@ def validate_axioms(m: Matroid, max_n: int | None = None) -> AxiomReport:
         raise BoundExceededError(
             f"validate_axioms is exhaustive; n={m.n} exceeds bound {bound}"
         )
-    table = m.mask_table(max_n=bound)
+    table = m.mask_table()
     if _is_rank_function(table, m.n):
         return AxiomReport(True)
     report = _first_violation(table, m.n)
@@ -342,7 +342,7 @@ def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
         raise BoundExceededError(
             f"circuit enumeration is exhaustive; n={m.n} exceeds bound {bound}"
         )
-    table = m.mask_table(max_n=bound)
+    table = m.mask_table()
     found: list[Circuit] = []
     for size in range(1, m.n + 1):
         for combo in itertools.combinations(range(m.n), size):

@@ -81,7 +81,11 @@ def parse_chain_text(text: str) -> list[Matroid]:
 
 
 def _parse_block(lines: list[tuple[int, str]]) -> Matroid:
-    """A matroid from its content lines, each paired with its line number."""
+    """A matroid from its content lines, each paired with its line number.
+
+    An error about a line the block lacks names the block's opening
+    ``matroid <kind>`` line.
+    """
     if not lines:
         raise ParseError(1, "empty matroid file")
     first_no, first = lines[0]
@@ -91,13 +95,13 @@ def _parse_block(lines: list[tuple[int, str]]) -> Matroid:
     kind = parts[1]
     body = lines[1:]
     if kind == "uniform":
-        return _parse_uniform(body)
+        return _parse_uniform(first_no, body)
     if kind == "graphic":
         return _parse_graphic(body)
     if kind == "linear":
-        return _parse_linear(body)
+        return _parse_linear(first_no, body)
     if kind == "table":
-        return _parse_table(body)
+        return _parse_table(first_no, body)
     raise ParseError(first_no, f"unknown matroid kind {kind!r}")
 
 
@@ -108,7 +112,7 @@ def _want_int(no: int, token: str, what: str) -> int:
         raise ParseError(no, f"{what} must be an integer, got {token!r}") from None
 
 
-def _parse_uniform(body) -> Matroid:
+def _parse_uniform(head_no: int, body) -> Matroid:
     vals = {}
     for no, line in body:
         parts = line.split()
@@ -118,7 +122,7 @@ def _parse_uniform(body) -> Matroid:
             raise ParseError(no, f"duplicate '{parts[0]}' line")
         vals[parts[0]] = _want_int(no, parts[1], parts[0])
     if "n" not in vals or "k" not in vals:
-        raise ParseError(1, "uniform matroid needs both 'n' and 'k' lines")
+        raise ParseError(head_no, "uniform matroid needs both 'n' and 'k' lines")
     return uniform(vals["n"], vals["k"])
 
 
@@ -132,7 +136,7 @@ def _parse_graphic(body) -> Matroid:
     return graphic(GraphSpec(tuple(edges)))
 
 
-def _parse_linear(body) -> Matroid:
+def _parse_linear(head_no: int, body) -> Matroid:
     p = dim = None
     rows: dict[int, tuple[int, ...]] = {}
     for no, line in body:
@@ -153,14 +157,14 @@ def _parse_linear(body) -> Matroid:
         else:
             raise ParseError(no, f"unexpected line {line!r}")
     if p is None or dim is None:
-        raise ParseError(1, "linear matroid needs 'field' and 'dim' lines")
+        raise ParseError(head_no, "linear matroid needs 'field' and 'dim' lines")
     if sorted(rows) != list(range(len(rows))):
-        raise ParseError(1, "vector ids must be dense 0..n-1")
+        raise ParseError(head_no, "vector ids must be dense 0..n-1")
     vectors = tuple(rows[i] for i in range(len(rows)))
     return linear(VectorSpec(p, dim, vectors))
 
 
-def _parse_table(body) -> Matroid:
+def _parse_table(head_no: int, body) -> Matroid:
     n = None
     ranks: dict[frozenset[int], int] = {}
     for no, line in body:
@@ -179,7 +183,7 @@ def _parse_table(body) -> Matroid:
         else:
             raise ParseError(no, f"expected 'n <int>' or 'rank {{..}} <int>', got {line!r}")
     if n is None:
-        raise ParseError(1, "table matroid needs an 'n' line")
+        raise ParseError(head_no, "table matroid needs an 'n' line")
     return from_table(TableSpec(n, ranks))
 
 

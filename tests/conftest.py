@@ -9,7 +9,16 @@ import itertools
 
 import pytest
 
-from matroidkit import VectorSpec, catalog, circuits, graphic, linear, uniform
+from matroidkit import (
+    ListChromaticResult,
+    VectorSpec,
+    catalog,
+    circuits,
+    graphic,
+    linear,
+    uniform,
+)
+from matroidkit.coloring import _list_colorings, all_canonical_listings
 
 
 def powerset(iterable):
@@ -51,6 +60,32 @@ def brute_list_colorings(m, lists, order):
         if not any(circ <= cls for circ in circs for cls in classes.values()):
             out.append(phi)
     return out
+
+
+def brute_list_chromatic(m, kmax):
+    """List-chromatic number by a sweep of the full canonical listing space.
+
+    For each k every canonical k-listing, with no cap on the colors
+    (``all_canonical_listings(n, k, n * k)``), is tested by the list
+    search; the first uncolorable one is the witness for k.
+    """
+    if m.n == 0:
+        return ListChromaticResult(0, kmax, {})
+    table = m.mask_table()
+    bad = {}
+    for k in range(1, kmax + 1):
+        witness = next(
+            (
+                c
+                for c in all_canonical_listings(m.n, k, m.n * k)
+                if next(_list_colorings(table, range(m.n), c, {}, {}), None) is None
+            ),
+            None,
+        )
+        if witness is None:
+            return ListChromaticResult(k, kmax, bad)
+        bad[k] = {x: witness[x] for x in range(m.n)}
+    return ListChromaticResult(None, kmax, bad)
 
 
 def random_matroid(rng, kind, n):

@@ -185,6 +185,14 @@ def test_chain_file_parse_error_names_the_file_line(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: line 5: n must be an integer, got 'four'"]
+    # a missing line names its block's opening line, here line 5
+    chain.write_text("matroid uniform\nn 3\nk 2\n# next level\nmatroid uniform\nn 4\n")
+    code, _ = invoke(
+        ["compactness", "--family", str(chain), "--depth", "1", "--lists", str(lists)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 5: uniform matroid needs both 'n' and 'k' lines"]
 
 
 def test_exit_code_2_on_input_errors(tmp_path, capsys):
@@ -237,6 +245,16 @@ def test_circuits_bound_and_override(tmp_path):
     code, out = invoke(["circuits", "-i", str(big), "--max-n", "13"])
     assert code == 0
     assert kv(out)["circuit-count"] == ["0"]
+
+
+def test_max_n_cannot_lift_the_mask_table_ceiling(tmp_path, capsys):
+    # --max-n raises the chromatic bound, but no 2^n table is built above 16
+    free = tmp_path / "free17.m"
+    free.write_text("matroid uniform\nn 17\nk 17\n")
+    code, _ = invoke(["chromatic", "-i", str(free), "--max-n", "17"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: mask table needs n <= 16, got 17"]
 
 
 def test_byte_identical_reruns():

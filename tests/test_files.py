@@ -7,6 +7,7 @@ from matroidkit import AxiomError, MatroidError, contract, restrict, uniform
 from matroidkit.catalog import desk_suite
 from matroidkit.files import (
     ParseError,
+    parse_chain_text,
     parse_listing_text,
     parse_matroid_text,
     parse_subset_literal,
@@ -51,6 +52,21 @@ def test_parse_errors_carry_line_numbers():
     assert "line 2" in str(err.value)
     with pytest.raises(ParseError):
         parse_matroid_text("not a matroid file\n")
+
+
+def test_missing_line_errors_name_the_block_opening_line():
+    cases = [
+        ("# header\nmatroid uniform\nn 4\n", "line 2: uniform matroid needs"),
+        ("\n\nmatroid linear\nfield 2\n", "line 3: linear matroid needs"),
+        ("# a\n# b\n# c\nmatroid table\nrank {} 0\n", "line 4: table matroid needs"),
+    ]
+    for text, want in cases:
+        with pytest.raises(ParseError) as err:
+            parse_matroid_text(text)
+        assert str(err.value).startswith(want), text
+    with pytest.raises(ParseError) as err:
+        parse_chain_text("matroid uniform\nn 2\nk 1\n\nmatroid uniform\nk 1\n")
+    assert err.value.line_no == 5
 
 
 def test_comments_and_blank_lines_ignored():

@@ -1,33 +1,49 @@
 """The canonical-listing machinery behind the exact list-chromatic search."""
 
+import itertools
 import random
 
-from matroidkit import list_chromatic_number, uniform
+from conftest import brute_list_chromatic, brute_list_colorings
+from matroidkit import graphic, list_chromatic_number, uniform
 from matroidkit.catalog import theta, triangle
-from matroidkit.coloring import (
-    _list_colorings,
-    all_canonical_listings,
-    canonical_listing,
-    hall_violator_listings,
-)
+from matroidkit.coloring import _list_colorings, all_canonical_listings
 from matroidkit.core import is_loop_free
+
+
+def canonical_listing(lists_seq) -> tuple[tuple[int, ...], ...]:
+    """Relabel colors by first occurrence (elements in id order, lists sorted)."""
+    relabel: dict = {}
+    out = []
+    for lst in lists_seq:
+        for c in sorted(lst):
+            if c not in relabel:
+                relabel[c] = len(relabel)
+        out.append(tuple(sorted(relabel[c] for c in lst)))
+    return tuple(out)
 
 
 def _listing_colorable(table, listing, n):
     return next(_list_colorings(table, range(n), listing, {}, {}), None) is not None
 
 
+def _assert_constant_witnesses(m, res):
+    """Every failed k sits below the answer; its witness is {0..k-1} everywhere."""
+    for k, listing in res.bad_listings.items():
+        assert listing == {x: tuple(range(k)) for x in range(m.n)}, (m.name, k)
+        assert brute_list_colorings(m, listing, range(m.n)) == [], (m.name, k)
+
+
 def test_naive_enumeration_counts():
     # element i picks k colors from those seen plus a fresh run
-    assert sum(1 for _ in all_canonical_listings(3, 1)) == 5
-    assert sum(1 for _ in all_canonical_listings(3, 2)) == 29
-    assert sum(1 for _ in all_canonical_listings(4, 2)) == 321
-    assert sum(1 for _ in all_canonical_listings(3, 3)) == 173
+    assert sum(1 for _ in all_canonical_listings(3, 1, 3)) == 5
+    assert sum(1 for _ in all_canonical_listings(3, 2, 6)) == 29
+    assert sum(1 for _ in all_canonical_listings(4, 2, 8)) == 321
+    assert sum(1 for _ in all_canonical_listings(3, 3, 9)) == 173
 
 
 def test_naive_enumeration_is_canonical_and_duplicate_free():
     seen = set()
-    for listing in all_canonical_listings(4, 2):
+    for listing in all_canonical_listings(4, 2, 8):
         assert canonical_listing(listing) == listing
         assert listing not in seen
         seen.add(listing)
@@ -38,7 +54,7 @@ def test_relabeled_listings_fold_back_into_the_enumeration():
     # (isomorphic listings may land on different representatives, which only
     # costs duplicate checks, never coverage)
     rng = random.Random(3)
-    enumerated = set(all_canonical_listings(3, 2))
+    enumerated = set(all_canonical_listings(3, 2, 6))
     for listing in enumerated:
         colors = sorted({c for lst in listing for c in lst})
         perm = colors[:]
@@ -48,39 +64,20 @@ def test_relabeled_listings_fold_back_into_the_enumeration():
         assert canonical_listing(relabeled) in enumerated
 
 
-def test_violators_have_no_distinct_representatives():
-    # each candidate must contain j elements whose lists union below j colors
-    for n, k in [(4, 1), (4, 2), (5, 2), (5, 3)]:
-        import itertools
-
-        for cand in hall_violator_listings(n, k):
-            violated = any(
-                len(set().union(*(cand[x] for x in js))) < j
-                for j in range(k + 1, n + 1)
-                for js in itertools.combinations(range(n), j)
-            )
-            assert violated, cand
+def test_capped_space_is_the_full_space_filtered_by_color_count():
+    for n, k in [(1, 1), (3, 1), (3, 2), (4, 1), (4, 2), (3, 3)]:
+        full = list(all_canonical_listings(n, k, n * k))
+        for colors in range(n * k + 1):
+            capped = list(all_canonical_listings(n, k, colors))
+            assert len(capped) == len(set(capped)), (n, k, colors)
+            assert set(capped) == {
+                lst for lst in full if len(set().union(*lst)) <= colors
+            }, (n, k, colors)
 
 
-def _isomorphic(a, b):
-    import itertools
-
-    ca = sorted({c for lst in a for c in lst})
-    cb = sorted({c for lst in b for c in lst})
-    if len(ca) != len(cb) or [len(l) for l in a] != [len(l) for l in b]:
-        return False
-    for perm in itertools.permutations(cb):
-        relabel = dict(zip(ca, perm))
-        if all(
-            tuple(sorted(relabel[c] for c in la)) == lb for la, lb in zip(a, b)
-        ):
-            return True
-    return False
-
-
-def test_violator_candidates_cover_every_uncolorable_listing():
-    # the fast route may only skip listings that are colorable outright:
-    # every uncolorable listing must be isomorphic to some candidate
+def test_capped_space_has_an_uncolorable_listing_iff_the_full_space_does():
+    # capping at n - 1 colors may only skip listings when an uncolorable
+    # one stays in the capped space
     cases = [
         (uniform(4, 1), 1), (uniform(4, 1), 2),
         (uniform(4, 2), 1), (uniform(4, 2), 2),
@@ -89,16 +86,15 @@ def test_violator_candidates_cover_every_uncolorable_listing():
     ]
     for m, k in cases:
         table = m.mask_table()
-        naive_bad = [
-            cand
-            for cand in all_canonical_listings(m.n, k)
-            if not _listing_colorable(table, cand, m.n)
-        ]
-        candidates = list(hall_violator_listings(m.n, k))
-        fast_bad = [c for c in candidates if not _listing_colorable(table, c, m.n)]
-        for bad in naive_bad:
-            assert any(_isomorphic(bad, c) for c in fast_bad), (m.name, k, bad)
-        assert bool(fast_bad) == bool(naive_bad), (m.name, k)
+        full_bad = any(
+            not _listing_colorable(table, c, m.n)
+            for c in all_canonical_listings(m.n, k, m.n * k)
+        )
+        capped_bad = any(
+            not _listing_colorable(table, c, m.n)
+            for c in all_canonical_listings(m.n, k, m.n - 1)
+        )
+        assert capped_bad == full_bad, (m.name, k)
 
 
 def test_fast_and_naive_list_chromatic_agree(suite6):
@@ -106,9 +102,10 @@ def test_fast_and_naive_list_chromatic_agree(suite6):
         if not is_loop_free(m) or m.n > 4:
             continue
         fast = list_chromatic_number(m, kmax=3)
-        slow = list_chromatic_number(m, kmax=3, naive=True)
+        slow = brute_list_chromatic(m, kmax=3)
         assert fast.value == slow.value, m.name
         assert set(fast.bad_listings) == set(slow.bad_listings), m.name
+        _assert_constant_witnesses(m, fast)
 
 
 def test_fast_and_naive_agree_on_random_matroids():
@@ -116,7 +113,7 @@ def test_fast_and_naive_agree_on_random_matroids():
     # instances, loop-free, compared verdict-for-verdict
     import random as rnd
 
-    from matroidkit import VectorSpec, graphic, linear
+    from matroidkit import VectorSpec, linear
 
     rng = rnd.Random(99)
     instances = []
@@ -140,11 +137,22 @@ def test_fast_and_naive_agree_on_random_matroids():
         if not is_loop_free(m):
             continue
         fast = list_chromatic_number(m, kmax=3)
-        slow = list_chromatic_number(m, kmax=3, naive=True)
+        slow = brute_list_chromatic(m, kmax=3)
         assert fast.value == slow.value, m.name
         assert set(fast.bad_listings) == set(slow.bad_listings), m.name
+        _assert_constant_witnesses(m, fast)
         checked += 1
     assert checked >= 20
+
+
+def test_list_chromatic_matches_the_full_sweep_at_six_elements():
+    k4 = graphic([(i, u, v) for i, (u, v) in enumerate(itertools.combinations("abcd", 2))])
+    for m in [k4, uniform(6, 3)]:
+        fast = list_chromatic_number(m, kmax=2, max_n=6)
+        slow = brute_list_chromatic(m, kmax=2)
+        assert fast.value == slow.value == 2, m.name
+        assert set(fast.bad_listings) == set(slow.bad_listings) == {1}, m.name
+        _assert_constant_witnesses(m, fast)
 
 
 def test_random_listings_at_the_answer_are_colorable():
