@@ -48,9 +48,6 @@ class OrderedBase:
     def __contains__(self, x):
         return x in self.elements
 
-    def position(self, x: int) -> int:
-        return self.elements.index(x)
-
     def max_by_order(self, elements) -> int:
         return max(elements, key=self.elements.index)
 

@@ -38,6 +38,9 @@ from .core import (
 )
 
 LIST_ENUM_N_BOUND = 5
+# max_n may lift LIST_ENUM_N_BOUND up to here, never past it: 6-element
+# sweeps end within a second, but uniform(7, 3) at kmax 3 runs for minutes
+LIST_ENUM_N_CEILING = 6
 LIST_ENUM_KMAX = 4
 CHROMATIC_BOUND = 12
 
@@ -241,11 +244,12 @@ def list_chromatic_number(
     Exact: for each k, every canonical k-listing with at most n - 1 colors
     in all is checked (complete by Rado's condition, see the module
     docstring), and the first uncolorable one is the witness for k.
+    ``max_n`` raises the size bound, but not past LIST_ENUM_N_CEILING.
     """
     lp = loops(m)
     if lp:
         raise LoopError(f"no list coloring exists: loops {set_literal(lp)}")
-    bound = LIST_ENUM_N_BOUND if max_n is None else max_n
+    bound = LIST_ENUM_N_BOUND if max_n is None else min(max_n, LIST_ENUM_N_CEILING)
     if m.n > bound:
         raise BoundExceededError(
             f"listing enumeration needs n <= {bound}, got {m.n}"

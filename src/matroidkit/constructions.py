@@ -177,10 +177,10 @@ class TableSpec:
 def from_table(spec: TableSpec) -> Matroid:
     """Matroid backed by an explicit table; rejects non-matroids.
 
-    Construction runs :func:`validate_axioms`, which decides a pass by the
-    local unit-increase axioms in O(n^2 * 2^n), and raises AxiomError
-    (with the (size, lex)-minimal witness of the full scan) if the table
-    is not a matroid rank function.
+    Construction runs :func:`validate_axioms`, one O(n^2 * 2^n) pass over
+    the local unit-increase axioms, and raises AxiomError (carrying the
+    report of the first local failure: the axiom it breaks and a witness
+    that breaks it) if the table is not a matroid rank function.
     """
     ranks = [spec.ranks[frozenset(bits(mask))] for mask in range(1 << spec.n)]
     m = Matroid(spec.n, lambda a: ranks[a], name=f"table(n={spec.n})", spec=spec)

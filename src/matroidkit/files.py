@@ -137,31 +137,31 @@ def _parse_graphic(body) -> Matroid:
 
 
 def _parse_linear(head_no: int, body) -> Matroid:
-    p = dim = None
+    head: dict[str, int] = {}
     rows: dict[int, tuple[int, ...]] = {}
     for no, line in body:
         parts = line.split()
-        if parts[0] == "field" and len(parts) == 2:
-            p = _want_int(no, parts[1], "field")
-        elif parts[0] == "dim" and len(parts) == 2:
-            dim = _want_int(no, parts[1], "dim")
+        if parts[0] in ("field", "dim") and len(parts) == 2:
+            if parts[0] in head:
+                raise ParseError(no, f"duplicate '{parts[0]}' line")
+            head[parts[0]] = _want_int(no, parts[1], parts[0])
         elif parts[0] == "vec":
-            if dim is None:
+            if "dim" not in head:
                 raise ParseError(no, "'dim' must appear before 'vec' lines")
-            if len(parts) != 2 + dim:
-                raise ParseError(no, f"vec needs id plus {dim} coordinates")
+            if len(parts) != 2 + head["dim"]:
+                raise ParseError(no, f"vec needs id plus {head['dim']} coordinates")
             vid = _want_int(no, parts[1], "vec id")
             if vid in rows:
                 raise ParseError(no, f"duplicate vector id {vid}")
             rows[vid] = tuple(_want_int(no, c, "coordinate") for c in parts[2:])
         else:
             raise ParseError(no, f"unexpected line {line!r}")
-    if p is None or dim is None:
+    if "field" not in head or "dim" not in head:
         raise ParseError(head_no, "linear matroid needs 'field' and 'dim' lines")
     if sorted(rows) != list(range(len(rows))):
         raise ParseError(head_no, "vector ids must be dense 0..n-1")
     vectors = tuple(rows[i] for i in range(len(rows)))
-    return linear(VectorSpec(p, dim, vectors))
+    return linear(VectorSpec(head["field"], head["dim"], vectors))
 
 
 def _parse_table(head_no: int, body) -> Matroid:
@@ -170,6 +170,8 @@ def _parse_table(head_no: int, body) -> Matroid:
     for no, line in body:
         parts = line.split(maxsplit=2)
         if parts[0] == "n" and len(parts) == 2:
+            if n is not None:
+                raise ParseError(no, "duplicate 'n' line")
             n = _want_int(no, parts[1], "n")
         elif parts[0] == "rank" and len(parts) == 3:
             try:

@@ -19,6 +19,7 @@ from matroidkit import (
     uniform,
 )
 from matroidkit.coloring import _list_colorings, all_canonical_listings
+from matroidkit.core import AxiomReport, bits
 
 
 def powerset(iterable):
@@ -86,6 +87,83 @@ def brute_list_chromatic(m, kmax):
             return ListChromaticResult(k, kmax, bad)
         bad[k] = {x: witness[x] for x in range(m.n)}
     return ListChromaticResult(None, kmax, bad)
+
+
+def first_violation(table, n):
+    """The four rank axioms scanned over all subsets and subset pairs.
+
+    O(4^n), the reference for the library's one local pass.  Axioms are
+    tried in the order normalization, subcardinality, monotonicity,
+    submodularity, and subsets in (size, lexicographic) order, so the
+    first violation found is minimal in that order.  Returns
+    ``AxiomReport(True)`` if there is none.
+    """
+    full = (1 << n) - 1
+    if table[0] != 0:
+        return AxiomReport(False, "normalization", ((),), f"rank({{}}) = {table[0]}")
+    order = [sum(1 << e for e in c) for c in powerset(range(n))]
+    for a in order:
+        if table[a] > a.bit_count():
+            return AxiomReport(
+                False, "subcardinality", (tuple(bits(a)),), f"rank {table[a]} > size {a.bit_count()}"
+            )
+    for a in order:
+        # iterate strict supersets of a
+        rest = full & ~a
+        sup = rest
+        while sup:
+            b = a | sup
+            if table[a] > table[b]:
+                return AxiomReport(
+                    False,
+                    "monotonicity",
+                    (tuple(bits(a)), tuple(bits(b))),
+                    f"rank {table[a]} > rank {table[b]}",
+                )
+            sup = (sup - 1) & rest
+    for i, a in enumerate(order):
+        for b in order[i:]:
+            if table[a] + table[b] < table[a & b] + table[a | b]:
+                return AxiomReport(
+                    False,
+                    "submodularity",
+                    (tuple(bits(a)), tuple(bits(b))),
+                    f"{table[a]}+{table[b]} < {table[a & b]}+{table[a | b]}",
+                )
+    return AxiomReport(True)
+
+
+def witness_fault(table, report):
+    """None iff a failing report's witness breaks its named axiom on the table.
+
+    The table is indexed by bitmask.  The witness sets must come smallest
+    first in (size, lexicographic) order and the detail must give their
+    ranks as the library words them.
+    """
+    keys = [(len(w), w) for w in report.witness]
+    if keys != sorted(set(keys)):
+        return f"witness {report.witness} is not in (size, lex) order"
+    sets = [sum(1 << e for e in w) for w in report.witness]
+    r = table.__getitem__
+    if report.axiom == "normalization" and sets == [0]:
+        broken, detail = r(0) != 0, f"rank({{}}) = {r(0)}"
+    elif report.axiom == "subcardinality" and len(sets) == 1:
+        (a,) = sets
+        broken, detail = r(a) > a.bit_count(), f"rank {r(a)} > size {a.bit_count()}"
+    elif report.axiom == "monotonicity" and len(sets) == 2:
+        a, b = sets
+        broken, detail = a & b == a and r(a) > r(b), f"rank {r(a)} > rank {r(b)}"
+    elif report.axiom == "submodularity" and len(sets) == 2:
+        a, b = sets
+        broken = r(a) + r(b) < r(a & b) + r(a | b)
+        detail = f"{r(a)}+{r(b)} < {r(a & b)}+{r(a | b)}"
+    else:
+        return f"unexpected report {report.axiom} with witness {report.witness}"
+    if not broken:
+        return f"witness {report.witness} does not break {report.axiom}"
+    if report.detail != detail:
+        return f"detail {report.detail!r} should read {detail!r}"
+    return None
 
 
 def random_matroid(rng, kind, n):

@@ -257,6 +257,15 @@ def test_max_n_cannot_lift_the_mask_table_ceiling(tmp_path, capsys):
     assert err == ["error: mask table needs n <= 16, got 17"]
 
 
+def test_list_chromatic_max_n_cannot_pass_the_listing_ceiling(tmp_path, capsys):
+    u73 = tmp_path / "u73.m"
+    u73.write_text("matroid uniform\nn 7\nk 3\n")
+    code, _ = invoke(["list-chromatic", "-i", str(u73), "--max-n", "7"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: listing enumeration needs n <= 6, got 7"]
+
+
 def test_byte_identical_reruns():
     for argv in [
         ["circuits", "-i", U24],

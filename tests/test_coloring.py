@@ -188,6 +188,11 @@ def test_list_chromatic_rejects_loops():
         list_chromatic_number(uniform(3, 0))
 
 
+def test_list_chromatic_max_n_cannot_pass_the_ceiling():
+    with pytest.raises(BoundExceededError, match="needs n <= 6, got 7"):
+        list_chromatic_number(uniform(7, 3), max_n=7)
+
+
 def test_chromatic_at_most_list_chromatic(suite6):
     for m in suite6:
         if not is_loop_free(m) or m.n > 4:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidkit import (
     BoundExceededError,
@@ -17,13 +19,19 @@ from matroidkit.catalog import theta, triangle
 from matroidkit.core import (
     VALIDATION_BOUND,
     AxiomReport,
-    _first_violation,
     bits,
     mask_of,
     set_literal,
 )
 
-from conftest import brute_circuits, brute_max_independent_size, powerset, random_matroid
+from conftest import (
+    brute_circuits,
+    brute_max_independent_size,
+    first_violation,
+    powerset,
+    random_matroid,
+    witness_fault,
+)
 
 
 def test_rank_examples():
@@ -91,15 +99,21 @@ def _perturbed_tables(seed, per_base):
                 yield f"{kind} n={n} mask={mask} {delta:+d}", n, table
 
 
+def _full_scan_fault(n, table, report):
+    """None iff the full scan gives the same verdict and a failure's witness holds."""
+    if report.ok != first_violation(table, n).ok:
+        return f"verdict {report.ok} differs from the full scan's"
+    return None if report.ok else witness_fault(table, report)
+
+
 def test_validate_axioms_matches_full_scan(suite7):
     for m in suite7:
-        assert validate_axioms(m) == _first_violation(m.mask_table(), m.n) == AxiomReport(True), m.name
+        assert validate_axioms(m) == first_violation(m.mask_table(), m.n) == AxiomReport(True), m.name
     failed_axioms = set()
     passed = 0
     for label, n, table in _perturbed_tables(seed=2, per_base=40):
-        m = Matroid(n, lambda a, t=table: t[a])
-        report = validate_axioms(m)
-        assert report == _first_violation(table, n), label
+        report = validate_axioms(Matroid(n, lambda a, t=table: t[a]))
+        assert _full_scan_fault(n, table, report) is None, label
         if report.ok:
             passed += 1
         else:
@@ -107,6 +121,37 @@ def test_validate_axioms_matches_full_scan(suite7):
     # both verdicts and every axiom's witness path are exercised
     assert passed > 0
     assert failed_axioms == {"normalization", "subcardinality", "monotonicity", "submodularity"}
+
+
+@st.composite
+def _rank_tables(draw):
+    """A table with n <= 4 and entries 0..4: U(n, k) with some entries overwritten."""
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, n))
+    table = [min(a.bit_count(), k) for a in range(1 << n)]
+    for a in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=1 << n)):
+        table[a] = draw(st.integers(0, 4))
+    return n, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_tables())
+def test_validate_axioms_matches_full_scan_on_random_tables(case):
+    n, table = case
+    report = validate_axioms(Matroid(n, lambda a: table[a]))
+    assert _full_scan_fault(n, table, report) is None
+
+
+def test_validate_axioms_names_a_witness_at_sixteen_elements():
+    # U(16, 8) with r(E) raised to 9: every 14-set A has r(A) = r(A+x) = 8
+    # for both missing x, yet r(E) = 9; the O(4^n) reference is too slow here
+    n = 16
+    full = (1 << n) - 1
+    m = Matroid(n, lambda a: 9 if a == full else min(a.bit_count(), 8))
+    report = validate_axioms(m)
+    assert report.axiom == "submodularity"
+    assert witness_fault(m.mask_table(), report) is None
+    assert report.witness == (tuple(range(15)), tuple(range(14)) + (15,))
 
 
 def test_validate_axioms_at_validation_bound():

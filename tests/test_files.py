@@ -69,6 +69,23 @@ def test_missing_line_errors_name_the_block_opening_line():
     assert err.value.line_no == 5
 
 
+def test_linear_duplicate_header_lines_are_refused():
+    text = "matroid linear\nfield 2\nfield 3\ndim 2\nvec 0 1 0\nvec 1 2 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_matroid_text(text)
+    assert str(err.value) == "line 3: duplicate 'field' line"
+    with pytest.raises(ParseError) as err:
+        parse_matroid_text("matroid linear\nfield 2\ndim 2\n# again\ndim 3\n")
+    assert str(err.value) == "line 5: duplicate 'dim' line"
+
+
+def test_table_duplicate_n_line_is_refused():
+    text = "matroid table\nn 1\nrank {} 0\nrank {0} 1\nn 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_matroid_text(text)
+    assert str(err.value) == "line 5: duplicate 'n' line"
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nmatroid uniform\n# size\nn 3\n\nk 1\n"
     m = parse_matroid_text(text)
