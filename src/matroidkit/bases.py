@@ -2,9 +2,10 @@
 
 An ordered base carries a total order on its elements.  Every element x
 of the ground set is anchored to a base element: itself if x is in the
-base, otherwise the order-maximum of the base part of x's fundamental
-circuit.  The anchor classes partition the ground set; their maximum size
-is the statistic that certifies list-colorability bounds.
+base, otherwise the order-maximum base element of x's fundamental
+circuit: the last e in base order with r(B - e + x) = r(B).  The anchor
+classes partition the ground set; their maximum size is the statistic
+that certifies list-colorability bounds.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .core import (
     LoopError,
     Matroid,
     canonical,
-    circuits,
     loops,
+    mask_of,
     set_literal,
 )
 from .closure import closure
@@ -48,9 +49,6 @@ class OrderedBase:
     def __contains__(self, x):
         return x in self.elements
 
-    def max_by_order(self, elements) -> int:
-        return max(elements, key=self.elements.index)
-
     def as_set(self) -> frozenset[int]:
         return frozenset(self.elements)
 
@@ -58,9 +56,7 @@ class OrderedBase:
 def is_base(m: Matroid, b) -> bool:
     """True iff b is independent and its closure is the whole ground set."""
     bs = m.check_subset(b)
-    if m.rank(bs) != len(bs):
-        return False
-    return len(closure(m, bs)) == m.n
+    return m.rank(bs) == len(bs) and len(closure(m, bs)) == m.n
 
 
 def greedy_base(m: Matroid, order=None) -> OrderedBase:
@@ -74,19 +70,26 @@ def greedy_base(m: Matroid, order=None) -> OrderedBase:
     if sorted(order) != list(range(m.n)):
         raise GroundSetError("order must be a permutation of the ground set")
     picked: list[int] = []
-    cur = frozenset()
-    r = 0
+    mask = 0
     for x in order:
-        if m.rank(cur | {x}) == r + 1:
+        if m.rank_of_mask(mask | 1 << x) == len(picked) + 1:
             picked.append(x)
-            cur = cur | {x}
-            r += 1
+            mask |= 1 << x
     return OrderedBase(tuple(picked))
 
 
 def _require_base(m: Matroid, b: OrderedBase):
     if not is_base(m, b.as_set()):
         raise GroundSetError(f"{set_literal(b.elements)} is not a base of {m.name}")
+
+
+def _circuit_base_part(m: Matroid, b: OrderedBase, x: int):
+    """Base elements e with r(B - e + x) = |B|, last in base order first:
+    x's fundamental circuit minus x.  Unchecked: b a base, x outside it."""
+    with_x = mask_of(b.elements) | 1 << x
+    for e in reversed(b.elements):
+        if m.rank_of_mask(with_x & ~(1 << e)) == len(b):
+            yield e
 
 
 def fundamental_circuit(m: Matroid, b: OrderedBase, x: int) -> Circuit:
@@ -99,13 +102,7 @@ def fundamental_circuit(m: Matroid, b: OrderedBase, x: int) -> Circuit:
     if x in b:
         raise GroundSetError(f"element {x} is in the base")
     _require_base(m, b)
-    bset = b.as_set()
-    full = len(bset)
-    members = [x]
-    for e in b:
-        if m.rank((bset - {e}) | {x}) == full:
-            members.append(e)
-    return Circuit(canonical(members))
+    return Circuit(canonical([x, *_circuit_base_part(m, b, x)]))
 
 
 def fundamental_circuit_bruteforce(m: Matroid, b: OrderedBase, x: int) -> Circuit:
@@ -134,15 +131,22 @@ def fundamental_circuit_bruteforce(m: Matroid, b: OrderedBase, x: int) -> Circui
 
 
 def anchor(m: Matroid, b: OrderedBase, x: int) -> int:
-    """Base element x is anchored to: itself inside the base, else the
-    order-maximum base element of x's fundamental circuit."""
+    """Base element x is anchored to: itself inside the base, else the last
+    base element e, in base order, with r(B - e + x) = r(B).  Checks x and
+    the base on every call; a loop raises LoopError."""
     if x in b:
         return x
-    circ = fundamental_circuit(m, b, x)
-    on_base = [e for e in circ if e in b]
-    if not on_base:
-        raise LoopError(f"element {x} is a loop; it has no anchor")
-    return b.max_by_order(on_base)
+    m.check_subset({x})
+    _require_base(m, b)
+    return _top_swap(m, b, x)
+
+
+def _top_swap(m: Matroid, b: OrderedBase, x: int) -> int:
+    """The anchor of x outside the base b, unchecked: the first element of
+    _circuit_base_part, or LoopError when there is none."""
+    for e in _circuit_base_part(m, b, x):
+        return e
+    raise LoopError(f"element {x} is a loop; it has no anchor")
 
 
 @dataclass(frozen=True)
@@ -155,29 +159,28 @@ class AnchorDecomposition:
 
     @property
     def max_class_size(self) -> int:
-        if not self.classes:
-            return 0
-        return max(len(v) for v in self.classes.values())
+        return max((len(v) for v in self.classes.values()), default=0)
 
 
 def anchor_classes(m: Matroid, b: OrderedBase) -> AnchorDecomposition:
     """Anchor every ground element to the given ordered base.
 
     Requires a loop-free matroid; the classes partition the ground set
-    with one fiber per base element.  Decompositions are cached on the
-    matroid, keyed by the base sequence.
+    with one fiber per base element.  Loops and the base are checked
+    once; each outside element's anchor is then read by swap tests.  The
+    matroid caches only its last decomposition, keyed by base sequence.
     """
-    cached = m._anchor_cache.get(b.elements)
-    if cached is not None:
-        return cached
+    last = m._anchor_cache
+    if last is not None and last.base == b:
+        return last
     lp = loops(m)
     if lp:
         raise LoopError(f"anchor classes undefined: loops {set_literal(lp)}")
     _require_base(m, b)
-    mapping = {x: anchor(m, b, x) for x in range(m.n)}
-    classes = {e: tuple(sorted(x for x, a in mapping.items() if a == e)) for e in b}
+    mapping = {x: x if x in b else _top_swap(m, b, x) for x in range(m.n)}
+    classes = {e: tuple(x for x, a in mapping.items() if a == e) for e in b}
     decomp = AnchorDecomposition(b, mapping, classes)
-    m._anchor_cache[b.elements] = decomp
+    m._anchor_cache = decomp
     return decomp
 
 
@@ -187,7 +190,7 @@ def all_bases(m: Matroid) -> list[tuple[int, ...]]:
     return [
         combo
         for combo in itertools.combinations(range(m.n), r)
-        if m.rank(combo) == r
+        if m.rank_of_mask(mask_of(combo)) == r
     ]
 
 
@@ -206,46 +209,41 @@ class BaseSearchResult:
     searched: int
 
 
+def _greedy_restarts(m: Matroid, restarts: int, rng: random.Random):
+    """Greedy bases over `restarts` random orders of the ground set."""
+    for _ in range(restarts):
+        order = list(range(m.n))
+        rng.shuffle(order)
+        yield greedy_base(m, order)
+
+
 def best_base_bound(m: Matroid, budget="exhaustive", seed: int = 0) -> BaseSearchResult:
     """Find an ordered base minimizing the largest anchor class.
 
     budget="exhaustive" sweeps every (base, order) pair (bounded);
     an integer budget runs that many seeded random greedy restarts and is
-    reported as non-optimal.  Ties break toward the lexicographically
-    smaller base sequence, so concurrent searches merge deterministically.
+    reported as non-optimal.  Either way one loop keeps the least (max
+    class size, base sequence), so ties break toward the lexicographically
+    smaller base sequence and concurrent searches merge deterministically.
     """
     if loops(m):
         raise LoopError("anchor classes need a loop-free matroid")
     if m.n == 0:
         return BaseSearchResult(OrderedBase(()), 0, True, 1)
-
-    best: tuple[int, tuple[int, ...]] | None = None
-    searched = 0
-
-    if budget == "exhaustive":
+    exhaustive = budget == "exhaustive"
+    if exhaustive:
         if m.n > BASE_SEARCH_BOUND:
             raise BoundExceededError(
                 f"exhaustive base search needs n <= {BASE_SEARCH_BOUND}, got {m.n}"
             )
-        for ob in ordered_bases(m):
-            searched += 1
-            size = anchor_classes(m, ob).max_class_size
-            key = (size, ob.elements)
-            if best is None or key < best:
-                best = key
-        return BaseSearchResult(OrderedBase(best[1]), best[0], True, searched)
-
-    restarts = int(budget)
-    if restarts < 1:
-        raise GroundSetError("heuristic budget must be a positive restart count")
-    rng = random.Random(seed)
-    for _ in range(restarts):
-        order = list(range(m.n))
-        rng.shuffle(order)
-        ob = greedy_base(m, order)
-        searched += 1
-        size = anchor_classes(m, ob).max_class_size
-        key = (size, ob.elements)
-        if best is None or key < best:
-            best = key
-    return BaseSearchResult(OrderedBase(best[1]), best[0], False, searched)
+        candidates = ordered_bases(m)
+    else:
+        restarts = int(budget)
+        if restarts < 1:
+            raise GroundSetError("heuristic budget must be a positive restart count")
+        candidates = _greedy_restarts(m, restarts, random.Random(seed))
+    best, searched = None, 0
+    for searched, ob in enumerate(candidates, 1):
+        key = (anchor_classes(m, ob).max_class_size, ob.elements)
+        best = key if best is None else min(best, key)
+    return BaseSearchResult(OrderedBase(best[1]), best[0], exhaustive, searched)

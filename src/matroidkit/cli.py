@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .bases import greedy_base, anchor_classes
-from .closure import closure, is_closed
+from .closure import closure
 from .coloring import (
     chromatic_number,
     color_from_base,
@@ -145,15 +145,11 @@ def cmd_closed(args, out: _Out) -> int:
     subset = _subset_arg(args, m)
     out.kv("matroid", m.name)
     out.kv("subset", set_literal(subset))
-    result = is_closed(m, subset)
-    out.kv("closed", "true" if result else "false")
-    if not result:
-        witness = next(
-            x
-            for x in range(m.n)
-            if x not in subset and m.rank(set(subset) | {x}) == m.rank(subset)
-        )
-        out.note(f"adding element {witness} keeps the rank at {m.rank(subset)}")
+    # closed iff the closure adds nothing; the first element it adds is the witness
+    added = [x for x in closure(m, subset) if x not in subset]
+    out.kv("closed", "false" if added else "true")
+    if added:
+        out.note(f"adding element {added[0]} keeps the rank at {m.rank(subset)}")
     else:
         out.note("every outside element raises the rank")
     return 0

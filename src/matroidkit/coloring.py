@@ -103,8 +103,10 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
     search with element x allowed the colors 0..min(x, k-1).  The witness
     is the lexicographically first proper k-coloring: swapping two color
     labels keeps a coloring proper, so that coloring opens its colors in
-    order and lies inside those lists.  Raises LoopError when no proper
-    coloring exists at all.
+    order and lies inside those lists.  Deepening starts at ceil(n / a),
+    where a is the largest |S| with table[S] = |S|: every color class is
+    such a set, so no fewer colors can cover the ground set.  Raises
+    LoopError when no proper coloring exists at all.
     """
     lp = loops(m)
     if lp:
@@ -117,7 +119,9 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
     if m.n == 0:
         return ChromaticResult(0, {})
     table = m.mask_table()
-    for k in range(1, m.n + 1):
+    alpha = max((s.bit_count() for s, r in enumerate(table) if r == s.bit_count()), default=0)
+    start = -(-m.n // alpha) if alpha else m.n + 1  # no class fits: nothing to search
+    for k in range(start, m.n + 1):
         lists = {x: range(min(x + 1, k)) for x in range(m.n)}
         witness = next(_list_colorings(table, range(m.n), lists, {}, {}), None)
         if witness is not None:

@@ -125,7 +125,7 @@ def _gf_rank(rows: list[list[int]], p: int) -> int:
         if pivot is None:
             continue
         rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = pow(rows[row][col], p - 2, p) if p > 2 else rows[row][col] % p
+        inv = pow(rows[row][col], p - 2, p)
         rows[row] = [(x * inv) % p for x in rows[row]]
         for i in range(len(rows)):
             if i != row and rows[i][col] % p:

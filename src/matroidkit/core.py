@@ -96,8 +96,8 @@ class Matroid:
         self._oracle = oracle
         self._memo: dict[int, int] = {}
         self._mask_table: list[int] | None = None
-        #: anchor decompositions by base sequence, filled by bases.anchor_classes
-        self._anchor_cache: dict = {}
+        #: the last anchor decomposition, filled by bases.anchor_classes
+        self._anchor_cache = None
 
     def __repr__(self):
         return f"<Matroid {self.name}>"

@@ -175,7 +175,7 @@ def check_flatness_joint(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def check_closed_intersection(m: Matroid, seed: int = 0) -> LemmaResult:
+def check_closed_intersection(m: Matroid) -> LemmaResult:
     key, title = "L6", "intersections of closed sets are closed"
     closed = [mask_of(z) for z in closed_sets(m)]
     closed_set = set(closed)
@@ -187,16 +187,7 @@ def check_closed_intersection(m: Matroid, seed: int = 0) -> LemmaResult:
                     title,
                     f"{set_literal(bits(z1))} meet {set_literal(bits(z2))}",
                 )
-    rng = random.Random(seed)
-    for _ in range(20):
-        if not closed:
-            break
-        fam = [rng.choice(closed) for _ in range(rng.randint(2, 4))]
-        acc = (1 << m.n) - 1
-        for z in fam:
-            acc &= z
-        if acc not in closed_set:
-            return _fail(key, title, f"family of {len(fam)} closed sets")
+    # closed under pairwise meets, so every finite family's meet is closed
     return _ok(key, title)
 
 
@@ -366,13 +357,13 @@ def check_colorability_iff_loop_free(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def check_distinct_fallback(m: Matroid, seed: int = 0) -> LemmaResult:
+def check_distinct_fallback(m: Matroid) -> LemmaResult:
     key, title = "L15", "full-size lists always admit an all-distinct coloring"
     if not is_loop_free(m):
         return _ok(key, title, "vacuous: loops present")
     if m.n == 0:
         return _ok(key, title, "vacuous: empty ground set")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     pool = [f"c{i}" for i in range(2 * m.n)]
     for _ in range(3):
         lists = {x: frozenset(rng.sample(pool, m.n)) for x in range(m.n)}

@@ -6,20 +6,26 @@ checked against an independent computation.
 """
 
 import itertools
+import random
 
 import pytest
 
 from matroidkit import (
+    BoundExceededError,
+    ChromaticResult,
     ListChromaticResult,
+    LoopError,
     VectorSpec,
     catalog,
     circuits,
+    fundamental_circuit_bruteforce,
     graphic,
     linear,
+    loops,
     uniform,
 )
-from matroidkit.coloring import _list_colorings, all_canonical_listings
-from matroidkit.core import AxiomReport, bits
+from matroidkit.coloring import CHROMATIC_BOUND, _list_colorings, all_canonical_listings
+from matroidkit.core import AxiomReport, bits, set_literal
 
 
 def powerset(iterable):
@@ -87,6 +93,42 @@ def brute_list_chromatic(m, kmax):
             return ListChromaticResult(k, kmax, bad)
         bad[k] = {x: witness[x] for x in range(m.n)}
     return ListChromaticResult(None, kmax, bad)
+
+
+def brute_anchor(m, b, x):
+    """x itself inside the ordered base b, else the order-maximum base
+    element of x's fundamental circuit, found by the subset sweep."""
+    if x in b:
+        return x
+    on_base = [e for e in fundamental_circuit_bruteforce(m, b, x) if e in b]
+    return max(on_base, key=b.elements.index)
+
+
+def chromatic_by_deepening(m, max_n=None):
+    """Chromatic number by list-coloring searches at k = 1, 2, .. in turn.
+
+    Element x may take the colors 0..min(x, k-1), so the first coloring
+    found is the lexicographically first proper one with k colors.
+    Raises what the library raises: LoopError, BoundExceededError, or
+    AssertionError when no k up to n admits a coloring.
+    """
+    lp = loops(m)
+    if lp:
+        raise LoopError(f"no proper coloring exists: loops {set_literal(lp)}")
+    bound = CHROMATIC_BOUND if max_n is None else max_n
+    if m.n > bound:
+        raise BoundExceededError(
+            f"chromatic search is exhaustive; n={m.n} exceeds bound {bound}"
+        )
+    if m.n == 0:
+        return ChromaticResult(0, {})
+    table = m.mask_table()
+    for k in range(1, m.n + 1):
+        lists = {x: range(min(x + 1, k)) for x in range(m.n)}
+        witness = next(_list_colorings(table, range(m.n), lists, {}, {}), None)
+        if witness is not None:
+            return ChromaticResult(k, dict(witness))
+    raise AssertionError("loop-free matroid must be |S|-colorable")
 
 
 def first_violation(table, n):
@@ -177,6 +219,20 @@ def random_matroid(rng, kind, n):
     dim = rng.randint(1, 3)
     vectors = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(n))
     return linear(VectorSpec(p, dim, vectors))
+
+
+def perturbed_tables(seed, per_base):
+    """Rank tables of random matroids with one entry moved by +-1 or +-2."""
+    rng = random.Random(seed)
+    for kind in ("uniform", "graphic", "gf2", "gf3"):
+        for n in range(1, 7):
+            base = random_matroid(rng, kind, n).mask_table()
+            for _ in range(per_base):
+                mask = rng.randrange(1 << n)
+                delta = rng.choice([d for d in (-2, -1, 1, 2) if base[mask] + d >= 0])
+                table = list(base)
+                table[mask] += delta
+                yield f"{kind} n={n} mask={mask} {delta:+d}", n, table
 
 
 def brute_max_independent_size(m, subset):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matroidkit import (
@@ -16,8 +18,11 @@ from matroidkit import (
     ordered_bases,
     uniform,
 )
-from matroidkit.catalog import theta, triangle
-from matroidkit.core import is_loop_free, mask_of
+from matroidkit import bases
+from matroidkit.catalog import gf2_parallel, self_loop_triangle, square, theta, triangle
+from matroidkit.core import is_loop_free, loops, mask_of
+
+from conftest import brute_anchor, random_matroid
 
 
 def test_greedy_base_examples():
@@ -184,3 +189,101 @@ def test_best_base_bound_heuristic_deterministic():
     assert not a.optimal and a.searched == 5
     exact = best_base_bound(m)
     assert a.max_class_size >= exact.max_class_size
+
+
+def _assert_anchors_match_reference(m, ob):
+    want = {x: brute_anchor(m, ob, x) for x in range(m.n)}
+    assert anchor_classes(m, ob).mapping == want, (m.name, ob.elements)
+    assert {x: anchor(m, ob, x) for x in range(m.n)} == want, (m.name, ob.elements)
+
+
+def test_anchors_match_the_bruteforce_circuit_reference(suite6):
+    for m in suite6:
+        if not is_loop_free(m) or m.n > 5:
+            continue
+        for ob in ordered_bases(m):
+            _assert_anchors_match_reference(m, ob)
+
+
+def test_anchors_match_the_reference_on_random_matroids():
+    rng = random.Random(11)
+    checked = 0
+    for kind in ("uniform", "graphic", "gf2", "gf3"):
+        for n in range(1, 8):
+            for _ in range(2):
+                m = random_matroid(rng, kind, n)
+                if loops(m):
+                    continue
+                for _ in range(3):
+                    order = list(range(n))
+                    rng.shuffle(order)
+                    _assert_anchors_match_reference(m, greedy_base(m, order))
+                    checked += 1
+    assert checked > 50
+
+
+def test_anchor_of_a_non_loop_beside_a_loop():
+    m = self_loop_triangle()  # element 3 is a loop
+    ob = OrderedBase((0, 1))
+    assert anchor(m, ob, 2) == brute_anchor(m, ob, 2) == 1
+    assert anchor(m, OrderedBase((1, 0)), 2) == 0
+    with pytest.raises(LoopError):
+        anchor(m, ob, 3)
+    with pytest.raises(LoopError):
+        anchor_classes(m, ob)
+
+
+def test_anchor_classes_checks_its_base_once(monkeypatch):
+    calls = []
+    real = bases.is_base
+    monkeypatch.setattr(bases, "is_base", lambda m, b: calls.append(b) or real(m, b))
+    d = anchor_classes(uniform(6, 3), OrderedBase((0, 1, 2)))
+    assert d.classes == {0: (0,), 1: (1,), 2: (2, 3, 4, 5)}
+    assert len(calls) == 1
+
+
+def test_anchor_cache_is_keyed_by_the_base_sequence():
+    m = uniform(4, 2)
+    first = anchor_classes(m, OrderedBase((0, 1)))
+    flipped = anchor_classes(m, OrderedBase((1, 0)))
+    assert first.mapping[2] == 1 and flipped.mapping[2] == 0
+    assert anchor_classes(m, OrderedBase((1, 0))) is flipped
+    assert m._anchor_cache is flipped
+
+
+def test_best_base_bound_keeps_one_decomposition():
+    m = uniform(5, 3)
+    res = best_base_bound(m)
+    assert res.searched == 60
+    assert m._anchor_cache.base == list(ordered_bases(m))[-1]
+
+
+def test_best_base_bound_is_the_least_key_over_ordered_bases(suite6):
+    for m in suite6:
+        if not is_loop_free(m) or m.n == 0:
+            continue
+        keys = [(anchor_classes(m, ob).max_class_size, ob.elements) for ob in ordered_bases(m)]
+        size, elements = min(keys)
+        res = best_base_bound(m)
+        assert (res.max_class_size, res.base.elements) == (size, elements), m.name
+        assert res.optimal and res.searched == len(keys), m.name
+
+
+# (base, max class size) for seeds 0..4 at budget 4, recorded before the
+# two selection loops were folded into one
+RECORDED_RESTARTS = {
+    "uniform(6,3)": [((4, 0, 1), 4), ((0, 1, 2), 4), ((0, 1, 3), 4), ((0, 2, 3), 4), ((1, 5, 0), 4)],
+    "theta": [((0, 2, 3), 2), ((0, 2, 4), 2), ((0, 1, 4), 2), ((0, 2, 3), 2), ((3, 4, 0), 2)],
+    "square": [((0, 1, 3), 2), ((0, 2, 1), 2), ((1, 0, 3), 2), ((0, 1, 3), 2), ((0, 1, 2), 2)],
+    "gf2-parallel": [((0, 2), 2), ((0, 2), 2), ((1, 2), 2), ((0, 3), 2), ((0, 2), 2)],
+}
+
+
+def test_best_base_bound_heuristic_matches_recorded_restarts():
+    for m in (uniform(6, 3), theta(), square(), gf2_parallel()):
+        got = []
+        for seed in range(5):
+            res = best_base_bound(m, budget=4, seed=seed)
+            assert not res.optimal and res.searched == 4
+            got.append((res.base.elements, res.max_class_size))
+        assert got == RECORDED_RESTARTS[m.name], m.name

@@ -4,6 +4,7 @@ import pytest
 
 from matroidkit import (
     BoundExceededError,
+    Matroid,
     GroundSetError,
     ListDeficitError,
     LoopError,
@@ -22,10 +23,16 @@ from matroidkit import (
     restriction_colorings,
     uniform,
 )
+from matroidkit import coloring
 from matroidkit.catalog import triangle
-from matroidkit.core import is_loop_free
+from matroidkit.core import is_loop_free, loops, validate_axioms
 
-from conftest import brute_list_colorings, random_matroid
+from conftest import (
+    brute_list_colorings,
+    chromatic_by_deepening,
+    perturbed_tables,
+    random_matroid,
+)
 
 
 def test_is_proper_examples():
@@ -62,6 +69,41 @@ def test_chromatic_examples():
     assert chromatic_number(uniform(3, 3)).value == 1
     assert chromatic_number(triangle()).value == 2
     assert chromatic_number(uniform(0, 0)).value == 0
+
+
+def _outcome(fn, m):
+    try:
+        res = fn(m)
+    except (AssertionError, LoopError) as e:
+        return type(e).__name__, str(e)
+    return res.value, res.coloring
+
+
+def test_chromatic_matches_the_deepening_reference(suite7):
+    rng = random.Random(5)
+    seeded = [random_matroid(rng, kind, n) for kind in ("uniform", "graphic", "gf2", "gf3") for n in range(1, 9)]
+    for m in [*suite7, *seeded]:
+        assert _outcome(chromatic_number, m) == _outcome(chromatic_by_deepening, m), m.name
+    outcomes = set()
+    for label, n, table in perturbed_tables(seed=4, per_base=10):
+        m = Matroid(n, lambda a, t=table: t[a])
+        if loops(m) or validate_axioms(m).ok:
+            continue
+        got = _outcome(chromatic_number, m)
+        assert got == _outcome(chromatic_by_deepening, m), label
+        outcomes.add(got[0] if isinstance(got[0], str) else "colored")
+    # both a coloring and the no-coloring error are compared
+    assert outcomes == {"colored", "AssertionError"}
+
+
+def test_chromatic_starts_at_n_over_the_largest_independent_set(monkeypatch):
+    calls = []
+    real = coloring._list_colorings
+    monkeypatch.setattr(
+        coloring, "_list_colorings", lambda *args: calls.append(1) or real(*args)
+    )
+    assert chromatic_number(uniform(12, 2)).value == 6
+    assert len(calls) == 1
 
 
 def test_chromatic_rejects_loops():

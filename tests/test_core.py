@@ -28,6 +28,7 @@ from conftest import (
     brute_circuits,
     brute_max_independent_size,
     first_violation,
+    perturbed_tables,
     powerset,
     random_matroid,
     witness_fault,
@@ -85,20 +86,6 @@ def test_validate_axioms_bad_table():
     assert report.witness == ((0,), (1,))
 
 
-def _perturbed_tables(seed, per_base):
-    """Rank tables of random matroids with one entry moved by +-1 or +-2."""
-    rng = random.Random(seed)
-    for kind in ("uniform", "graphic", "gf2", "gf3"):
-        for n in range(1, 7):
-            base = random_matroid(rng, kind, n).mask_table()
-            for _ in range(per_base):
-                mask = rng.randrange(1 << n)
-                delta = rng.choice([d for d in (-2, -1, 1, 2) if base[mask] + d >= 0])
-                table = list(base)
-                table[mask] += delta
-                yield f"{kind} n={n} mask={mask} {delta:+d}", n, table
-
-
 def _full_scan_fault(n, table, report):
     """None iff the full scan gives the same verdict and a failure's witness holds."""
     if report.ok != first_violation(table, n).ok:
@@ -111,7 +98,7 @@ def test_validate_axioms_matches_full_scan(suite7):
         assert validate_axioms(m) == first_violation(m.mask_table(), m.n) == AxiomReport(True), m.name
     failed_axioms = set()
     passed = 0
-    for label, n, table in _perturbed_tables(seed=2, per_base=40):
+    for label, n, table in perturbed_tables(seed=2, per_base=40):
         report = validate_axioms(Matroid(n, lambda a, t=table: t[a]))
         assert _full_scan_fault(n, table, report) is None, label
         if report.ok:
