@@ -15,11 +15,12 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    BoundExceededError,
     Circuit,
     GroundSetError,
     LoopError,
     Matroid,
+    MatroidError,
+    _refuse_above,
     canonical,
     loops,
     mask_of,
@@ -143,10 +144,15 @@ def anchor(m: Matroid, b: OrderedBase, x: int) -> int:
 
 def _top_swap(m: Matroid, b: OrderedBase, x: int) -> int:
     """The anchor of x outside the base b, unchecked: the first element of
-    _circuit_base_part, or LoopError when there is none."""
+    _circuit_base_part.  When there is none, x is a loop (LoopError) or
+    the oracle is not a matroid (MatroidError)."""
     for e in _circuit_base_part(m, b, x):
         return e
-    raise LoopError(f"element {x} is a loop; it has no anchor")
+    if m.rank_of_mask(1 << x) == 0:
+        raise LoopError(f"element {x} is a loop; it has no anchor")
+    raise MatroidError(
+        f"not a matroid: element {x} is not a loop, but no base element swaps for it"
+    )
 
 
 @dataclass(frozen=True)
@@ -232,10 +238,7 @@ def best_base_bound(m: Matroid, budget="exhaustive", seed: int = 0) -> BaseSearc
         return BaseSearchResult(OrderedBase(()), 0, True, 1)
     exhaustive = budget == "exhaustive"
     if exhaustive:
-        if m.n > BASE_SEARCH_BOUND:
-            raise BoundExceededError(
-                f"exhaustive base search needs n <= {BASE_SEARCH_BOUND}, got {m.n}"
-            )
+        _refuse_above(m.n, BASE_SEARCH_BOUND, "exhaustive base search")
         candidates = ordered_bases(m)
     else:
         restarts = int(budget)

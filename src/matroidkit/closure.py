@@ -8,14 +8,18 @@ same operator.
 
 from __future__ import annotations
 
-from .core import BoundExceededError, CIRCUIT_BOUND, Matroid, canonical
+from .core import CIRCUIT_BOUND, Matroid, _masks_by_size, _refuse_above, bits, canonical
+
+
+def _is_closed_mask(m: Matroid, z: int) -> bool:
+    """True iff adding any element outside the mask z strictly raises its rank."""
+    rz = m.rank_of_mask(z)
+    return all(m.rank_of_mask(z | 1 << x) > rz for x in range(m.n) if not z >> x & 1)
 
 
 def is_closed(m: Matroid, z) -> bool:
     """True iff adding any outside element strictly raises the rank."""
-    zs = m.check_subset(z)
-    rz = m.rank(zs)
-    return all(m.rank(zs | {x}) > rz for x in range(m.n) if x not in zs)
+    return _is_closed_mask(m, m._checked_mask(z))
 
 
 def closure(m: Matroid, x) -> tuple[int, ...]:
@@ -29,32 +33,27 @@ def closure(m: Matroid, x) -> tuple[int, ...]:
     return canonical(out)
 
 
-def closure_by_intersection(m: Matroid, x, max_n: int | None = None) -> tuple[int, ...]:
+def closure_by_intersection(m: Matroid, x) -> tuple[int, ...]:
     """Intersection of all closed supersets of x.
 
     Enumerates every subset, so it is bounded; it serves as the
-    independent oracle against which :func:`closure` is tested.
+    independent oracle against which :func:`closure` is tested, and so
+    decides closedness by rank alone, never through :func:`closure`.
     """
-    bound = CIRCUIT_BOUND if max_n is None else max_n
-    if m.n > bound:
-        raise BoundExceededError(
-            f"closure_by_intersection enumerates 2^n subsets; n={m.n} exceeds {bound}"
-        )
-    xs = m.check_subset(x)
-    acc = set(range(m.n))
-    for mask in range(1 << m.n):
-        z = frozenset(i for i in range(m.n) if mask >> i & 1)
-        if xs <= z and is_closed(m, z):
+    _refuse_above(m.n, CIRCUIT_BOUND, "closure by intersection")
+    xm = m._checked_mask(x)
+    acc = (1 << m.n) - 1
+    for z in range(1 << m.n):
+        if xm & ~z == 0 and _is_closed_mask(m, z):
             acc &= z
-    return canonical(acc)
+    return tuple(bits(acc))
+
+
+def _closed_masks(m: Matroid) -> list[int]:
+    """Masks of all closed subsets, in (size, lexicographic) order."""
+    return [z for z in _masks_by_size(m.n) if _is_closed_mask(m, z)]
 
 
 def closed_sets(m: Matroid) -> list[tuple[int, ...]]:
     """All closed subsets, in (size, lexicographic) order."""
-    out = []
-    for mask in range(1 << m.n):
-        z = frozenset(i for i in range(m.n) if mask >> i & 1)
-        if is_closed(m, z):
-            out.append(canonical(z))
-    out.sort(key=lambda t: (len(t), t))
-    return out
+    return [tuple(bits(z)) for z in _closed_masks(m)]

@@ -31,7 +31,7 @@ from .core import (
     LoopError,
     Matroid,
     MatroidError,
-    VALIDATION_BOUND,
+    _refuse_above,
     circuits,
     loops,
     set_literal,
@@ -78,11 +78,11 @@ def is_proper(m: Matroid, phi) -> bool:
     return all(m.is_independent(cls) for cls in color_classes(phi).values())
 
 
-def find_monochromatic_circuit(m: Matroid, phi, max_n: int | None = None) -> Circuit | None:
+def find_monochromatic_circuit(m: Matroid, phi) -> Circuit | None:
     """Secondary properness route: first circuit inside one color class."""
     _check_total(m, phi, "coloring")
     classes = [frozenset(v) for v in color_classes(phi).values()]
-    for c in circuits(m, max_n=max_n):
+    for c in circuits(m):
         cset = frozenset(c.members)
         for cls in classes:
             if cset <= cls:
@@ -106,16 +106,13 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
     order and lies inside those lists.  Deepening starts at ceil(n / a),
     where a is the largest |S| with table[S] = |S|: every color class is
     such a set, so no fewer colors can cover the ground set.  Raises
-    LoopError when no proper coloring exists at all.
+    LoopError when no proper coloring exists at all, and MatroidError
+    when a loop-free oracle admits none: some singleton has rank > 1.
     """
     lp = loops(m)
     if lp:
         raise LoopError(f"no proper coloring exists: loops {set_literal(lp)}")
-    bound = CHROMATIC_BOUND if max_n is None else max_n
-    if m.n > bound:
-        raise BoundExceededError(
-            f"chromatic search is exhaustive; n={m.n} exceeds bound {bound}"
-        )
+    _refuse_above(m.n, CHROMATIC_BOUND if max_n is None else max_n, "chromatic search")
     if m.n == 0:
         return ChromaticResult(0, {})
     table = m.mask_table()
@@ -126,7 +123,11 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
         witness = next(_list_colorings(table, range(m.n), lists, {}, {}), None)
         if witness is not None:
             return ChromaticResult(k, dict(witness))
-    raise AssertionError("loop-free matroid must be |S|-colorable")
+    # with every singleton of rank 1, x -> x is a proper n-coloring
+    x = next(x for x in range(m.n) if table[1 << x] > 1)
+    raise MatroidError(
+        f"not a matroid: subcardinality fails at {{{x}}}: rank {table[1 << x]} > size 1"
+    )
 
 
 def _color_sort_key(c):
@@ -170,7 +171,7 @@ def _list_colorings(table, order, lists, phi, class_masks):
     yield from dfs(0)
 
 
-def is_list_colorable(m: Matroid, lists, max_n: int | None = None):
+def is_list_colorable(m: Matroid, lists):
     """First proper coloring drawing each element's color from its list.
 
     Backtracks over the product of the lists, visiting elements by
@@ -178,7 +179,7 @@ def is_list_colorable(m: Matroid, lists, max_n: int | None = None):
     returned coloring is the first in that deterministic order.  Returns
     None if the lists admit no proper coloring (immediately so when some
     list is empty).  Independence is read from the rank table, so the
-    default bound is the table's own, VALIDATION_BOUND.
+    bound is the table's own, VALIDATION_BOUND.
     """
     _check_total(m, lists, "listing")
     norm = {x: tuple(sorted(lists[x], key=_color_sort_key)) for x in lists}
@@ -186,9 +187,6 @@ def is_list_colorable(m: Matroid, lists, max_n: int | None = None):
     if empty:
         logger.debug("no list coloring: empty lists on %s", set_literal(empty))
         return None
-    bound = VALIDATION_BOUND if max_n is None else max_n
-    if m.n > bound:
-        raise BoundExceededError(f"list coloring search needs n <= {bound}, got {m.n}")
     order = sorted(range(m.n), key=lambda x: (len(norm[x]), x))
     phi = next(_list_colorings(m.mask_table(), order, norm, {}, {}), None)
     return None if phi is None else dict(phi)
@@ -254,10 +252,7 @@ def list_chromatic_number(
     if lp:
         raise LoopError(f"no list coloring exists: loops {set_literal(lp)}")
     bound = LIST_ENUM_N_BOUND if max_n is None else min(max_n, LIST_ENUM_N_CEILING)
-    if m.n > bound:
-        raise BoundExceededError(
-            f"listing enumeration needs n <= {bound}, got {m.n}"
-        )
+    _refuse_above(m.n, bound, "listing enumeration")
     if kmax < 1 or kmax > LIST_ENUM_KMAX:
         raise BoundExceededError(f"kmax must be in 1..{LIST_ENUM_KMAX}, got {kmax}")
     if m.n == 0:
@@ -313,7 +308,7 @@ def color_from_base(m: Matroid, b: OrderedBase, lists) -> dict:
             phi[x] = c
             used.add(c)
     if not is_proper(m, phi):
-        raise AssertionError("class-injective coloring was not proper")
+        raise MatroidError("not a matroid: a class-injective coloring is not proper")
     return phi
 
 

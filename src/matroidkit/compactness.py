@@ -26,11 +26,11 @@ from typing import Callable
 from .coloring import _color_sort_key, _list_colorings
 from .constructions import graphic, uniform
 from .core import (
-    BoundExceededError,
     GroundSetError,
     Matroid,
     MatroidError,
     _masks_by_size,
+    _refuse_above,
     bits,
     set_literal,
 )
@@ -79,11 +79,7 @@ def _check_consistent(small: Matroid, big: Matroid, level: int):
     Every subset is checked; above LEVEL_SIZE_BOUND this refuses rather
     than sample.
     """
-    if small.n > LEVEL_SIZE_BOUND:
-        raise BoundExceededError(
-            f"consistency check is exhaustive; level {level-1} has {small.n} "
-            f"elements, bound is {LEVEL_SIZE_BOUND}"
-        )
+    _refuse_above(small.n, LEVEL_SIZE_BOUND, f"consistency check of level {level - 1}")
     for a in _masks_by_size(small.n):
         if small.rank_of_mask(a) != big.rank_of_mask(a):
             raise ChainError(
@@ -175,8 +171,7 @@ def _level_colorings(chain: MatroidChain, lists, i: int):
     yielded phi is live: callers copy what they keep.
     """
     m = chain.level(i)
-    if m.n > LEVEL_SIZE_BOUND:
-        raise BoundExceededError(f"level {i} has {m.n} elements, bound is {LEVEL_SIZE_BOUND}")
+    _refuse_above(m.n, LEVEL_SIZE_BOUND, f"list search on level {i}")
     norm = _level_lists(m, lists)
     table = m.mask_table()
     return _list_colorings(table, range(m.n), norm, {}, {})

@@ -43,6 +43,12 @@ class LoopError(MatroidError):
     """An operation that requires a loop-free matroid met a loop."""
 
 
+def _refuse_above(n: int, bound: int, what: str) -> None:
+    """Refuse an exhaustive operation on n elements above its size bound."""
+    if n > bound:
+        raise BoundExceededError(f"{what} needs n <= {bound}, got {n}")
+
+
 def canonical(elements: Iterable[int]) -> tuple[int, ...]:
     """Sorted duplicate-free tuple of element ids."""
     out = tuple(sorted(set(elements)))
@@ -152,10 +158,7 @@ class Matroid:
         built it replaces the memo, so each rank is stored once.
         """
         if self._mask_table is None:
-            if self.n > VALIDATION_BOUND:
-                raise BoundExceededError(
-                    f"mask table needs n <= {VALIDATION_BOUND}, got {self.n}"
-                )
+            _refuse_above(self.n, VALIDATION_BOUND, "mask table")
             self._mask_table = [self.rank_of_mask(x) for x in range(1 << self.n)]
             self._memo.clear()
         return self._mask_table
@@ -267,21 +270,17 @@ def _is_rank_function(table: list[int], n: int) -> AxiomReport:
     return AxiomReport(True)
 
 
-def validate_axioms(m: Matroid, max_n: int | None = None) -> AxiomReport:
+def validate_axioms(m: Matroid) -> AxiomReport:
     """Exhaustively check that the rank oracle is a matroid rank function.
 
-    Refuses (rather than sampling) when n exceeds the bound.  One pass
-    over every subset and element pair, O(n^2 * 2^n), decides by the local
-    unit-increase axioms.  A failure names the normalization,
-    subcardinality, monotonicity or submodularity violation that its
-    local test exposes, with witness subsets that break that axiom on the
-    table; it is the first such failure in mask order, not a minimal one.
+    Refuses (rather than sampling) above the mask table's ceiling,
+    VALIDATION_BOUND.  One pass over every subset and element pair,
+    O(n^2 * 2^n), decides by the local unit-increase axioms.  A failure
+    names the normalization, subcardinality, monotonicity or
+    submodularity violation that its local test exposes, with witness
+    subsets that break that axiom on the table; it is the first such
+    failure in mask order, not a minimal one.
     """
-    bound = VALIDATION_BOUND if max_n is None else max_n
-    if m.n > bound:
-        raise BoundExceededError(
-            f"validate_axioms is exhaustive; n={m.n} exceeds bound {bound}"
-        )
     return _is_rank_function(m.mask_table(), m.n)
 
 
@@ -308,11 +307,7 @@ def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
     for every e in C: C is dependent and every maximal proper subset of
     it is independent, so every proper subset is.
     """
-    bound = CIRCUIT_BOUND if max_n is None else max_n
-    if m.n > bound:
-        raise BoundExceededError(
-            f"circuit enumeration is exhaustive; n={m.n} exceeds bound {bound}"
-        )
+    _refuse_above(m.n, CIRCUIT_BOUND if max_n is None else max_n, "circuit enumeration")
     table = m.mask_table()
     found: list[Circuit] = []
     for size in range(1, m.n + 1):
@@ -327,11 +322,11 @@ def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
 
 def is_loop_free(m: Matroid) -> bool:
     """True iff every singleton has rank 1."""
-    return all(m.rank({x}) == 1 for x in range(m.n))
+    return all(m.rank_of_mask(1 << x) == 1 for x in range(m.n))
 
 
 def loops(m: Matroid) -> tuple[int, ...]:
-    return tuple(x for x in range(m.n) if m.rank({x}) == 0)
+    return tuple(x for x in range(m.n) if m.rank_of_mask(1 << x) == 0)
 
 
 @dataclass(frozen=True)
@@ -348,14 +343,14 @@ class EliminationReport:
     counterexample: tuple | None = None
 
 
-def check_circuit_elimination(m: Matroid, max_n: int | None = None) -> EliminationReport:
+def check_circuit_elimination(m: Matroid) -> EliminationReport:
     """Verify circuit elimination on every ordered pair of circuits.
 
     For circuits C1 != C2 and e in their intersection there must be a
     circuit inside (C1 u C2) - e; additionally, for every e1 in C1 - C2
     one such circuit must contain e1.
     """
-    circs = circuits(m, max_n=max_n)
+    circs = circuits(m)
     masks = [c.mask() for c in circs]
     pairs = 0
     for i, c1 in enumerate(circs):

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .bases import all_bases, anchor_classes, is_base, ordered_bases
-from .closure import closed_sets, closure_by_intersection, is_closed
+from .closure import _closed_masks, closure_by_intersection, is_closed
 from .closure import closure as closure_of
 from .coloring import chromatic_number, distinct_color_fallback, is_proper
 from .contraction import contract
@@ -32,6 +32,9 @@ from .core import (
 )
 
 LEMMA_BOUND = 8
+# max_n may lift LEMMA_BOUND up to here, never past it: L17 sweeps all
+# r! * C(n, r) ordered bases, and uniform(9, 7) already takes 11 s
+LEMMA_N_CEILING = 9
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,6 @@ class LemmaResult:
     @property
     def ok(self) -> bool:
         return self.status != "fail"
-
-
-def _masks(n: int):
-    return range(1 << n)
 
 
 def _sub_masks(mask: int):
@@ -71,21 +70,21 @@ def _ok(key, title, detail=""):
 def check_maximal_independent_size(m: Matroid) -> LemmaResult:
     key, title = "L1", "maximal independent subsets all have the subset's rank"
     t = m.mask_table()
-    pop = [bin(x).count("1") for x in _masks(m.n)]
-    for a in _masks(m.n):
+    for a in range(1 << m.n):
         for b in _sub_masks(a):
-            if t[b] != pop[b]:
+            size = b.bit_count()
+            if t[b] != size:
                 continue
             # maximal inside a?
             if any(
-                t[b | (1 << x)] == pop[b] + 1 for x in bits(a & ~b)
+                t[b | (1 << x)] == size + 1 for x in bits(a & ~b)
             ):
                 continue
-            if pop[b] != t[a]:
+            if size != t[a]:
                 return _fail(
                     key,
                     title,
-                    f"max independent {set_literal(bits(b))} has size {pop[b]} "
+                    f"max independent {set_literal(bits(b))} has size {size} "
                     f"but rank({set_literal(bits(a))}) = {t[a]}",
                 )
     return _ok(key, title)
@@ -145,7 +144,7 @@ def check_flatness_monotone(m: Matroid) -> LemmaResult:
     key, title = "L4", "rank-preserving extension transfers to supersets"
     t = m.mask_table()
     full = (1 << m.n) - 1
-    for b in _masks(m.n):
+    for b in range(1 << m.n):
         for a in _sub_masks(b):
             for x in bits(full & ~b):
                 if t[a | 1 << x] == t[a] and t[b | 1 << x] != t[b]:
@@ -161,7 +160,7 @@ def check_flatness_joint(m: Matroid) -> LemmaResult:
     key, title = "L5", "jointly adding rank-preserving elements preserves rank"
     t = m.mask_table()
     full = (1 << m.n) - 1
-    for a in _masks(m.n):
+    for a in range(1 << m.n):
         flat = mask_of(
             x for x in bits(full & ~a) if t[a | 1 << x] == t[a]
         )
@@ -177,7 +176,7 @@ def check_flatness_joint(m: Matroid) -> LemmaResult:
 
 def check_closed_intersection(m: Matroid) -> LemmaResult:
     key, title = "L6", "intersections of closed sets are closed"
-    closed = [mask_of(z) for z in closed_sets(m)]
+    closed = _closed_masks(m)
     closed_set = set(closed)
     for z1 in closed:
         for z2 in closed:
@@ -193,23 +192,23 @@ def check_closed_intersection(m: Matroid) -> LemmaResult:
 
 def check_closure_minimality(m: Matroid) -> LemmaResult:
     key, title = "L7abc", "closure is the least closed superset, monotone, idempotent"
-    closed = [mask_of(z) for z in closed_sets(m)]
+    closed = _closed_masks(m)
     sig = {}
-    for x in _masks(m.n):
+    for x in range(1 << m.n):
         sig[x] = mask_of(closure_of(m, frozenset(bits(x))))
-    for x in _masks(m.n):
+    for x in range(1 << m.n):
         for z in closed:
             if x & ~z == 0 and sig[x] & ~z != 0:
                 return _fail(
                     key, title, f"closure({set_literal(bits(x))}) exceeds a closed superset"
                 )
-    for y in _masks(m.n):
+    for y in range(1 << m.n):
         for x in _sub_masks(y):
             if sig[x] & ~sig[y] != 0:
                 return _fail(
                     key, title, f"not monotone at {set_literal(bits(x))} <= {set_literal(bits(y))}"
                 )
-    for x in _masks(m.n):
+    for x in range(1 << m.n):
         if sig[sig[x]] != sig[x]:
             return _fail(key, title, f"not idempotent at {set_literal(bits(x))}")
     return _ok(key, title)
@@ -217,10 +216,10 @@ def check_closure_minimality(m: Matroid) -> LemmaResult:
 
 def check_closure_routes_agree(m: Matroid) -> LemmaResult:
     key, title = "L8", "flat-extension closure equals intersection of closed supersets"
-    for x in _masks(m.n):
+    for x in range(1 << m.n):
         xs = frozenset(bits(x))
         fast = closure_of(m, xs)
-        slow = closure_by_intersection(m, xs, max_n=m.n)
+        slow = closure_by_intersection(m, xs)
         if fast != slow:
             return _fail(
                 key,
@@ -233,11 +232,11 @@ def check_closure_routes_agree(m: Matroid) -> LemmaResult:
 def check_base_characterization(m: Matroid) -> LemmaResult:
     key, title = "L9", "bases are exactly the independent sets with full closure"
     t = m.mask_table()
-    pop = [bin(x).count("1") for x in _masks(m.n)]
-    for b in _masks(m.n):
-        indep = t[b] == pop[b]
+    for b in range(1 << m.n):
+        size = b.bit_count()
+        indep = t[b] == size
         maximal = indep and all(
-            t[b | 1 << x] == pop[b] for x in range(m.n) if not b >> x & 1
+            t[b | 1 << x] == size for x in range(m.n) if not b >> x & 1
         )
         via_closure = is_base(m, frozenset(bits(b)))
         if maximal != via_closure:
@@ -249,7 +248,7 @@ def check_fitting_monotone(m: Matroid) -> LemmaResult:
     key, title = "L10a", "supersets of a fitting set fit"
     t = m.mask_table()
     full = (1 << m.n) - 1
-    for z in _masks(m.n):
+    for z in range(1 << m.n):
         for a in _sub_masks(full & ~z):
             target = t[a | z] - t[z]
             for z1 in _sub_masks(z):
@@ -269,7 +268,7 @@ def check_fitting_common(m: Matroid) -> LemmaResult:
     key, title = "L10b", "one finite set fits a whole finite family"
     t = m.mask_table()
     full = (1 << m.n) - 1
-    for z in _masks(m.n):
+    for z in range(1 << m.n):
         rest = full & ~z
         family = [mask_of(c) for size in (1, 2) for c in itertools.combinations(list(bits(rest)), size)]
         if not family:
@@ -280,7 +279,7 @@ def check_fitting_common(m: Matroid) -> LemmaResult:
             target = t[a | z] - t[z]
             fit = next(
                 mask_of(c)
-                for size in range(bin(z).count("1") + 1)
+                for size in range(z.bit_count() + 1)
                 for c in itertools.combinations(list(bits(z)), size)
                 if t[a | mask_of(c)] - t[mask_of(c)] == target
             )
@@ -300,7 +299,7 @@ def check_contraction_is_matroid(m: Matroid) -> LemmaResult:
     key, title = "L11", "contraction never raises rank and is a matroid"
     t = m.mask_table()
     full = (1 << m.n) - 1
-    for z in _masks(m.n):
+    for z in range(1 << m.n):
         zset = frozenset(bits(z))
         mc = contract(m, zset)
         for a in _sub_masks(full & ~z):
@@ -317,13 +316,13 @@ def check_contraction_is_matroid(m: Matroid) -> LemmaResult:
 def check_contraction_independence(m: Matroid) -> LemmaResult:
     key, title = "L12", "independent in contraction iff union with independent parts stays independent"
     t = m.mask_table()
-    pop = [bin(x).count("1") for x in _masks(m.n)]
     full = (1 << m.n) - 1
-    for z in _masks(m.n):
-        indep_in_z = [y for y in _sub_masks(z) if t[y] == pop[y]]
+    for z in range(1 << m.n):
+        indep_in_z = [y for y in _sub_masks(z) if t[y] == y.bit_count()]
         for x in _sub_masks(full & ~z):
-            lhs = t[x | z] - t[z] == pop[x]
-            rhs = all(t[x | y] == pop[x] + pop[y] for y in indep_in_z)
+            size = x.bit_count()
+            lhs = t[x | z] - t[z] == size
+            rhs = all(t[x | y] == size + t[y] for y in indep_in_z)
             if lhs != rhs:
                 return _fail(
                     key, title, f"Z={set_literal(bits(z))} X={set_literal(bits(x))}"
@@ -333,7 +332,7 @@ def check_contraction_independence(m: Matroid) -> LemmaResult:
 
 def check_contraction_loop_free(m: Matroid) -> LemmaResult:
     key, title = "L13", "contraction is loop-free iff the contracted set is closed"
-    for z in _masks(m.n):
+    for z in range(1 << m.n):
         zset = frozenset(bits(z))
         mc = contract(m, zset)
         if is_loop_free(mc) != is_closed(m, zset):
@@ -378,15 +377,14 @@ def check_distinct_fallback(m: Matroid) -> LemmaResult:
 def check_circuit_closure_absorption(m: Matroid) -> LemmaResult:
     key, title = "L16", "a circuit nearly inside a closed set is inside it"
     cmasks = [c.mask() for c in circuits(m)]
-    for z in closed_sets(m):
-        zmask = mask_of(z)
+    for z in _closed_masks(m):
         for cm in cmasks:
-            if bin(cm & ~zmask).count("1") == 1:
+            if (cm & ~z).bit_count() == 1:
                 return _fail(
                     key,
                     title,
                     f"circuit {set_literal(bits(cm))} sticks one element out of "
-                    f"{set_literal(z)}",
+                    f"{set_literal(bits(z))}",
                 )
     return _ok(key, title, "" if cmasks else "vacuous: no circuits")
 
@@ -414,15 +412,13 @@ def check_anchor_repetition(m: Matroid) -> LemmaResult:
 def check_flat_extension_dependence(m: Matroid) -> LemmaResult:
     key, title = "L18", "flat-extension elements beyond |A| are dependent"
     t = m.mask_table()
-    pop = [bin(x).count("1") for x in _masks(m.n)]
     full = (1 << m.n) - 1
-    for a in _masks(m.n):
+    for a in range(1 << m.n):
         flat = [
             x for x in bits(full & ~a) if t[a | 1 << x] == t[a]
         ]
-        for combo in itertools.combinations(flat, pop[a] + 1):
-            cm = mask_of(combo)
-            if t[cm] == pop[cm]:
+        for combo in itertools.combinations(flat, a.bit_count() + 1):
+            if t[mask_of(combo)] == len(combo):
                 return _fail(
                     key,
                     title,
@@ -438,13 +434,13 @@ def check_flat_extension_count(m: Matroid) -> LemmaResult:
     t = m.mask_table()
     full = (1 << m.n) - 1
     chrom = chromatic_number(m).value
-    for a in _masks(m.n):
+    for a in range(1 << m.n):
         flat = [x for x in bits(full & ~a) if t[a | 1 << x] == t[a]]
-        if len(flat) > chrom * bin(a).count("1"):
+        if len(flat) > chrom * a.bit_count():
             return _fail(
                 key,
                 title,
-                f"A={set_literal(bits(a))}: {len(flat)} > {chrom}*{bin(a).count('1')}",
+                f"A={set_literal(bits(a))}: {len(flat)} > {chrom}*{a.bit_count()}",
             )
     return _ok(key, title)
 
@@ -483,8 +479,11 @@ BATTERY = (
 
 
 def run_lemma_battery(m: Matroid, max_n: int | None = None) -> list[LemmaResult]:
-    """Run every battery check on one matroid, skipping above the bound."""
-    bound = LEMMA_BOUND if max_n is None else max_n
+    """Run every battery check on one matroid, skipping above the bound.
+
+    ``max_n`` raises the size bound, but not past LEMMA_N_CEILING.
+    """
+    bound = LEMMA_BOUND if max_n is None else min(max_n, LEMMA_N_CEILING)
     if m.n > bound:
         return [
             LemmaResult(key, "", "skipped", f"skipped (size {m.n} > {bound})")
@@ -494,7 +493,7 @@ def run_lemma_battery(m: Matroid, max_n: int | None = None) -> list[LemmaResult]
     for key, fn in BATTERY:
         try:
             results.append(fn(m))
-        except (MatroidError, AssertionError) as e:
+        except MatroidError as e:
             # a check blowing up on a malformed oracle is still a failure
             results.append(LemmaResult(key, "", "fail", f"check aborted: {e}"))
     return results

@@ -15,6 +15,7 @@ from matroidkit import (
     ChromaticResult,
     ListChromaticResult,
     LoopError,
+    MatroidError,
     VectorSpec,
     catalog,
     circuits,
@@ -110,16 +111,14 @@ def chromatic_by_deepening(m, max_n=None):
     Element x may take the colors 0..min(x, k-1), so the first coloring
     found is the lexicographically first proper one with k colors.
     Raises what the library raises: LoopError, BoundExceededError, or
-    AssertionError when no k up to n admits a coloring.
+    MatroidError when no k up to n admits a coloring.
     """
     lp = loops(m)
     if lp:
         raise LoopError(f"no proper coloring exists: loops {set_literal(lp)}")
     bound = CHROMATIC_BOUND if max_n is None else max_n
     if m.n > bound:
-        raise BoundExceededError(
-            f"chromatic search is exhaustive; n={m.n} exceeds bound {bound}"
-        )
+        raise BoundExceededError(f"chromatic search needs n <= {bound}, got {m.n}")
     if m.n == 0:
         return ChromaticResult(0, {})
     table = m.mask_table()
@@ -128,7 +127,10 @@ def chromatic_by_deepening(m, max_n=None):
         witness = next(_list_colorings(table, range(m.n), lists, {}, {}), None)
         if witness is not None:
             return ChromaticResult(k, dict(witness))
-    raise AssertionError("loop-free matroid must be |S|-colorable")
+    x = next(x for x in range(m.n) if table[1 << x] > 1)
+    raise MatroidError(
+        f"not a matroid: subcardinality fails at {{{x}}}: rank {table[1 << x]} > size 1"
+    )
 
 
 def first_violation(table, n):

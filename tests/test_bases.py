@@ -5,6 +5,8 @@ import pytest
 from matroidkit import (
     GroundSetError,
     LoopError,
+    Matroid,
+    MatroidError,
     OrderedBase,
     all_bases,
     anchor,
@@ -22,7 +24,7 @@ from matroidkit import bases
 from matroidkit.catalog import gf2_parallel, self_loop_triangle, square, theta, triangle
 from matroidkit.core import is_loop_free, loops, mask_of
 
-from conftest import brute_anchor, random_matroid
+from conftest import brute_anchor, perturbed_tables, random_matroid
 
 
 def test_greedy_base_examples():
@@ -231,6 +233,29 @@ def test_anchor_of_a_non_loop_beside_a_loop():
         anchor(m, ob, 3)
     with pytest.raises(LoopError):
         anchor_classes(m, ob)
+
+
+def test_a_non_loop_without_a_swap_is_an_oracle_fault_not_a_loop():
+    # r({1}) = 2 > r({0, 1}) = 1: element 1 is no loop, yet no base
+    # element swaps for it, so the oracle is not a matroid
+    m = Matroid(2, lambda a: [0, 1, 2, 1][a])
+    ob = OrderedBase((0,))
+    for call in (lambda: anchor(m, ob, 1), lambda: anchor_classes(m, ob)):
+        with pytest.raises(MatroidError, match="element 1 is not a loop") as err:
+            call()
+        assert not isinstance(err.value, LoopError)
+    faults = 0
+    for label, n, table in perturbed_tables(seed=4, per_base=10):
+        m = Matroid(n, lambda a, t=table: t[a])
+        if loops(m):
+            continue
+        try:
+            anchor_classes(m, greedy_base(m))
+        except LoopError:
+            pytest.fail(f"{label}: a loop-free oracle reported a loop")
+        except MatroidError as e:
+            faults += "is not a loop" in str(e)
+    assert faults > 0
 
 
 def test_anchor_classes_checks_its_base_once(monkeypatch):

@@ -111,6 +111,16 @@ def test_check_lemmas_skips_above_max_n(tmp_path):
     assert "skipped" not in out
 
 
+def test_check_lemmas_max_n_cannot_pass_the_ceiling(tmp_path):
+    big = tmp_path / "u20.m"
+    big.write_text("matroid uniform\nn 20\nk 3\n")
+    code, out = invoke(["check-lemmas", "-i", str(big), "--max-n", "40"])
+    assert code == 0
+    checks = {k: v for k, v in kv(out).items() if k.startswith("L")}
+    assert len(checks) == 20
+    assert all(v == ["skipped (size 20 > 9)"] for v in checks.values())
+
+
 def test_compactness_command(tmp_path):
     lists = tmp_path / "lists.l"
     lists.write_text("".join(f"list {x} : a b\n" for x in range(9)))

@@ -1,18 +1,27 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidkit import (
     BoundExceededError,
     Matroid,
+    OrderedBase,
+    all_bases,
     closed_sets,
     closure,
     closure_by_intersection,
+    fundamental_circuit,
+    fundamental_circuit_bruteforce,
     is_closed,
     is_loop_free,
     uniform,
 )
 from matroidkit.catalog import triangle
+from matroidkit.core import bits
 
-from conftest import powerset
+from conftest import powerset, random_matroid
 
 
 def test_is_closed_examples():
@@ -70,3 +79,28 @@ def test_closure_by_intersection_bound():
 def test_closed_sets_ordering():
     assert closed_sets(uniform(3, 2)) == [(), (0,), (1,), (2,), (0, 1, 2)]
     assert closed_sets(uniform(3, 1)) == [(), (0, 1, 2)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["uniform", "graphic", "gf2", "gf3"]),
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closure_routes_match_definitions_on_random_matroids(kind, n, seed):
+    m = random_matroid(random.Random(seed), kind, n)
+    closed = []
+    for mask in range(1 << m.n):
+        x = tuple(bits(mask))
+        flat = {y for y in range(m.n) if m.rank(x + (y,)) == m.rank(x)}
+        cl = closure(m, x)
+        assert cl == closure_by_intersection(m, x) == tuple(sorted(set(x) | flat)), x
+        assert is_closed(m, x) == (cl == x), x
+        if cl == x:
+            closed.append(x)
+    assert closed_sets(m) == sorted(closed, key=lambda z: (len(z), z))
+    for b in all_bases(m):
+        ob = OrderedBase(b)
+        for x in range(m.n):
+            if x not in ob:
+                assert fundamental_circuit(m, ob, x) == fundamental_circuit_bruteforce(m, ob, x)

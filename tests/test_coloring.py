@@ -8,6 +8,7 @@ from matroidkit import (
     GroundSetError,
     ListDeficitError,
     LoopError,
+    MatroidError,
     OrderedBase,
     chain_from_matroids,
     chromatic_number,
@@ -74,7 +75,7 @@ def test_chromatic_examples():
 def _outcome(fn, m):
     try:
         res = fn(m)
-    except (AssertionError, LoopError) as e:
+    except MatroidError as e:
         return type(e).__name__, str(e)
     return res.value, res.coloring
 
@@ -93,7 +94,7 @@ def test_chromatic_matches_the_deepening_reference(suite7):
         assert got == _outcome(chromatic_by_deepening, m), label
         outcomes.add(got[0] if isinstance(got[0], str) else "colored")
     # both a coloring and the no-coloring error are compared
-    assert outcomes == {"colored", "AssertionError"}
+    assert outcomes == {"colored", "MatroidError"}
 
 
 def test_chromatic_starts_at_n_over_the_largest_independent_set(monkeypatch):
@@ -197,8 +198,6 @@ def test_is_list_colorable_above_the_circuit_bound():
     phi = is_list_colorable(m, lists)
     assert phi is not None and is_proper(m, phi)
     assert all(phi[x] in lists[x] for x in range(m.n))
-    with pytest.raises(BoundExceededError):
-        is_list_colorable(m, lists, max_n=13)
     big = uniform(17, 9)
     with pytest.raises(BoundExceededError):
         is_list_colorable(big, {x: {"a", "b"} for x in range(big.n)})

@@ -2,6 +2,8 @@ from matroidkit import Matroid, run_lemma_battery, uniform
 from matroidkit.core import bits
 from matroidkit.lemmas import BATTERY
 
+from conftest import perturbed_tables
+
 
 def test_battery_keys_and_order():
     results = run_lemma_battery(uniform(3, 2))
@@ -30,6 +32,12 @@ def test_battery_skips_above_bound():
     assert all(r.status == "pass" for r in results)
 
 
+def test_battery_max_n_cannot_pass_the_ceiling():
+    results = run_lemma_battery(uniform(20, 3), max_n=40)
+    assert [r.detail for r in results] == ["skipped (size 20 > 9)"] * len(BATTERY)
+    assert all(r.status == "skipped" for r in results)
+
+
 def test_battery_vacuous_notes():
     results = {r.key: r for r in run_lemma_battery(uniform(3, 0))}
     assert results["L17"].status == "pass"
@@ -56,3 +64,13 @@ def test_battery_catches_nonlocal_rank_jump():
     bad = Matroid(3, lambda a: 2 * a.bit_count())
     results = run_lemma_battery(bad)
     assert any(r.status == "fail" for r in results)
+
+
+def test_battery_aborts_only_on_named_oracle_faults():
+    # the battery catches MatroidError alone, so any other exception a
+    # check raises on a non-matroid escapes and fails this test
+    aborted = 0
+    for label, n, table in perturbed_tables(seed=4, per_base=10):
+        results = run_lemma_battery(Matroid(n, lambda a, t=table: t[a]))
+        aborted += sum(r.detail.startswith("check aborted: ") for r in results)
+    assert aborted > 0
