@@ -6,6 +6,11 @@ base, otherwise the order-maximum base element of x's fundamental
 circuit: the last e in base order with r(B - e + x) = r(B).  The anchor
 classes partition the ground set; their maximum size is the statistic
 that certifies list-colorability bounds.
+
+Since the anchor is the order-maximum of x's fundamental-circuit base
+part, questions about every order of one base (the lemma battery's L17)
+can be read from those parts alone, without building a decomposition
+per order.
 """
 
 from __future__ import annotations
@@ -232,10 +237,6 @@ def best_base_bound(m: Matroid, budget="exhaustive", seed: int = 0) -> BaseSearc
     class size, base sequence), so ties break toward the lexicographically
     smaller base sequence and concurrent searches merge deterministically.
     """
-    if loops(m):
-        raise LoopError("anchor classes need a loop-free matroid")
-    if m.n == 0:
-        return BaseSearchResult(OrderedBase(()), 0, True, 1)
     exhaustive = budget == "exhaustive"
     if exhaustive:
         _refuse_above(m.n, BASE_SEARCH_BOUND, "exhaustive base search")
@@ -245,6 +246,10 @@ def best_base_bound(m: Matroid, budget="exhaustive", seed: int = 0) -> BaseSearc
         if restarts < 1:
             raise GroundSetError("heuristic budget must be a positive restart count")
         candidates = _greedy_restarts(m, restarts, random.Random(seed))
+    if loops(m):
+        raise LoopError("anchor classes need a loop-free matroid")
+    if m.n == 0:
+        return BaseSearchResult(OrderedBase(()), 0, True, 1)
     best, searched = None, 0
     for searched, ob in enumerate(candidates, 1):
         key = (anchor_classes(m, ob).max_class_size, ob.elements)

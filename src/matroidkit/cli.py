@@ -38,7 +38,6 @@ from .files import (
     parse_listing_text,
     parse_matroid_text,
     parse_subset_literal,
-    serialize_matroid,
 )
 from .lemmas import run_lemma_battery
 

@@ -109,13 +109,13 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
     LoopError when no proper coloring exists at all, and MatroidError
     when a loop-free oracle admits none: some singleton has rank > 1.
     """
+    _refuse_above(m.n, CHROMATIC_BOUND if max_n is None else max_n, "chromatic search")
+    table = m.mask_table()
     lp = loops(m)
     if lp:
         raise LoopError(f"no proper coloring exists: loops {set_literal(lp)}")
-    _refuse_above(m.n, CHROMATIC_BOUND if max_n is None else max_n, "chromatic search")
     if m.n == 0:
         return ChromaticResult(0, {})
-    table = m.mask_table()
     alpha = max((s.bit_count() for s, r in enumerate(table) if r == s.bit_count()), default=0)
     start = -(-m.n // alpha) if alpha else m.n + 1  # no class fits: nothing to search
     for k in range(start, m.n + 1):
@@ -248,16 +248,16 @@ def list_chromatic_number(
     docstring), and the first uncolorable one is the witness for k.
     ``max_n`` raises the size bound, but not past LIST_ENUM_N_CEILING.
     """
-    lp = loops(m)
-    if lp:
-        raise LoopError(f"no list coloring exists: loops {set_literal(lp)}")
     bound = LIST_ENUM_N_BOUND if max_n is None else min(max_n, LIST_ENUM_N_CEILING)
     _refuse_above(m.n, bound, "listing enumeration")
     if kmax < 1 or kmax > LIST_ENUM_KMAX:
         raise BoundExceededError(f"kmax must be in 1..{LIST_ENUM_KMAX}, got {kmax}")
+    table = m.mask_table()
+    lp = loops(m)
+    if lp:
+        raise LoopError(f"no list coloring exists: loops {set_literal(lp)}")
     if m.n == 0:
         return ListChromaticResult(0, kmax, {})
-    table = m.mask_table()
     order = range(m.n)  # every list of a k-listing has k colors
     bad_listings: dict[int, dict[int, tuple[int, ...]]] = {}
     for k in range(1, kmax + 1):

@@ -5,10 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
+    VALIDATION_BOUND,
     AxiomError,
     GroundSetError,
     Matroid,
     _derived,
+    _refuse_above,
     bits,
     canonical,
     mask_of,
@@ -85,6 +87,10 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Mat
     return Matroid(n, rank, name=name or f"graphic({n} edges)", spec=spec)
 
 
+# trial division up to sqrt(p) stays under 50,000 steps below this order
+FIELD_ORDER_BOUND = 1 << 31
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -105,6 +111,8 @@ class VectorSpec:
     vectors: tuple[tuple[int, ...], ...]  # vectors[id] = coordinates
 
     def __post_init__(self):
+        if self.p >= FIELD_ORDER_BOUND:
+            raise GroundSetError(f"field order {self.p} is too large: it must be below 2^31")
         if not _is_prime(self.p):
             raise GroundSetError(f"field order {self.p} is not prime")
         if self.dim < 1:
@@ -160,6 +168,9 @@ class TableSpec:
     ranks: dict[frozenset[int], int] = field(hash=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise GroundSetError("ground set size must be nonnegative")
+        _refuse_above(self.n, VALIDATION_BOUND, "mask table")
         for key in self.ranks:
             if any(e < 0 or e >= self.n for e in key):
                 raise GroundSetError(

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .bases import all_bases, anchor_classes, is_base, ordered_bases
+from .bases import OrderedBase, _circuit_base_part, all_bases, anchor_classes, is_base
 from .closure import _closed_masks, closure_by_intersection, is_closed
 from .closure import closure as closure_of
 from .coloring import chromatic_number, distinct_color_fallback, is_proper
@@ -32,8 +32,10 @@ from .core import (
 )
 
 LEMMA_BOUND = 8
-# max_n may lift LEMMA_BOUND up to here, never past it: L17 sweeps all
-# r! * C(n, r) ordered bases, and uniform(9, 7) already takes 11 s
+# max_n may lift LEMMA_BOUND up to here, never past it.  L17 peels each
+# base once, so the slowest check is now L10ab's fitting sweep, about 5^n
+# subset triples: the battery on uniform(9, 7) takes 0.8 s, and at n = 10
+# it takes up to 6.8 s (uniform(10, 5)), L10ab 1.9-2.4 s of it
 LEMMA_N_CEILING = 9
 
 
@@ -389,22 +391,59 @@ def check_circuit_closure_absorption(m: Matroid) -> LemmaResult:
     return _ok(key, title, "" if cmasks else "vacuous: no circuits")
 
 
+def _distinct_anchor_order(parts: list[int], base: int) -> tuple[int, ...] | None:
+    """A base order giving each part a distinct order-maximum, or None.
+
+    ``parts`` are masks inside the ``base`` mask: the fundamental-circuit
+    base parts F_x of one circuit's elements.  Peel: remove a base element
+    that lies in at most one pending part, and retire that part.  Removing
+    an element only lowers the counts of the others, so the peel empties
+    every part iff some order works, whatever the removal order.  The
+    untouched elements, then the removed ones read backwards, are such an
+    order: each part's maximum is the element that retired it.
+    """
+    pending, removed = list(parts), []
+    while pending:
+        e = next((e for e in bits(base) if sum(p >> e & 1 for p in pending) <= 1), None)
+        if e is None:
+            return None
+        removed.append(e)
+        base &= ~(1 << e)
+        pending = [p for p in pending if not p >> e & 1]
+    return (*bits(base), *reversed(removed))
+
+
 def check_anchor_repetition(m: Matroid) -> LemmaResult:
+    """L17: under every ordered base, every circuit repeats an anchor.
+
+    The anchor of x is the order-maximum of its fundamental-circuit base
+    part F_x ({x} for x in the base), so for each base, in all_bases
+    order, one peel per circuit decides whether some order of that base
+    gives the circuit distinct anchors.  anchor_classes runs once per
+    base for its loop, base and swap checks.  A failure names the first
+    such base and circuit, with an order the peel found.
+    """
     key, title = "L17", "every circuit repeats an anchor value"
     if not is_loop_free(m):
         return _ok(key, title, "vacuous: loops present")
     circs = [c.members for c in circuits(m)]
     if not circs:
         return _ok(key, title, "vacuous: no circuits")
-    for ob in ordered_bases(m):
-        decomp = anchor_classes(m, ob)
+    for b in all_bases(m):
+        ob = OrderedBase(b)
+        anchor_classes(m, ob)
+        bmask = mask_of(b)
+        parts = [
+            1 << x if bmask >> x & 1 else mask_of(_circuit_base_part(m, ob, x))
+            for x in range(m.n)
+        ]
         for c in circs:
-            anchors = [decomp.mapping[x] for x in c]
-            if len(set(anchors)) == len(anchors):
+            order = _distinct_anchor_order([parts[x] for x in c], bmask)
+            if order is not None:
                 return _fail(
                     key,
                     title,
-                    f"base {ob.elements} circuit {set_literal(c)}: all anchors distinct",
+                    f"base {order} circuit {set_literal(c)}: all anchors distinct",
                 )
     return _ok(key, title)
 

@@ -17,16 +17,20 @@ from matroidkit import (
     LoopError,
     MatroidError,
     VectorSpec,
+    anchor_classes,
     catalog,
     circuits,
     fundamental_circuit_bruteforce,
     graphic,
+    is_loop_free,
     linear,
     loops,
+    ordered_bases,
     uniform,
 )
 from matroidkit.coloring import CHROMATIC_BOUND, _list_colorings, all_canonical_listings
 from matroidkit.core import AxiomReport, bits, set_literal
+from matroidkit.lemmas import _fail, _ok
 
 
 def powerset(iterable):
@@ -105,6 +109,32 @@ def brute_anchor(m, b, x):
     return max(on_base, key=b.elements.index)
 
 
+def anchor_repetition_by_sweep(m):
+    """L17 by one anchor decomposition per ordered base, r! * C(n, r) of them.
+
+    The reference for the library's per-base peel: bases lex, orders lex,
+    circuits in (size, lex) order; the first circuit whose anchors are
+    all distinct fails the check.
+    """
+    key, title = "L17", "every circuit repeats an anchor value"
+    if not is_loop_free(m):
+        return _ok(key, title, "vacuous: loops present")
+    circs = [c.members for c in circuits(m)]
+    if not circs:
+        return _ok(key, title, "vacuous: no circuits")
+    for ob in ordered_bases(m):
+        decomp = anchor_classes(m, ob)
+        for c in circs:
+            anchors = [decomp.mapping[x] for x in c]
+            if len(set(anchors)) == len(anchors):
+                return _fail(
+                    key,
+                    title,
+                    f"base {ob.elements} circuit {set_literal(c)}: all anchors distinct",
+                )
+    return _ok(key, title)
+
+
 def chromatic_by_deepening(m, max_n=None):
     """Chromatic number by list-coloring searches at k = 1, 2, .. in turn.
 
@@ -113,15 +143,15 @@ def chromatic_by_deepening(m, max_n=None):
     Raises what the library raises: LoopError, BoundExceededError, or
     MatroidError when no k up to n admits a coloring.
     """
-    lp = loops(m)
-    if lp:
-        raise LoopError(f"no proper coloring exists: loops {set_literal(lp)}")
     bound = CHROMATIC_BOUND if max_n is None else max_n
     if m.n > bound:
         raise BoundExceededError(f"chromatic search needs n <= {bound}, got {m.n}")
+    table = m.mask_table()
+    lp = loops(m)
+    if lp:
+        raise LoopError(f"no proper coloring exists: loops {set_literal(lp)}")
     if m.n == 0:
         return ChromaticResult(0, {})
-    table = m.mask_table()
     for k in range(1, m.n + 1):
         lists = {x: range(min(x + 1, k)) for x in range(m.n)}
         witness = next(_list_colorings(table, range(m.n), lists, {}, {}), None)

@@ -21,7 +21,6 @@ from matroidkit import (
     contract,
     extend_coloring,
     first_uncolorable_level,
-    fits,
     graphic,
     is_closed,
     is_loop_free,
@@ -29,12 +28,11 @@ from matroidkit import (
     linear,
     list_chromatic_number,
     ordered_bases,
-    restriction_colorings,
     run_lemma_battery,
     uniform,
     validate_axioms,
 )
-from matroidkit.catalog import desk_suite, triangle
+from matroidkit.catalog import desk_suite
 from matroidkit.cli import run
 from matroidkit.compactness import disjoint_triangles
 from matroidkit.files import parse_matroid_text, serialize_matroid

@@ -11,6 +11,7 @@ DATA = Path(__file__).parent / "data"
 U24 = str(DATA / "u24.m")
 TRIANGLE = str(DATA / "triangle.m")
 GF2 = str(DATA / "gf2_line.m")
+U2M = "matroid uniform\nn 2000000\nk 3\n"
 
 
 def invoke(argv):
@@ -274,6 +275,29 @@ def test_list_chromatic_max_n_cannot_pass_the_listing_ceiling(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: listing enumeration needs n <= 6, got 7"]
+
+
+@pytest.mark.parametrize(
+    "text, argv, error",
+    [
+        (U2M, ["chromatic"], "chromatic search needs n <= 12, got 2000000"),
+        (U2M, ["chromatic", "--max-n", "99999999"], "mask table needs n <= 16, got 2000000"),
+        (U2M, ["list-chromatic"], "listing enumeration needs n <= 5, got 2000000"),
+        ("matroid table\nn -1\nrank {} 0\n", ["validate"], "ground set size must be nonnegative"),
+        ("matroid table\nn 20000\nrank {} 0\n", ["validate"], "mask table needs n <= 16, got 20000"),
+        (
+            "matroid linear\nfield 1000000000000000000000000000057\ndim 1\nvec 0 1\n",
+            ["validate"],
+            "field order 1000000000000000000000000000057 is too large: it must be below 2^31",
+        ),
+    ],
+)
+def test_absurd_sizes_are_refused_before_any_work(tmp_path, capsys, text, argv, error):
+    path = tmp_path / "absurd.m"
+    path.write_text(text)
+    code, _ = invoke([*argv, "-i", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
 def test_byte_identical_reruns():

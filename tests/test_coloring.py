@@ -10,13 +10,13 @@ from matroidkit import (
     LoopError,
     MatroidError,
     OrderedBase,
+    best_base_bound,
     chain_from_matroids,
     chromatic_number,
     color_from_base,
     degree_bound_check,
     distinct_color_fallback,
     find_monochromatic_circuit,
-    greedy_base,
     is_list_colorable,
     is_proper,
     list_chromatic_number,
@@ -105,6 +105,25 @@ def test_chromatic_starts_at_n_over_the_largest_independent_set(monkeypatch):
     )
     assert chromatic_number(uniform(12, 2)).value == 6
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "search, n, error",
+    [
+        (chromatic_number, 13, "chromatic search needs n <= 12, got 13"),
+        (lambda m: chromatic_number(m, max_n=99999999), 17, "mask table needs n <= 16, got 17"),
+        (list_chromatic_number, 7, "listing enumeration needs n <= 5, got 7"),
+        (best_base_bound, 9, "exhaustive base search needs n <= 8, got 9"),
+    ],
+)
+def test_size_refusals_come_before_any_oracle_call(search, n, error):
+    # every element is a loop, yet the bound is refused before loops are read
+    calls = []
+    m = Matroid(n, lambda a: calls.append(a) or 0)
+    with pytest.raises(BoundExceededError) as err:
+        search(m)
+    assert str(err.value) == error
+    assert calls == []
 
 
 def test_chromatic_rejects_loops():

@@ -4,6 +4,7 @@ import pytest
 
 from matroidkit import (
     AxiomError,
+    BoundExceededError,
     GraphSpec,
     GroundSetError,
     TableSpec,
@@ -94,6 +95,15 @@ def test_linear_rejects_nonprime():
         linear(VectorSpec(2, 2, ((1, 0, 0),)))
 
 
+def test_linear_refuses_field_orders_from_two_to_the_31():
+    # trial division would run for years on a 31-digit prime
+    for p in (10**30 + 57, 2**31):
+        with pytest.raises(GroundSetError) as err:
+            VectorSpec(p, 1, ((1,),))
+        assert str(err.value) == f"field order {p} is too large: it must be below 2^31"
+    assert linear(VectorSpec(2**31 - 1, 1, ((1,),))).full_rank() == 1
+
+
 def test_linear_gf3():
     # (1,0),(0,1),(1,1),(1,2) over GF(3): any two of the last three are a basis
     m = linear(VectorSpec(3, 2, ((1, 0), (0, 1), (1, 1), (1, 2))))
@@ -136,6 +146,16 @@ def test_table_spec_rejects_ids_outside_ground_set():
         from_table(TableSpec(1, {frozenset(): 0, frozenset({5}): 1}))
     with pytest.raises(GroundSetError, match="outside ground set"):
         TableSpec(2, {frozenset({-1}): 0})
+
+
+def test_table_spec_refuses_bad_sizes_before_sizing_the_table():
+    with pytest.raises(GroundSetError) as err:
+        TableSpec(-1, {frozenset(): 0})
+    assert str(err.value) == "ground set size must be nonnegative"
+    for n in (17, 20000):
+        with pytest.raises(BoundExceededError) as err:
+            TableSpec(n, {frozenset(): 0})
+        assert str(err.value) == f"mask table needs n <= 16, got {n}"
 
 
 def test_from_table_graphic():

@@ -1,8 +1,14 @@
-from matroidkit import Matroid, run_lemma_battery, uniform
-from matroidkit.core import bits
-from matroidkit.lemmas import BATTERY
+import ast
+import random
+from collections import Counter
 
-from conftest import perturbed_tables
+from matroidkit import Matroid, MatroidError, OrderedBase, anchor_classes, run_lemma_battery, uniform
+from matroidkit import lemmas
+from matroidkit.core import bits
+from matroidkit.files import parse_subset_literal
+from matroidkit.lemmas import BATTERY, check_anchor_repetition
+
+from conftest import anchor_repetition_by_sweep, perturbed_tables, random_matroid
 
 
 def test_battery_keys_and_order():
@@ -74,3 +80,64 @@ def test_battery_aborts_only_on_named_oracle_faults():
         results = run_lemma_battery(Matroid(n, lambda a, t=table: t[a]))
         aborted += sum(r.detail.startswith("check aborted: ") for r in results)
     assert aborted > 0
+
+
+def _outcome(check, m):
+    try:
+        r = check(m)
+    except MatroidError as e:
+        return "abort", f"check aborted: {e}"
+    return r.status, r.detail
+
+
+def _anchor_oracles(suite7):
+    """Desk suite, seeded random matroids and perturbed non-matroid tables."""
+    for m in suite7:
+        yield m.name, m
+    rng = random.Random(11)
+    for kind in ("uniform", "graphic", "gf2", "gf3"):
+        for n in range(1, 8):
+            for _ in range(3):
+                m = random_matroid(rng, kind, n)
+                yield m.name, m
+    for seed in (4, 5, 6):
+        for label, n, table in perturbed_tables(seed=seed, per_base=10):
+            yield label, Matroid(n, lambda a, t=table: t[a])
+
+
+def _named_order(detail):
+    """The ordered base and circuit of an L17 fail detail."""
+    head, circuit = detail.removeprefix("base ").split(" circuit ")
+    return OrderedBase(ast.literal_eval(head)), parse_subset_literal(circuit.split(":")[0])
+
+
+def test_anchor_repetition_matches_the_order_sweep(suite7):
+    statuses = Counter()
+    for label, m in _anchor_oracles(suite7):
+        status, detail = _outcome(check_anchor_repetition, m)
+        ref_status, ref_detail = _outcome(anchor_repetition_by_sweep, m)
+        assert status == ref_status, (label, detail, ref_detail)
+        statuses[status] += 1
+        if status != "fail":
+            assert detail == ref_detail, label
+            continue
+        # the peel may name another order of the same base, and another circuit
+        ob, circuit = _named_order(detail)
+        assert ob.as_set() == _named_order(ref_detail)[0].as_set(), label
+        anchors = [anchor_classes(m, ob).mapping[x] for x in circuit]
+        assert len(set(anchors)) == len(anchors), (label, detail)
+    assert statuses == {"pass": 792, "abort": 44, "fail": 14}
+
+
+def test_anchor_repetition_builds_one_decomposition_per_base(monkeypatch):
+    built = []
+
+    def counting(m, b):
+        built.append(b)
+        return anchor_classes(m, b)
+
+    monkeypatch.setattr(lemmas, "anchor_classes", counting)
+    for m, bases in ((uniform(9, 7), 36), (uniform(8, 7), 8)):
+        built.clear()
+        assert check_anchor_repetition(m).status == "pass"
+        assert len(built) == bases, m.name
