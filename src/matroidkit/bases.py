@@ -26,6 +26,7 @@ from .core import (
     Matroid,
     MatroidError,
     _refuse_above,
+    _refuse_ground_set_scan,
     canonical,
     loops,
     mask_of,
@@ -70,6 +71,7 @@ def greedy_base(m: Matroid, order=None) -> OrderedBase:
 
     Loops are never added.  The base order is the insertion order.
     """
+    _refuse_ground_set_scan(m.n)
     if order is None:
         order = range(m.n)
     order = tuple(order)

@@ -32,7 +32,15 @@ from .compactness import (
     first_uncolorable_level,
 )
 from .contraction import contract
-from .core import Matroid, MatroidError, circuits, mask_of, set_literal, validate_axioms
+from .core import (
+    Matroid,
+    MatroidError,
+    _refuse_ground_set_scan,
+    circuits,
+    mask_of,
+    set_literal,
+    validate_axioms,
+)
 from .files import (
     parse_chain_text,
     parse_listing_text,
@@ -79,9 +87,10 @@ def _load_lists(args, n: int):
 
 
 def _parse_order(text: str | None, n: int):
-    """The --order permutation, or the identity when it is not given."""
+    """The --order permutation, or None (the identity) when it is not given."""
     if not text:
-        return tuple(range(n))
+        return None
+    _refuse_ground_set_scan(n)
     try:
         order = tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -181,7 +190,7 @@ def cmd_base(args, out: _Out) -> int:
     order = _parse_order(args.order, m.n)
     ob = greedy_base(m, order)
     out.kv("matroid", m.name)
-    out.kv("order", ",".join(str(x) for x in order))
+    out.kv("order", ",".join(str(x) for x in (order or range(m.n))))
     out.kv("base", "(" + ",".join(str(x) for x in ob.elements) + ")")
     out.kv("base-size", len(ob))
     out.note("greedy scan; an element enters iff it raises the running rank")
@@ -194,7 +203,7 @@ def cmd_mb(args, out: _Out) -> int:
     ob = greedy_base(m, order)
     decomp = anchor_classes(m, ob)
     out.kv("matroid", m.name)
-    out.kv("order", ",".join(str(x) for x in order))
+    out.kv("order", ",".join(str(x) for x in (order or range(m.n))))
     out.kv("base", "(" + ",".join(str(x) for x in ob.elements) + ")")
     for x in range(m.n):
         out.kv("anchor", f"{x} -> {decomp.mapping[x]}")

@@ -8,7 +8,15 @@ same operator.
 
 from __future__ import annotations
 
-from .core import CIRCUIT_BOUND, Matroid, _masks_by_size, _refuse_above, bits, canonical
+from .core import (
+    CIRCUIT_BOUND,
+    Matroid,
+    _masks_by_size,
+    _refuse_above,
+    _refuse_ground_set_scan,
+    bits,
+    canonical,
+)
 
 
 def _is_closed_mask(m: Matroid, z: int) -> bool:
@@ -19,11 +27,13 @@ def _is_closed_mask(m: Matroid, z: int) -> bool:
 
 def is_closed(m: Matroid, z) -> bool:
     """True iff adding any outside element strictly raises the rank."""
+    _refuse_ground_set_scan(m.n)
     return _is_closed_mask(m, m._checked_mask(z))
 
 
 def closure(m: Matroid, x) -> tuple[int, ...]:
     """Smallest closed superset: x plus every element that keeps rank flat."""
+    _refuse_ground_set_scan(m.n)
     xs = m.check_subset(x)
     rx = m.rank(xs)
     out = set(xs)

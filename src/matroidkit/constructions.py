@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import (
     VALIDATION_BOUND,
@@ -25,6 +26,19 @@ class UniformSpec:
 
     n: int
     k: int
+
+
+def _fold(start, step) -> Callable[[int], int]:
+    """The rank oracle that folds a construction's step over a subset's elements."""
+
+    def rank(a: int) -> int:
+        state, r = start, 0
+        for x in bits(a):
+            state, gain = step(state, x)
+            r += gain
+        return r
+
+    return rank
 
 
 def uniform(n: int, k: int) -> Matroid:
@@ -58,33 +72,29 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Mat
 
     rank(A) = (vertices covered by A) - (connected components of the
     subgraph those edges induce).  A self-loop covers one vertex and one
-    component, hence has rank 0.
+    component, hence has rank 0.  The state of a set is a tuple of
+    component labels, one per vertex; an edge gains rank iff it joins two
+    components.  The oracle folds this step over the subset's edges.
     """
     if not isinstance(spec, GraphSpec):
         spec = GraphSpec(tuple(spec))
     by_id = {e[0]: (e[1], e[2]) for e in spec.edges}
     n = len(spec.edges)
+    vertex = {v: i for i, v in enumerate(sorted({v for edge in by_id.values() for v in edge}))}
+    ends = [(vertex[by_id[e][0]], vertex[by_id[e][1]]) for e in range(n)]
 
-    def rank(a: int) -> int:
-        edges = [by_id[e] for e in bits(a)]
-        parent = {v: v for edge in edges for v in edge}
+    def step(labels: tuple[int, ...], e: int) -> tuple[tuple[int, ...], int]:
+        u, v = ends[e]
+        keep, gone = labels[u], labels[v]
+        if keep == gone:
+            return labels, 0
+        return tuple(keep if c == gone else c for c in labels), 1
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        # covered vertices minus components = number of merging edges
-        merges = 0
-        for u, v in edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                merges += 1
-        return merges
-
-    return Matroid(n, rank, name=name or f"graphic({n} edges)", spec=spec)
+    start = tuple(range(len(vertex)))
+    return Matroid(
+        n, _fold(start, step), name=name or f"graphic({n} edges)", spec=spec,
+        step=(start, step),
+    )
 
 
 # trial division up to sqrt(p) stays under 50,000 steps below this order
@@ -122,41 +132,34 @@ class VectorSpec:
                 raise GroundSetError(f"vector {i} has length {len(v)}, want {self.dim}")
 
 
-def _gf_rank(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination mod p with exact integer arithmetic."""
-    rows = [r[:] for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((i for i in range(row, len(rows)) if rows[i][col] % p != 0), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = pow(rows[row][col], p - 2, p)
-        rows[row] = [(x * inv) % p for x in rows[row]]
-        for i in range(len(rows)):
-            if i != row and rows[i][col] % p:
-                f = rows[i][col] % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[row])]
-        row += 1
-        rank += 1
-    return rank
-
-
 def linear(spec: VectorSpec, name: str = "") -> Matroid:
     """Linear matroid of a list of vectors over a prime field.
 
     rank(A) = dimension of the span of A's vectors, computed exactly.
-    Coordinates are reduced mod p at construction.
+    Coordinates are reduced mod p at construction.  The state of a set
+    is an echelon basis of its span, a tuple of (pivot, row) pairs with
+    row[pivot] = 1 and each row zero at the pivots before it; a vector
+    gains rank iff it does not reduce to zero against the basis.  The
+    oracle folds this step over the subset's elements.
     """
-    vecs = [[c % spec.p for c in v] for v in spec.vectors]
+    p = spec.p
+    vecs = [tuple(c % p for c in v) for v in spec.vectors]
 
-    def rank(a: int) -> int:
-        return _gf_rank([vecs[i] for i in bits(a)], spec.p)
+    def step(basis: tuple, i: int) -> tuple[tuple, int]:
+        v = vecs[i]
+        for pivot, row in basis:
+            f = v[pivot]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        for pivot, c in enumerate(v):
+            if c:
+                inv = pow(c, -1, p)
+                return basis + ((pivot, tuple(a * inv % p for a in v)),), 1
+        return basis, 0
 
     return Matroid(
-        len(vecs), rank, name=name or f"linear(GF({spec.p}),{len(vecs)} vecs)", spec=spec
+        len(vecs), _fold((), step), name=name or f"linear(GF({p}),{len(vecs)} vecs)", spec=spec,
+        step=((), step),
     )
 
 

@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import itertools
 
-from .core import GroundSetError, Matroid, _derived, bits, canonical, mask_of, set_literal
+from .core import (
+    GroundSetError,
+    Matroid,
+    _derived,
+    _refuse_ground_set_scan,
+    bits,
+    canonical,
+    mask_of,
+    set_literal,
+)
 
 
 def contract(m: Matroid, z) -> Matroid:
@@ -19,6 +28,7 @@ def contract(m: Matroid, z) -> Matroid:
     r'(A) = r(A u z) - r(z).  The result carries an element_map from new
     ids back to the original ones.
     """
+    _refuse_ground_set_scan(m.n)
     zs = m.check_subset(z)
     zmask = mask_of(zs)
     keep = canonical(x for x in range(m.n) if x not in zs)

@@ -231,7 +231,8 @@ def parse_listing_text(text: str, n: int | None = None) -> dict[int, frozenset]:
         if lid in lists:
             raise ParseError(no, f"element {lid} listed twice")
         lists[lid] = frozenset(parts[3:])
-    if n is not None and set(lists) != set(range(n)):
+    # compare sizes first, so a huge n is refused without building range(n)
+    if n is not None and (len(lists) != n or set(lists) != set(range(n))):
         raise MatroidError(
             f"listing covers {sorted(lists)} but the ground set is 0..{n-1}"
         )

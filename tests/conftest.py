@@ -40,6 +40,32 @@ def powerset(iterable):
     )
 
 
+def _gf_rank(rows, p):
+    """Gaussian elimination mod p with exact integer arithmetic.
+
+    The reference for linear matroids, whose oracle and mask table fold
+    an echelon-insertion step instead.
+    """
+    rows = [r[:] for r in rows]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    row = 0
+    for col in range(cols):
+        pivot = next((i for i in range(row, len(rows)) if rows[i][col] % p != 0), None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        inv = pow(rows[row][col], p - 2, p)
+        rows[row] = [(x * inv) % p for x in rows[row]]
+        for i in range(len(rows)):
+            if i != row and rows[i][col] % p:
+                f = rows[i][col] % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[row])]
+        row += 1
+        rank += 1
+    return rank
+
+
 def brute_circuits(m):
     """Minimal dependent sets straight from the independence definition."""
     dependent = [

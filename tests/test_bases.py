@@ -3,6 +3,7 @@ import random
 import pytest
 
 from matroidkit import (
+    BoundExceededError,
     GroundSetError,
     LoopError,
     Matroid,
@@ -13,10 +14,13 @@ from matroidkit import (
     anchor_classes,
     best_base_bound,
     circuits,
+    closure,
+    contract,
     fundamental_circuit,
     fundamental_circuit_bruteforce,
     greedy_base,
     is_base,
+    is_closed,
     ordered_bases,
     uniform,
 )
@@ -39,6 +43,19 @@ def test_greedy_base_validates_order():
         greedy_base(uniform(3, 2), (0, 1))
     with pytest.raises(GroundSetError):
         greedy_base(uniform(3, 2), (0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [greedy_base, lambda m: greedy_base(m, (1, 0)), lambda m: closure(m, {0}),
+     lambda m: is_closed(m, {0}), lambda m: contract(m, {0})],
+)
+def test_ground_set_scans_refuse_above_their_ceiling(scan):
+    # refused before range(n) is built: 10^18 elements would not fit in memory
+    with pytest.raises(BoundExceededError, match=r"^ground-set scan needs n <= 10000, got 10001$"):
+        scan(uniform(10_001, 3))
+    with pytest.raises(BoundExceededError):
+        scan(uniform(10**18, 3))
 
 
 def test_greedy_base_always_a_base(suite6):

@@ -300,6 +300,49 @@ def test_absurd_sizes_are_refused_before_any_work(tmp_path, capsys, text, argv, 
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
+U1E18 = "matroid uniform\nn 1000000000000000000\nk 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["base"],
+        ["base", "--order", "1,0"],
+        ["mb"],
+        ["color-from-base", "--lists", str(DATA / "golden" / "ab-3.l")],
+        ["closure", "--subset", "{0}"],
+        ["closed", "--subset", "{0}"],
+        ["contract", "--contract", "{0}"],
+    ],
+)
+def test_ground_set_scans_refuse_a_huge_file(tmp_path, capsys, argv):
+    # each of these walks the ground set element by element
+    path = tmp_path / "huge.m"
+    path.write_text(U1E18)
+    code, _ = invoke([*argv, "-i", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ground-set scan needs n <= 10000, got 1000000000000000000"
+    ]
+
+
+def test_listing_for_a_huge_ground_set_is_refused_by_its_size(tmp_path, capsys):
+    path = tmp_path / "huge.m"
+    path.write_text(U1E18)
+    lists = str(DATA / "golden" / "ab-3.l")
+    code, _ = invoke(["compactness", "--family", str(path), "--lists", lists])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: listing covers [0, 1, 2] but the ground set is 0..999999999999999999"
+    ]
+
+
+def test_validate_walks_a_table_at_its_ceiling():
+    code, out = invoke(["validate", "-i", str(DATA / "gf3_16.m")])
+    assert code == 0
+    assert kv(out)["n"] == ["16"] and kv(out)["axioms"] == ["pass"]
+
+
 def test_byte_identical_reruns():
     for argv in [
         ["circuits", "-i", U24],
