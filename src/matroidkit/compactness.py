@@ -196,7 +196,11 @@ def first_uncolorable_level(chain: MatroidChain, lists, depth: int):
     """Smallest level index up to depth with no proper list coloring, or None.
 
     Each level is tested for the existence of one coloring; none is listed.
+    A negative depth is refused before any level is built, as by
+    ``chain.level``.
     """
+    if depth < 0:
+        raise GroundSetError("chain levels are indexed from 0")
     for i in range(depth + 1):
         if next(_level_colorings(chain, lists, i), None) is None:
             return i

@@ -28,7 +28,7 @@ from matroidkit import (
     ordered_bases,
     uniform,
 )
-from matroidkit.coloring import CHROMATIC_BOUND, _list_colorings, all_canonical_listings
+from matroidkit.coloring import CHROMATIC_BOUND, _list_colorings
 from matroidkit.core import AxiomReport, bits, set_literal
 from matroidkit.lemmas import _fail, _ok
 
@@ -98,6 +98,32 @@ def brute_list_colorings(m, lists, order):
         if not any(circ <= cls for circ in circs for cls in classes.values()):
             out.append(phi)
     return out
+
+
+def all_canonical_listings(n: int, k: int, colors: int):
+    """Every k-listing on n elements, up to renaming, with <= `colors` colors.
+
+    Element i chooses a k-set from the colors seen so far plus a run of
+    fresh ones; fresh colors take the next unused labels, which is exactly
+    the first-occurrence canonical form.  The run is capped at
+    ``colors - used``; ``colors = n * k`` gives the full space.  The first
+    listing is the constant one, {0..k-1} on every element.  The reference
+    for the library's prefix walk, which visits these listings in this
+    order.
+    """
+    acc: list[tuple[int, ...]] = []
+
+    def rec(i: int, used: int):
+        if i == n:
+            yield tuple(acc)
+            return
+        for fresh in range(min(k, colors - used) + 1):
+            for old in itertools.combinations(range(used), k - fresh):
+                acc.append(tuple(sorted(old + tuple(range(used, used + fresh)))))
+                yield from rec(i + 1, used + fresh)
+                acc.pop()
+
+    yield from rec(0, 0)
 
 
 def brute_list_chromatic(m, kmax):

@@ -6,6 +6,7 @@ from matroidkit import (
     BUILTIN_FAMILIES,
     BoundExceededError,
     ChainError,
+    GroundSetError,
     Matroid,
     MatroidChain,
     chain_from_matroids,
@@ -90,6 +91,16 @@ def test_extend_coloring_uncolorable_level():
     # monotone failure: deeper searches fail too, shallower ones succeed
     assert extend_coloring(chain, lists, 2) is None
     assert extend_coloring(chain, lists, 1) is not None
+
+
+def test_every_chain_query_refuses_a_negative_depth_before_building_a_level():
+    built = []
+    chain = MatroidChain("counted", lambda i: built.append(i) or uniform(i + 2, 1))
+    queries = [extend_coloring, restriction_colorings, first_uncolorable_level]
+    for query in queries:
+        with pytest.raises(GroundSetError, match="^chain levels are indexed from 0$"):
+            query(chain, two_lists(2), -1)
+    assert built == []
 
 
 def test_growing_cycle_extension():

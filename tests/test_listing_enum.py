@@ -3,10 +3,10 @@
 import itertools
 import random
 
-from conftest import brute_list_chromatic, brute_list_colorings
+from conftest import all_canonical_listings, brute_list_chromatic, brute_list_colorings
 from matroidkit import graphic, list_chromatic_number, uniform
 from matroidkit.catalog import theta, triangle
-from matroidkit.coloring import _list_colorings, all_canonical_listings
+from matroidkit.coloring import _first_uncolorable_listing, _list_colorings
 from matroidkit.core import is_loop_free
 
 
@@ -165,3 +165,56 @@ def test_random_listings_at_the_answer_are_colorable():
         for _ in range(25):
             lists = {x: frozenset(rng.sample(pool, k)) for x in range(m.n)}
             assert is_list_colorable(m, lists) is not None, (m.name, k)
+
+
+def _sweep_reference(table, n, k, colors):
+    """First uncolorable listing of the reference generator, and its position.
+
+    The position counts the listings tried up to and including the witness,
+    or all of them when every listing is colorable.
+    """
+    tried = 0
+    for listing in all_canonical_listings(n, k, colors):
+        tried += 1
+        if not _listing_colorable(table, listing, n):
+            return listing, tried
+    return None, tried
+
+
+def test_prefix_walk_matches_the_reference_sweep_on_random_tables():
+    # independence tables that need not be matroids reach witnesses other
+    # than the constant listing, so the walk's order is really tested.  The
+    # full 3-listing space on 5 elements holds 507,622 listings, so that one
+    # (n, k, cap) case runs on the first table of its size only.
+    rng = random.Random(13)
+    mismatches, nonconstant = [], 0
+    for n in range(1, 6):
+        for t in range(30):
+            dense = rng.random()
+            table = [0] + [
+                a.bit_count() if rng.random() < dense else rng.randrange(a.bit_count())
+                for a in range(1, 1 << n)
+            ]
+            for k in range(1, 4):
+                for colors in sorted({1, k, n - 1, n * k}):
+                    if (n, k, colors) == (5, 3, 15) and t:
+                        continue
+                    want = _sweep_reference(table, n, k, colors)
+                    if _first_uncolorable_listing(table, n, k, colors) != want:
+                        mismatches.append((n, k, colors, table))
+                    if want[0] not in (None, tuple(tuple(range(k)) for _ in range(n))):
+                        nonconstant += 1
+    assert not mismatches, f"{len(mismatches)} cases differ, first {mismatches[0]}"
+    assert nonconstant >= 50
+
+
+def test_candidates_checked_counts_the_reference_sweep_up_to_each_witness():
+    k4 = graphic([(i, u, v) for i, (u, v) in enumerate(itertools.combinations("abcd", 2))])
+    for m, kmax, want in [(k4, 2, 2), (uniform(5, 2), 3, 3), (uniform(6, 3), 2, 2)]:
+        res = list_chromatic_number(m, kmax=kmax, max_n=6)
+        assert res.value == want, m.name
+        table = m.mask_table()
+        sweeps = [_sweep_reference(table, m.n, k, m.n - 1) for k in range(1, want + 1)]
+        witnesses = [tuple(res.bad_listings[k].values()) for k in range(1, want)] + [None]
+        assert [w for w, _ in sweeps] == witnesses, m.name
+        assert res.candidates_checked == sum(tried for _, tried in sweeps), m.name
