@@ -191,8 +191,9 @@ class TableSpec:
 def from_table(spec: TableSpec) -> Matroid:
     """Matroid backed by an explicit table; rejects non-matroids.
 
-    Construction runs :func:`validate_axioms`, one O(n^2 * 2^n) pass over
-    the local unit-increase axioms, and raises AxiomError (carrying the
+    Construction runs :func:`validate_axioms`, one pass over the local
+    unit-increase axioms in O(n^2) operations on whole-table byte sets,
+    after one oracle call per mask, and raises AxiomError (carrying the
     report of the first local failure: the axiom it breaks and a witness
     that breaks it) if the table is not a matroid rank function.
     """

@@ -97,8 +97,10 @@ class Matroid:
     ``(start, fn)``: ``fn(state, x)`` returns ``(state', gain)``, the
     state of A + x and r(A + x) - r(A), for the state of a set A and x
     above A's top element; ``start`` is the state of the empty set.
-    :meth:`mask_table` walks it instead of calling the oracle.  Instances
-    are immutable apart from the caches.
+    :meth:`mask_table` walks it instead of calling the oracle; a step
+    that returns its input state object (``linear`` and ``graphic`` do
+    when the gain is 0) lets the walk reuse its results for every set
+    above.  Instances are immutable apart from the caches.
     """
 
     def __init__(
@@ -176,9 +178,11 @@ class Matroid:
         only sensible for small n (2^n entries), so it refuses above
         VALIDATION_BOUND even when a caller's own bound is higher, before
         any rank is computed.  A matroid with a construction step is
-        tabulated by one depth-first walk over prefixes (2^n - 1 steps,
-        no oracle call); any other calls its oracle once per mask.  Once
-        built the table replaces the memo, so each rank is stored once.
+        tabulated by one depth-first walk over prefixes, with no oracle
+        call; for ``linear`` and ``graphic`` it steps once per independent
+        set and element above its top, and copies the other ranks.  Any
+        other matroid calls its oracle once per mask.  Once built the
+        table replaces the memo, so each rank is stored once.
         """
         if self._mask_table is None:
             _refuse_above(self.n, VALIDATION_BOUND, "mask table")
@@ -195,18 +199,31 @@ def _walk_table(n: int, start, step) -> list[int]:
 
     Every nonempty mask A + x, with x its top element, is reached from
     its prefix A: r(A + x) = r(A) + gain, where ``step(state of A, x)``
-    returns ``(state of A + x, gain)``.  The recursion holds one state
-    per depth, so at most n + 1 are live, and step runs 2^n - 1 times.
+    returns ``(state of A + x, gain)``.  A step that returns the very
+    state object it was given, with gain 0, leaves every later step
+    unchanged, so the ranks of the whole subtree of A + x repeat those
+    of A's masks above x: they are copied as one strided slice, not
+    walked.  Each node's children are taken from the top element down,
+    so the ranks copied are final.  Reuse is keyed on object identity,
+    so the table is exact for any pure step; ``linear`` and ``graphic``
+    return their input state exactly when the gain is 0, so the walk
+    steps only from the independent sets, once per element above the
+    top one.  The recursion holds one state per depth, at most n + 1
+    live.
     """
     table = [0] * (1 << n)
 
     def visit(mask: int, state, lo: int) -> None:
         rank = table[mask]
-        for x in range(lo, n):
+        for x in range(n - 1, lo - 1, -1):
             child, gain = step(state, x)
-            table[mask | 1 << x] = rank + gain
-            if x + 1 < n:
-                visit(mask | 1 << x, child, x + 1)
+            bit = 1 << x
+            if child is state and not gain:
+                # the masks mask + x + S, S above x, repeat mask + S
+                table[mask | bit :: bit << 1] = table[mask :: bit << 1]
+            else:
+                table[mask | bit] = rank + gain
+                visit(mask | bit, child, x + 1)
 
     visit(0, start, 0)
     return table
@@ -273,15 +290,95 @@ def _submodularity(table: list[int], a: int, b: int) -> AxiomReport:
     )
 
 
+# A byte set is a set of masks of range(n) held as one int whose byte a
+# (little-endian) is 1 iff mask a is in the set, so one int operation acts
+# on all 2^n masks at once; shifting right by 8 << x moves mask a + x onto
+# mask a.  Ranks are held the same way, one byte per mask.
+
+_IS_ZERO = bytes([1]) + bytes(255)  # bytes.translate table: 0 -> 1, else 0
+_RANK_CAP = 254
+
+
+def _rank_bytes(table: list[int]) -> int:
+    """The table with the rank of mask a in byte a, capped at _RANK_CAP.
+
+    The cap leaves room for r + 1 in a byte and is far above any rank of
+    a matroid on 16 elements.  It moves no first failure of the axiom
+    pass: a cap of at least n + 2 keeps the verdict at every mask ranked
+    at most n, and a mask A ranked above n breaks the unit-increase
+    axiom first at some prefix of A (adding A's elements in ascending
+    order from the empty set), a smaller mask ranked at most n.
+    """
+    if max(table) > _RANK_CAP:
+        table = [min(r, _RANK_CAP) for r in table]
+    return int.from_bytes(bytes(table), "little")
+
+
+def _zero_bytes(v: int, n: int) -> int:
+    """The byte set of the masks of range(n) whose byte in v is 0."""
+    return int.from_bytes(v.to_bytes(1 << n, "little").translate(_IS_ZERO), "little")
+
+
+def _without(n: int, x: int) -> int:
+    """The byte set of the masks of range(n) that do not contain x."""
+    bit = 1 << x
+    return int.from_bytes(bytes([1] * bit + [0] * bit) * (1 << (n - 1 - x)), "little")
+
+
+def _ones(n: int) -> int:
+    """The byte set of every mask of range(n)."""
+    return int.from_bytes(bytes([1]) * (1 << n), "little")
+
+
+def _local_failure(table: list[int], n: int, a: int) -> AxiomReport | None:
+    """The first failure of the unit-increase axioms at mask a, or None.
+
+    Elements x outside a are taken in ascending order; for a flat x the
+    flat y below it are tested first.
+    """
+    r = table[a]
+    flat: list[int] = []  # bits x outside a with r(a+x) = r(a)
+    for x in range(n):
+        bit = 1 << x
+        if a & bit:
+            continue
+        ax = a | bit
+        step = table[ax] - r
+        if step == 0:
+            for y in flat:
+                if table[ax | y] != r:
+                    if table[ax | y] < r:
+                        return _monotonicity(table, a, ax | y)
+                    return _submodularity(table, a | y, ax)
+            flat.append(bit)
+        elif step < 0:
+            return _monotonicity(table, a, ax)
+        elif step != 1:
+            if table[bit] > 1:
+                return AxiomReport(
+                    False, "subcardinality", ((x,),), f"rank {table[bit]} > size 1"
+                )
+            return _submodularity(table, a, bit)
+    return None
+
+
 def _is_rank_function(table: list[int], n: int) -> AxiomReport:
     """The first failure of the unit-increase rank axioms, or a pass.
 
     An integer set function on the subsets of a finite set is a matroid
     rank function iff r(empty) = 0 and, for every A and x, y not in A,
     r(A) <= r(A+x) <= r(A) + 1, and r(A+x) = r(A+y) = r(A) implies
-    r(A+x+y) = r(A) (Oxley, *Matroid Theory*, Ch. 1).  One pass over
-    masks and element pairs: O(n^2 * 2^n).  Each local failure is
-    reported as the classic axiom it breaks:
+    r(A+x+y) = r(A) (Oxley, *Matroid Theory*, Ch. 1).  The pass takes
+    the whole table at once, as byte sets (see the comment above
+    :func:`_rank_bytes`).  For each x, the ranks shifted by x against
+    the ranks give flat(x), the masks A without x where r(A+x) = r(A),
+    and the masks where r(A+x) - r(A) is neither 0 nor 1.  A pair y < x
+    fails at the A in flat(x) and flat(y) whose A+x is not in flat(y):
+    one AND over all masks per pair.  That is O(n^2) operations on
+    2^n-byte ints, O(n^2 * 2^n) byte operations in all, none of them a
+    Python-level step per mask.  The first failing mask in mask order
+    is then reported by :func:`_local_failure`, as the classic axiom its
+    failure breaks:
 
     - r(A+x) < r(A): monotonicity at (A, A+x);
     - r(A+x) >= r(A) + 2: subcardinality at {x} if r({x}) >= 2, else
@@ -291,39 +388,33 @@ def _is_rank_function(table: list[int], n: int) -> AxiomReport:
     """
     if table[0] != 0:
         return AxiomReport(False, "normalization", ((),), f"rank({{}}) = {table[0]}")
-    for a in range(1 << n):
-        r = table[a]
-        flat: list[int] = []  # bits x outside a with r(a+x) = r(a)
-        for x in range(n):
-            bit = 1 << x
-            if a & bit:
-                continue
-            ax = a | bit
-            step = table[ax] - r
-            if step == 0:
-                for y in flat:
-                    if table[ax | y] != r:
-                        if table[ax | y] < r:
-                            return _monotonicity(table, a, ax | y)
-                        return _submodularity(table, a | y, ax)
-                flat.append(bit)
-            elif step < 0:
-                return _monotonicity(table, a, ax)
-            elif step != 1:
-                if table[bit] > 1:
-                    return AxiomReport(
-                        False, "subcardinality", ((x,),), f"rank {table[bit]} > size 1"
-                    )
-                return _submodularity(table, a, bit)
-    return AxiomReport(True)
+    ranks = _rank_bytes(table)
+    plus_one = ranks + _ones(n)
+    flats: list[int] = []  # flats[y]: the byte set flat(y)
+    failing = 0
+    for x in range(n):
+        bit = 1 << x
+        above = ranks >> (bit << 3)  # byte a holds r(a + x)
+        outside = _without(n, x)
+        flat = _zero_bytes(above ^ ranks, n) & outside
+        unit = _zero_bytes(above ^ plus_one, n) & outside
+        failing |= outside & ~(flat | unit)
+        for flat_y in flats:
+            failing |= flat & flat_y & ~(flat_y >> (bit << 3))
+        flats.append(flat)
+    if not failing:
+        return AxiomReport(True)
+    first = ((failing & -failing).bit_length() - 1) >> 3
+    return _local_failure(table, n, first)
 
 
 def validate_axioms(m: Matroid) -> AxiomReport:
     """Exhaustively check that the rank oracle is a matroid rank function.
 
     Refuses (rather than sampling) above the mask table's ceiling,
-    VALIDATION_BOUND.  One pass over every subset and element pair,
-    O(n^2 * 2^n), decides by the local unit-increase axioms.  A failure
+    VALIDATION_BOUND.  One pass over the mask table, O(n^2) operations
+    on whole-table byte sets, decides by the local unit-increase axioms
+    (see :func:`_is_rank_function`).  A failure
     names the normalization, subcardinality, monotonicity or
     submodularity violation that its local test exposes, with witness
     subsets that break that axiom on the table; it is the first such
@@ -353,19 +444,30 @@ def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
 
     In a matroid, C is a circuit iff r(C) = |C| - 1 and r(C - e) = |C| - 1
     for every e in C: C is dependent and every maximal proper subset of
-    it is independent, so every proper subset is.
+    it is independent, so every proper subset is.  One pass over the
+    mask table finds them as a byte set (see the comment above
+    :func:`_rank_bytes`): the masks with r = size - 1, less, for each
+    element x, those whose mask minus x is not independent.  That is
+    O(n) operations on 2^n-byte ints; only the few circuits found are
+    then sorted one by one.
     """
     _refuse_above(m.n, CIRCUIT_BOUND if max_n is None else max_n, "circuit enumeration")
     table = m.mask_table()
-    found: list[Circuit] = []
-    for size in range(1, m.n + 1):
-        for combo in itertools.combinations(range(m.n), size):
-            mask = mask_of(combo)
-            if table[mask] != size - 1:
-                continue
-            if all(table[mask & ~(1 << e)] == size - 1 for e in combo):
-                found.append(Circuit(combo))
-    return found
+    n = m.n
+    ranks = _rank_bytes(table)
+    sizes = int.from_bytes(bytes(map(int.bit_count, range(1 << n))), "little")
+    found = _zero_bytes((ranks + _ones(n)) ^ sizes, n)
+    not_independent = _ones(n) ^ _zero_bytes(ranks ^ sizes, n)
+    for x in range(n):
+        found &= ~((not_independent & _without(n, x)) << (8 << x))
+    flags = found.to_bytes(1 << n, "little")
+    members = []
+    mask = flags.find(1)
+    while mask >= 0:
+        members.append(tuple(bits(mask)))
+        mask = flags.find(1, mask + 1)
+    members.sort(key=lambda c: (len(c), c))
+    return [Circuit(c) for c in members]
 
 
 def is_loop_free(m: Matroid) -> bool:

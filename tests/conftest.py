@@ -29,7 +29,7 @@ from matroidkit import (
     uniform,
 )
 from matroidkit.coloring import CHROMATIC_BOUND, _list_colorings
-from matroidkit.core import AxiomReport, bits, set_literal
+from matroidkit.core import AxiomReport, Circuit, _monotonicity, _submodularity, bits, mask_of, set_literal
 from matroidkit.lemmas import _fail, _ok
 
 
@@ -257,6 +257,62 @@ def first_violation(table, n):
                     f"{table[a]}+{table[b]} < {table[a & b]}+{table[a | b]}",
                 )
     return AxiomReport(True)
+
+
+def rank_function_by_pairs(table, n):
+    """The unit-increase rank axioms checked mask by mask and pair by pair.
+
+    O(n^2 * 2^n) Python steps, the reference for the library's byte-set
+    pass: masks in ascending order, elements x outside the mask
+    ascending, and for a flat x every flat y below it.  The first local
+    failure is reported as the classic axiom it breaks, as the library
+    words it.
+    """
+    if table[0] != 0:
+        return AxiomReport(False, "normalization", ((),), f"rank({{}}) = {table[0]}")
+    for a in range(1 << n):
+        r = table[a]
+        flat = []  # bits x outside a with r(a+x) = r(a)
+        for x in range(n):
+            bit = 1 << x
+            if a & bit:
+                continue
+            ax = a | bit
+            step = table[ax] - r
+            if step == 0:
+                for y in flat:
+                    if table[ax | y] != r:
+                        if table[ax | y] < r:
+                            return _monotonicity(table, a, ax | y)
+                        return _submodularity(table, a | y, ax)
+                flat.append(bit)
+            elif step < 0:
+                return _monotonicity(table, a, ax)
+            elif step != 1:
+                if table[bit] > 1:
+                    return AxiomReport(
+                        False, "subcardinality", ((x,),), f"rank {table[bit]} > size 1"
+                    )
+                return _submodularity(table, a, bit)
+    return AxiomReport(True)
+
+
+def circuits_by_sweep(m):
+    """Circuits by a sweep over subsets in (size, lex) order.
+
+    The reference for the library's one byte-set pass: C is kept when
+    r(C) = |C| - 1 and r(C - e) = |C| - 1 for every e in C.
+    """
+    table = m.mask_table()
+    found = []
+    for size in range(1, m.n + 1):
+        for combo in itertools.combinations(range(m.n), size):
+            mask = mask_of(combo)
+            if table[mask] != size - 1:
+                continue
+            if all(table[mask & ~(1 << e)] == size - 1 for e in combo):
+                found.append(Circuit(combo))
+    return found
 
 
 def witness_fault(table, report):

@@ -2,11 +2,14 @@
 
 ``linear`` and ``graphic`` give their matroid a rank step, and
 ``Matroid.mask_table`` builds the table by one depth-first walk over
-prefixes, one step per nonempty mask.  The walked table must equal the
+prefixes.  The walked table must equal the
 table of the plain definition computed mask by mask: Gaussian
 elimination for vectors, covered vertices minus components for graphs.
-The walk must also do no other work: 2^n - 1 steps, no oracle call, and
-nothing at all above the table's ceiling.
+The walk must also do no other work.  Both steps return their input
+state when the gain is 0, and the walk then copies that subtree instead
+of stepping it, so it steps once per independent set and element above
+the set's top element.  It makes no oracle call, and nothing at all
+above the table's ceiling.
 """
 
 import random
@@ -114,16 +117,45 @@ WALKED = {
         [(0, "a", "b"), (1, "b", "a"), (2, "c", "c"), (3, "b", "c"), (4, "c", "d"),
          (5, "d", "a"), (6, "d", "e"), (7, "e", "f"), (8, "f", "a"), (9, "e", "b")]
     ),
+    "linear n=0": linear(VectorSpec(3, 2, ())),
+    "linear n=1": _gf3(1),
+    "linear n=1 zero": linear(VectorSpec(3, 2, ((0, 3),))),
+    "graphic n=0": graphic([]),
+    "graphic n=1": graphic([(0, "a", "b")]),
+    "graphic n=1 self-loop": graphic([(0, "a", "a")]),
 }
 
 
+def _walk_steps(m):
+    """Steps the walk should make, read from the oracle alone.
+
+    n at the root, plus n - 1 - top(M) for every nonempty M whose
+    elements each raised the rank, in ascending order, when added: the
+    independent sets.  Any other mask lies in a subtree that is copied.
+    """
+    return sum(m.n - a.bit_length() for a in range(1 << m.n) if m._oracle(a) == a.bit_count())
+
+
 @pytest.mark.parametrize("kind", sorted(WALKED))
-def test_table_walk_makes_one_step_per_nonempty_mask(kind):
+def test_table_walk_steps_once_per_independent_set_and_element_above_it(kind):
     m = WALKED[kind]
     counted, calls = _counted(m)
     table = counted.mask_table()
-    assert calls == Counter(step=(1 << m.n) - 1)
+    assert calls == Counter(step=_walk_steps(m))
     assert table == [m._oracle(a) for a in range(1 << m.n)]
+
+
+def test_table_walk_copies_only_a_kept_state_with_no_gain():
+    # a step that keeps its state but gains 1 (the free matroid), and one
+    # that gains 0 but moves its state (r(A) = |A| - 1, not a matroid),
+    # must be walked, not copied
+    n = 9
+    free = Matroid(n, int.bit_count, step=(None, lambda s, x: (s, 1)))
+    assert free.mask_table() == [a.bit_count() for a in range(1 << n)]
+    late = Matroid(
+        n, lambda a: max(a.bit_count() - 1, 0), step=(0, lambda s, x: (s + 1, int(s > 0)))
+    )
+    assert late.mask_table() == [max(a.bit_count() - 1, 0) for a in range(1 << n)]
 
 
 def test_table_walk_refuses_17_elements_before_any_step():
