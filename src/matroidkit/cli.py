@@ -13,6 +13,7 @@ errors exit 2 as well).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -363,8 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on its first call; callers of
+    ``build_parser`` get fresh ones, so their changes never reach it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out = _Out()
     _header(out, args)
     try:

@@ -136,36 +136,74 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
     """Linear matroid of a list of vectors over a prime field.
 
     rank(A) = dimension of the span of A's vectors, computed exactly.
-    Coordinates are reduced mod p at construction.  The state of a set
-    is an echelon basis of its span, a tuple of (pivot, row) pairs with
-    row[pivot] = 1 and each row zero at the pivots before it; a vector
-    gains rank iff it does not reduce to zero against the basis.  The
-    oracle folds this step over the subset's elements.
+    Coordinates are reduced mod p at construction.  The state of an
+    independent set is one echelon row on top of its parent's state,
+    ``(parent, pivot, row, memo)``, with row[pivot] = 1 and the row zero
+    at every ancestor's pivot; the empty set's state is None.  A vector
+    gains rank iff its residual against the state's span is not zero,
+    and that residual, scaled, is the new row.  Stepping vector i from a
+    state stores its residual in ``memo[i]``: the residual from a child
+    is then the parent's memo entry after one row operation.  The table
+    walk steps a node's elements top-down, so its children find every
+    residual they need in its memo, and each step costs one row
+    operation.  The oracle folds the same step over a subset's
+    elements; there no memo holds the element yet, so it is reduced
+    through at most rank-many ancestors' rows, root first.
     """
     p = spec.p
     vecs = [tuple(c % p for c in v) for v in spec.vectors]
+    zero = (0,) * spec.dim
 
-    def step(basis: tuple, i: int) -> tuple[tuple, int]:
+    def reduce_by(state, v):
+        """v reduced against the span of a state's rows, the root's row first."""
+        chain = []
+        while state is not None:
+            chain.append(state)
+            state = state[0]
+        for _, pivot, row, _ in reversed(chain):
+            f = v[pivot]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        return v
+
+    def step(state, i: int):
         v = vecs[i]
-        for pivot, row in basis:
+        if state is not None:
+            parent, pivot, row, memo = state
+            if parent is not None:
+                # the walk has stepped i from the parent already; a fold has not
+                v = parent[3].get(i)
+                if v is None:
+                    v = reduce_by(parent, vecs[i])
             f = v[pivot]
             if f:
                 v = [(a - f * b) % p for a, b in zip(v, row)]
         for pivot, c in enumerate(v):
             if c:
-                inv = pow(c, -1, p)
-                return basis + ((pivot, tuple(a * inv % p for a in v)),), 1
-        return basis, 0
+                if state is not None:
+                    memo[i] = v
+                if c != 1:
+                    inv = pow(c, -1, p)
+                    v = [a * inv % p for a in v]
+                return (state, pivot, v, {}), 1
+        if state is not None:
+            memo[i] = zero
+        return state, 0
 
     return Matroid(
-        len(vecs), _fold((), step), name=name or f"linear(GF({p}),{len(vecs)} vecs)", spec=spec,
-        step=((), step),
+        len(vecs), _fold(None, step), name=name or f"linear(GF({p}),{len(vecs)} vecs)",
+        spec=spec, step=(None, step),
     )
 
 
 @dataclass(frozen=True)
 class TableSpec:
-    """An explicit rank table: one value per subset of range(n)."""
+    """An explicit rank table: one value per subset of range(n).
+
+    Each key is checked once, by one subset test against range(n), in
+    the dict's order: the first key with an id outside range(n) is named
+    before a short table is.
+    """
 
     n: int
     ranks: dict[frozenset[int], int] = field(hash=False)
@@ -174,8 +212,9 @@ class TableSpec:
         if self.n < 0:
             raise GroundSetError("ground set size must be nonnegative")
         _refuse_above(self.n, VALIDATION_BOUND, "mask table")
+        ground = frozenset(range(self.n))
         for key in self.ranks:
-            if any(e < 0 or e >= self.n for e in key):
+            if not ground.issuperset(key):
                 raise GroundSetError(
                     f"subset {set_literal(key)} outside ground set (n={self.n})"
                 )
@@ -191,13 +230,18 @@ class TableSpec:
 def from_table(spec: TableSpec) -> Matroid:
     """Matroid backed by an explicit table; rejects non-matroids.
 
-    Construction runs :func:`validate_axioms`, one pass over the local
-    unit-increase axioms in O(n^2) operations on whole-table byte sets,
-    after one oracle call per mask, and raises AxiomError (carrying the
-    report of the first local failure: the axiom it breaks and a witness
-    that breaks it) if the table is not a matroid rank function.
+    Construction reads the table once, into a list indexed by each key's
+    mask (``TableSpec`` has checked that the keys are every subset of
+    range(n)), and the oracle reads that list.  It then runs
+    :func:`validate_axioms`, one pass over the local unit-increase
+    axioms in O(n^2) operations on whole-table byte sets, after one
+    oracle call per mask, and raises AxiomError (carrying the report of
+    the first local failure: the axiom it breaks and a witness that
+    breaks it) if the table is not a matroid rank function.
     """
-    ranks = [spec.ranks[frozenset(bits(mask))] for mask in range(1 << spec.n)]
+    ranks = [0] * (1 << spec.n)
+    for key, r in spec.ranks.items():
+        ranks[mask_of(key)] = r
     m = Matroid(spec.n, lambda a: ranks[a], name=f"table(n={spec.n})", spec=spec)
     report = validate_axioms(m)
     if not report.ok:

@@ -234,6 +234,22 @@ def test_parser_errors_exit_2_and_help_exits_0(capsys):
     assert exc.value.code == 0
 
 
+def test_shared_parser_is_unharmed_by_usage_errors_and_caller_copies(capsys):
+    # run parses with one parser per process: a usage error in between,
+    # or a change to a copy from build_parser, must not reach later runs
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    build_parser().set_defaults(kmax=99, seed=7)
+    argv = ["list-chromatic", "-i", U24]
+    first = invoke(argv)
+    second = invoke(argv)
+    assert first[0] == 0
+    assert first == second
+    assert "seed: 0\n" in first[1] and "kmax: 3\n" in first[1]
+
+
 def test_kmax_default_matches_library():
     import inspect
 
@@ -285,6 +301,16 @@ def test_list_chromatic_max_n_cannot_pass_the_listing_ceiling(tmp_path, capsys):
         (U2M, ["list-chromatic"], "listing enumeration needs n <= 5, got 2000000"),
         ("matroid table\nn -1\nrank {} 0\n", ["validate"], "ground set size must be nonnegative"),
         ("matroid table\nn 20000\nrank {} 0\n", ["validate"], "mask table needs n <= 16, got 20000"),
+        (
+            "matroid table\nn 1\nrank {} 0\nrank {1000000000000000000} 1\n",
+            ["validate"],
+            "subset {1000000000000000000} outside ground set (n=1)",
+        ),
+        (
+            "matroid table\nn 1\nrank {} 0\nrank {18446744073709551616} 1\n",
+            ["validate"],
+            "subset {18446744073709551616} outside ground set (n=1)",
+        ),
         (
             "matroid linear\nfield 1000000000000000000000000000057\ndim 1\nvec 0 1\n",
             ["validate"],

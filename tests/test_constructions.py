@@ -19,6 +19,7 @@ from matroidkit import (
     validate_axioms,
 )
 from matroidkit.catalog import desk_suite, triangle
+from matroidkit.core import mask_of
 
 
 def test_uniform_examples():
@@ -139,13 +140,61 @@ def test_from_table_rejects_incomplete():
         TableSpec(2, {frozenset(): 0})
 
 
+def _refusal(n, ranks):
+    with pytest.raises(GroundSetError) as err:
+        TableSpec(n, ranks)
+    return str(err.value)
+
+
 def test_table_spec_rejects_ids_outside_ground_set():
     # the id check runs before the count check, so a table with the right
     # number of entries but a foreign id never reaches from_table's lookup
     with pytest.raises(GroundSetError, match=r"subset \{5\} outside ground set \(n=1\)"):
         from_table(TableSpec(1, {frozenset(): 0, frozenset({5}): 1}))
-    with pytest.raises(GroundSetError, match="outside ground set"):
-        TableSpec(2, {frozenset({-1}): 0})
+    assert _refusal(2, {frozenset({-1}): 0}) == "subset {-1} outside ground set (n=2)"
+    assert _refusal(2, {frozenset({1, -3}): 0}) == "subset {-3,1} outside ground set (n=2)"
+    # ids far beyond any mask are refused without sizing one
+    for e in (10**18, 2**64):
+        assert _refusal(1, {frozenset(): 0, frozenset({e}): 1}) == (
+            f"subset {{{e}}} outside ground set (n=1)"
+        )
+    # a foreign id is named before the missing subsets, and before a
+    # later foreign key
+    assert (
+        _refusal(2, {frozenset(): 0, frozenset({0, 2}): 1, frozenset({-1}): 0})
+        == "subset {0,2} outside ground set (n=2)"
+    )
+    assert (
+        _refusal(2, {frozenset({-1}): 0, frozenset({5}): 1})
+        == "subset {-1} outside ground set (n=2)"
+    )
+    assert (
+        _refusal(2, {frozenset(): 0, frozenset({1}): 1})
+        == "rank table incomplete: 2 of 4 subsets (2 missing)"
+    )
+    assert _refusal(0, {}) == "rank table incomplete: 0 of 1 subsets (1 missing)"
+
+
+def _by_mask(ranks, reverse):
+    return dict(sorted(ranks.items(), key=lambda kv: mask_of(kv[0]), reverse=reverse))
+
+
+def test_from_table_reads_a_table_filled_in_reverse_mask_order():
+    good = tabulate(uniform(3, 2)).ranks
+    forward, backward = _by_mask(good, False), _by_mask(good, True)
+    assert list(backward) == list(reversed(forward))
+    m, w = from_table(TableSpec(3, forward)), from_table(TableSpec(3, backward))
+    assert w.mask_table() == m.mask_table() == uniform(3, 2).mask_table()
+    assert validate_axioms(w) == validate_axioms(m)
+
+    bad = {**good, frozenset({0, 2}): 0}  # below r({0}) = 1: not monotone
+    reports = []
+    for table in (_by_mask(bad, False), _by_mask(bad, True)):
+        with pytest.raises(AxiomError) as err:
+            from_table(TableSpec(3, table))
+        reports.append(err.value.report)
+    assert reports[0] == reports[1]
+    assert reports[0].axiom == "monotonicity"
 
 
 def test_table_spec_refuses_bad_sizes_before_sizing_the_table():

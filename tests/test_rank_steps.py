@@ -29,9 +29,10 @@ from conftest import _gf_rank
 
 @st.composite
 def vector_specs(draw):
-    """Vectors over GF(2), GF(3) or GF(5), unreduced, with zero and parallel ones."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    dim = draw(st.integers(1, 4))
+    """Vectors over GF(2), GF(3), GF(5), GF(7) or GF(2^31 - 1), unreduced,
+    with zero and parallel ones."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 2**31 - 1)))
+    dim = draw(st.integers(1, 5))
     coord = st.integers(-2 * p, 2 * p)
     vectors = []
     for _ in range(draw(st.integers(0, 10))):
@@ -77,6 +78,35 @@ def test_linear_walked_table_equals_gaussian_elimination(spec):
     # the oracle folds the same step over each subset, with no table built
     fresh = linear(spec)
     assert [fresh.rank_of_mask(a) for a in range(1 << n)] == want
+
+
+def test_linear_fold_over_thousands_of_elements_equals_gaussian_elimination():
+    # a fold reduces each element through its ancestors' rows, with no
+    # memo filled by a walk to help it; the even elements span only a
+    # 5-dimensional subspace, so a fold that drops a row shows
+    rng = random.Random(3)
+    span = [[rng.randrange(3) for _ in range(12)] for _ in range(5)]
+
+    def in_span():
+        cs = [rng.randrange(3) for _ in span]
+        return [sum(c * row[j] for c, row in zip(cs, span)) for j in range(12)]
+
+    vectors = [in_span() if i % 2 == 0 else [rng.randrange(3) for _ in range(12)]
+               for i in range(2000)]
+    m = linear(VectorSpec(3, 12, tuple(map(tuple, vectors))))
+    everything = (1 << 2000) - 1
+    even = sum(1 << i for i in range(0, 2000, 2))
+    want = {mask: _gf_rank([vectors[i] for i in bits(mask)], 3) for mask in (everything, even)}
+    assert want == {everything: 12, even: 5}
+    assert {mask: m.rank_of_mask(mask) for mask in want} == want
+
+
+def test_linear_fold_deeper_than_the_recursion_limit():
+    # a fold's state chain is as long as the rank; reducing through it
+    # must not recurse once per row
+    n = 1100
+    vectors = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert linear(VectorSpec(2, n, vectors)).rank_of_mask((1 << n) - 1) == n
 
 
 @settings(max_examples=80, deadline=None)
