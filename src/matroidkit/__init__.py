@@ -34,12 +34,10 @@ from .closure import closed_sets, closure, closure_by_intersection, is_closed
 from .contraction import contract, contracted_rank_by_minimization, fits
 from .bases import (
     AnchorDecomposition,
-    BaseSearchResult,
     OrderedBase,
     all_bases,
     anchor,
     anchor_classes,
-    best_base_bound,
     fundamental_circuit,
     fundamental_circuit_bruteforce,
     greedy_base,
@@ -48,12 +46,10 @@ from .bases import (
 )
 from .coloring import (
     ChromaticResult,
-    DegreeReport,
     ListChromaticResult,
     ListDeficitError,
     chromatic_number,
     color_from_base,
-    degree_bound_check,
     distinct_color_fallback,
     find_monochromatic_circuit,
     is_list_colorable,

@@ -16,7 +16,6 @@ per order.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .core import (
@@ -25,7 +24,6 @@ from .core import (
     LoopError,
     Matroid,
     MatroidError,
-    _refuse_above,
     _refuse_ground_set_scan,
     canonical,
     loops,
@@ -33,8 +31,6 @@ from .core import (
     set_literal,
 )
 from .closure import closure
-
-BASE_SEARCH_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -212,48 +208,3 @@ def ordered_bases(m: Matroid):
     for base in all_bases(m):
         for perm in itertools.permutations(base):
             yield OrderedBase(perm)
-
-
-@dataclass(frozen=True)
-class BaseSearchResult:
-    base: OrderedBase
-    max_class_size: int
-    optimal: bool  # True only for the exhaustive mode
-    searched: int
-
-
-def _greedy_restarts(m: Matroid, restarts: int, rng: random.Random):
-    """Greedy bases over `restarts` random orders of the ground set."""
-    for _ in range(restarts):
-        order = list(range(m.n))
-        rng.shuffle(order)
-        yield greedy_base(m, order)
-
-
-def best_base_bound(m: Matroid, budget="exhaustive", seed: int = 0) -> BaseSearchResult:
-    """Find an ordered base minimizing the largest anchor class.
-
-    budget="exhaustive" sweeps every (base, order) pair (bounded);
-    an integer budget runs that many seeded random greedy restarts and is
-    reported as non-optimal.  Either way one loop keeps the least (max
-    class size, base sequence), so ties break toward the lexicographically
-    smaller base sequence and concurrent searches merge deterministically.
-    """
-    exhaustive = budget == "exhaustive"
-    if exhaustive:
-        _refuse_above(m.n, BASE_SEARCH_BOUND, "exhaustive base search")
-        candidates = ordered_bases(m)
-    else:
-        restarts = int(budget)
-        if restarts < 1:
-            raise GroundSetError("heuristic budget must be a positive restart count")
-        candidates = _greedy_restarts(m, restarts, random.Random(seed))
-    if loops(m):
-        raise LoopError("anchor classes need a loop-free matroid")
-    if m.n == 0:
-        return BaseSearchResult(OrderedBase(()), 0, True, 1)
-    best, searched = None, 0
-    for searched, ob in enumerate(candidates, 1):
-        key = (anchor_classes(m, ob).max_class_size, ob.elements)
-        best = key if best is None else min(best, key)
-    return BaseSearchResult(OrderedBase(best[1]), best[0], exhaustive, searched)

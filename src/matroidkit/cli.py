@@ -245,7 +245,7 @@ def cmd_list_chromatic(args, out: _Out) -> int:
         )
         out.kv(f"bad-listing k={k}", rendered)
     out.note("every k-listing below the answer has an uncolorable witness")
-    out.note("colorability checked over canonical candidate listings exhaustively")
+    out.note("upper bound by counting: lists of size chi meet Rado's condition, as r(S) >= |S|/chi")
     return 0
 
 
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--contract", help="subset literal to contract")
     parser.add_argument("--lists", help="listing file")
     parser.add_argument("--order", help="comma-separated permutation, e.g. 0,2,1")
-    parser.add_argument("--kmax", type=int, default=3, help="largest list size to test")
+    parser.add_argument("--kmax", type=int, default=3, help="largest list size to report")
     parser.add_argument("--depth", type=int, default=0, help="chain depth")
     parser.add_argument("--family", help="chain family name or chain file")
     parser.add_argument("--seed", type=int, default=0, help="seed echoed into output")

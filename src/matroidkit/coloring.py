@@ -3,30 +3,24 @@ coloring construction.
 
 A coloring is proper iff every color class is independent, equivalently
 iff no circuit is monochromatic; both routes are implemented and kept in
-agreement by the test suite.  List-colorability verification leans on
-Rado's condition from matroid union: a listing L is colorable iff
-sum_c r(A & E_c) >= |A| for every A, where E_c holds the elements whose
-list contains c.  In a loop-free matroid each color on A adds at least
-one to that sum, so a k-listing that fails on A shows fewer than |A| <= n
-colors on A.  Giving every element outside A the first k of those colors
-keeps the failure on A, so if any k-listing is uncolorable, one with at
-most n - 1 colors in all is.  Deciding (up to color renaming) just those
-palette-capped listings therefore decides whether *every* k-listing is
-colorable.  They are decided by one depth-first prefix walk of the
-listing tree: listings that share a prefix of lists share that prefix's
-proper partial colorings, which are found once and extended by each
-child.  The walk opens with the constant listing {0..k-1}, which is
-uncolorable exactly when k is below the chromatic number.
+agreement by the test suite.  List-colorability leans on Rado's condition
+from matroid union: a listing L is colorable iff sum_c r(A & E_c) >= |A|
+for every A, where E_c holds the elements whose list contains c.  That
+condition gives the list-chromatic number from the chromatic number
+alone (Seymour 1998): if the matroid is chi-colorable, the chi color
+classes cut every S into independent sets, so r(S) >= |S| / chi, and
+lists of size at least chi give
+sum_c r(A & E_c) >= sum_c |A & E_c| / chi = sum_{x in A} |L(x)| / chi >= |A|.
+Below chi the constant listing {0..k-1} is uncolorable, since a coloring
+from it would be a proper k-coloring.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
 from .bases import OrderedBase, anchor_classes
-from .closure import closure
 from .core import (
     BoundExceededError,
     Circuit,
@@ -40,12 +34,6 @@ from .core import (
     set_literal,
 )
 
-LIST_ENUM_N_BOUND = 5
-# max_n may lift LIST_ENUM_N_BOUND up to here, never past it: every 6-element
-# desk sweep at kmax 4 ends within 0.2 s, but uniform(7, 3) at kmax 3 decides
-# 19,791,010 listings in 38 s (prefix walk, Python 3.11, x86-64 Xeon)
-LIST_ENUM_N_CEILING = 6
-LIST_ENUM_KMAX = 4
 CHROMATIC_BOUND = 12
 
 logger = logging.getLogger(__name__)
@@ -196,95 +184,19 @@ def is_list_colorable(m: Matroid, lists):
     return None if phi is None else dict(phi)
 
 
-# --- the canonical k-listing walk -----------------------------------------
-
-def _shared(colorings):
-    """Lazily filled list over a stream: pull(j) is its j-th item, or None."""
-    cache: list = []
-
-    def pull(j: int):
-        while len(cache) <= j:
-            nxt = next(colorings, None)
-            if nxt is None:
-                return None
-            cache.append(nxt)
-        return cache[j]
-
-    return pull
-
-
-def _first_uncolorable_listing(table, n: int, k: int, colors: int):
-    """First uncolorable canonical k-listing with <= `colors` colors, by a prefix walk.
-
-    Canonical k-listings (up to color renaming) form a tree: element i
-    picks a k-set from the colors seen so far plus a run of fresh ones,
-    which take the next unused labels, and the run is capped at
-    ``colors - used``.  Children are visited with `fresh` ascending and
-    the old colors in ``combinations`` order, so the leaves come in the
-    order of the reference generator and the constant listing {0..k-1}
-    comes first.  Each node's proper partial colorings, as tuples of
-    class masks (one per color used so far), sit in a lazily filled list
-    that its children share: a child pulls a parent coloring only when it
-    needs one, pads it with zeros for its fresh colors, and extends it by
-    each color of its list whose class stays independent
-    (``table[new] == popcount``).  A leaf is colorable iff its stream
-    yields one coloring.  The walk is depth-first, so at most n + 1 nodes
-    are alive.  Returns ``(listing or None, leaves decided)``; n >= 1.
-    """
-    acc: list[tuple[int, ...]] = []
-    decided = 0
-
-    def extend(pull, pad, lst, bit):
-        j = 0
-        while (p := pull(j)) is not None:
-            p += pad
-            for c in lst:
-                new = p[c] | bit
-                if table[new] == new.bit_count():
-                    yield p[:c] + (new,) + p[c + 1:]
-            j += 1
-
-    def walk(i: int, used: int, pull) -> bool:
-        nonlocal decided
-        bit = 1 << i
-        leaf = i + 1 == n
-        for fresh in range(min(k, colors - used) + 1):
-            pad = (0,) * fresh
-            new_colors = tuple(range(used, used + fresh))
-            for old in itertools.combinations(range(used), k - fresh):
-                lst = old + new_colors
-                stream = extend(pull, pad, lst, bit)
-                acc.append(lst)
-                if leaf:
-                    decided += 1
-                    if next(stream, None) is None:
-                        return True
-                elif walk(i + 1, used + fresh, _shared(stream)):
-                    return True
-                acc.pop()
-        return False
-
-    found = walk(0, 0, _shared(iter([()])))
-    return (tuple(acc) if found else None), decided
-
-
 @dataclass(frozen=True)
 class ListChromaticResult:
-    """Outcome of the exact list-chromatic computation.
+    """Outcome of the list-chromatic computation.
 
     value is the least k <= kmax for which every k-listing is colorable,
     or None if kmax was exhausted (the true value is then >= kmax + 1).
-    bad_listings maps each failed k to the first uncolorable canonical
-    k-listing; for k below the chromatic number that is the constant
-    listing {0..k-1}.  candidates_checked counts the listings decided,
-    summed over k: up to and including each witness, and every capped
-    listing at the answer.
+    bad_listings maps each failed k to an uncolorable k-listing, the
+    constant listing {0..k-1}.
     """
 
     value: int | None
     kmax: int
     bad_listings: dict[int, dict[int, tuple[int, ...]]] = field(hash=False)
-    candidates_checked: int = field(default=0, compare=False)
 
     @property
     def lower_bound(self) -> int:
@@ -296,31 +208,23 @@ def list_chromatic_number(
 ) -> ListChromaticResult:
     """Least k such that every k-listing admits a proper list coloring.
 
-    Exact: for each k, every canonical k-listing with at most n - 1 colors
-    in all is decided by one prefix walk (complete by Rado's condition,
-    see the module docstring), and the first uncolorable one is the
-    witness for k.
-    ``max_n`` raises the size bound, but not past LIST_ENUM_N_CEILING.
+    Exact by Seymour's counting bound (see the module docstring): the
+    answer is the chromatic number chi, and for each k below it the
+    constant listing {0..k-1} is the uncolorable witness.  Bounds, and
+    ``max_n``, are those of :func:`chromatic_number`.
     """
-    bound = LIST_ENUM_N_BOUND if max_n is None else min(max_n, LIST_ENUM_N_CEILING)
-    _refuse_above(m.n, bound, "listing enumeration")
-    if kmax < 1 or kmax > LIST_ENUM_KMAX:
-        raise BoundExceededError(f"kmax must be in 1..{LIST_ENUM_KMAX}, got {kmax}")
-    table = m.mask_table()
+    _refuse_above(m.n, CHROMATIC_BOUND if max_n is None else max_n, "chromatic search")
+    if kmax < 1:
+        raise BoundExceededError(f"kmax must be at least 1, got {kmax}")
+    m.mask_table()  # its size refusal, as in chromatic_number, comes before loops
     lp = loops(m)
     if lp:
         raise LoopError(f"no list coloring exists: loops {set_literal(lp)}")
-    if m.n == 0:
-        return ListChromaticResult(0, kmax, {})
-    bad_listings: dict[int, dict[int, tuple[int, ...]]] = {}
-    checked = 0
-    for k in range(1, kmax + 1):
-        bad, decided = _first_uncolorable_listing(table, m.n, k, m.n - 1)
-        checked += decided
-        if bad is None:
-            return ListChromaticResult(k, kmax, bad_listings, checked)
-        bad_listings[k] = {x: bad[x] for x in range(m.n)}
-    return ListChromaticResult(None, kmax, bad_listings, checked)
+    chi = chromatic_number(m, max_n).value
+    bad_listings = {
+        k: {x: tuple(range(k)) for x in range(m.n)} for k in range(1, min(chi, kmax + 1))
+    }
+    return ListChromaticResult(chi if chi <= kmax else None, kmax, bad_listings)
 
 
 # --- the base-driven construction ----------------------------------------
@@ -374,55 +278,3 @@ def distinct_color_fallback(m: Matroid, lists) -> dict:
         phi[x] = free[0]
         used.add(free[0])
     return phi
-
-
-@dataclass(frozen=True)
-class DegreeReport:
-    """Flat-extension degree facts around one subset A.
-
-    flat_extension holds the elements outside A that keep A's rank;
-    part (i): every (|A|+1)-subset of them is dependent;
-    part (ii): there are at most Chr * |A| of them.
-    """
-
-    ok: bool
-    subset: tuple[int, ...]
-    flat_extension: tuple[int, ...]
-    chromatic: int
-    dependent_subsets_checked: int
-    witness: tuple[int, ...] | None = None
-    detail: str = ""
-
-
-def degree_bound_check(m: Matroid, a) -> DegreeReport:
-    """Check the two degree bounds for the flat extension of a subset."""
-    a = m.check_subset(a)
-    if loops(m):
-        raise LoopError("degree bounds need a loop-free matroid")
-    flat = tuple(x for x in closure(m, a) if x not in a)
-    asort = tuple(sorted(a))
-    chrom = chromatic_number(m).value
-    checked = 0
-    for combo in itertools.combinations(flat, len(a) + 1):
-        checked += 1
-        if m.rank(combo) == len(combo):
-            return DegreeReport(
-                False,
-                asort,
-                flat,
-                chrom,
-                checked,
-                witness=combo,
-                detail="flat-extension elements formed an independent set",
-            )
-    if len(flat) > chrom * len(a):
-        return DegreeReport(
-            False,
-            asort,
-            flat,
-            chrom,
-            checked,
-            witness=flat,
-            detail=f"{len(flat)} flat-extension elements exceed {chrom}*{len(a)}",
-        )
-    return DegreeReport(True, asort, flat, chrom, checked)

@@ -108,8 +108,7 @@ def all_canonical_listings(n: int, k: int, colors: int):
     the first-occurrence canonical form.  The run is capped at
     ``colors - used``; ``colors = n * k`` gives the full space.  The first
     listing is the constant one, {0..k-1} on every element.  The reference
-    for the library's prefix walk, which visits these listings in this
-    order.
+    for the prefix walk below, which visits these listings in this order.
     """
     acc: list[tuple[int, ...]] = []
 
@@ -124,6 +123,97 @@ def all_canonical_listings(n: int, k: int, colors: int):
                 acc.pop()
 
     yield from rec(0, 0)
+
+
+def _shared(colorings):
+    """Lazily filled list over a stream: pull(j) is its j-th item, or None."""
+    cache: list = []
+
+    def pull(j: int):
+        while len(cache) <= j:
+            nxt = next(colorings, None)
+            if nxt is None:
+                return None
+            cache.append(nxt)
+        return cache[j]
+
+    return pull
+
+
+def first_uncolorable_listing(table, n: int, k: int, colors: int):
+    """First uncolorable canonical k-listing with <= `colors` colors, by a prefix walk.
+
+    Visits the listings of ``all_canonical_listings(n, k, colors)`` in
+    that generator's order, so the constant listing {0..k-1} comes first.
+    Each node of the listing tree keeps its prefix's proper partial
+    colorings, as tuples of class masks (one per color used so far), in a
+    lazily filled list that its children share: a child pulls a parent
+    coloring only when it needs one, pads it with zeros for its fresh
+    colors, and extends it by each color of its list whose class stays
+    independent (``table[new] == popcount``).  A leaf is colorable iff its
+    stream yields one coloring.  Returns ``(listing or None, leaves
+    decided)``; n >= 1.
+    """
+    acc: list[tuple[int, ...]] = []
+    decided = 0
+
+    def extend(pull, pad, lst, bit):
+        j = 0
+        while (p := pull(j)) is not None:
+            p += pad
+            for c in lst:
+                new = p[c] | bit
+                if table[new] == new.bit_count():
+                    yield p[:c] + (new,) + p[c + 1:]
+            j += 1
+
+    def walk(i: int, used: int, pull) -> bool:
+        nonlocal decided
+        bit = 1 << i
+        leaf = i + 1 == n
+        for fresh in range(min(k, colors - used) + 1):
+            pad = (0,) * fresh
+            new_colors = tuple(range(used, used + fresh))
+            for old in itertools.combinations(range(used), k - fresh):
+                lst = old + new_colors
+                stream = extend(pull, pad, lst, bit)
+                acc.append(lst)
+                if leaf:
+                    decided += 1
+                    if next(stream, None) is None:
+                        return True
+                elif walk(i + 1, used + fresh, _shared(stream)):
+                    return True
+                acc.pop()
+        return False
+
+    found = walk(0, 0, _shared(iter([()])))
+    return (tuple(acc) if found else None), decided
+
+
+def list_chromatic_by_sweep(m, kmax):
+    """List-chromatic number by deciding every capped canonical k-listing.
+
+    For each k, every canonical k-listing with at most n - 1 colors in all
+    is decided by the prefix walk, and the first uncolorable one is the
+    witness for k.  The cap loses nothing on a loop-free matroid: each
+    color on A adds at least one to sum_c r(A & E_c), so a listing that
+    fails Rado's condition on A shows fewer than |A| <= n colors on A, and
+    giving every element outside A the first k of those colors keeps the
+    failure.  No chromatic number is read, so this is
+    the exhaustive check of Seymour's finite theorem that the library's
+    counting-bound route rests on.
+    """
+    if m.n == 0:
+        return ListChromaticResult(0, kmax, {})
+    table = m.mask_table()
+    bad = {}
+    for k in range(1, kmax + 1):
+        witness, _ = first_uncolorable_listing(table, m.n, k, m.n - 1)
+        if witness is None:
+            return ListChromaticResult(k, kmax, bad)
+        bad[k] = {x: witness[x] for x in range(m.n)}
+    return ListChromaticResult(None, kmax, bad)
 
 
 def brute_list_chromatic(m, kmax):

@@ -26,7 +26,6 @@ from matroidkit import (
     is_loop_free,
     is_proper,
     linear,
-    list_chromatic_number,
     ordered_bases,
     run_lemma_battery,
     uniform,
@@ -36,6 +35,8 @@ from matroidkit.catalog import desk_suite
 from matroidkit.cli import run
 from matroidkit.compactness import disjoint_triangles
 from matroidkit.files import parse_matroid_text, serialize_matroid
+
+from conftest import list_chromatic_by_sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,7 +95,7 @@ def test_criterion_3_seymour_equality():
         chrom = chromatic_number(m).value
         if chrom > 3:
             continue
-        lres = list_chromatic_number(m, kmax=3)
+        lres = list_chromatic_by_sweep(m, kmax=3)
         assert lres.value == chrom, (m.name, chrom, lres.value)
         seen[m.name] = chrom
     for name, expected in anchors.items():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from matroidkit import (
     all_bases,
     anchor,
     anchor_classes,
-    best_base_bound,
     circuits,
     closure,
     contract,
@@ -25,7 +25,7 @@ from matroidkit import (
     uniform,
 )
 from matroidkit import bases
-from matroidkit.catalog import gf2_parallel, self_loop_triangle, square, theta, triangle
+from matroidkit.catalog import self_loop_triangle, theta, triangle
 from matroidkit.core import is_loop_free, loops, mask_of
 
 from conftest import brute_anchor, perturbed_tables, random_matroid
@@ -193,23 +193,6 @@ def test_anchor_repetition_anchor_case():
     assert d.mapping[2] == d.mapping[3] == 1
 
 
-def test_best_base_bound_exhaustive():
-    res = best_base_bound(uniform(4, 2))
-    assert res.max_class_size == 3 and res.optimal and res.searched == 12
-    assert best_base_bound(uniform(3, 3)).max_class_size == 1
-    assert best_base_bound(triangle()).max_class_size == 2
-
-
-def test_best_base_bound_heuristic_deterministic():
-    m = uniform(5, 2)
-    a = best_base_bound(m, budget=5, seed=42)
-    b = best_base_bound(m, budget=5, seed=42)
-    assert (a.base.elements, a.max_class_size) == (b.base.elements, b.max_class_size)
-    assert not a.optimal and a.searched == 5
-    exact = best_base_bound(m)
-    assert a.max_class_size >= exact.max_class_size
-
-
 def _assert_anchors_match_reference(m, ob):
     want = {x: brute_anchor(m, ob, x) for x in range(m.n)}
     assert anchor_classes(m, ob).mapping == want, (m.name, ob.elements)
@@ -293,39 +276,21 @@ def test_anchor_cache_is_keyed_by_the_base_sequence():
     assert m._anchor_cache is flipped
 
 
-def test_best_base_bound_keeps_one_decomposition():
-    m = uniform(5, 3)
-    res = best_base_bound(m)
-    assert res.searched == 60
-    assert m._anchor_cache.base == list(ordered_bases(m))[-1]
-
-
-def test_best_base_bound_is_the_least_key_over_ordered_bases(suite6):
+def test_ordered_bases_are_every_order_of_every_base_bases_first(suite6):
+    # against a sweep of all distinct r-tuples: bases lex, then orders lex
     for m in suite6:
-        if not is_loop_free(m) or m.n == 0:
-            continue
-        keys = [(anchor_classes(m, ob).max_class_size, ob.elements) for ob in ordered_bases(m)]
-        size, elements = min(keys)
-        res = best_base_bound(m)
-        assert (res.max_class_size, res.base.elements) == (size, elements), m.name
-        assert res.optimal and res.searched == len(keys), m.name
+        r = m.rank(range(m.n))
+        want = sorted(
+            (t for t in itertools.permutations(range(m.n), r) if m.rank(t) == r),
+            key=lambda t: (sorted(t), t),
+        )
+        assert [ob.elements for ob in ordered_bases(m)] == want, m.name
 
 
-# (base, max class size) for seeds 0..4 at budget 4, recorded before the
-# two selection loops were folded into one
-RECORDED_RESTARTS = {
-    "uniform(6,3)": [((4, 0, 1), 4), ((0, 1, 2), 4), ((0, 1, 3), 4), ((0, 2, 3), 4), ((1, 5, 0), 4)],
-    "theta": [((0, 2, 3), 2), ((0, 2, 4), 2), ((0, 1, 4), 2), ((0, 2, 3), 2), ((3, 4, 0), 2)],
-    "square": [((0, 1, 3), 2), ((0, 2, 1), 2), ((1, 0, 3), 2), ((0, 1, 3), 2), ((0, 1, 2), 2)],
-    "gf2-parallel": [((0, 2), 2), ((0, 2), 2), ((1, 2), 2), ((0, 3), 2), ((0, 2), 2)],
-}
-
-
-def test_best_base_bound_heuristic_matches_recorded_restarts():
-    for m in (uniform(6, 3), theta(), square(), gf2_parallel()):
-        got = []
-        for seed in range(5):
-            res = best_base_bound(m, budget=4, seed=seed)
-            assert not res.optimal and res.searched == 4
-            got.append((res.base.elements, res.max_class_size))
-        assert got == RECORDED_RESTARTS[m.name], m.name
+def test_anchor_classes_over_every_ordered_base_keep_one_decomposition():
+    m = uniform(5, 3)
+    obs = list(ordered_bases(m))
+    assert len(obs) == 60
+    for ob in obs:
+        assert anchor_classes(m, ob) is m._anchor_cache
+    assert m._anchor_cache.base == obs[-1]

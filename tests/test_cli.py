@@ -285,12 +285,13 @@ def test_max_n_cannot_lift_the_mask_table_ceiling(tmp_path, capsys):
 
 
 def test_list_chromatic_max_n_cannot_pass_the_listing_ceiling(tmp_path, capsys):
-    u73 = tmp_path / "u73.m"
-    u73.write_text("matroid uniform\nn 7\nk 3\n")
-    code, _ = invoke(["list-chromatic", "-i", str(u73), "--max-n", "7"])
+    # the listing ceiling is now the mask table's, read by the chromatic search
+    u173 = tmp_path / "u173.m"
+    u173.write_text("matroid uniform\nn 17\nk 3\n")
+    code, _ = invoke(["list-chromatic", "-i", str(u173), "--max-n", "17"])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: listing enumeration needs n <= 6, got 7"]
+    assert err == ["error: mask table needs n <= 16, got 17"]
 
 
 @pytest.mark.parametrize(
@@ -298,7 +299,7 @@ def test_list_chromatic_max_n_cannot_pass_the_listing_ceiling(tmp_path, capsys):
     [
         (U2M, ["chromatic"], "chromatic search needs n <= 12, got 2000000"),
         (U2M, ["chromatic", "--max-n", "99999999"], "mask table needs n <= 16, got 2000000"),
-        (U2M, ["list-chromatic"], "listing enumeration needs n <= 5, got 2000000"),
+        (U2M, ["list-chromatic"], "chromatic search needs n <= 12, got 2000000"),
         ("matroid table\nn -1\nrank {} 0\n", ["validate"], "ground set size must be nonnegative"),
         ("matroid table\nn 20000\nrank {} 0\n", ["validate"], "mask table needs n <= 16, got 20000"),
         (
@@ -315,6 +316,12 @@ def test_list_chromatic_max_n_cannot_pass_the_listing_ceiling(tmp_path, capsys):
             "matroid linear\nfield 1000000000000000000000000000057\ndim 1\nvec 0 1\n",
             ["validate"],
             "field order 1000000000000000000000000000057 is too large: it must be below 2^31",
+        ),
+        (U2M, ["list-chromatic", "--kmax", "0"], "chromatic search needs n <= 12, got 2000000"),
+        (
+            "matroid uniform\nn 6\nk 0\n",
+            ["list-chromatic", "--kmax", "0"],
+            "kmax must be at least 1, got 0",
         ),
     ],
 )

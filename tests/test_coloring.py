@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,11 +11,10 @@ from matroidkit import (
     LoopError,
     MatroidError,
     OrderedBase,
-    best_base_bound,
     chain_from_matroids,
     chromatic_number,
+    closure,
     color_from_base,
-    degree_bound_check,
     distinct_color_fallback,
     find_monochromatic_circuit,
     is_list_colorable,
@@ -27,11 +27,14 @@ from matroidkit import (
 from matroidkit import coloring
 from matroidkit.catalog import triangle
 from matroidkit.core import is_loop_free, loops, validate_axioms
+from matroidkit.lemmas import check_flat_extension_count, check_flat_extension_dependence
 
 from conftest import (
     brute_list_colorings,
     chromatic_by_deepening,
+    list_chromatic_by_sweep,
     perturbed_tables,
+    powerset,
     random_matroid,
 )
 
@@ -112,8 +115,7 @@ def test_chromatic_starts_at_n_over_the_largest_independent_set(monkeypatch):
     [
         (chromatic_number, 13, "chromatic search needs n <= 12, got 13"),
         (lambda m: chromatic_number(m, max_n=99999999), 17, "mask table needs n <= 16, got 17"),
-        (list_chromatic_number, 7, "listing enumeration needs n <= 5, got 7"),
-        (best_base_bound, 9, "exhaustive base search needs n <= 8, got 9"),
+        (list_chromatic_number, 13, "chromatic search needs n <= 12, got 13"),
     ],
 )
 def test_size_refusals_come_before_any_oracle_call(search, n, error):
@@ -249,26 +251,47 @@ def test_list_chromatic_rejects_loops():
 
 
 def test_list_chromatic_max_n_cannot_pass_the_ceiling():
-    with pytest.raises(BoundExceededError, match="needs n <= 6, got 7"):
-        list_chromatic_number(uniform(7, 3), max_n=7)
+    with pytest.raises(BoundExceededError, match="mask table needs n <= 16, got 17"):
+        list_chromatic_number(uniform(17, 3), max_n=17)
+
+
+def test_list_chromatic_refuses_kmax_below_one_after_the_size_bound_before_loops():
+    loopy = uniform(3, 0)
+    with pytest.raises(BoundExceededError, match="^kmax must be at least 1, got 0$"):
+        list_chromatic_number(loopy, kmax=0)
+    with pytest.raises(BoundExceededError, match="^chromatic search needs n <= 12, got 13$"):
+        list_chromatic_number(uniform(13, 0), kmax=0)
+    with pytest.raises(LoopError, match=r"^no list coloring exists: loops \{0,1,2\}$"):
+        list_chromatic_number(loopy, kmax=1)
+
+
+def test_list_chromatic_answers_past_the_old_listing_bounds():
+    # kmax has no upper limit: there are at most chi - 1 bad listings
+    res = list_chromatic_number(uniform(6, 1), kmax=9)
+    assert res.value == 6 and sorted(res.bad_listings) == [1, 2, 3, 4, 5]
+    res = list_chromatic_number(uniform(12, 4))
+    assert res.value == 3
+    assert res.bad_listings == {k: {x: tuple(range(k)) for x in range(12)} for k in (1, 2)}
+    assert list_chromatic_number(uniform(14, 7), max_n=14).value == 2
 
 
 def test_chromatic_at_most_list_chromatic(suite6):
+    # against the capped listing sweep, which reads no chromatic number
     for m in suite6:
         if not is_loop_free(m) or m.n > 4:
             continue
         chrom = chromatic_number(m).value
-        lres = list_chromatic_number(m, kmax=4)
+        lres = list_chromatic_by_sweep(m, kmax=4)
         assert lres.lower_bound >= chrom, m.name
 
 
 def test_seymour_equality_small(suite6):
-    # chromatic and list-chromatic agree wherever the exact search applies
+    # chromatic numbers equal the list-chromatic numbers of the capped sweep
     for m in suite6:
         if not is_loop_free(m) or m.n > 4:
             continue
         chrom = chromatic_number(m).value
-        lres = list_chromatic_number(m, kmax=4)
+        lres = list_chromatic_by_sweep(m, kmax=4)
         assert lres.value == chrom, m.name
 
 
@@ -326,24 +349,34 @@ def test_distinct_color_fallback():
     assert is_proper(m, phi)
 
 
+def _flat_extension_degrees(m, a):
+    """Elements outside A that keep A's rank, read through closure, with
+    both degree facts: every (|A|+1)-subset of them is dependent, and there
+    are at most Chr * |A| of them."""
+    flat = tuple(x for x in closure(m, a) if x not in a)
+    chrom = chromatic_number(m).value
+    dependent = all(
+        m.rank(combo) < len(combo) for combo in itertools.combinations(flat, len(a) + 1)
+    )
+    return flat, chrom, dependent and len(flat) <= chrom * len(a)
+
+
 def test_degree_bound_examples():
     m = uniform(4, 2)
-    rep = degree_bound_check(m, {0, 1})
-    assert rep.ok and rep.flat_extension == (2, 3) and rep.chromatic == 2
-
-    rep = degree_bound_check(m, set())
-    assert rep.ok and rep.flat_extension == ()
-
-    m51 = uniform(5, 1)
-    rep = degree_bound_check(m51, {0})
-    assert rep.ok and len(rep.flat_extension) == 4 and rep.chromatic == 5
+    assert _flat_extension_degrees(m, {0, 1}) == ((2, 3), 2, True)
+    assert _flat_extension_degrees(m, set()) == ((), 2, True)
+    flat, chrom, ok = _flat_extension_degrees(uniform(5, 1), {0})
+    assert ok and len(flat) == 4 and chrom == 5
+    for m in (uniform(4, 2), uniform(5, 1), triangle()):
+        assert check_flat_extension_dependence(m).status == "pass", m.name
+        assert check_flat_extension_count(m).status == "pass", m.name
 
 
 def test_degree_bound_all_subsets(suite6):
-    from conftest import powerset
-
+    # through closure and the rank oracle, apart from L18 and L19-analog,
+    # which read both facts off the mask table
     for m in suite6:
         if not is_loop_free(m) or m.n > 5:
             continue
         for a in powerset(range(m.n)):
-            assert degree_bound_check(m, a).ok, m.name
+            assert _flat_extension_degrees(m, a)[2], (m.name, a)

@@ -1,12 +1,19 @@
-"""The canonical-listing machinery behind the exact list-chromatic search."""
+"""The canonical-listing sweep: the exhaustive reference for list-chromatic numbers."""
 
 import itertools
 import random
 
-from conftest import all_canonical_listings, brute_list_chromatic, brute_list_colorings
+from conftest import (
+    all_canonical_listings,
+    brute_list_chromatic,
+    brute_list_colorings,
+    first_uncolorable_listing,
+    list_chromatic_by_sweep,
+    random_matroid,
+)
 from matroidkit import graphic, list_chromatic_number, uniform
 from matroidkit.catalog import theta, triangle
-from matroidkit.coloring import _first_uncolorable_listing, _list_colorings
+from matroidkit.coloring import _list_colorings
 from matroidkit.core import is_loop_free
 
 
@@ -200,7 +207,7 @@ def test_prefix_walk_matches_the_reference_sweep_on_random_tables():
                     if (n, k, colors) == (5, 3, 15) and t:
                         continue
                     want = _sweep_reference(table, n, k, colors)
-                    if _first_uncolorable_listing(table, n, k, colors) != want:
+                    if first_uncolorable_listing(table, n, k, colors) != want:
                         mismatches.append((n, k, colors, table))
                     if want[0] not in (None, tuple(tuple(range(k)) for _ in range(n))):
                         nonconstant += 1
@@ -208,13 +215,35 @@ def test_prefix_walk_matches_the_reference_sweep_on_random_tables():
     assert nonconstant >= 50
 
 
+def test_counting_bound_route_equals_the_capped_sweep(suite6):
+    # Seymour's finite theorem, checked exhaustively: the route that reads
+    # the answer off the chromatic number gives the sweep's value and its
+    # every bad listing
+    rng = random.Random(16)
+    instances = [m for m in suite6 if is_loop_free(m)]
+    desk = len(instances)
+    while len(instances) < desk + 40:
+        m = random_matroid(rng, rng.choice(("graphic", "gf2", "gf3")), rng.randint(1, 6))
+        if is_loop_free(m):
+            instances.append(m)
+    above_two = 0
+    for m in instances:
+        want = list_chromatic_by_sweep(m, kmax=4)
+        assert list_chromatic_number(m, kmax=4, max_n=6) == want, m.name
+        above_two += want.lower_bound > 2
+    assert desk >= 20 and above_two >= 10
+
+
 def test_candidates_checked_counts_the_reference_sweep_up_to_each_witness():
+    # the prefix walk decides exactly the reference generator's listings up
+    # to each witness, and the counting-bound route reports those witnesses
     k4 = graphic([(i, u, v) for i, (u, v) in enumerate(itertools.combinations("abcd", 2))])
     for m, kmax, want in [(k4, 2, 2), (uniform(5, 2), 3, 3), (uniform(6, 3), 2, 2)]:
         res = list_chromatic_number(m, kmax=kmax, max_n=6)
         assert res.value == want, m.name
         table = m.mask_table()
         sweeps = [_sweep_reference(table, m.n, k, m.n - 1) for k in range(1, want + 1)]
+        walks = [first_uncolorable_listing(table, m.n, k, m.n - 1) for k in range(1, want + 1)]
         witnesses = [tuple(res.bad_listings[k].values()) for k in range(1, want)] + [None]
         assert [w for w, _ in sweeps] == witnesses, m.name
-        assert res.candidates_checked == sum(tried for _, tried in sweeps), m.name
+        assert walks == sweeps, m.name
