@@ -30,7 +30,7 @@ from .constructions import (
     tabulate,
     uniform,
 )
-from .closure import closed_sets, closure, closure_by_intersection, is_closed
+from .closure import closure, closure_by_intersection, is_closed
 from .contraction import contract, contracted_rank_by_minimization, fits
 from .bases import (
     AnchorDecomposition,
@@ -39,7 +39,6 @@ from .bases import (
     anchor,
     anchor_classes,
     fundamental_circuit,
-    fundamental_circuit_bruteforce,
     greedy_base,
     is_base,
     ordered_bases,

@@ -30,7 +30,6 @@ from .core import (
     mask_of,
     set_literal,
 )
-from .closure import closure
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,16 @@ class OrderedBase:
 
 
 def is_base(m: Matroid, b) -> bool:
-    """True iff b is independent and its closure is the whole ground set."""
-    bs = m.check_subset(b)
-    return m.rank(bs) == len(bs) and len(closure(m, bs)) == m.n
+    """True iff r(b) = |b| and r(b + y) = r(b) for every y outside b.
+
+    That is, b is independent and its closure is the whole ground set.
+    """
+    _refuse_ground_set_scan(m.n)
+    mask = m._checked_mask(b)
+    size = mask.bit_count()
+    return m.rank_of_mask(mask) == size and all(
+        m.rank_of_mask(mask | 1 << y) == size for y in range(m.n) if not mask >> y & 1
+    )
 
 
 def greedy_base(m: Matroid, order=None) -> OrderedBase:
@@ -83,7 +89,7 @@ def greedy_base(m: Matroid, order=None) -> OrderedBase:
 
 
 def _require_base(m: Matroid, b: OrderedBase):
-    if not is_base(m, b.as_set()):
+    if not is_base(m, b.elements):
         raise GroundSetError(f"{set_literal(b.elements)} is not a base of {m.name}")
 
 
@@ -102,45 +108,22 @@ def fundamental_circuit(m: Matroid, b: OrderedBase, x: int) -> Circuit:
     A base element sits on that circuit iff swapping it for x preserves
     full rank, so |B| rank queries suffice.
     """
-    m.check_subset({x})
+    m._checked_mask((x,))
     if x in b:
         raise GroundSetError(f"element {x} is in the base")
     _require_base(m, b)
     return Circuit(canonical([x, *_circuit_base_part(m, b, x)]))
 
 
-def fundamental_circuit_bruteforce(m: Matroid, b: OrderedBase, x: int) -> Circuit:
-    """Test oracle: smallest dependent subset of base + x containing x.
-
-    Searches subsets in (size, lex) order and additionally asserts there
-    is exactly one circuit inside base + x.
-    """
-    if x in b:
-        raise GroundSetError(f"element {x} is in the base")
-    _require_base(m, b)
-    pool = sorted(b.as_set() | {x})
-    found = []
-    for size in range(1, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            s = frozenset(combo)
-            if m.rank(s) < len(s) and all(
-                m.rank(s - {e}) == len(s) - 1 for e in s
-            ):
-                found.append(combo)
-    if len(found) != 1:
-        raise GroundSetError(
-            f"expected exactly one circuit in base+{x}, found {len(found)}"
-        )
-    return Circuit(found[0])
-
-
 def anchor(m: Matroid, b: OrderedBase, x: int) -> int:
     """Base element x is anchored to: itself inside the base, else the last
     base element e, in base order, with r(B - e + x) = r(B).  Checks x and
-    the base on every call; a loop raises LoopError."""
+    the base on every call, one rank call per element outside it;
+    :func:`anchor_classes` anchors every element after one check.  A loop
+    raises LoopError."""
+    m._checked_mask((x,))
     if x in b:
         return x
-    m.check_subset({x})
     _require_base(m, b)
     return _top_swap(m, b, x)
 

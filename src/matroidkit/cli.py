@@ -339,7 +339,7 @@ def _subset_arg(args, m: Matroid):
     if args.subset is None:
         raise MatroidError("this command needs --subset SET")
     subset = parse_subset_literal(args.subset)
-    m.check_subset(subset)
+    m._checked_mask(subset)
     return subset
 
 

@@ -15,7 +15,6 @@ from .core import (
     _refuse_above,
     _refuse_ground_set_scan,
     bits,
-    canonical,
 )
 
 
@@ -32,15 +31,16 @@ def is_closed(m: Matroid, z) -> bool:
 
 
 def closure(m: Matroid, x) -> tuple[int, ...]:
-    """Smallest closed superset: x plus every element that keeps rank flat."""
+    """Smallest closed superset: x plus every element that keeps rank flat.
+
+    x is checked once; then r(x) and r(x + y), for each y outside x, are
+    each one :meth:`Matroid.rank` call.
+    """
     _refuse_ground_set_scan(m.n)
-    xs = m.check_subset(x)
+    mask = m._checked_mask(x)
+    xs = tuple(bits(mask))
     rx = m.rank(xs)
-    out = set(xs)
-    for y in range(m.n):
-        if y not in xs and m.rank(xs | {y}) == rx:
-            out.add(y)
-    return canonical(out)
+    return tuple(y for y in range(m.n) if mask >> y & 1 or m.rank((*xs, y)) == rx)
 
 
 def closure_by_intersection(m: Matroid, x) -> tuple[int, ...]:
@@ -62,8 +62,3 @@ def closure_by_intersection(m: Matroid, x) -> tuple[int, ...]:
 def _closed_masks(m: Matroid) -> list[int]:
     """Masks of all closed subsets, in (size, lexicographic) order."""
     return [z for z in _masks_by_size(m.n) if _is_closed_mask(m, z)]
-
-
-def closed_sets(m: Matroid) -> list[tuple[int, ...]]:
-    """All closed subsets, in (size, lexicographic) order."""
-    return [tuple(bits(z)) for z in _closed_masks(m)]

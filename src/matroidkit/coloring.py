@@ -57,29 +57,26 @@ def _check_total(m: Matroid, mapping, kind: str):
         raise GroundSetError(f"{kind} must cover the ground set exactly: " + ", ".join(parts))
 
 
-def color_classes(phi) -> dict:
-    out: dict = {}
+def _class_masks(m: Matroid, phi) -> list[int]:
+    """The mask of each color class of a total coloring, its ids checked."""
+    _check_total(m, phi, "coloring")
+    classes: dict = {}
     for x, c in phi.items():
-        out.setdefault(c, set()).add(x)
-    return out
+        classes.setdefault(c, []).append(x)
+    return [m._checked_mask(cls) for cls in classes.values()]
 
 
 def is_proper(m: Matroid, phi) -> bool:
     """True iff every color class of the (total) coloring is independent."""
-    _check_total(m, phi, "coloring")
-    return all(m.is_independent(cls) for cls in color_classes(phi).values())
+    return all(m.rank_of_mask(cls) == cls.bit_count() for cls in _class_masks(m, phi))
 
 
 def find_monochromatic_circuit(m: Matroid, phi) -> Circuit | None:
     """Secondary properness route: first circuit inside one color class."""
-    _check_total(m, phi, "coloring")
-    classes = [frozenset(v) for v in color_classes(phi).values()]
-    for c in circuits(m):
-        cset = frozenset(c.members)
-        for cls in classes:
-            if cset <= cls:
-                return c
-    return None
+    classes = _class_masks(m, phi)
+    return next(
+        (c for c in circuits(m) if any(c.mask() & ~cls == 0 for cls in classes)), None
+    )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from .core import (
     _derived,
     _refuse_above,
     bits,
-    canonical,
     mask_of,
     set_literal,
     validate_axioms,
@@ -262,7 +261,7 @@ def restrict(m: Matroid, elements) -> Matroid:
     The result's ``element_map`` sends new ids back to the original ones,
     and composes: restricting a restriction maps through to the root.
     """
-    keep = canonical(m.check_subset(elements))
+    keep = tuple(bits(m._checked_mask(elements)))
 
     def rank(a: int) -> int:
         return m.rank_of_mask(mask_of(keep[i] for i in bits(a)))

@@ -8,15 +8,13 @@ fitting).  The explicit minimization is retained as a test oracle.
 
 from __future__ import annotations
 
-import itertools
-
 from .core import (
     GroundSetError,
     Matroid,
     _derived,
     _refuse_ground_set_scan,
+    _sub_masks,
     bits,
-    canonical,
     mask_of,
     set_literal,
 )
@@ -29,32 +27,24 @@ def contract(m: Matroid, z) -> Matroid:
     ids back to the original ones.
     """
     _refuse_ground_set_scan(m.n)
-    zs = m.check_subset(z)
-    zmask = mask_of(zs)
-    keep = canonical(x for x in range(m.n) if x not in zs)
+    zmask = m._checked_mask(z)
+    keep = tuple(x for x in range(m.n) if not zmask >> x & 1)
     rz = m.rank_of_mask(zmask)
 
     def rank(a: int) -> int:
         return m.rank_of_mask(zmask | mask_of(keep[i] for i in bits(a))) - rz
 
-    return _derived(m, keep, rank, f"{m.name}/{set_literal(zs)}")
+    return _derived(m, keep, rank, f"{m.name}/{set_literal(bits(zmask))}")
 
 
 def contracted_rank_by_minimization(m: Matroid, z, a) -> int:
     """min over Z0 <= z of r(a u Z0) - r(Z0); the definitional test oracle."""
-    zs = m.check_subset(z)
-    a = m.check_subset(a)
-    if a & zs:
+    zmask = m._checked_mask(z)
+    amask = m._checked_mask(a)
+    if amask & zmask:
         raise GroundSetError("subset must avoid the contracted set")
-    zlist = sorted(zs)
-    best = None
-    for size in range(len(zlist) + 1):
-        for combo in itertools.combinations(zlist, size):
-            z0 = frozenset(combo)
-            val = m.rank(a | z0) - m.rank(z0)
-            if best is None or val < best:
-                best = val
-    return best
+    r = m.rank_of_mask
+    return min(r(amask | z0) - r(z0) for z0 in _sub_masks(zmask))
 
 
 def fits(m: Matroid, z, a, z0) -> bool:
@@ -63,12 +53,14 @@ def fits(m: Matroid, z, a, z0) -> bool:
     True iff r(a u z0) - r(z0) equals r'(a) computed with the full
     contracted set.  z0 must be a subset of z, and a must avoid z.
     """
-    zs = m.check_subset(z)
-    a = m.check_subset(a)
-    z0 = m.check_subset(z0)
-    if not z0 <= zs:
-        raise GroundSetError(f"{set_literal(z0)} is not a subset of {set_literal(zs)}")
-    if a & zs:
+    zmask = m._checked_mask(z)
+    amask = m._checked_mask(a)
+    z0mask = m._checked_mask(z0)
+    if z0mask & ~zmask:
+        raise GroundSetError(
+            f"{set_literal(bits(z0mask))} is not a subset of {set_literal(bits(zmask))}"
+        )
+    if amask & zmask:
         raise GroundSetError("subset must avoid the contracted set")
-    contracted = m.rank(a | zs) - m.rank(zs)
-    return m.rank(a | z0) - m.rank(z0) == contracted
+    r = m.rank_of_mask
+    return r(amask | z0mask) - r(z0mask) == r(amask | zmask) - r(zmask)

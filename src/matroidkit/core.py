@@ -86,12 +86,23 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _sub_masks(mask: int) -> Iterator[int]:
+    """All subsets of a mask, including 0 and itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
 class Matroid:
     """A finite matroid given by a rank oracle over subsets of range(n).
 
     The oracle takes a subset as an int bitmask (bit i for element i),
-    returns a nonnegative int (not a bool), and must be pure.  Ranks are
-    memoized per mask by :meth:`rank_of_mask`.  ``spec`` is the typed
+    returns a nonnegative int (not a bool), and must be pure.  The only
+    rank cache is :meth:`mask_table`: before it is built, every rank is
+    one oracle call; after, none is.  ``spec`` is the typed
     construction spec, or None for restrictions, contractions and user
     oracles.  ``step``, set only by constructions, is a pair
     ``(start, fn)``: ``fn(state, x)`` returns ``(state', gain)``, the
@@ -122,7 +133,6 @@ class Matroid:
         self.spec = spec
         self._oracle = oracle
         self._step = step
-        self._memo: dict[int, int] = {}
         self._mask_table: list[int] | None = None
         #: the last anchor decomposition, filled by bases.anchor_classes
         self._anchor_cache = None
@@ -141,11 +151,8 @@ class Matroid:
             mask |= 1 << e
         return mask
 
-    def check_subset(self, elements: Iterable[int]) -> frozenset[int]:
-        return frozenset(bits(self._checked_mask(elements)))
-
     def rank(self, elements: Iterable[int]) -> int:
-        """Rank of a subset; memoized; 0 <= rank <= |subset|."""
+        """Rank of a subset, its ids checked once; 0 <= rank <= |subset|."""
         return self.rank_of_mask(self._checked_mask(elements))
 
     def is_independent(self, elements: Iterable[int]) -> bool:
@@ -159,16 +166,14 @@ class Matroid:
     def rank_of_mask(self, mask: int) -> int:
         """Rank by bitmask (unchecked); every rank goes through here.
 
-        Reads the mask table once built, else an int-keyed memo.
+        Reads the mask table once built, else calls the oracle and checks
+        that it returned a nonnegative int; no other rank is cached.
         """
         if self._mask_table is not None:
             return self._mask_table[mask]
-        r = self._memo.get(mask)
-        if r is None:
-            r = self._oracle(mask)
-            if type(r) is not int or r < 0:
-                raise MatroidError(f"oracle returned {r!r} for {set_literal(bits(mask))}")
-            self._memo[mask] = r
+        r = self._oracle(mask)
+        if type(r) is not int or r < 0:
+            raise MatroidError(f"oracle returned {r!r} for {set_literal(bits(mask))}")
         return r
 
     def mask_table(self) -> list[int]:
@@ -181,8 +186,8 @@ class Matroid:
         tabulated by one depth-first walk over prefixes, with no oracle
         call; for ``linear`` and ``graphic`` it steps once per independent
         set and element above its top, and copies the other ranks.  Any
-        other matroid calls its oracle once per mask.  Once built the
-        table replaces the memo, so each rank is stored once.
+        other matroid calls its oracle once per mask.  Once built, every
+        rank is read from the table.
         """
         if self._mask_table is None:
             _refuse_above(self.n, VALIDATION_BOUND, "mask table")
@@ -190,7 +195,6 @@ class Matroid:
                 self._mask_table = [self.rank_of_mask(x) for x in range(1 << self.n)]
             else:
                 self._mask_table = _walk_table(self.n, *self._step)
-            self._memo.clear()
         return self._mask_table
 
 

@@ -22,6 +22,7 @@ from .core import (
     LoopError,
     Matroid,
     MatroidError,
+    _sub_masks,
     bits,
     check_circuit_elimination,
     circuits,
@@ -49,16 +50,6 @@ class LemmaResult:
     @property
     def ok(self) -> bool:
         return self.status != "fail"
-
-
-def _sub_masks(mask: int):
-    """All subsets of a mask, including 0 and itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def _fail(key, title, detail):
@@ -197,7 +188,7 @@ def check_closure_minimality(m: Matroid) -> LemmaResult:
     closed = _closed_masks(m)
     sig = {}
     for x in range(1 << m.n):
-        sig[x] = mask_of(closure_of(m, frozenset(bits(x))))
+        sig[x] = mask_of(closure_of(m, bits(x)))
     for x in range(1 << m.n):
         for z in closed:
             if x & ~z == 0 and sig[x] & ~z != 0:
@@ -219,14 +210,13 @@ def check_closure_minimality(m: Matroid) -> LemmaResult:
 def check_closure_routes_agree(m: Matroid) -> LemmaResult:
     key, title = "L8", "flat-extension closure equals intersection of closed supersets"
     for x in range(1 << m.n):
-        xs = frozenset(bits(x))
-        fast = closure_of(m, xs)
-        slow = closure_by_intersection(m, xs)
+        fast = closure_of(m, bits(x))
+        slow = closure_by_intersection(m, bits(x))
         if fast != slow:
             return _fail(
                 key,
                 title,
-                f"X={set_literal(xs)}: {set_literal(fast)} vs {set_literal(slow)}",
+                f"X={set_literal(bits(x))}: {set_literal(fast)} vs {set_literal(slow)}",
             )
     return _ok(key, title)
 
@@ -240,7 +230,7 @@ def check_base_characterization(m: Matroid) -> LemmaResult:
         maximal = indep and all(
             t[b | 1 << x] == size for x in range(m.n) if not b >> x & 1
         )
-        via_closure = is_base(m, frozenset(bits(b)))
+        via_closure = is_base(m, bits(b))
         if maximal != via_closure:
             return _fail(key, title, f"B={set_literal(bits(b))}")
     return _ok(key, title)
@@ -302,16 +292,15 @@ def check_contraction_is_matroid(m: Matroid) -> LemmaResult:
     t = m.mask_table()
     full = (1 << m.n) - 1
     for z in range(1 << m.n):
-        zset = frozenset(bits(z))
-        mc = contract(m, zset)
+        mc = contract(m, bits(z))
         for a in _sub_masks(full & ~z):
             if t[a | z] - t[z] > t[a]:
                 return _fail(
-                    key, title, f"Z={set_literal(zset)} A={set_literal(bits(a))}"
+                    key, title, f"Z={set_literal(bits(z))} A={set_literal(bits(a))}"
                 )
         report = validate_axioms(mc)
         if not report.ok:
-            return _fail(key, title, f"Z={set_literal(zset)}: {report.describe()}")
+            return _fail(key, title, f"Z={set_literal(bits(z))}: {report.describe()}")
     return _ok(key, title)
 
 
@@ -335,10 +324,8 @@ def check_contraction_independence(m: Matroid) -> LemmaResult:
 def check_contraction_loop_free(m: Matroid) -> LemmaResult:
     key, title = "L13", "contraction is loop-free iff the contracted set is closed"
     for z in range(1 << m.n):
-        zset = frozenset(bits(z))
-        mc = contract(m, zset)
-        if is_loop_free(mc) != is_closed(m, zset):
-            return _fail(key, title, f"Z={set_literal(zset)}")
+        if is_loop_free(contract(m, bits(z))) != is_closed(m, bits(z)):
+            return _fail(key, title, f"Z={set_literal(bits(z))}")
     return _ok(key, title)
 
 

@@ -13,6 +13,7 @@ import pytest
 from matroidkit import (
     BoundExceededError,
     ChromaticResult,
+    GroundSetError,
     ListChromaticResult,
     LoopError,
     MatroidError,
@@ -20,8 +21,8 @@ from matroidkit import (
     anchor_classes,
     catalog,
     circuits,
-    fundamental_circuit_bruteforce,
     graphic,
+    is_base,
     is_loop_free,
     linear,
     loops,
@@ -79,6 +80,42 @@ def brute_circuits(m):
         ),
         key=lambda t: (len(t), t),
     )
+
+
+def closed_sets(m):
+    """All closed subsets, in (size, lexicographic) order, by the definition:
+    Z is closed iff adding any element outside it raises its rank."""
+    return [
+        z
+        for z in powerset(range(m.n))
+        if all(m.rank(z + (y,)) > m.rank(z) for y in range(m.n) if y not in z)
+    ]
+
+
+def fundamental_circuit_bruteforce(m, b, x):
+    """Smallest dependent subset of base + x containing x, by a subset sweep.
+
+    Searches subsets in (size, lex) order and additionally asserts there
+    is exactly one circuit inside base + x.
+    """
+    if x in b:
+        raise GroundSetError(f"element {x} is in the base")
+    if not is_base(m, b.elements):
+        raise GroundSetError(f"{set_literal(b.elements)} is not a base of {m.name}")
+    pool = sorted(b.as_set() | {x})
+    found = []
+    for size in range(1, len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            s = frozenset(combo)
+            if m.rank(s) < len(s) and all(
+                m.rank(s - {e}) == len(s) - 1 for e in s
+            ):
+                found.append(combo)
+    if len(found) != 1:
+        raise GroundSetError(
+            f"expected exactly one circuit in base+{x}, found {len(found)}"
+        )
+    return Circuit(found[0])
 
 
 def brute_list_colorings(m, lists, order):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from matroidkit import (
     Matroid,
     MatroidError,
     OrderedBase,
+    VectorSpec,
     all_bases,
     anchor,
     anchor_classes,
@@ -17,10 +19,10 @@ from matroidkit import (
     closure,
     contract,
     fundamental_circuit,
-    fundamental_circuit_bruteforce,
     greedy_base,
     is_base,
     is_closed,
+    linear,
     ordered_bases,
     uniform,
 )
@@ -28,7 +30,7 @@ from matroidkit import bases
 from matroidkit.catalog import self_loop_triangle, theta, triangle
 from matroidkit.core import is_loop_free, loops, mask_of
 
-from conftest import brute_anchor, perturbed_tables, random_matroid
+from conftest import brute_anchor, fundamental_circuit_bruteforce, perturbed_tables, random_matroid
 
 
 def test_greedy_base_examples():
@@ -56,6 +58,23 @@ def test_ground_set_scans_refuse_above_their_ceiling(scan):
         scan(uniform(10_001, 3))
     with pytest.raises(BoundExceededError):
         scan(uniform(10**18, 3))
+
+
+def test_greedy_base_leaves_no_ranks_behind():
+    rng = random.Random(17)
+    vectors = tuple(tuple(rng.randrange(3) for _ in range(12)) for _ in range(2000))
+    m = linear(VectorSpec(3, 12, vectors))
+    greedy_base(linear(VectorSpec(3, 12, vectors[:50])))  # one-off allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        base = greedy_base(m)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(base) == 12
+    # a rank cache keyed by each scanned mask would hold hundreds of KB here
+    assert held < 16 * 1024
 
 
 def test_greedy_base_always_a_base(suite6):
@@ -137,6 +156,8 @@ def test_anchor_examples():
     assert anchor(m, OrderedBase((0, 1)), 2) == 1
     assert anchor(m, OrderedBase((0, 1)), 0) == 0
     assert anchor(m, OrderedBase((1, 0)), 2) == 0  # reversed order flips the max
+    with pytest.raises(GroundSetError):
+        anchor(m, OrderedBase((0, 1)), True)  # equals base element 1, but is no id
 
 
 def test_anchor_classes_examples():

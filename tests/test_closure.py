@@ -9,19 +9,18 @@ from matroidkit import (
     Matroid,
     OrderedBase,
     all_bases,
-    closed_sets,
     closure,
     closure_by_intersection,
     fundamental_circuit,
-    fundamental_circuit_bruteforce,
     is_closed,
     is_loop_free,
     uniform,
 )
 from matroidkit.catalog import triangle
+from matroidkit.closure import _closed_masks
 from matroidkit.core import bits
 
-from conftest import powerset, random_matroid
+from conftest import closed_sets, fundamental_circuit_bruteforce, powerset, random_matroid
 
 
 def test_is_closed_examples():
@@ -99,6 +98,7 @@ def test_closure_routes_match_definitions_on_random_matroids(kind, n, seed):
         if cl == x:
             closed.append(x)
     assert closed_sets(m) == sorted(closed, key=lambda z: (len(z), z))
+    assert [tuple(bits(z)) for z in _closed_masks(m)] == closed_sets(m)
     for b in all_bases(m):
         ob = OrderedBase(b)
         for x in range(m.n):

@@ -52,6 +52,16 @@ def test_is_proper_requires_total():
         is_proper(uniform(3, 2), {0: "a"})
 
 
+@pytest.mark.parametrize("odd_id", [True, 1.0])
+def test_properness_routes_refuse_ids_that_only_equal_an_int(odd_id):
+    # {True, 0, 2} and {1.0, 0, 2} equal {0, 1, 2} as sets, so the coloring
+    # looks total; both routes must still refuse the id, not read it as 1
+    phi = {odd_id: "a", 0: "a", 2: "b"}
+    for route in (is_proper, find_monochromatic_circuit):
+        with pytest.raises(GroundSetError, match=r"^element .* outside ground set of size 3$"):
+            route(uniform(3, 1), phi)
+
+
 def test_properness_routes_agree(suite6):
     import itertools
 

@@ -53,7 +53,7 @@ def test_rank_rejects_out_of_range():
         m.rank({True})
 
 
-def test_rank_memoizes():
+def test_the_mask_table_is_the_only_rank_cache():
     calls = []
 
     def oracle(a):
@@ -61,9 +61,17 @@ def test_rank_memoizes():
         return min(a.bit_count(), 2)
 
     m = Matroid(4, oracle)
-    m.rank({0, 1})
-    m.rank({1, 0})
-    assert len(calls) == 1
+    # before the table, every rank call evaluates the oracle, repeats included
+    assert [m.rank({0, 1}), m.rank({1, 0}), m.rank_of_mask(0b11)] == [2, 2, 2]
+    assert calls == [0b11] * 3
+    calls.clear()
+    table = m.mask_table()
+    assert calls == list(range(16))
+    calls.clear()
+    # after it, no call does
+    assert [m.rank({0, 1, 2}), m.rank_of_mask(0b1111), m.full_rank()] == [2, 2, 2]
+    assert m.is_independent({3}) and m.mask_table() is table
+    assert calls == []
 
 
 def test_validate_axioms_pass():

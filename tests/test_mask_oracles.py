@@ -4,7 +4,7 @@ Restriction and contraction hand their parent a mapped bitmask.  Their
 ranks are checked on every subset against the definitions: the parent's
 rank of the mapped subset for a restriction, and the explicit
 minimization of r(A u Z0) - r(Z0) for a contraction.  Ranks are read
-through the memo (before the mask table exists) and through the table.
+by oracle calls (before the mask table exists) and through the table.
 """
 
 import random
@@ -36,10 +36,10 @@ def _step(parent, how, chosen):
     return child, definition
 
 
-def _check(m, definition, memo_first):
+def _check(m, definition, oracle_first):
     """rank(S) = table[mask(S)] = definition(S), read before and after the table."""
     subsets = list(powerset(range(m.n)))
-    before = {s: m.rank(s) for s in subsets if memo_first(s)}
+    before = {s: m.rank(s) for s in subsets if oracle_first(s)}
     assert m._mask_table is None
     table = m.mask_table()
     for s in subsets:
@@ -48,8 +48,8 @@ def _check(m, definition, memo_first):
         assert before.get(s, want) == want, (m.name, s)
 
 
-# which ranks are read through the memo before the mask table is built
-MEMO_FIRST = {
+# which ranks are read by oracle calls before the mask table is built
+ORACLE_FIRST = {
     "none": lambda s: False,
     "even-sized": lambda s: len(s) % 2 == 0,
     "all": lambda s: True,
@@ -72,5 +72,5 @@ def test_derived_mask_oracles_match_definitions(kind, n, seed, steps, root_table
     for how in steps:
         chosen = frozenset(bits(data.draw(st.integers(0, (1 << m.n) - 1))))
         child, definition = _step(m, how, chosen)
-        _check(child, definition, MEMO_FIRST[data.draw(st.sampled_from(sorted(MEMO_FIRST)))])
+        _check(child, definition, ORACLE_FIRST[data.draw(st.sampled_from(sorted(ORACLE_FIRST)))])
         m = child
