@@ -77,7 +77,7 @@ def greedy_base(m: Matroid, order=None) -> OrderedBase:
     if order is None:
         order = range(m.n)
     order = tuple(order)
-    if sorted(order) != list(range(m.n)):
+    if m._checked_mask(order) != (1 << m.n) - 1 or len(order) != m.n:
         raise GroundSetError("order must be a permutation of the ground set")
     picked: list[int] = []
     mask = 0

@@ -55,6 +55,7 @@ def _check_total(m: Matroid, mapping, kind: str):
         if extra:
             parts.append(f"unknown {extra}")
         raise GroundSetError(f"{kind} must cover the ground set exactly: " + ", ".join(parts))
+    m._checked_mask(keys)  # True and 1.0 equal 1, so they pass the cover check
 
 
 def _class_masks(m: Matroid, phi) -> list[int]:
@@ -62,8 +63,8 @@ def _class_masks(m: Matroid, phi) -> list[int]:
     _check_total(m, phi, "coloring")
     classes: dict = {}
     for x, c in phi.items():
-        classes.setdefault(c, []).append(x)
-    return [m._checked_mask(cls) for cls in classes.values()]
+        classes[c] = classes.get(c, 0) | 1 << x
+    return list(classes.values())
 
 
 def is_proper(m: Matroid, phi) -> bool:

@@ -10,10 +10,11 @@ walk of that tree is the constructive stand-in for choosing a coherent
 coloring of the whole chain at once.
 
 Level i is the restriction of every later level to the id prefix
-range(n_i), with the same ranks (checked subset by subset when the level
-is built).  So a color class inside level i is independent in level i
-exactly when it is independent in the deepest level, and walking the tree
-level by level, in id order, is the same depth-first search as a single
+range(n_i), with the same ranks: building level i + 1 checks that level
+i's mask table is a prefix of its own, so levels share the table's bound.
+So a color class inside level i is independent in level i exactly when
+it is independent in the deepest level, and walking the tree level by
+level, in id order, is the same depth-first search as a single
 ``_list_colorings`` run over range(n) on the deepest level's rank table.
 Each query here is one such run on one level's table.
 """
@@ -26,16 +27,15 @@ from typing import Callable
 from .coloring import _color_sort_key, _list_colorings
 from .constructions import graphic, uniform
 from .core import (
+    VALIDATION_BOUND,
+    BoundExceededError,
     GroundSetError,
     Matroid,
     MatroidError,
     _masks_by_size,
-    _refuse_above,
     bits,
     set_literal,
 )
-
-LEVEL_SIZE_BOUND = 16
 
 
 class ChainError(MatroidError):
@@ -55,10 +55,10 @@ class MatroidChain:
     def level(self, i: int) -> Matroid:
         """Level i, with growth and rank-consistency checked on first access.
 
-        Missing levels are built and checked in ascending order.
+        Missing levels are built and checked in ascending order.  A depth
+        outside 0..VALIDATION_BOUND is refused before any level is built.
         """
-        if i < 0:
-            raise GroundSetError("chain levels are indexed from 0")
+        _refuse_depth(i)
         for j in range(len(self._levels), i + 1):
             m = self.level_fn(j)
             if j > 0:
@@ -73,19 +73,27 @@ class MatroidChain:
         return self._levels[i]
 
 
-def _check_consistent(small: Matroid, big: Matroid, level: int):
-    """Ranks of the larger level must agree on the smaller ground set.
+def _refuse_depth(i: int) -> None:
+    """Refuse a negative depth, and one above VALIDATION_BOUND: levels grow,
+    so level i has at least i elements, too many for its mask table."""
+    if i < 0:
+        raise GroundSetError("chain levels are indexed from 0")
+    if i > VALIDATION_BOUND:
+        raise BoundExceededError(f"chain levels need depth <= {VALIDATION_BOUND}, got {i}")
 
-    Every subset is checked; above LEVEL_SIZE_BOUND this refuses rather
-    than sample.
-    """
-    _refuse_above(small.n, LEVEL_SIZE_BOUND, f"consistency check of level {level - 1}")
-    for a in _masks_by_size(small.n):
-        if small.rank_of_mask(a) != big.rank_of_mask(a):
-            raise ChainError(
-                f"level {level} disagrees with level {level-1} on "
-                f"{set_literal(bits(a))}: {big.rank_of_mask(a)} vs {small.rank_of_mask(a)}"
-            )
+
+def _check_consistent(small: Matroid, big: Matroid, level: int):
+    """Ranks of the larger level must agree on the smaller ground set: the
+    smaller level's mask table is a prefix of the larger one's.  A
+    disagreement is named at its first subset in (size, lex) order."""
+    want = small.mask_table()
+    got = big.mask_table()
+    if got[: len(want)] != want:
+        a = next(a for a in _masks_by_size(small.n) if got[a] != want[a])
+        raise ChainError(
+            f"level {level} disagrees with level {level-1} on "
+            f"{set_literal(bits(a))}: {got[a]} vs {want[a]}"
+        )
 
 
 # --- built-in families ----------------------------------------------------
@@ -155,6 +163,11 @@ def chain_from_matroids(ms: list[Matroid], name: str = "file-chain") -> MatroidC
 # --- coloring along the chain ----------------------------------------------
 
 def _level_lists(m: Matroid, lists) -> dict[int, tuple]:
+    """The lists of m's elements, colors sorted; a key that is no int is
+    refused, not read as an id (True and 1.0 both equal 1)."""
+    bad = next((x for x in lists if type(x) is not int), None)
+    if bad is not None:
+        raise GroundSetError(f"element {bad!r} outside ground set of size {m.n}")
     out = {}
     for x in range(m.n):
         if x not in lists:
@@ -166,15 +179,13 @@ def _level_lists(m: Matroid, lists) -> dict[int, tuple]:
 def _level_colorings(chain: MatroidChain, lists, i: int):
     """Level i's proper list colorings in id order, as one lazy search.
 
-    Building level i checks every earlier level, so the first level above
-    LEVEL_SIZE_BOUND is refused by name before the search starts.  The
-    yielded phi is live: callers copy what they keep.
+    The search reads the level's mask table, which building the level made
+    (level 0's is made here).  The yielded phi is live: callers copy what
+    they keep.
     """
     m = chain.level(i)
-    _refuse_above(m.n, LEVEL_SIZE_BOUND, f"list search on level {i}")
     norm = _level_lists(m, lists)
-    table = m.mask_table()
-    return _list_colorings(table, range(m.n), norm, {}, {})
+    return _list_colorings(m.mask_table(), range(m.n), norm, {}, {})
 
 
 def restriction_colorings(chain: MatroidChain, lists, i: int):
@@ -196,11 +207,10 @@ def first_uncolorable_level(chain: MatroidChain, lists, depth: int):
     """Smallest level index up to depth with no proper list coloring, or None.
 
     Each level is tested for the existence of one coloring; none is listed.
-    A negative depth is refused before any level is built, as by
-    ``chain.level``.
+    A depth outside 0..VALIDATION_BOUND is refused before any level is
+    built, as by ``chain.level``.
     """
-    if depth < 0:
-        raise GroundSetError("chain levels are indexed from 0")
+    _refuse_depth(depth)
     for i in range(depth + 1):
         if next(_level_colorings(chain, lists, i), None) is None:
             return i

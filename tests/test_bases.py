@@ -47,6 +47,19 @@ def test_greedy_base_validates_order():
         greedy_base(uniform(3, 2), (0, 1, 1))
 
 
+@pytest.mark.parametrize("odd_id", [True, 1.0])
+def test_greedy_base_refuses_an_order_id_that_only_equals_an_int(odd_id):
+    # (0, True) and (0, 1.0) sort equal to [0, 1]; the id is refused before
+    # any rank is read, and a true non-permutation keeps its own message
+    calls = []
+    m = Matroid(2, lambda a: calls.append(a) or min(2, a.bit_count()))
+    with pytest.raises(GroundSetError, match=r"^element .* outside ground set of size 2$"):
+        greedy_base(m, (0, odd_id))
+    with pytest.raises(GroundSetError, match="^order must be a permutation of the ground set$"):
+        greedy_base(m, (1, 1))
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "scan",
     [greedy_base, lambda m: greedy_base(m, (1, 0)), lambda m: closure(m, {0}),

@@ -323,6 +323,21 @@ def test_list_chromatic_max_n_cannot_pass_the_listing_ceiling(tmp_path, capsys):
             ["list-chromatic", "--kmax", "0"],
             "kmax must be at least 1, got 0",
         ),
+        # compactness reads its chain from --family, not -i; the top level's
+        # table refuses before the lists are read
+        (
+            "",
+            [
+                "compactness",
+                "--family",
+                str(DATA / "chain_u2m.m"),
+                "--depth",
+                "1",
+                "--lists",
+                str(DATA / "golden" / "ab-3.l"),
+            ],
+            "mask table needs n <= 16, got 2000000",
+        ),
     ],
 )
 def test_absurd_sizes_are_refused_before_any_work(tmp_path, capsys, text, argv, error):
@@ -425,8 +440,8 @@ def test_roundtrip_through_cli_formats():
 
 
 def test_compactness_absurd_depth_exits_2(tmp_path, capsys):
-    # levels are built in a loop, and the exhaustive consistency check
-    # refuses at the first level above its size bound
+    # level i has at least i elements, so a depth above the mask table's
+    # bound is refused before any level is built
     lists = tmp_path / "lists.l"
     lists.write_text("list 0 : a b\n")
     code, _ = invoke(

@@ -16,6 +16,7 @@ from matroidkit import (
     closure,
     color_from_base,
     distinct_color_fallback,
+    extend_coloring,
     find_monochromatic_circuit,
     is_list_colorable,
     is_proper,
@@ -60,6 +61,28 @@ def test_properness_routes_refuse_ids_that_only_equal_an_int(odd_id):
     for route in (is_proper, find_monochromatic_circuit):
         with pytest.raises(GroundSetError, match=r"^element .* outside ground set of size 3$"):
             route(uniform(3, 1), phi)
+
+
+@pytest.mark.parametrize("odd_id", [True, 1.0])
+@pytest.mark.parametrize(
+    "route",
+    [
+        is_list_colorable,
+        lambda m, lists: color_from_base(m, OrderedBase((0,)), lists),
+        distinct_color_fallback,
+        lambda m, lists: extend_coloring(chain_from_matroids([m]), lists, 0),
+    ],
+    ids=["is_list_colorable", "color_from_base", "distinct_color_fallback", "extend_coloring"],
+)
+def test_listing_routes_refuse_ids_that_only_equal_an_int(route, odd_id):
+    # the listing {True, 0, 2} covers {0, 1, 2} as a set; each route refuses
+    # the id before it reads a rank, rather than return a coloring keyed by 1
+    calls = []
+    m = Matroid(3, lambda a: calls.append(a) or min(1, a.bit_count()))
+    lists = {odd_id: ("a", "b", "c"), 0: ("a", "b", "c"), 2: ("a", "b", "c")}
+    with pytest.raises(GroundSetError, match=r"^element .* outside ground set of size 3$"):
+        route(m, lists)
+    assert calls == []
 
 
 def test_properness_routes_agree(suite6):

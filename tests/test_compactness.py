@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -103,6 +104,38 @@ def test_every_chain_query_refuses_a_negative_depth_before_building_a_level():
     assert built == []
 
 
+def test_every_chain_query_refuses_a_depth_above_the_table_bound_before_building_a_level():
+    # level i has at least i elements, so a depth above 16 has a level the
+    # mask table refuses
+    built = []
+    chain = MatroidChain("counted", lambda i: built.append(i) or uniform(i + 2, 1))
+    queries = [extend_coloring, restriction_colorings, first_uncolorable_level]
+    for query in queries:
+        with pytest.raises(BoundExceededError, match="^chain levels need depth <= 16, got 17$"):
+            query(chain, two_lists(2), 17)
+    with pytest.raises(BoundExceededError, match="^chain levels need depth <= 16, got 3000$"):
+        chain.level(3000)
+    assert built == []
+
+
+def test_each_level_oracle_is_called_once_per_mask():
+    # the consistency check builds each level's table, and the queries read
+    # those tables: 2^n oracle calls per level, none more
+    calls = Counter()
+
+    def level(i):
+        n = i + 3
+        return Matroid(n, lambda a: calls.update([n]) or min(2, a.bit_count()))
+
+    chain = MatroidChain("counted-uniform", level)
+    assert chain.level(3).n == 6
+    lists = two_lists(6, ("a", "b", "c"))
+    assert len(restriction_colorings(chain, lists, 3)) > 0
+    assert extend_coloring(chain, lists, 3) is not None
+    assert first_uncolorable_level(chain, lists, 3) is None
+    assert calls == {n: 1 << n for n in (3, 4, 5, 6)}
+
+
 def test_growing_cycle_extension():
     chain = growing_cycle()
     lists = two_lists(chain.level(3).n, ("x", "y"))
@@ -145,6 +178,21 @@ def test_inconsistency_on_a_small_subset_of_a_large_level_rejected():
     with pytest.raises(ChainError) as err:
         chain.level(1)
     assert "{1,2}" in str(err.value)
+
+
+def test_inconsistency_is_named_at_the_first_subset_by_size():
+    # level 1 disagrees at {0,1} (mask 3) and at {2} (mask 4); {2} is the
+    # smaller subset, so it is named though its mask comes later
+    levels = [uniform(3, 2), Matroid(4, lambda a: min(1, (a & ~0b100).bit_count()))]
+    chain = MatroidChain("loop-at-2", lambda i: levels[i])
+    with pytest.raises(ChainError, match=r"^level 1 disagrees with level 0 on \{2\}: 0 vs 1$"):
+        chain.level(1)
+
+
+def test_a_top_level_above_the_table_bound_is_refused_by_the_table():
+    chain = chain_from_matroids([uniform(16, 2), uniform(17, 2)])
+    with pytest.raises(BoundExceededError, match="^mask table needs n <= 16, got 17$"):
+        chain.level(1)
 
 
 def test_consistency_check_refuses_above_level_size_bound():
