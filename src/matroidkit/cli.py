@@ -299,6 +299,7 @@ def cmd_compactness(args, out: _Out) -> int:
     depth = args.depth
     top = chain.level(depth)
     lists = _load_lists(args, top.n)
+    top.mask_table()  # level 0 is not tabulated when built: refuse it before any line
     out.kv("family", chain.name)
     out.kv("depth", depth)
     out.kv("levels", ",".join(str(chain.level(i).n) for i in range(depth + 1)))

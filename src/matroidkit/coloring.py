@@ -13,12 +13,19 @@ lists of size at least chi give
 sum_c r(A & E_c) >= sum_c |A & E_c| / chi = sum_{x in A} |L(x)| / chi >= |A|.
 Below chi the constant listing {0..k-1} is uncolorable, since a coloring
 from it would be a proper k-coloring.
+
+Every list-coloring question (chromatic_number's deepening,
+is_list_colorable and the chain queries of compactness) runs one search,
+_list_colorings: a single backtracking loop over the elements in a given
+order that reads independence off the rank table.  Each query sorts each
+element's list once, by _sorted_lists, into _color_sort_key order.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .bases import OrderedBase, anchor_classes
 from .core import (
@@ -44,8 +51,16 @@ class ListDeficitError(MatroidError):
 
 
 def _check_total(m: Matroid, mapping, kind: str):
+    """Refuse a mapping whose keys are not exactly the ids range(m.n).
+
+    n distinct int keys in range(n) are exactly range(n), so the common
+    case is one pass; the two-set diagnosis is built only on failure.
+    """
+    n = m.n
+    if len(mapping) == n and all(type(x) is int and 0 <= x < n for x in mapping):
+        return
     keys = set(mapping)
-    want = set(range(m.n))
+    want = set(range(n))
     if keys != want:
         missing = sorted(want - keys)
         extra = sorted(keys - want)
@@ -104,17 +119,22 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
     lp = loops(m)
     if lp:
         raise LoopError(f"no proper coloring exists: loops {set_literal(lp)}")
-    if m.n == 0:
+    return _deepening(table, m.n)
+
+
+def _deepening(table, n: int) -> ChromaticResult:
+    """chromatic_number's search on a loop-free rank table of n elements."""
+    if n == 0:
         return ChromaticResult(0, {})
     alpha = max((s.bit_count() for s, r in enumerate(table) if r == s.bit_count()), default=0)
-    start = -(-m.n // alpha) if alpha else m.n + 1  # no class fits: nothing to search
-    for k in range(start, m.n + 1):
-        lists = {x: range(min(x + 1, k)) for x in range(m.n)}
-        witness = next(_list_colorings(table, range(m.n), lists, {}, {}), None)
+    start = -(-n // alpha) if alpha else n + 1  # no class fits: nothing to search
+    for k in range(start, n + 1):
+        lists = {x: range(min(x + 1, k)) for x in range(n)}
+        witness = next(_list_colorings(table, range(n), lists, {}, {}), None)
         if witness is not None:
             return ChromaticResult(k, dict(witness))
     # with every singleton of rank 1, x -> x is a proper n-coloring
-    x = next(x for x in range(m.n) if table[1 << x] > 1)
+    x = next(x for x in range(n) if table[1 << x] > 1)
     raise MatroidError(
         f"not a matroid: subcardinality fails at {{{x}}}: rank {table[1 << x]} > size 1"
     )
@@ -122,6 +142,24 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
 
 def _color_sort_key(c):
     return (c.__class__.__name__, str(c))
+
+
+def _sorted_lists(lists, elements) -> dict:
+    """Each element's list as a tuple of its colors in _color_sort_key order,
+    keyed by the elements in their order (a range or other re-iterable).
+
+    When the lists read hold colors of one type, the type names tie and
+    ``key=str`` gives the same order with no Python call per color; mixed
+    types sort by _color_sort_key.  Nothing is cached by list value: {1}
+    and {True} are equal but sort and print differently.
+    """
+    got = [lists[x] for x in elements]
+    types = set(map(type, chain.from_iterable(got)))
+    if len(types) > 1:
+        key = _color_sort_key
+    else:
+        key = None if str in types else str  # a str is its own str
+    return dict(zip(elements, [tuple(sorted(l, key=key)) for l in got]))
 
 
 def _list_colorings(table, order, lists, phi, class_masks):
@@ -133,32 +171,56 @@ def _list_colorings(table, order, lists, phi, class_masks):
     class_masks (color -> mask) are extended in place and restored on
     backtrack, so the yielded phi is live: callers copy what they keep.
     Yields nothing when a list in `order` is empty.
+
+    One backtracking loop: depth i resumes its iterator over the list of
+    order[i]; the stack keeps, per depth, that iterator, the color placed
+    and the color's previous class mask (None for a new class).
     """
     order = tuple(order)
-    if not all(lists[x] for x in order):
+    cands = [lists[x] for x in order]
+    if not all(cands):
         return
-
-    def dfs(i: int):
-        if i == len(order):
-            yield phi
-            return
+    last = len(order) - 1
+    if last < 0:
+        yield phi
+        return
+    bits = [1 << x for x in order]
+    stack = [None] * len(order)
+    get = class_masks.get
+    i = 0
+    it = iter(cands[0])
+    while True:
+        bit = bits[i]
+        for c in it:
+            prev = get(c)
+            new = bit if prev is None else prev | bit
+            if table[new] == new.bit_count():
+                break
+        else:  # depth i is exhausted: undo depth i - 1 and resume it
+            if i == 0:
+                return
+            i -= 1
+            it, c, prev = stack[i]
+            del phi[order[i]]
+            if prev is None:
+                del class_masks[c]
+            else:
+                class_masks[c] = prev
+            continue
+        class_masks[c] = new
         x = order[i]
-        bit = 1 << x
-        for c in lists[x]:
-            prev = class_masks.get(c)
-            new = (prev or 0) | bit
-            if table[new] != new.bit_count():
-                continue
-            class_masks[c] = new
-            phi[x] = c
-            yield from dfs(i + 1)
+        phi[x] = c
+        if i == last:
+            yield phi
             del phi[x]
             if prev is None:
                 del class_masks[c]
             else:
                 class_masks[c] = prev
-
-    yield from dfs(0)
+            continue
+        stack[i] = it, c, prev
+        i += 1
+        it = iter(cands[i])
 
 
 def is_list_colorable(m: Matroid, lists):
@@ -172,12 +234,12 @@ def is_list_colorable(m: Matroid, lists):
     bound is the table's own, VALIDATION_BOUND.
     """
     _check_total(m, lists, "listing")
-    norm = {x: tuple(sorted(lists[x], key=_color_sort_key)) for x in lists}
-    empty = sorted(x for x, v in norm.items() if not v)
-    if empty:
+    norm = _sorted_lists(lists, range(m.n))
+    if not all(norm.values()):
+        empty = sorted(x for x, v in norm.items() if not v)
         logger.debug("no list coloring: empty lists on %s", set_literal(empty))
         return None
-    order = sorted(range(m.n), key=lambda x: (len(norm[x]), x))
+    order = sorted(range(m.n), key=[len(norm[x]) for x in range(m.n)].__getitem__)  # stable: ties by id
     phi = next(_list_colorings(m.mask_table(), order, norm, {}, {}), None)
     return None if phi is None else dict(phi)
 
@@ -214,11 +276,11 @@ def list_chromatic_number(
     _refuse_above(m.n, CHROMATIC_BOUND if max_n is None else max_n, "chromatic search")
     if kmax < 1:
         raise BoundExceededError(f"kmax must be at least 1, got {kmax}")
-    m.mask_table()  # its size refusal, as in chromatic_number, comes before loops
+    table = m.mask_table()  # its size refusal, as in chromatic_number, comes before loops
     lp = loops(m)
     if lp:
         raise LoopError(f"no list coloring exists: loops {set_literal(lp)}")
-    chi = chromatic_number(m, max_n).value
+    chi = _deepening(table, m.n).value
     bad_listings = {
         k: {x: tuple(range(k)) for x in range(m.n)} for k in range(1, min(chi, kmax + 1))
     }
@@ -237,24 +299,21 @@ def color_from_base(m: Matroid, b: OrderedBase, lists) -> dict:
     """
     _check_total(m, lists, "listing")
     decomp = anchor_classes(m, b)
+    norm = _sorted_lists(lists, range(m.n))
     for base_elem, members in decomp.classes.items():
         need = len(members)
         for x in members:
-            if len(lists[x]) < need:
+            if len(norm[x]) < need:
                 raise ListDeficitError(
                     f"class of base element {base_elem} has {need} members but "
-                    f"element {x} lists only {len(lists[x])} colors "
-                    f"(short by {need - len(lists[x])})"
+                    f"element {x} lists only {len(norm[x])} colors "
+                    f"(short by {need - len(norm[x])})"
                 )
     phi: dict[int, object] = {}
     for base_elem in b:
         used = set()
         for x in decomp.classes[base_elem]:
-            c = next(
-                c
-                for c in sorted(lists[x], key=_color_sort_key)
-                if c not in used
-            )
+            c = next(c for c in norm[x] if c not in used)
             phi[x] = c
             used.add(c)
     if not is_proper(m, phi):
@@ -265,10 +324,11 @@ def color_from_base(m: Matroid, b: OrderedBase, lists) -> dict:
 def distinct_color_fallback(m: Matroid, lists) -> dict:
     """All-distinct list coloring; exists whenever every list has >= n colors."""
     _check_total(m, lists, "listing")
+    norm = _sorted_lists(lists, range(m.n))
     used = set()
     phi: dict[int, object] = {}
     for x in range(m.n):
-        free = [c for c in sorted(lists[x], key=_color_sort_key) if c not in used]
+        free = [c for c in norm[x] if c not in used]
         if not free:
             raise GroundSetError(
                 f"list of element {x} exhausted; needs >= {m.n} colors for the fallback"

@@ -16,7 +16,9 @@ So a color class inside level i is independent in level i exactly when
 it is independent in the deepest level, and walking the tree level by
 level, in id order, is the same depth-first search as a single
 ``_list_colorings`` run over range(n) on the deepest level's rank table.
-Each query here is one such run on one level's table.
+Each query here is one such run on one level's table, and sorts each
+element's list once: ``first_uncolorable_level`` grows one sorted listing
+level by level as it tests the levels in turn.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .coloring import _color_sort_key, _list_colorings
+from .coloring import _list_colorings, _sorted_lists
 from .constructions import graphic, uniform
 from .core import (
     VALIDATION_BOUND,
@@ -162,18 +164,22 @@ def chain_from_matroids(ms: list[Matroid], name: str = "file-chain") -> MatroidC
 
 # --- coloring along the chain ----------------------------------------------
 
-def _level_lists(m: Matroid, lists) -> dict[int, tuple]:
-    """The lists of m's elements, colors sorted; a key that is no int is
-    refused, not read as an id (True and 1.0 both equal 1)."""
-    bad = next((x for x in lists if type(x) is not int), None)
-    if bad is not None:
+def _level_lists(m: Matroid, lists, norm: dict) -> dict[int, tuple]:
+    """norm, grown by the sorted lists of m's elements it does not hold yet.
+
+    Started empty, it refuses first any key that is no int, rather than
+    read it as an id (True and 1.0 both equal 1).  Elements are checked in
+    id order, so a listing that stops covering names its first gap.
+    """
+    if not norm and not set(map(type, lists)) <= {int}:
+        bad = next(x for x in lists if type(x) is not int)
         raise GroundSetError(f"element {bad!r} outside ground set of size {m.n}")
-    out = {}
-    for x in range(m.n):
-        if x not in lists:
-            raise GroundSetError(f"listing does not cover element {x}")
-        out[x] = tuple(sorted(lists[x], key=_color_sort_key))
-    return out
+    new = range(len(norm), m.n)
+    if not all(map(lists.__contains__, new)):
+        gap = next(x for x in new if x not in lists)
+        raise GroundSetError(f"listing does not cover element {gap}")
+    norm.update(_sorted_lists(lists, new))
+    return norm
 
 
 def _level_colorings(chain: MatroidChain, lists, i: int):
@@ -184,7 +190,7 @@ def _level_colorings(chain: MatroidChain, lists, i: int):
     they keep.
     """
     m = chain.level(i)
-    norm = _level_lists(m, lists)
+    norm = _level_lists(m, lists, {})
     return _list_colorings(m.mask_table(), range(m.n), norm, {}, {})
 
 
@@ -207,11 +213,16 @@ def first_uncolorable_level(chain: MatroidChain, lists, depth: int):
     """Smallest level index up to depth with no proper list coloring, or None.
 
     Each level is tested for the existence of one coloring; none is listed.
-    A depth outside 0..VALIDATION_BOUND is refused before any level is
-    built, as by ``chain.level``.
+    The sorted lists grow with the levels, so each list is sorted once, and
+    no level past the first uncolorable one is built or read.  A depth
+    outside 0..VALIDATION_BOUND is refused before any level is built, as
+    by ``chain.level``.
     """
     _refuse_depth(depth)
+    norm: dict = {}
     for i in range(depth + 1):
-        if next(_level_colorings(chain, lists, i), None) is None:
+        m = chain.level(i)
+        _level_lists(m, lists, norm)
+        if next(_list_colorings(m.mask_table(), range(m.n), norm, {}, {}), None) is None:
             return i
     return None

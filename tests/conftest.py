@@ -137,6 +137,43 @@ def brute_list_colorings(m, lists, order):
     return out
 
 
+def list_colorings_by_recursion(table, order, lists, phi, class_masks):
+    """The list-coloring search as one recursive generator per element.
+
+    The reference for the library's iterative ``_list_colorings``, which
+    must yield the same colorings in the same order, with the same live
+    phi and class masks: elements in `order`, each trying its list's
+    colors in list order, a color allowed while its class stays
+    independent (``table[mask] == popcount``); phi and class_masks are
+    extended in place and restored on backtrack.
+    """
+    order = tuple(order)
+    if not all(lists[x] for x in order):
+        return
+
+    def dfs(i: int):
+        if i == len(order):
+            yield phi
+            return
+        x = order[i]
+        bit = 1 << x
+        for c in lists[x]:
+            prev = class_masks.get(c)
+            new = (prev or 0) | bit
+            if table[new] != new.bit_count():
+                continue
+            class_masks[c] = new
+            phi[x] = c
+            yield from dfs(i + 1)
+            del phi[x]
+            if prev is None:
+                del class_masks[c]
+            else:
+                class_masks[c] = prev
+
+    yield from dfs(0)
+
+
 def all_canonical_listings(n: int, k: int, colors: int):
     """Every k-listing on n elements, up to renaming, with <= `colors` colors.
 

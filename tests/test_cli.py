@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from matroidkit import list_chromatic_number
+from matroidkit import __version__, list_chromatic_number
 from matroidkit.cli import build_parser, run
 
 DATA = Path(__file__).parent / "data"
@@ -437,6 +437,19 @@ def test_roundtrip_through_cli_formats():
         for size in range(m1.n + 1):
             for combo in itertools.combinations(range(m1.n), size):
                 assert m1.rank(combo) == m2.rank(combo)
+
+
+def test_compactness_refuses_a_level_0_above_the_table_bound_before_any_line(tmp_path, capsys):
+    # level 0 is not tabulated when it is built; its refusal must still
+    # come before the family, depth and levels lines, as for a deeper level
+    chain = tmp_path / "u17.m"
+    chain.write_text("matroid uniform\nn 17\nk 2\n")
+    lists = tmp_path / "lists.l"
+    lists.write_text("".join(f"list {x} : a b\n" for x in range(17)))
+    code, out = invoke(["compactness", "--family", str(chain), "--depth", "0", "--lists", str(lists)])
+    assert code == 2
+    assert out.splitlines() == [f"tool: matroidkit {__version__}", "command: compactness", "seed: 0"]
+    assert capsys.readouterr().err.splitlines() == ["error: mask table needs n <= 16, got 17"]
 
 
 def test_compactness_absurd_depth_exits_2(tmp_path, capsys):

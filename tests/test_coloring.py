@@ -34,6 +34,7 @@ from conftest import (
     brute_list_colorings,
     chromatic_by_deepening,
     list_chromatic_by_sweep,
+    list_colorings_by_recursion,
     perturbed_tables,
     powerset,
     random_matroid,
@@ -413,3 +414,143 @@ def test_degree_bound_all_subsets(suite6):
             continue
         for a in powerset(range(m.n)):
             assert _flat_extension_degrees(m, a)[2], (m.name, a)
+
+
+def _search_trace(search, table, order, lists, phi=(), class_masks=()):
+    """Every state a list search yields, then the state it leaves behind.
+
+    Colors are compared with their types, as (x, type(c), c) triples in
+    phi's insertion order, since 1, True and 1.0 are equal keys; each
+    search gets its own copies of phi and class_masks.
+    """
+    phi, class_masks = dict(phi), dict(class_masks)
+
+    def typed():
+        return (
+            [(x, type(c), c) for x, c in phi.items()],
+            [(type(c), c, mask) for c, mask in class_masks.items()],
+        )
+
+    return [typed() for _ in search(table, order, lists, phi, class_masks)], typed()
+
+
+def _assert_kernel_is_the_reference(table, order, lists, phi=(), class_masks=()):
+    args = (table, order, lists, phi, class_masks)
+    got = _search_trace(coloring._list_colorings, *args)
+    assert got == _search_trace(list_colorings_by_recursion, *args)
+    return len(got[0])
+
+
+def _random_lists(rng, n, colors="abcd"):
+    return {x: tuple(rng.sample(colors, rng.choice((1, 2, 2, 3)))) for x in range(n)}
+
+
+def test_list_search_yields_the_reference_sequence_on_desk_matroids(suite6):
+    rng = random.Random(41)
+    leaves = 0
+    for m in suite6:
+        if not is_loop_free(m):
+            continue
+        table = m.mask_table()
+        for k in range(1, m.n + 1):  # chromatic_number's lists
+            leaves += _assert_kernel_is_the_reference(
+                table, range(m.n), {x: range(min(x + 1, k)) for x in range(m.n)}
+            )
+        order = list(range(m.n))
+        rng.shuffle(order)
+        leaves += _assert_kernel_is_the_reference(table, order, _random_lists(rng, m.n))
+    assert leaves > 1000
+
+
+def test_list_search_yields_the_reference_sequence_on_random_matroids():
+    rng = random.Random(43)
+    leaves = 0
+    for j in range(60):
+        m = random_matroid(rng, ("uniform", "graphic", "gf2", "gf3")[j % 4], rng.randint(1, 8))
+        order = list(range(m.n))
+        rng.shuffle(order)
+        leaves += _assert_kernel_is_the_reference(m.mask_table(), order, _random_lists(rng, m.n))
+    assert leaves > 1000
+
+
+def test_list_search_yields_the_reference_sequence_on_perturbed_tables():
+    rng = random.Random(47)
+    for label, n, table in perturbed_tables(seed=6, per_base=3):
+        for k in (2, 3):
+            lists = {x: range(min(x + 1, k)) for x in range(n)}
+            _assert_kernel_is_the_reference(table, range(n), lists)
+        order = list(range(n))
+        rng.shuffle(order)
+        _assert_kernel_is_the_reference(table, order, _random_lists(rng, n))
+
+
+@pytest.mark.parametrize(
+    "order, lists, phi, class_masks, colorable",
+    [
+        ((), {}, {}, {}, True),  # nothing to color: phi itself, once
+        ((0, 1, 2, 3), {0: ("a",), 1: (), 2: ("a", "b"), 3: ("b",)}, {}, {}, False),
+        ((0, 2, 3), {0: ("a", "b"), 1: (), 2: ("a", "b"), 3: ("b", "a")}, {}, {}, True),
+        ((3, 1, 0, 2), {x: ["b", "a", "b", "a"] for x in range(4)}, {}, {}, True),
+        ((2, 0, 3, 1), {x: [1, True, 1.0, "1", 0] for x in range(4)}, {}, {}, True),
+        ((1, 3, 2), {x: ("a", "b", "c") for x in range(4)}, {0: "a"}, {"a": 1}, True),
+    ],
+    ids=["empty-order", "empty-list", "empty-list-outside-order", "duplicates", "mixed-ones", "extends-phi"],
+)
+def test_list_search_yields_the_reference_sequence_on_odd_listings(
+    order, lists, phi, class_masks, colorable
+):
+    # uniform(4, 2): a class is independent while it has at most 2 elements
+    table = uniform(4, 2).mask_table()
+    leaves = _assert_kernel_is_the_reference(table, order, lists, phi, class_masks)
+    assert (leaves > 0) == colorable
+
+
+SINGLE_TYPE = [("b", "a", "c"), (10, 9, 2, 100), (True, False), (2.5, -1.0, 10.0), ()]
+MIXED = [(1, True, 1.0, "1"), ("b", 2, None, "a"), (frozenset(), (), 0)]
+
+
+class _Reversed(str):
+    """A str whose str is its reverse, so sorting by str(c) differs from c."""
+
+    def __str__(self):
+        return self[::-1]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        *SINGLE_TYPE,
+        *MIXED,
+        (_Reversed("ab"), _Reversed("ba"), _Reversed("ca")),
+        (_Reversed("ab"), "ab", _Reversed("ba"), "b"),
+    ],
+)
+def test_sorted_lists_equal_the_color_sort_key_order(values):
+    # every element's list, in the same listing as lists of other shapes
+    lists = {0: list(values), 1: tuple(reversed(values)), 2: list(values[1:]) + list(values[:1])}
+    got = coloring._sorted_lists(lists, range(3))
+    assert list(got) == [0, 1, 2]
+    for x, lst in lists.items():
+        want = tuple(sorted(lst, key=coloring._color_sort_key))
+        assert type(got[x]) is tuple
+        assert [(type(c), c) for c in got[x]] == [(type(c), c) for c in want], x
+
+
+@pytest.mark.parametrize(
+    "keys, error",
+    [
+        ((0, 1), "listing must cover the ground set exactly: missing {2}"),
+        ((0, 1, 2, 5), "listing must cover the ground set exactly: unknown [5]"),
+        ((0, 1, 5), "listing must cover the ground set exactly: missing {2}, unknown [5]"),
+        ((0, 1, 3), "listing must cover the ground set exactly: missing {2}, unknown [3]"),
+        ((0, -1, 2), "listing must cover the ground set exactly: missing {1}, unknown [-1]"),
+        ((), "listing must cover the ground set exactly: missing {0,1,2}"),
+        ((0, True, 2), "element True outside ground set of size 3"),
+        ((0, 1.0, 2), "element 1.0 outside ground set of size 3"),
+    ],
+)
+def test_check_total_messages(keys, error):
+    m = uniform(3, 1)
+    with pytest.raises(GroundSetError) as err:
+        coloring._check_total(m, {x: ("a",) for x in keys}, "listing")
+    assert str(err.value) == error

@@ -18,6 +18,7 @@ from matroidkit import (
     restrict,
     uniform,
 )
+from matroidkit import compactness
 from matroidkit.compactness import disjoint_triangles, growing_cycle, growing_uniform
 
 from conftest import brute_list_colorings, random_matroid
@@ -134,6 +135,36 @@ def test_each_level_oracle_is_called_once_per_mask():
     assert extend_coloring(chain, lists, 3) is not None
     assert first_uncolorable_level(chain, lists, 3) is None
     assert calls == {n: 1 << n for n in (3, 4, 5, 6)}
+
+
+def test_first_uncolorable_level_sorts_each_list_once(monkeypatch):
+    sorted_ids = []
+    real = compactness._sorted_lists
+    monkeypatch.setattr(
+        compactness, "_sorted_lists", lambda lists, ids: sorted_ids.extend(ids) or real(lists, ids)
+    )
+    chain = growing_cycle()
+    lists = two_lists(chain.level(3).n, ("a", "b", "c"))
+    assert first_uncolorable_level(chain, lists, 3) is None
+    assert sorted_ids == list(range(chain.level(3).n))
+
+
+def test_first_uncolorable_level_stops_at_the_first_failing_level():
+    # level 0 of growing_uniform(2) is uniform(3, 2): one color cannot cover it
+    built = []
+    chain = MatroidChain("counted", lambda i: built.append(i) or uniform(3 + i, 2))
+    lists = {x: ("a",) for x in range(3)}  # covers level 0 only
+    assert first_uncolorable_level(chain, lists, 2) == 0
+    assert built == [0]
+
+
+def test_first_uncolorable_level_refuses_the_first_level_it_does_not_cover():
+    built = []
+    chain = MatroidChain("counted", lambda i: built.append(i) or uniform(3 + i, 2))
+    lists = two_lists(4)  # levels 0 and 1 (3 and 4 elements) colorable, level 2 uncovered
+    with pytest.raises(GroundSetError, match="^listing does not cover element 4$"):
+        first_uncolorable_level(chain, lists, 3)
+    assert built == [0, 1, 2]
 
 
 def test_growing_cycle_extension():
