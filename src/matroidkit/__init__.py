@@ -62,6 +62,5 @@ from .compactness import (
     chain_from_matroids,
     extend_coloring,
     first_uncolorable_level,
-    restriction_colorings,
 )
 from .lemmas import LemmaResult, run_lemma_battery

@@ -15,15 +15,16 @@ Below chi the constant listing {0..k-1} is uncolorable, since a coloring
 from it would be a proper k-coloring.
 
 Every list-coloring question (chromatic_number's deepening,
-is_list_colorable and the chain queries of compactness) runs one search,
-_list_colorings: a single backtracking loop over the elements in a given
-order that reads independence off the rank table.  Each query sorts each
-element's list once, by _sorted_lists, into _color_sort_key order.
+is_list_colorable and the chain queries of compactness) asks for one
+coloring, and runs one search for it, _first_list_coloring: a single
+backtracking loop over the elements in a given order that reads
+independence off the rank table and stops at its first complete
+coloring.  Each query sorts each element's list once, by _sorted_lists,
+into _color_sort_key order.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -42,8 +43,6 @@ from .core import (
 )
 
 CHROMATIC_BOUND = 12
-
-logger = logging.getLogger(__name__)
 
 
 class ListDeficitError(MatroidError):
@@ -108,9 +107,10 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
     search with element x allowed the colors 0..min(x, k-1).  The witness
     is the lexicographically first proper k-coloring: swapping two color
     labels keeps a coloring proper, so that coloring opens its colors in
-    order and lies inside those lists.  Deepening starts at ceil(n / a),
-    where a is the largest |S| with table[S] = |S|: every color class is
-    such a set, so no fewer colors can cover the ground set.  Raises
+    order and lies inside those lists.  Deepening starts at
+    ceil(n / max(table)): every color class S has table[S] = |S|, so no
+    class holds more than max(table) elements, and no fewer colors can
+    cover the ground set.  Raises
     LoopError when no proper coloring exists at all, and MatroidError
     when a loop-free oracle admits none: some singleton has rank > 1.
     """
@@ -126,13 +126,11 @@ def _deepening(table, n: int) -> ChromaticResult:
     """chromatic_number's search on a loop-free rank table of n elements."""
     if n == 0:
         return ChromaticResult(0, {})
-    alpha = max((s.bit_count() for s, r in enumerate(table) if r == s.bit_count()), default=0)
-    start = -(-n // alpha) if alpha else n + 1  # no class fits: nothing to search
-    for k in range(start, n + 1):
+    for k in range(-(-n // max(table)), n + 1):
         lists = {x: range(min(x + 1, k)) for x in range(n)}
-        witness = next(_list_colorings(table, range(n), lists, {}, {}), None)
+        witness = _first_list_coloring(table, range(n), lists)
         if witness is not None:
-            return ChromaticResult(k, dict(witness))
+            return ChromaticResult(k, witness)
     # with every singleton of rank 1, x -> x is a proper n-coloring
     x = next(x for x in range(n) if table[1 << x] > 1)
     raise MatroidError(
@@ -162,30 +160,29 @@ def _sorted_lists(lists, elements) -> dict:
     return dict(zip(elements, [tuple(sorted(l, key=key)) for l in got]))
 
 
-def _list_colorings(table, order, lists, phi, class_masks):
-    """Every proper list coloring of the elements in `order`, extending phi.
+def _first_list_coloring(table, order, lists) -> dict | None:
+    """First proper list coloring of the elements in `order`, or None.
 
     Elements are assigned in the given order, each trying its list's
     colors in list order; a color is allowed while its class mask stays
-    independent by the rank table (``table[mask] == popcount``).  phi and
-    class_masks (color -> mask) are extended in place and restored on
-    backtrack, so the yielded phi is live: callers copy what they keep.
-    Yields nothing when a list in `order` is empty.
+    independent by the rank table (``table[mask] == popcount``).  Returns
+    None when a list in `order` is empty.
 
     One backtracking loop: depth i resumes its iterator over the list of
     order[i]; the stack keeps, per depth, that iterator, the color placed
-    and the color's previous class mask (None for a new class).
+    and the color's previous class mask (None for a new class), so the
+    first complete stack is the coloring returned.
     """
     order = tuple(order)
     cands = [lists[x] for x in order]
     if not all(cands):
-        return
+        return None
     last = len(order) - 1
     if last < 0:
-        yield phi
-        return
+        return {}
     bits = [1 << x for x in order]
     stack = [None] * len(order)
+    class_masks: dict = {}
     get = class_masks.get
     i = 0
     it = iter(cands[0])
@@ -198,27 +195,18 @@ def _list_colorings(table, order, lists, phi, class_masks):
                 break
         else:  # depth i is exhausted: undo depth i - 1 and resume it
             if i == 0:
-                return
+                return None
             i -= 1
             it, c, prev = stack[i]
-            del phi[order[i]]
-            if prev is None:
-                del class_masks[c]
-            else:
-                class_masks[c] = prev
-            continue
-        class_masks[c] = new
-        x = order[i]
-        phi[x] = c
-        if i == last:
-            yield phi
-            del phi[x]
             if prev is None:
                 del class_masks[c]
             else:
                 class_masks[c] = prev
             continue
         stack[i] = it, c, prev
+        if i == last:
+            return {x: c for x, (_, c, _) in zip(order, stack)}
+        class_masks[c] = new
         i += 1
         it = iter(cands[i])
 
@@ -229,19 +217,13 @@ def is_list_colorable(m: Matroid, lists):
     Backtracks over the product of the lists, visiting elements by
     ascending list size (ties by id) and colors in sorted order, so the
     returned coloring is the first in that deterministic order.  Returns
-    None if the lists admit no proper coloring (immediately so when some
-    list is empty).  Independence is read from the rank table, so the
-    bound is the table's own, VALIDATION_BOUND.
+    None if the lists admit no proper coloring.  Independence is read from
+    the rank table, so the bound is the table's own, VALIDATION_BOUND.
     """
     _check_total(m, lists, "listing")
     norm = _sorted_lists(lists, range(m.n))
-    if not all(norm.values()):
-        empty = sorted(x for x, v in norm.items() if not v)
-        logger.debug("no list coloring: empty lists on %s", set_literal(empty))
-        return None
     order = sorted(range(m.n), key=[len(norm[x]) for x in range(m.n)].__getitem__)  # stable: ties by id
-    phi = next(_list_colorings(m.mask_table(), order, norm, {}, {}), None)
-    return None if phi is None else dict(phi)
+    return _first_list_coloring(m.mask_table(), order, norm)
 
 
 @dataclass(frozen=True)

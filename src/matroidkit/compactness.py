@@ -13,12 +13,12 @@ Level i is the restriction of every later level to the id prefix
 range(n_i), with the same ranks: building level i + 1 checks that level
 i's mask table is a prefix of its own, so levels share the table's bound.
 So a color class inside level i is independent in level i exactly when
-it is independent in the deepest level, and walking the tree level by
-level, in id order, is the same depth-first search as a single
-``_list_colorings`` run over range(n) on the deepest level's rank table.
-Each query here is one such run on one level's table, and sorts each
-element's list once: ``first_uncolorable_level`` grows one sorted listing
-level by level as it tests the levels in turn.
+it is independent in the deepest level, and the first leaf of the
+level-by-level tree walk, in id order, is the first coloring that a
+single ``_first_list_coloring`` run over range(n) finds on the deepest
+level's rank table.  Each query here is one such run per level it tests,
+and sorts each element's list once: ``first_uncolorable_level`` grows one
+sorted listing level by level as it tests the levels in turn.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .coloring import _list_colorings, _sorted_lists
+from .coloring import _first_list_coloring, _sorted_lists
 from .constructions import graphic, uniform
 from .core import (
     VALIDATION_BOUND,
@@ -182,31 +182,18 @@ def _level_lists(m: Matroid, lists, norm: dict) -> dict[int, tuple]:
     return norm
 
 
-def _level_colorings(chain: MatroidChain, lists, i: int):
-    """Level i's proper list colorings in id order, as one lazy search.
-
-    The search reads the level's mask table, which building the level made
-    (level 0's is made here).  The yielded phi is live: callers copy what
-    they keep.
-    """
-    m = chain.level(i)
-    norm = _level_lists(m, lists, {})
-    return _list_colorings(m.mask_table(), range(m.n), norm, {}, {})
-
-
-def restriction_colorings(chain: MatroidChain, lists, i: int):
-    """All proper list colorings of level i, in lexicographic assignment order."""
-    return [dict(phi) for phi in _level_colorings(chain, lists, i)]
-
-
 def extend_coloring(chain: MatroidChain, lists, depth: int):
     """First proper list coloring of level `depth`, or None if it has none.
 
     This is the first leaf of the level-by-level tree walk, found by one
     search on the deepest level's table (see the module docstring); it
-    restricts to a proper coloring of every earlier level.
+    restricts to a proper coloring of every earlier level.  The search
+    reads the table that building the level made (level 0's is made
+    here), after the listing is checked.
     """
-    return next((dict(phi) for phi in _level_colorings(chain, lists, depth)), None)
+    m = chain.level(depth)
+    norm = _level_lists(m, lists, {})
+    return _first_list_coloring(m.mask_table(), range(m.n), norm)
 
 
 def first_uncolorable_level(chain: MatroidChain, lists, depth: int):
@@ -223,6 +210,6 @@ def first_uncolorable_level(chain: MatroidChain, lists, depth: int):
     for i in range(depth + 1):
         m = chain.level(i)
         _level_lists(m, lists, norm)
-        if next(_list_colorings(m.mask_table(), range(m.n), norm, {}, {}), None) is None:
+        if _first_list_coloring(m.mask_table(), range(m.n), norm) is None:
             return i
     return None

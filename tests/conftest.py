@@ -29,7 +29,7 @@ from matroidkit import (
     ordered_bases,
     uniform,
 )
-from matroidkit.coloring import CHROMATIC_BOUND, _list_colorings
+from matroidkit.coloring import CHROMATIC_BOUND, _first_list_coloring
 from matroidkit.core import AxiomReport, Circuit, _monotonicity, _submodularity, bits, mask_of, set_literal
 from matroidkit.lemmas import _fail, _ok
 
@@ -137,23 +137,25 @@ def brute_list_colorings(m, lists, order):
     return out
 
 
-def list_colorings_by_recursion(table, order, lists, phi, class_masks):
+def list_colorings_by_recursion(table, order, lists):
     """The list-coloring search as one recursive generator per element.
 
-    The reference for the library's iterative ``_list_colorings``, which
-    must yield the same colorings in the same order, with the same live
-    phi and class masks: elements in `order`, each trying its list's
-    colors in list order, a color allowed while its class stays
-    independent (``table[mask] == popcount``); phi and class_masks are
-    extended in place and restored on backtrack.
+    Every proper list coloring of the elements in `order`, as a new dict
+    each: elements in `order`, each trying its list's colors in list
+    order, a color allowed while its class stays independent
+    (``table[mask] == popcount``).  The reference for the library's
+    iterative ``_first_list_coloring``, which must return the first
+    coloring yielded here, or None when none is.
     """
     order = tuple(order)
     if not all(lists[x] for x in order):
         return
+    phi: dict = {}
+    class_masks: dict = {}
 
     def dfs(i: int):
         if i == len(order):
-            yield phi
+            yield dict(phi)
             return
         x = order[i]
         bit = 1 << x
@@ -306,7 +308,7 @@ def brute_list_chromatic(m, kmax):
             (
                 c
                 for c in all_canonical_listings(m.n, k, m.n * k)
-                if next(_list_colorings(table, range(m.n), c, {}, {}), None) is None
+                if _first_list_coloring(table, range(m.n), c) is None
             ),
             None,
         )
@@ -370,9 +372,9 @@ def chromatic_by_deepening(m, max_n=None):
         return ChromaticResult(0, {})
     for k in range(1, m.n + 1):
         lists = {x: range(min(x + 1, k)) for x in range(m.n)}
-        witness = next(_list_colorings(table, range(m.n), lists, {}, {}), None)
+        witness = _first_list_coloring(table, range(m.n), lists)
         if witness is not None:
-            return ChromaticResult(k, dict(witness))
+            return ChromaticResult(k, witness)
     x = next(x for x in range(m.n) if table[1 << x] > 1)
     raise MatroidError(
         f"not a matroid: subcardinality fails at {{{x}}}: rank {table[1 << x]} > size 1"

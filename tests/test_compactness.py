@@ -14,7 +14,6 @@ from matroidkit import (
     extend_coloring,
     first_uncolorable_level,
     is_proper,
-    restriction_colorings,
     restrict,
     uniform,
 )
@@ -42,26 +41,29 @@ def test_family_shapes():
     assert growing_uniform(3).level(0).n == 4
 
 
-def test_restriction_colorings_one_triangle():
+def test_extend_coloring_one_triangle():
     chain = disjoint_triangles()
-    cols = restriction_colorings(chain, two_lists(3), 0)
-    assert len(cols) == 6  # 2^3 assignments minus the two monochromatic ones
     m0 = chain.level(0)
-    for phi in cols:
-        assert is_proper(m0, phi)
+    every = brute_list_colorings(m0, two_lists(3), range(3))
+    assert len(every) == 6  # 2^3 assignments minus the two monochromatic ones
+    phi = extend_coloring(chain, two_lists(3), 0)
+    assert phi == every[0]
+    assert is_proper(m0, phi)
 
 
-def test_restriction_colorings_free_chain_single_lists():
+def test_free_chain_with_single_lists_is_colored_by_them():
     chain = MatroidChain("free", lambda i: uniform(i + 1, i + 1))
     for i in range(3):
         lists = {x: frozenset(["z"]) for x in range(i + 1)}
-        assert len(restriction_colorings(chain, lists, i)) == 1
+        assert extend_coloring(chain, lists, i) == {x: "z" for x in range(i + 1)}
+        assert first_uncolorable_level(chain, lists, i) is None
 
 
-def test_restriction_colorings_forced_monochromatic():
+def test_forced_monochromatic_triangle_is_uncolorable():
     chain = disjoint_triangles()
     lists = {x: frozenset(["a"]) for x in range(3)}
-    assert restriction_colorings(chain, lists, 0) == []
+    assert extend_coloring(chain, lists, 0) is None
+    assert first_uncolorable_level(chain, lists, 0) == 0
 
 
 def test_extend_coloring_depth3():
@@ -80,7 +82,7 @@ def test_extend_coloring_depth3():
 def test_extend_coloring_depth0():
     chain = disjoint_triangles()
     phi = extend_coloring(chain, two_lists(3), 0)
-    assert phi == restriction_colorings(chain, two_lists(3), 0)[0]
+    assert phi == brute_list_colorings(chain.level(0), two_lists(3), range(3))[0]
 
 
 def test_extend_coloring_uncolorable_level():
@@ -98,7 +100,7 @@ def test_extend_coloring_uncolorable_level():
 def test_every_chain_query_refuses_a_negative_depth_before_building_a_level():
     built = []
     chain = MatroidChain("counted", lambda i: built.append(i) or uniform(i + 2, 1))
-    queries = [extend_coloring, restriction_colorings, first_uncolorable_level]
+    queries = [extend_coloring, first_uncolorable_level]
     for query in queries:
         with pytest.raises(GroundSetError, match="^chain levels are indexed from 0$"):
             query(chain, two_lists(2), -1)
@@ -110,7 +112,7 @@ def test_every_chain_query_refuses_a_depth_above_the_table_bound_before_building
     # mask table refuses
     built = []
     chain = MatroidChain("counted", lambda i: built.append(i) or uniform(i + 2, 1))
-    queries = [extend_coloring, restriction_colorings, first_uncolorable_level]
+    queries = [extend_coloring, first_uncolorable_level]
     for query in queries:
         with pytest.raises(BoundExceededError, match="^chain levels need depth <= 16, got 17$"):
             query(chain, two_lists(2), 17)
@@ -131,7 +133,7 @@ def test_each_level_oracle_is_called_once_per_mask():
     chain = MatroidChain("counted-uniform", level)
     assert chain.level(3).n == 6
     lists = two_lists(6, ("a", "b", "c"))
-    assert len(restriction_colorings(chain, lists, 3)) > 0
+    assert extend_coloring(chain, lists, 0) is not None
     assert extend_coloring(chain, lists, 3) is not None
     assert first_uncolorable_level(chain, lists, 3) is None
     assert calls == {n: 1 << n for n in (3, 4, 5, 6)}
@@ -253,8 +255,7 @@ def _check_against_bruteforce(chain, lists, depth):
         for i in range(depth + 1)
     ]
     for i in range(depth + 1):
-        assert restriction_colorings(chain, lists, i) == every[i], (chain.name, i)
-    assert extend_coloring(chain, lists, depth) == (every[depth][0] if every[depth] else None)
+        assert extend_coloring(chain, lists, i) == (every[i][0] if every[i] else None), (chain.name, i)
     first_empty = next((i for i in range(depth + 1) if not every[i]), None)
     assert first_uncolorable_level(chain, lists, depth) == first_empty
     return first_empty

@@ -13,7 +13,7 @@ from conftest import (
 )
 from matroidkit import graphic, list_chromatic_number, uniform
 from matroidkit.catalog import theta, triangle
-from matroidkit.coloring import _list_colorings
+from matroidkit.coloring import _first_list_coloring
 from matroidkit.core import is_loop_free
 
 
@@ -30,7 +30,7 @@ def canonical_listing(lists_seq) -> tuple[tuple[int, ...], ...]:
 
 
 def _listing_colorable(table, listing, n):
-    return next(_list_colorings(table, range(n), listing, {}, {}), None) is not None
+    return _first_list_coloring(table, range(n), listing) is not None
 
 
 def _assert_constant_witnesses(m, res):
