@@ -482,8 +482,21 @@ def test_list_search_returns_the_reference_first_coloring_on_perturbed_tables():
         ((0, 2, 3), {0: ("a", "b"), 1: (), 2: ("a", "b"), 3: ("b", "a")}, True),
         ((3, 1, 0, 2), {x: ["b", "a", "b", "a"] for x in range(4)}, True),
         ((2, 0, 3, 1), {x: [1, True, 1.0, "1", 0] for x in range(4)}, True),
+        # 2 finds class a full, so the search undoes 1 and then 0 before
+        # 0 moves on to b
+        ((0, 1, 2, 3), {0: ("a", "b"), 1: ("a",), 2: ("a",), 3: ("b",)}, True),
+        # every list nonempty, yet the search runs out of colors at the root
+        ((0, 1, 2), {x: ("a",) for x in range(3)}, False),
     ],
-    ids=["empty-order", "empty-list", "empty-list-outside-order", "duplicates", "mixed-ones"],
+    ids=[
+        "empty-order",
+        "empty-list",
+        "empty-list-outside-order",
+        "duplicates",
+        "mixed-ones",
+        "backtracks-to-the-root",
+        "exhausted",
+    ],
 )
 def test_list_search_returns_the_reference_first_coloring_on_odd_listings(order, lists, colorable):
     # uniform(4, 2): a class is independent while it has at most 2 elements
