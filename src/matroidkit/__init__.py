@@ -36,9 +36,7 @@ from .bases import (
     AnchorDecomposition,
     OrderedBase,
     all_bases,
-    anchor,
     anchor_classes,
-    fundamental_circuit,
     greedy_base,
     is_base,
     ordered_bases,

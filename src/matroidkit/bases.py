@@ -19,13 +19,11 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
-    Circuit,
     GroundSetError,
     LoopError,
     Matroid,
     MatroidError,
     _refuse_ground_set_scan,
-    canonical,
     loops,
     mask_of,
     set_literal,
@@ -100,32 +98,6 @@ def _circuit_base_part(m: Matroid, b: OrderedBase, x: int):
     for e in reversed(b.elements):
         if m.rank_of_mask(with_x & ~(1 << e)) == len(b):
             yield e
-
-
-def fundamental_circuit(m: Matroid, b: OrderedBase, x: int) -> Circuit:
-    """The unique circuit inside base + x, for x outside the base.
-
-    A base element sits on that circuit iff swapping it for x preserves
-    full rank, so |B| rank queries suffice.
-    """
-    m._checked_mask((x,))
-    if x in b:
-        raise GroundSetError(f"element {x} is in the base")
-    _require_base(m, b)
-    return Circuit(canonical([x, *_circuit_base_part(m, b, x)]))
-
-
-def anchor(m: Matroid, b: OrderedBase, x: int) -> int:
-    """Base element x is anchored to: itself inside the base, else the last
-    base element e, in base order, with r(B - e + x) = r(B).  Checks x and
-    the base on every call, one rank call per element outside it;
-    :func:`anchor_classes` anchors every element after one check.  A loop
-    raises LoopError."""
-    m._checked_mask((x,))
-    if x in b:
-        return x
-    _require_base(m, b)
-    return _top_swap(m, b, x)
 
 
 def _top_swap(m: Matroid, b: OrderedBase, x: int) -> int:

@@ -26,12 +26,7 @@ from .coloring import (
     is_proper,
     list_chromatic_number,
 )
-from .compactness import (
-    BUILTIN_FAMILIES,
-    chain_from_matroids,
-    extend_coloring,
-    first_uncolorable_level,
-)
+from .compactness import BUILTIN_FAMILIES, _search_chain, chain_from_matroids
 from .contraction import contract
 from .core import (
     Matroid,
@@ -303,11 +298,10 @@ def cmd_compactness(args, out: _Out) -> int:
     out.kv("family", chain.name)
     out.kv("depth", depth)
     out.kv("levels", ",".join(str(chain.level(i).n) for i in range(depth + 1)))
-    phi = extend_coloring(chain, lists, depth)
+    phi, level = _search_chain(chain, lists, depth)
     out.kv("extended", "false" if phi is None else "true")
     if phi is None:
-        level = first_uncolorable_level(chain, lists, depth)
-        out.kv("uncolorable-level", level if level is not None else "-")
+        out.kv("uncolorable-level", level)
     else:
         for x in sorted(phi):
             out.kv("color", f"{x} {phi[x]}")

@@ -15,12 +15,8 @@ Below chi the constant listing {0..k-1} is uncolorable, since a coloring
 from it would be a proper k-coloring.
 
 Every list-coloring question (chromatic_number's deepening,
-is_list_colorable and the chain queries of compactness) asks for one
-coloring, and runs one search for it, _first_list_coloring: a single
-backtracking loop over the elements in a given order that reads
-independence off the rank table and stops at its first complete
-coloring.  Each query sorts each element's list once, by _sorted_lists,
-into _color_sort_key order.
+is_list_colorable and the chain queries of compactness) is one run of
+_first_list_coloring, on lists that _sorted_lists sorts once.
 """
 
 from __future__ import annotations
@@ -128,7 +124,7 @@ def _deepening(table, n: int) -> ChromaticResult:
         return ChromaticResult(0, {})
     for k in range(-(-n // max(table)), n + 1):
         lists = {x: range(min(x + 1, k)) for x in range(n)}
-        witness = _first_list_coloring(table, range(n), lists)
+        witness = _first_list_coloring(table, range(n), lists)[0]
         if witness is not None:
             return ChromaticResult(k, witness)
     # with every singleton of rank 1, x -> x is a proper n-coloring
@@ -160,13 +156,15 @@ def _sorted_lists(lists, elements) -> dict:
     return dict(zip(elements, [tuple(sorted(l, key=key)) for l in got]))
 
 
-def _first_list_coloring(table, order, lists) -> dict | None:
-    """First proper list coloring of the elements in `order`, or None.
+def _first_list_coloring(table, order, lists) -> tuple[dict | None, int]:
+    """First proper list coloring of the elements in `order`, or None, and
+    the length of the longest prefix of `order` that the search colored.
 
     Elements are assigned in the given order, each trying its list's
     colors in list order; a color is allowed while its class mask stays
-    independent by the rank table (``table[mask] == popcount``).  Returns
-    None when a list in `order` is empty.
+    independent by the rank table (``table[mask] == popcount``).  The
+    search is exhaustive on prefixes, so on failure the length is that of
+    the longest colorable prefix; it stops at the first empty list.
 
     One backtracking loop: depth i resumes its iterator over the list of
     order[i]; the stack keeps, per depth, that iterator, the color placed
@@ -175,15 +173,17 @@ def _first_list_coloring(table, order, lists) -> dict | None:
     """
     order = tuple(order)
     cands = [lists[x] for x in order]
-    if not all(cands):
-        return None
-    last = len(order) - 1
+    whole = all(cands)
+    if not whole:  # no prefix through an empty list is colorable
+        del cands[next(i for i, l in enumerate(cands) if not l):]
+    last = len(cands) - 1
     if last < 0:
-        return {}
+        return ({} if whole else None), 0
     bits = [1 << x for x in order]
-    stack = [None] * len(order)
+    stack = [None] * len(cands)
     class_masks: dict = {}
     get = class_masks.get
+    colored = 0
     i = 0
     it = iter(cands[0])
     while True:
@@ -194,8 +194,10 @@ def _first_list_coloring(table, order, lists) -> dict | None:
             if table[new] == new.bit_count():
                 break
         else:  # depth i is exhausted: undo depth i - 1 and resume it
+            if i > colored:
+                colored = i
             if i == 0:
-                return None
+                return None, colored
             i -= 1
             it, c, prev = stack[i]
             if prev is None:
@@ -205,7 +207,9 @@ def _first_list_coloring(table, order, lists) -> dict | None:
             continue
         stack[i] = it, c, prev
         if i == last:
-            return {x: c for x, (_, c, _) in zip(order, stack)}
+            if not whole:
+                return None, len(cands)
+            return {x: c for x, (_, c, _) in zip(order, stack)}, len(cands)
         class_masks[c] = new
         i += 1
         it = iter(cands[i])
@@ -223,7 +227,7 @@ def is_list_colorable(m: Matroid, lists):
     _check_total(m, lists, "listing")
     norm = _sorted_lists(lists, range(m.n))
     order = sorted(range(m.n), key=[len(norm[x]) for x in range(m.n)].__getitem__)  # stable: ties by id
-    return _first_list_coloring(m.mask_table(), order, norm)
+    return _first_list_coloring(m.mask_table(), order, norm)[0]
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,12 @@ coloring of the whole chain at once.
 Level i is the restriction of every later level to the id prefix
 range(n_i), with the same ranks: building level i + 1 checks that level
 i's mask table is a prefix of its own, so levels share the table's bound.
-So a color class inside level i is independent in level i exactly when
-it is independent in the deepest level, and the first leaf of the
-level-by-level tree walk, in id order, is the first coloring that a
-single ``_first_list_coloring`` run over range(n) finds on the deepest
-level's rank table.  Each query here is one such run per level it tests,
-and sorts each element's list once: ``first_uncolorable_level`` grows one
-sorted listing level by level as it tests the levels in turn.
+So level i has a coloring exactly when the deepest level's prefix
+range(n_i) has one, and one ``_first_list_coloring`` run over range(n)
+on the deepest level's table answers both queries: its coloring is the
+first leaf of the level-by-level tree walk, and when it fails, the first
+level longer than the longest prefix it colored is the first uncolorable
+one.
 """
 
 from __future__ import annotations
@@ -164,52 +163,48 @@ def chain_from_matroids(ms: list[Matroid], name: str = "file-chain") -> MatroidC
 
 # --- coloring along the chain ----------------------------------------------
 
-def _level_lists(m: Matroid, lists, norm: dict) -> dict[int, tuple]:
-    """norm, grown by the sorted lists of m's elements it does not hold yet.
+def _level_lists(m: Matroid, lists) -> dict[int, tuple]:
+    """The sorted lists of m's elements.
 
-    Started empty, it refuses first any key that is no int, rather than
-    read it as an id (True and 1.0 both equal 1).  Elements are checked in
-    id order, so a listing that stops covering names its first gap.
+    It refuses first any key that is no int, rather than read it as an id
+    (True and 1.0 both equal 1).  Elements are checked in id order, so a
+    listing that stops covering names its first gap.
     """
-    if not norm and not set(map(type, lists)) <= {int}:
+    if not set(map(type, lists)) <= {int}:
         bad = next(x for x in lists if type(x) is not int)
         raise GroundSetError(f"element {bad!r} outside ground set of size {m.n}")
-    new = range(len(norm), m.n)
-    if not all(map(lists.__contains__, new)):
-        gap = next(x for x in new if x not in lists)
+    if not all(map(lists.__contains__, range(m.n))):
+        gap = next(x for x in range(m.n) if x not in lists)
         raise GroundSetError(f"listing does not cover element {gap}")
-    norm.update(_sorted_lists(lists, new))
-    return norm
+    return _sorted_lists(lists, range(m.n))
+
+
+def _search_chain(chain: MatroidChain, lists, depth: int):
+    """(first coloring of level `depth`, None), or (None, first level with
+    no coloring): one search on level `depth`'s table, after the listing
+    is checked.  A failed search names the longest prefix it colored, and
+    the first level longer than that is the first uncolorable one.
+    """
+    m = chain.level(depth)
+    norm = _level_lists(m, lists)
+    coloring, colored = _first_list_coloring(m.mask_table(), range(m.n), norm)
+    if coloring is not None:
+        return coloring, None
+    return None, next(i for i in range(depth + 1) if chain.level(i).n > colored)
 
 
 def extend_coloring(chain: MatroidChain, lists, depth: int):
     """First proper list coloring of level `depth`, or None if it has none.
 
-    This is the first leaf of the level-by-level tree walk, found by one
-    search on the deepest level's table (see the module docstring); it
-    restricts to a proper coloring of every earlier level.  The search
-    reads the table that building the level made (level 0's is made
-    here), after the listing is checked.
+    It restricts to a proper coloring of every earlier level.
     """
-    m = chain.level(depth)
-    norm = _level_lists(m, lists, {})
-    return _first_list_coloring(m.mask_table(), range(m.n), norm)
+    return _search_chain(chain, lists, depth)[0]
 
 
 def first_uncolorable_level(chain: MatroidChain, lists, depth: int):
     """Smallest level index up to depth with no proper list coloring, or None.
 
-    Each level is tested for the existence of one coloring; none is listed.
-    The sorted lists grow with the levels, so each list is sorted once, and
-    no level past the first uncolorable one is built or read.  A depth
-    outside 0..VALIDATION_BOUND is refused before any level is built, as
-    by ``chain.level``.
+    The listing must cover level `depth`, which is built with every level
+    below it; a depth outside 0..VALIDATION_BOUND is refused first.
     """
-    _refuse_depth(depth)
-    norm: dict = {}
-    for i in range(depth + 1):
-        m = chain.level(i)
-        _level_lists(m, lists, norm)
-        if _first_list_coloring(m.mask_table(), range(m.n), norm) is None:
-            return i
-    return None
+    return _search_chain(chain, lists, depth)[1]

@@ -308,7 +308,7 @@ def brute_list_chromatic(m, kmax):
             (
                 c
                 for c in all_canonical_listings(m.n, k, m.n * k)
-                if _first_list_coloring(table, range(m.n), c) is None
+                if _first_list_coloring(table, range(m.n), c)[0] is None
             ),
             None,
         )
@@ -372,7 +372,7 @@ def chromatic_by_deepening(m, max_n=None):
         return ChromaticResult(0, {})
     for k in range(1, m.n + 1):
         lists = {x: range(min(x + 1, k)) for x in range(m.n)}
-        witness = _first_list_coloring(table, range(m.n), lists)
+        witness = _first_list_coloring(table, range(m.n), lists)[0]
         if witness is not None:
             return ChromaticResult(k, witness)
     x = next(x for x in range(m.n) if table[1 << x] > 1)

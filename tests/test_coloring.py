@@ -423,10 +423,18 @@ def _typed(phi):
 
 
 def _assert_kernel_is_the_reference(table, order, lists):
-    """The kernel's coloring is the reference generator's first; True when
-    there is one."""
-    got = coloring._first_list_coloring(table, order, lists)
+    """The kernel's coloring is the reference generator's first, and its
+    colored length is the longest prefix of `order` that the reference
+    colors; True when there is a coloring."""
+    order = tuple(order)
+    got, colored = coloring._first_list_coloring(table, order, lists)
     assert _typed(got) == _typed(next(list_colorings_by_recursion(table, order, lists), None))
+    first_uncolorable = next(
+        (k for k in range(len(order) + 1)
+         if next(list_colorings_by_recursion(table, order[:k], lists), None) is None),
+        len(order) + 1,
+    )
+    assert colored == first_uncolorable - 1
     return got is not None
 
 

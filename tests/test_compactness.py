@@ -155,9 +155,46 @@ def test_first_uncolorable_level_stops_at_the_first_failing_level():
     # level 0 of growing_uniform(2) is uniform(3, 2): one color cannot cover it
     built = []
     chain = MatroidChain("counted", lambda i: built.append(i) or uniform(3 + i, 2))
-    lists = {x: ("a",) for x in range(3)}  # covers level 0 only
+    lists = {x: ("a",) for x in range(5)}  # covers level 2
     assert first_uncolorable_level(chain, lists, 2) == 0
-    assert built == [0]
+    assert built == [0, 1, 2]
+
+
+def test_first_uncolorable_level_searches_once(monkeypatch):
+    # levels of 3, 4, 5 and 6 elements, rank 2: two colors cover 4
+    calls = []
+    real = compactness._first_list_coloring
+    monkeypatch.setattr(
+        compactness, "_first_list_coloring", lambda *args: calls.append(1) or real(*args)
+    )
+    assert first_uncolorable_level(growing_uniform(2), two_lists(6), 3) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "colors, empty, colored, level",
+    [
+        ("ab", None, 4, 2),  # two colors color exactly level 1's 4 elements
+        ("ab", 5, 4, 2),  # an empty list past the failure changes nothing
+        ("abc", 4, 4, 2),  # an empty list inside level 2
+        ("abc", 5, 5, 3),  # an empty list inside level 3 only
+    ],
+)
+def test_the_first_uncolorable_level_is_the_first_longer_than_the_colored_prefix(
+    monkeypatch, colors, empty, colored, level
+):
+    results = []
+    real = compactness._first_list_coloring
+    monkeypatch.setattr(
+        compactness, "_first_list_coloring", lambda *args: results.append(real(*args)) or results[-1]
+    )
+    chain = growing_uniform(2)  # levels of 3, 4, 5 and 6 elements, rank 2
+    lists = two_lists(6, tuple(colors))
+    if empty is not None:
+        lists[empty] = frozenset()
+    assert first_uncolorable_level(chain, lists, 3) == level
+    assert results == [(None, colored)]
+    assert chain.level(level - 1).n <= colored < chain.level(level).n
 
 
 def test_first_uncolorable_level_refuses_the_first_level_it_does_not_cover():
@@ -166,7 +203,7 @@ def test_first_uncolorable_level_refuses_the_first_level_it_does_not_cover():
     lists = two_lists(4)  # levels 0 and 1 (3 and 4 elements) colorable, level 2 uncovered
     with pytest.raises(GroundSetError, match="^listing does not cover element 4$"):
         first_uncolorable_level(chain, lists, 3)
-    assert built == [0, 1, 2]
+    assert built == [0, 1, 2, 3]
 
 
 def test_growing_cycle_extension():

@@ -30,7 +30,7 @@ def canonical_listing(lists_seq) -> tuple[tuple[int, ...], ...]:
 
 
 def _listing_colorable(table, listing, n):
-    return _first_list_coloring(table, range(n), listing) is not None
+    return _first_list_coloring(table, range(n), listing)[0] is not None
 
 
 def _assert_constant_witnesses(m, res):
