@@ -10,8 +10,11 @@ from .core import (
     AxiomError,
     GroundSetError,
     Matroid,
+    _bad_rank,
+    _count_table,
     _derived,
     _refuse_above,
+    _walk_table,
     bits,
     mask_of,
     set_literal,
@@ -74,6 +77,11 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Mat
     component, hence has rank 0.  The state of a set is a tuple of
     component labels, one per vertex; an edge gains rank iff it joins two
     components.  The oracle folds this step over the subset's edges.
+    The mask table counts row-space vectors (:func:`core._count_table`)
+    over GF(2), with no step and no oracle call: the rows are the vertex
+    stars, the edges at a vertex other than its self-loops, so a
+    self-loop is a zero column, and the stars of every vertex but one
+    per component are a basis.
     """
     if not isinstance(spec, GraphSpec):
         spec = GraphSpec(tuple(spec))
@@ -90,9 +98,22 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Mat
         return tuple(keep if c == gone else c for c in labels), 1
 
     start = tuple(range(len(vertex)))
+
+    def table() -> list[int]:
+        stars = [[0] * n for _ in vertex]
+        parent = list(range(len(vertex)))  # a union-find forest, one root per component
+        for e, (u, v) in enumerate(ends):
+            if u != v:
+                stars[u][e] = stars[v][e] = 1
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                parent[u] = v
+        return _count_table(n, 2, [star for v, star in enumerate(stars) if parent[v] != v])
+
     return Matroid(
-        n, _fold(start, step), name=name or f"graphic({n} edges)", spec=spec,
-        step=(start, step),
+        n, _fold(start, step), name=name or f"graphic({n} edges)", spec=spec, table=table
     )
 
 
@@ -148,6 +169,12 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
     operation.  The oracle folds the same step over a subset's
     elements; there no memo holds the element yet, so it is reduced
     through at most rank-many ancestors' rows, root first.
+
+    The mask table row-reduces the matrix whose columns are the vectors
+    to a basis of r rows and counts row-space vectors
+    (:func:`core._count_table`).  Where that would enumerate more
+    vectors than the table has masks, p^r > 2^n (only for p >= 3),
+    the table is walked by the step instead (:func:`core._walk_table`).
     """
     p = spec.p
     vecs = [tuple(c % p for c in v) for v in spec.vectors]
@@ -189,10 +216,39 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
             memo[i] = zero
         return state, 0
 
+    def table() -> list[int]:
+        n = len(vecs)
+        rows = _row_basis(p, vecs, spec.dim)
+        if p ** len(rows) > 1 << n:
+            return _walk_table(n, None, step)
+        return _count_table(n, p, rows)
+
     return Matroid(
         len(vecs), _fold(None, step), name=name or f"linear(GF({p}),{len(vecs)} vecs)",
-        spec=spec, step=(None, step),
+        spec=spec, table=table,
     )
+
+
+def _row_basis(p: int, vecs: list[tuple[int, ...]], dim: int) -> list[list[int]]:
+    """A basis of the row space of the matrix whose column i is vecs[i], entries mod p.
+
+    Gaussian elimination: each row is reduced by the basis rows kept
+    before it, each 1 at its pivot and 0 at every earlier pivot, and is
+    kept, scaled to 1 at its first nonzero entry, if anything is left.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    for j in range(dim):
+        row = [v[j] for v in vecs]
+        for pivot, kept in basis:
+            f = row[pivot]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, kept)]
+        for pivot, a in enumerate(row):
+            if a:
+                inv = pow(a, -1, p)
+                basis.append((pivot, [b * inv % p for b in row]))
+                break
+    return [row for _, row in basis]
 
 
 @dataclass(frozen=True)
@@ -231,17 +287,26 @@ def from_table(spec: TableSpec) -> Matroid:
 
     Construction reads the table once, into a list indexed by each key's
     mask (``TableSpec`` has checked that the keys are every subset of
-    range(n)), and the oracle reads that list.  It then runs
-    :func:`validate_axioms`, one pass over the local unit-increase
-    axioms in O(n^2) operations on whole-table byte sets, after one
-    oracle call per mask, and raises AxiomError (carrying the report of
-    the first local failure: the axiom it breaks and a witness that
+    range(n)), and the oracle reads that list.  The same list is the
+    mask table, once every entry is checked to be a nonnegative int
+    (not a bool); otherwise the first bad mask in mask order is refused
+    as a bad oracle value.  It then runs :func:`validate_axioms`, one
+    pass over the local unit-increase axioms in O(n^2) operations on
+    whole-table byte sets, and raises AxiomError (carrying the report
+    of the first local failure: the axiom it breaks and a witness that
     breaks it) if the table is not a matroid rank function.
     """
     ranks = [0] * (1 << spec.n)
     for key, r in spec.ranks.items():
         ranks[mask_of(key)] = r
-    m = Matroid(spec.n, lambda a: ranks[a], name=f"table(n={spec.n})", spec=spec)
+
+    def table() -> list[int]:
+        if set(map(type, ranks)) != {int} or min(ranks) < 0:
+            bad = next(a for a, r in enumerate(ranks) if type(r) is not int or r < 0)
+            raise _bad_rank(ranks[bad], bad)
+        return ranks
+
+    m = Matroid(spec.n, lambda a: ranks[a], name=f"table(n={spec.n})", spec=spec, table=table)
     report = validate_axioms(m)
     if not report.ok:
         raise AxiomError(report)

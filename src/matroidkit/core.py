@@ -10,6 +10,10 @@ only through :class:`Matroid`.
 from __future__ import annotations
 
 import itertools
+import operator
+import sys
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -104,14 +108,12 @@ class Matroid:
     rank cache is :meth:`mask_table`: before it is built, every rank is
     one oracle call; after, none is.  ``spec`` is the typed
     construction spec, or None for restrictions, contractions and user
-    oracles.  ``step``, set only by constructions, is a pair
-    ``(start, fn)``: ``fn(state, x)`` returns ``(state', gain)``, the
-    state of A + x and r(A + x) - r(A), for the state of a set A and x
-    above A's top element; ``start`` is the state of the empty set.
-    :meth:`mask_table` walks it instead of calling the oracle; a step
-    that returns its input state object (``linear`` and ``graphic`` do
-    when the gain is 0) lets the walk reuse its results for every set
-    above.  Instances are immutable apart from the caches.
+    oracles.  ``table``, set only by constructions, is a function of no
+    arguments that returns the rank of every mask, in mask order, with
+    no oracle call: :meth:`mask_table` calls it in place of the oracle
+    (``linear`` and ``graphic`` count row-space vectors, ``from_table``
+    hands over its checked rank list).  Instances are immutable apart
+    from the caches.
     """
 
     def __init__(
@@ -122,7 +124,7 @@ class Matroid:
         element_map: tuple[int, ...] | None = None,
         spec: object = None,
         *,
-        step: tuple[object, Callable[[object, int], tuple[object, int]]] | None = None,
+        table: Callable[[], list[int]] | None = None,
     ):
         if n < 0:
             raise GroundSetError("ground set size must be nonnegative")
@@ -132,7 +134,7 @@ class Matroid:
         self.element_map = element_map
         self.spec = spec
         self._oracle = oracle
-        self._step = step
+        self._build_table = table
         self._mask_table: list[int] | None = None
         #: the last anchor decomposition, filled by bases.anchor_classes
         self._anchor_cache = None
@@ -173,7 +175,7 @@ class Matroid:
             return self._mask_table[mask]
         r = self._oracle(mask)
         if type(r) is not int or r < 0:
-            raise MatroidError(f"oracle returned {r!r} for {set_literal(bits(mask))}")
+            raise _bad_rank(r, mask)
         return r
 
     def mask_table(self) -> list[int]:
@@ -182,20 +184,28 @@ class Matroid:
         The table is the workhorse behind every exhaustive sweep; it is
         only sensible for small n (2^n entries), so it refuses above
         VALIDATION_BOUND even when a caller's own bound is higher, before
-        any rank is computed.  A matroid with a construction step is
-        tabulated by one depth-first walk over prefixes, with no oracle
-        call; for ``linear`` and ``graphic`` it steps once per independent
-        set and element above its top, and copies the other ranks.  Any
-        other matroid calls its oracle once per mask.  Once built, every
-        rank is read from the table.
+        any rank is computed.  A matroid built with a ``table`` function
+        gets its table from it, with no oracle call: ``linear`` and
+        ``graphic`` count the vectors of their row space
+        (:func:`_count_table`), or walk their rank step
+        (:func:`_walk_table`) where the count would enumerate more
+        vectors than the table has masks; ``from_table`` hands over its
+        rank list once every entry is checked.  Any other matroid calls
+        its oracle once per mask.  Once built, every rank is read from
+        the table.
         """
         if self._mask_table is None:
             _refuse_above(self.n, VALIDATION_BOUND, "mask table")
-            if self._step is None:
+            if self._build_table is None:
                 self._mask_table = [self.rank_of_mask(x) for x in range(1 << self.n)]
             else:
-                self._mask_table = _walk_table(self.n, *self._step)
+                self._mask_table = self._build_table()
         return self._mask_table
+
+
+def _bad_rank(r: object, mask: int) -> MatroidError:
+    """The refusal of a rank that is not a nonnegative int (a bool is not one)."""
+    return MatroidError(f"oracle returned {r!r} for {set_literal(bits(mask))}")
 
 
 def _walk_table(n: int, start, step) -> list[int]:
@@ -209,11 +219,10 @@ def _walk_table(n: int, start, step) -> list[int]:
     of A's masks above x: they are copied as one strided slice, not
     walked.  Each node's children are taken from the top element down,
     so the ranks copied are final.  Reuse is keyed on object identity,
-    so the table is exact for any pure step; ``linear`` and ``graphic``
-    return their input state exactly when the gain is 0, so the walk
-    steps only from the independent sets, once per element above the
-    top one.  The recursion holds one state per depth, at most n + 1
-    live.
+    so the table is exact for any pure step; ``linear``'s step returns
+    its input state exactly when the gain is 0, so the walk steps only
+    from the independent sets, once per element above the top one.
+    The recursion holds one state per depth, at most n + 1 live.
     """
     table = [0] * (1 << n)
 
@@ -323,15 +332,119 @@ def _zero_bytes(v: int, n: int) -> int:
     return int.from_bytes(v.to_bytes(1 << n, "little").translate(_IS_ZERO), "little")
 
 
-def _without(n: int, x: int) -> int:
-    """The byte set of the masks of range(n) that do not contain x."""
+def _without(n: int, x: int, lane: bytes = b"\x01") -> int:
+    """The byte set of the masks of range(n) that do not contain x.
+
+    With another ``lane``, the masks without x hold it in lanes of its
+    width, and the masks with x hold zeros.
+    """
     bit = 1 << x
-    return int.from_bytes(bytes([1] * bit + [0] * bit) * (1 << (n - 1 - x)), "little")
+    return int.from_bytes((lane * bit + bytes(len(lane) * bit)) * (1 << (n - 1 - x)), "little")
 
 
 def _ones(n: int) -> int:
     """The byte set of every mask of range(n)."""
     return int.from_bytes(bytes([1]) * (1 << n), "little")
+
+
+def _plus_row(span: dict[int, list[int]], held: dict[int, int], p: int) -> dict:
+    """For each vector w of a span and each value d, the positions where w + row holds d.
+
+    ``span[c]`` lists, vector by vector, the positions where w holds c,
+    and ``held[e]`` gives the positions where the row holds e; w + row
+    holds c + e (mod p) where both hold.  Each value maps to a lazy
+    iterator over the span's vectors.
+    """
+    out: dict = {}
+    for e, at in held.items():
+        for c, where in span.items():
+            d = (c + e) % p
+            part = map(at.__and__, where)
+            out[d] = map(operator.or_, out[d], part) if d in out else part
+    return out
+
+
+def _count_table(n: int, p: int, rows: list[list[int]]) -> list[int]:
+    """Ranks of all 2^n masks of a matrix over GF(p), from a basis of its row space.
+
+    ``rows`` are r linearly independent rows of n entries in range(p);
+    column j is element j.  The row-space vectors that vanish on a set
+    A of columns form a subspace of dimension r - r(A), the counting
+    identity behind Crapo and Rota's critical problem.  Up to nonzero
+    scaling, which keeps a vector's zero set, there are
+    (p^k - 1) / (p - 1) nonzero vectors in a k-dimensional space, so
+    A lies in the zero sets of exactly (p^(r - r(A)) - 1) / (p - 1) of
+    the points v_i + w, where v_i is row i and w runs over the span of
+    the rows before i.  The points are enumerated once, row by row, as
+    masks: over GF(2) a point is its support, and v + w is one XOR;
+    over GF(p) it is one mask per value it holds (see :func:`_plus_row`).
+    Their zero sets make a histogram in one lane per mask, 1 byte wide
+    while (p^r - 1) / (p - 1) <= 255 and 2 bytes above (held as
+    little-endian ints whatever the host's byte order).  Its superset
+    sums, a zeta transform of n shift/AND/add operations on one int
+    (Bjorklund, Husfeldt, Kaski and Koivisto 2007, "Fourier meets
+    Mobius"), give every count at once, and one ``bytes.translate``
+    (one lookup per lane for 2-byte lanes) maps each count to its
+    rank.  The work is O((p^r / (p - 1)) * p) mask operations plus
+    O(n * 2^n) bytes of int operations, with no Python step per mask.
+    """
+    r = len(rows)
+    full = (1 << n) - 1
+    masks = []  # masks[i][c]: the positions where row i holds c, for 0 and each c it holds
+    for row in rows:
+        held = {0: 0}
+        for j, a in enumerate(row):
+            held[a] = held.get(a, 0) | 1 << j
+        masks.append(held)
+    if p == 2:
+        # a GF(2) vector is its support, so the points' zero sets are distinct
+        span = [0]
+        for held in masks:
+            span += list(map(held[1].__xor__, span))
+        counts = dict.fromkeys(map(full.__xor__, span[1:]), 1)
+    else:
+        # the span of the rows before i, as in _plus_row; values that no
+        # vector holds are left out
+        span = {0: [full]}
+        size = 1
+        zero_sets: list[int] = []
+        for i, held in enumerate(masks):
+            points = _plus_row(span, held, p)
+            if i == r - 1:
+                zero_sets += points[0]
+                break
+            points = {d: list(it) for d, it in points.items()}
+            zero_sets += points[0]
+            # m * (v_i + w), m != 0, holds m * d where v_i + w holds d
+            zeros = [0] * size
+            inverses = [pow(m, -1, p) for m in range(1, p)]
+            values = span.keys() | {m * d % p for m in range(1, p) for d in points}
+            span = {
+                c: list(itertools.chain(
+                    span.get(c, zeros), *(points.get(c * m % p, zeros) for m in inverses)
+                ))
+                for c in values
+            }
+            size *= p
+        counts = Counter(zero_sets)
+    rank = {(p**k - 1) // (p - 1): r - k for k in range(r + 1)}
+    width = 1 if (p**r - 1) // (p - 1) <= 255 else 2
+    lanes = array("BH"[width - 1], bytes(width << n))
+    deque(map(lanes.__setitem__, counts.keys(), counts.values()), maxlen=0)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    f = int.from_bytes(lanes.tobytes(), "little")
+    for x in range(n):
+        f += (f >> ((8 * width) << x)) & _without(n, x, b"\xff" * width)
+    if width == 1:
+        to_rank = bytearray(256)
+        for count, r_a in rank.items():
+            to_rank[count] = r_a
+        return list(f.to_bytes(1 << n, "little").translate(to_rank))
+    lanes = array("H", f.to_bytes(2 << n, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return list(map(rank.__getitem__, lanes))
 
 
 def _local_failure(table: list[int], n: int, a: int) -> AxiomReport | None:

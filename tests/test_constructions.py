@@ -7,6 +7,7 @@ from matroidkit import (
     BoundExceededError,
     GraphSpec,
     GroundSetError,
+    MatroidError,
     TableSpec,
     VectorSpec,
     circuits,
@@ -195,6 +196,18 @@ def test_from_table_reads_a_table_filled_in_reverse_mask_order():
         reports.append(err.value.report)
     assert reports[0] == reports[1]
     assert reports[0].axiom == "monotonicity"
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.0], ids=repr)
+def test_from_table_refuses_a_rank_that_is_not_a_nonnegative_int(bad):
+    # two bad entries, listed against mask order: the first bad mask in
+    # mask order is the one named
+    good = tabulate(uniform(3, 2)).ranks
+    ranks = _by_mask({**good, frozenset({0, 2}): bad, frozenset({1, 2}): bad}, True)
+    with pytest.raises(MatroidError) as err:
+        from_table(TableSpec(3, ranks))
+    assert type(err.value) is MatroidError
+    assert str(err.value) == f"oracle returned {bad!r} for {{0,2}}"
 
 
 def test_table_spec_refuses_bad_sizes_before_sizing_the_table():

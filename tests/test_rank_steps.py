@@ -1,17 +1,23 @@
-"""Mask tables walked by construction steps, against per-mask ranks.
+"""Mask tables of ``linear`` and ``graphic``, against per-mask ranks.
 
-``linear`` and ``graphic`` give their matroid a rank step, and
-``Matroid.mask_table`` builds the table by one depth-first walk over
-prefixes.  The walked table must equal the
-table of the plain definition computed mask by mask: Gaussian
-elimination for vectors, covered vertices minus components for graphs.
-The walk must also do no other work.  Both steps return their input
-state when the gain is 0, and the walk then copies that subtree instead
-of stepping it, so it steps once per independent set and element above
-the set's top element.  It makes no oracle call, and nothing at all
-above the table's ceiling.
+``Matroid.mask_table`` builds these tables by one of two routes.  The
+count row-reduces the representation and counts its row-space vectors
+by zero set (``core._count_table``); it serves ``graphic``, GF(2), and
+GF(p) wherever p^r <= 2^n.  The walk steps the construction's rank step
+over prefixes (``core._walk_table``); it serves ``linear`` over p >= 3
+where p^r > 2^n.  Either table must equal the table of the plain
+definition computed mask by mask: Gaussian elimination for vectors,
+covered vertices minus components for graphs.  Neither route may do
+other work.  The count makes no oracle call and no step call.  The walk
+makes no oracle call either; both steps return their input state when
+the gain is 0, and the walk then copies that subtree instead of
+stepping it, so it steps once per independent set and element above
+the set's top element.  Neither route does anything above the table's
+ceiling.
 """
 
+import contextlib
+import os
 import random
 import sys
 import tracemalloc
@@ -21,8 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matroidkit
 from matroidkit import BoundExceededError, Matroid, VectorSpec, graphic, linear
-from matroidkit.core import bits
+from matroidkit.core import _walk_table, bits
 
 from conftest import _gf_rank
 
@@ -119,36 +126,56 @@ def test_graphic_walked_table_equals_component_count(edges):
     assert [fresh.rank_of_mask(a) for a in range(1 << n)] == want
 
 
-def _counted(m):
-    """A copy of m whose oracle and step count their calls."""
+@contextlib.contextmanager
+def _counting():
+    """Count the calls made inside the block to each function of matroidkit, by name.
+
+    The fold oracle of ``linear`` and ``graphic`` is named ``rank``,
+    their rank step ``step`` and their table builder ``table``.
+    """
+    package = os.path.dirname(matroidkit.__file__)
     calls = Counter()
-    start, fn = m._step
 
-    def oracle(a):
-        calls["oracle"] += 1
-        return m._oracle(a)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls[frame.f_code.co_name] += 1
 
-    def step(state, x):
-        calls["step"] += 1
-        return fn(state, x)
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
 
-    return Matroid(m.n, oracle, step=(start, step)), calls
+
+def _gf(p, dim, n, seed=0):
+    rng = random.Random(seed)
+    return linear(VectorSpec(p, dim, tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(n))))
 
 
 def _gf3(n, seed=0):
-    rng = random.Random(seed)
-    return linear(VectorSpec(3, 4, tuple(tuple(rng.randrange(3) for _ in range(4)) for _ in range(n))))
+    return _gf(3, 4, n, seed)
 
 
 WALKED = {
+    # 7^4 = 2401 > 2^10
+    "linear": _gf(7, 4, 10),
+    # zero (2) and parallel (0, 1) vectors; 5^2 = 25 > 2^4
+    "linear parallel and zero": linear(VectorSpec(5, 2, ((1, 2), (2, 4), (0, 5), (3, 2)))),
+    "linear GF(2^31-1)": linear(
+        VectorSpec(2**31 - 1, 3, ((1, 2, 3), (0, 0, 0), (2, 4, 6), (5, 0, 1), (0, 7, 2), (1, 1, 1)))
+    ),
+    "linear n=1": _gf3(1, seed=1),
+}
+
+COUNTED = {
     "linear": _gf3(10),
+    "linear GF(2)": _gf(2, 5, 10),
     # a self-loop (2) and parallel edges (0, 1) among ten edges
     "graphic": graphic(
         [(0, "a", "b"), (1, "b", "a"), (2, "c", "c"), (3, "b", "c"), (4, "c", "d"),
          (5, "d", "a"), (6, "d", "e"), (7, "e", "f"), (8, "f", "a"), (9, "e", "b")]
     ),
     "linear n=0": linear(VectorSpec(3, 2, ())),
-    "linear n=1": _gf3(1),
     "linear n=1 zero": linear(VectorSpec(3, 2, ((0, 3),))),
     "graphic n=0": graphic([]),
     "graphic n=1": graphic([(0, "a", "b")]),
@@ -169,9 +196,21 @@ def _walk_steps(m):
 @pytest.mark.parametrize("kind", sorted(WALKED))
 def test_table_walk_steps_once_per_independent_set_and_element_above_it(kind):
     m = WALKED[kind]
-    counted, calls = _counted(m)
-    table = counted.mask_table()
-    assert calls == Counter(step=_walk_steps(m))
+    with _counting() as calls:
+        table = m.mask_table()
+    assert calls["_walk_table"] == 1 and not calls["_count_table"]
+    assert calls["step"] == _walk_steps(m)
+    assert not calls["rank"]
+    assert table == [m._oracle(a) for a in range(1 << m.n)]
+
+
+@pytest.mark.parametrize("kind", sorted(COUNTED))
+def test_table_count_makes_no_oracle_or_step_call(kind):
+    m = COUNTED[kind]
+    with _counting() as calls:
+        table = m.mask_table()
+    assert calls["_count_table"] == 1 and not calls["_walk_table"]
+    assert not calls["step"] and not calls["rank"]
     assert table == [m._oracle(a) for a in range(1 << m.n)]
 
 
@@ -180,19 +219,33 @@ def test_table_walk_copies_only_a_kept_state_with_no_gain():
     # that gains 0 but moves its state (r(A) = |A| - 1, not a matroid),
     # must be walked, not copied
     n = 9
-    free = Matroid(n, int.bit_count, step=(None, lambda s, x: (s, 1)))
+    free = Matroid(n, int.bit_count, table=lambda: _walk_table(n, None, lambda s, x: (s, 1)))
     assert free.mask_table() == [a.bit_count() for a in range(1 << n)]
     late = Matroid(
-        n, lambda a: max(a.bit_count() - 1, 0), step=(0, lambda s, x: (s + 1, int(s > 0)))
+        n, lambda a: max(a.bit_count() - 1, 0),
+        table=lambda: _walk_table(n, 0, lambda s, x: (s + 1, int(s > 0))),
     )
     assert late.mask_table() == [max(a.bit_count() - 1, 0) for a in range(1 << n)]
 
 
+def _refused_calls(m):
+    with _counting() as calls:
+        with pytest.raises(BoundExceededError, match=r"^mask table needs n <= 16, got 17$"):
+            m.mask_table()
+    return calls
+
+
 def test_table_walk_refuses_17_elements_before_any_step():
-    counted, calls = _counted(_gf3(17))
-    with pytest.raises(BoundExceededError, match=r"^mask table needs n <= 16, got 17$"):
-        counted.mask_table()
-    assert not calls
+    assert _refused_calls(_gf(2**31 - 1, 2, 17)) == Counter(mask_table=1, _refuse_above=1)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [_gf(2, 5, 17), _gf3(17), graphic([(i, str(i), str(i + 1)) for i in range(17)])],
+    ids=["GF(2)", "GF(3)", "graphic"],
+)
+def test_table_count_refuses_17_elements_before_any_row_reduction(m):
+    assert _refused_calls(m) == Counter(mask_table=1, _refuse_above=1)
 
 
 def test_table_walk_keeps_few_states_alive():
@@ -208,3 +261,112 @@ def test_table_walk_keeps_few_states_alive():
     # one state per depth: the table itself is nearly all of the peak,
     # where one state per mask would cost several times the table
     assert peak < 2 * sys.getsizeof(table)
+
+
+def _vectors(p, dim, n, seed=0):
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(n))
+
+
+def _gf_table(p, vectors):
+    return [_gf_rank([list(vectors[i]) for i in bits(a)], p) for a in range(1 << len(vectors))]
+
+
+def _graph_table(edges):
+    return [graph_rank(edges, a) for a in range(1 << len(edges))]
+
+
+def _random_graph(vertices, n, seed):
+    rng = random.Random(seed)
+    return [(i, str(rng.randrange(vertices)), str(rng.randrange(vertices))) for i in range(n)]
+
+
+# (p, dim, n, rank, route): the route is the count iff p^rank <= 2^n; a
+# count of more than 255 points, (p^rank - 1) / (p - 1), takes 2-byte lanes
+VECTOR_CASES = {
+    "GF(2) rank 8, 255 points": (2, 8, 10, 8, "count"),
+    "GF(2) rank 9, 511 points": (2, 9, 11, 9, "count"),
+    "GF(3) 3^5 just below 2^8": (3, 5, 8, 5, "count"),
+    "GF(3) 3^5 just above 2^7": (3, 5, 7, 5, "walk"),
+    "GF(3) 3^6 just below 2^10, 364 points": (3, 6, 10, 6, "count"),
+    "GF(3) 3^6 just above 2^9": (3, 6, 9, 6, "walk"),
+    "GF(5) 5^3 just below 2^7": (5, 3, 7, 3, "count"),
+    "GF(5) 5^3 just above 2^6": (5, 3, 6, 3, "walk"),
+    "GF(2) dim 9 > n": (2, 9, 5, 5, "count"),
+    "GF(3) dim 7 > n": (3, 7, 4, 4, "walk"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+def test_linear_table_routes_equal_gaussian_elimination(case):
+    p, dim, n, rank, route = VECTOR_CASES[case]
+    vectors = _vectors(p, dim, n)
+    want = _gf_table(p, vectors)
+    assert want[-1] == rank
+    with _counting() as calls:
+        assert linear(VectorSpec(p, dim, vectors)).mask_table() == want
+    assert calls[f"_{route}_table"] == 1 and calls["_count_table"] + calls["_walk_table"] == 1
+
+
+ODD_CASES = {
+    "linear n=0": (linear(VectorSpec(2, 3, ())), [0]),
+    "linear zero vectors": (linear(VectorSpec(3, 2, ((0, 0), (3, 6), (0, -3), (0, 0)))), [0] * 16),
+    "linear GF(2^31-1) zero vectors": (linear(VectorSpec(2**31 - 1, 2, ((0, 0),) * 3)), [0] * 8),
+    "graphic n=0": (graphic([]), [0]),
+    "graphic self-loops": (graphic([(0, "a", "a"), (1, "b", "b"), (2, "a", "a")]), [0] * 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD_CASES))
+def test_table_count_of_degenerate_matroids(case):
+    m, want = ODD_CASES[case]
+    with _counting() as calls:
+        assert m.mask_table() == want
+    assert calls["_count_table"] == 1
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # self-loops, parallel edges and two components; rank 5
+        [(0, "a", "a"), (1, "a", "b"), (2, "b", "a"), (3, "b", "c"), (4, "c", "c"), (5, "c", "a"),
+         (6, "x", "y"), (7, "y", "z"), (8, "z", "x"), (9, "z", "z"), (10, "y", "w"), (11, "w", "x")],
+        # rank 10: 1023 points, 2-byte lanes
+        _random_graph(11, 12, seed=4),
+    ],
+    ids=["loops-parallel-components", "rank-10"],
+)
+def test_graphic_table_count_equals_component_count(edges):
+    m = graphic(edges)
+    assert m.mask_table() == _graph_table(edges)
+
+
+def test_count_of_65535_points_at_16_elements():
+    # full rank at n = 16: 2^16 - 1 points in 2-byte lanes, and every set
+    # independent; a sample of masks is checked against the definitions
+    rng = random.Random(7)
+    # 1 on the diagonal, 0 above it: independent whatever lies below
+    vectors = tuple(tuple(int(i == j) if j >= i else rng.randrange(2) for j in range(16)) for i in range(16))
+    assert _gf_rank([list(v) for v in vectors], 2) == 16
+    tree = [(i, str(random.Random(i).randrange(i + 1)), str(i + 1)) for i in range(16)]
+    assert graph_rank(tree, (1 << 16) - 1) == 16
+    sample = random.Random(8).sample(range(1 << 16), 300)
+    for m, rank in (
+        (linear(VectorSpec(2, 16, vectors)), lambda a: _gf_rank([list(vectors[i]) for i in bits(a)], 2)),
+        (graphic(tree), lambda a: graph_rank(tree, a)),
+    ):
+        table = m.mask_table()
+        assert table == [a.bit_count() for a in range(1 << 16)]
+        assert [table[a] for a in sample] == [rank(a) for a in sample]
+
+
+def test_count_at_16_elements_below_full_rank():
+    # rank 12 of 16 (4095 points) and a graph of rank 9 (511 points):
+    # 2-byte lanes on matroids with circuits, checked on a sample of masks
+    vectors = _vectors(2, 12, 16, seed=9)
+    edges = _random_graph(10, 16, seed=5)
+    sample = random.Random(10).sample(range(1 << 16), 400)
+    gf2, graph = linear(VectorSpec(2, 12, vectors)).mask_table(), graphic(edges).mask_table()
+    assert (gf2[-1], graph[-1]) == (12, 9)
+    assert [gf2[a] for a in sample] == [_gf_rank([list(vectors[i]) for i in bits(a)], 2) for a in sample]
+    assert [graph[a] for a in sample] == [graph_rank(edges, a) for a in sample]
