@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -251,13 +252,18 @@ def _row_basis(p: int, vecs: list[tuple[int, ...]], dim: int) -> list[list[int]]
     return [row for _, row in basis]
 
 
+_INT = frozenset({int})
+
+
 @dataclass(frozen=True)
 class TableSpec:
     """An explicit rank table: one value per subset of range(n).
 
-    Each key is checked once, by one subset test against range(n), in
-    the dict's order: the first key with an id outside range(n) is named
-    before a short table is.
+    Every key must be a subset of range(n) whose ids are ints: an id that
+    only equals one (``True``, ``1.0``) is refused, as everywhere else.
+    The keys are checked by one subset test each and the ids by one pass
+    over their types, both in C; if either fails, the first key in the
+    dict's order with a bad id is named, before a short table is.
     """
 
     n: int
@@ -268,11 +274,14 @@ class TableSpec:
             raise GroundSetError("ground set size must be nonnegative")
         _refuse_above(self.n, VALIDATION_BOUND, "mask table")
         ground = frozenset(range(self.n))
-        for key in self.ranks:
-            if not ground.issuperset(key):
-                raise GroundSetError(
-                    f"subset {set_literal(key)} outside ground set (n={self.n})"
-                )
+        if not all(map(ground.issuperset, self.ranks)) or not _INT.issuperset(
+            map(type, itertools.chain.from_iterable(self.ranks))
+        ):
+            bad = next(
+                key for key in self.ranks
+                if not ground.issuperset(key) or not _INT.issuperset(map(type, key))
+            )
+            raise GroundSetError(f"subset {set_literal(bad)} outside ground set (n={self.n})")
         want = 1 << self.n
         if len(self.ranks) != want:
             missing = want - len(self.ranks)

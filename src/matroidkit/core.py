@@ -112,8 +112,10 @@ class Matroid:
     arguments that returns the rank of every mask, in mask order, with
     no oracle call: :meth:`mask_table` calls it in place of the oracle
     (``linear`` and ``graphic`` count row-space vectors, ``from_table``
-    hands over its checked rank list).  Instances are immutable apart
-    from the caches.
+    hands over its checked rank list).  The whole-table kernels read the
+    table as one int with a byte per mask (:func:`_rank_image`), converted
+    at most once per table.  Instances are immutable apart from the
+    caches.
     """
 
     def __init__(
@@ -136,6 +138,8 @@ class Matroid:
         self._oracle = oracle
         self._build_table = table
         self._mask_table: list[int] | None = None
+        #: the mask table as one int, a byte per mask, filled by _rank_image
+        self._rank_image: int | None = None
         #: the last anchor decomposition, filled by bases.anchor_classes
         self._anchor_cache = None
 
@@ -306,7 +310,15 @@ def _submodularity(table: list[int], a: int, b: int) -> AxiomReport:
 # A byte set is a set of masks of range(n) held as one int whose byte a
 # (little-endian) is 1 iff mask a is in the set, so one int operation acts
 # on all 2^n masks at once; shifting right by 8 << x moves mask a + x onto
-# mask a.  Ranks are held the same way, one byte per mask.
+# mask a.  A set less another is a ^ (a & b), not a & ~b, which would
+# build the complement of a negative int.  Ranks are held the same way,
+# one byte per mask: a matroid's rank image is converted from its mask
+# table once and kept beside it (:func:`_rank_image`).  The byte sets
+# that depend on n alone (every mask, each mask's size, and the masks
+# without x in each lane width the kernels use) are built once per n and
+# kept for the life of the process (:func:`_per_size`).  The kernels run
+# on mask tables only, so n is at most VALIDATION_BOUND, and every size
+# up to 16 together keeps about 8 MB.
 
 _IS_ZERO = bytes([1]) + bytes(255)  # bytes.translate table: 0 -> 1, else 0
 _RANK_CAP = 254
@@ -327,24 +339,50 @@ def _rank_bytes(table: list[int]) -> int:
     return int.from_bytes(bytes(table), "little")
 
 
+def _rank_image(m: Matroid) -> int:
+    """m's mask table as :func:`_rank_bytes` gives it, converted at most once."""
+    if m._rank_image is None:
+        m._rank_image = _rank_bytes(m.mask_table())
+    return m._rank_image
+
+
 def _zero_bytes(v: int, n: int) -> int:
     """The byte set of the masks of range(n) whose byte in v is 0."""
     return int.from_bytes(v.to_bytes(1 << n, "little").translate(_IS_ZERO), "little")
 
 
-def _without(n: int, x: int, lane: bytes = b"\x01") -> int:
-    """The byte set of the masks of range(n) that do not contain x.
+def _without(n: int, x: int, lane: bytes) -> int:
+    """The masks of range(n) that do not contain x, in lanes of ``lane``'s width.
 
-    With another ``lane``, the masks without x hold it in lanes of its
-    width, and the masks with x hold zeros.
+    Each mask without x holds ``lane`` and each mask with x holds zeros;
+    with ``b"\\x01"`` that is the byte set of the masks without x.
     """
     bit = 1 << x
     return int.from_bytes((lane * bit + bytes(len(lane) * bit)) * (1 << (n - 1 - x)), "little")
 
 
-def _ones(n: int) -> int:
-    """The byte set of every mask of range(n)."""
-    return int.from_bytes(bytes([1]) * (1 << n), "little")
+# n -> {key: value} for _per_size; filled on first use, never emptied
+_BY_SIZE: dict[int, dict] = {}
+
+
+def _per_size(n: int, key: str | bytes):
+    """A byte set (or list of them) that depends on n alone, built once per (n, key).
+
+    ``"ones"``: every mask of range(n).  ``"sizes"``: byte a holds |a|.
+    A lane: the list of :func:`_without` ``(n, x, lane)`` for each x in
+    range(n).
+    """
+    built = _BY_SIZE.setdefault(n, {})
+    value = built.get(key)
+    if value is None:
+        if key == "ones":
+            value = int.from_bytes(bytes([1]) * (1 << n), "little")
+        elif key == "sizes":
+            value = int.from_bytes(bytes(map(int.bit_count, range(1 << n))), "little")
+        else:
+            value = [_without(n, x, key) for x in range(n)]
+        built[key] = value
+    return value
 
 
 def _plus_row(span: dict[int, list[int]], held: dict[int, int], p: int) -> dict:
@@ -434,8 +472,8 @@ def _count_table(n: int, p: int, rows: list[list[int]]) -> list[int]:
     if sys.byteorder == "big":
         lanes.byteswap()
     f = int.from_bytes(lanes.tobytes(), "little")
-    for x in range(n):
-        f += (f >> ((8 * width) << x)) & _without(n, x, b"\xff" * width)
+    for x, outside in enumerate(_per_size(n, b"\xff" * width)):
+        f += (f >> ((8 * width) << x)) & outside
     if width == 1:
         to_rank = bytearray(256)
         for count, r_a in rank.items():
@@ -479,7 +517,7 @@ def _local_failure(table: list[int], n: int, a: int) -> AxiomReport | None:
     return None
 
 
-def _is_rank_function(table: list[int], n: int) -> AxiomReport:
+def _is_rank_function(table: list[int], ranks: int, n: int) -> AxiomReport:
     """The first failure of the unit-increase rank axioms, or a pass.
 
     An integer set function on the subsets of a finite set is a matroid
@@ -487,9 +525,10 @@ def _is_rank_function(table: list[int], n: int) -> AxiomReport:
     r(A) <= r(A+x) <= r(A) + 1, and r(A+x) = r(A+y) = r(A) implies
     r(A+x+y) = r(A) (Oxley, *Matroid Theory*, Ch. 1).  The pass takes
     the whole table at once, as byte sets (see the comment above
-    :func:`_rank_bytes`).  For each x, the ranks shifted by x against
-    the ranks give flat(x), the masks A without x where r(A+x) = r(A),
-    and the masks where r(A+x) - r(A) is neither 0 nor 1.  A pair y < x
+    :func:`_rank_bytes`); ``ranks`` is the table's rank image.  For
+    each x, the ranks shifted by x against the ranks give flat(x), the
+    masks A without x where r(A+x) = r(A), and the masks where
+    r(A+x) - r(A) is neither 0 nor 1.  A pair y < x
     fails at the A in flat(x) and flat(y) whose A+x is not in flat(y):
     one AND over all masks per pair.  That is O(n^2) operations on
     2^n-byte ints, O(n^2 * 2^n) byte operations in all, none of them a
@@ -505,19 +544,18 @@ def _is_rank_function(table: list[int], n: int) -> AxiomReport:
     """
     if table[0] != 0:
         return AxiomReport(False, "normalization", ((),), f"rank({{}}) = {table[0]}")
-    ranks = _rank_bytes(table)
-    plus_one = ranks + _ones(n)
+    plus_one = ranks + _per_size(n, "ones")
     flats: list[int] = []  # flats[y]: the byte set flat(y)
     failing = 0
-    for x in range(n):
+    for x, outside in enumerate(_per_size(n, b"\x01")):
         bit = 1 << x
         above = ranks >> (bit << 3)  # byte a holds r(a + x)
-        outside = _without(n, x)
         flat = _zero_bytes(above ^ ranks, n) & outside
         unit = _zero_bytes(above ^ plus_one, n) & outside
-        failing |= outside & ~(flat | unit)
+        failing |= outside ^ flat ^ unit  # flat and unit are disjoint parts of outside
         for flat_y in flats:
-            failing |= flat & flat_y & ~(flat_y >> (bit << 3))
+            # flat_y less the masks whose A+x is in flat_y, with no complement
+            failing |= flat & (flat_y ^ (flat_y & (flat_y >> (bit << 3))))
         flats.append(flat)
     if not failing:
         return AxiomReport(True)
@@ -537,7 +575,8 @@ def validate_axioms(m: Matroid) -> AxiomReport:
     subsets that break that axiom on the table; it is the first such
     failure in mask order, not a minimal one.
     """
-    return _is_rank_function(m.mask_table(), m.n)
+    ranks = _rank_image(m)  # builds the mask table if need be
+    return _is_rank_function(m._mask_table, ranks, m.n)
 
 
 @dataclass(frozen=True)
@@ -569,14 +608,13 @@ def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
     then sorted one by one.
     """
     _refuse_above(m.n, CIRCUIT_BOUND if max_n is None else max_n, "circuit enumeration")
-    table = m.mask_table()
     n = m.n
-    ranks = _rank_bytes(table)
-    sizes = int.from_bytes(bytes(map(int.bit_count, range(1 << n))), "little")
-    found = _zero_bytes((ranks + _ones(n)) ^ sizes, n)
-    not_independent = _ones(n) ^ _zero_bytes(ranks ^ sizes, n)
-    for x in range(n):
-        found &= ~((not_independent & _without(n, x)) << (8 << x))
+    ranks = _rank_image(m)
+    ones, sizes = _per_size(n, "ones"), _per_size(n, "sizes")
+    found = _zero_bytes((ranks + ones) ^ sizes, n)
+    not_independent = ones ^ _zero_bytes(ranks ^ sizes, n)
+    for x, outside in enumerate(_per_size(n, b"\x01")):
+        found ^= found & ((not_independent & outside) << (8 << x))
     flags = found.to_bytes(1 << n, "little")
     members = []
     mask = flags.find(1)

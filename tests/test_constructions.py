@@ -176,6 +176,30 @@ def test_table_spec_rejects_ids_outside_ground_set():
     assert _refusal(0, {}) == "rank table incomplete: 0 of 1 subsets (1 missing)"
 
 
+@pytest.mark.parametrize("impostor", [True, 1.0], ids=repr)
+def test_table_spec_refuses_ids_that_only_equal_an_int(impostor):
+    # frozenset({impostor}) == frozenset({1}), so a subset test alone
+    # passes it; an id must be an int, as everywhere else
+    e = impostor
+    good = tabulate(uniform(2, 1)).ranks
+    for keys, named in (
+        ([frozenset({e})], f"{{{e!r}}}"),
+        ([frozenset({0, e})], f"{{0,{e!r}}}"),
+        ([frozenset({0, e}), frozenset({e})], f"{{{e!r}}}"),  # {1} is listed before {0,1}
+    ):
+        ranks = {next((k for k in keys if k == key), key): r for key, r in good.items()}
+        with pytest.raises(GroundSetError) as err:
+            from_table(TableSpec(2, ranks))
+        assert str(err.value) == f"subset {named} outside ground set (n=2)"
+    # named in dict order, before and after a key outside range(n)
+    assert _refusal(2, {frozenset({e}): 1, frozenset({5}): 0}) == (
+        f"subset {{{e!r}}} outside ground set (n=2)"
+    )
+    assert _refusal(2, {frozenset({5}): 0, frozenset({e}): 1}) == (
+        "subset {5} outside ground set (n=2)"
+    )
+
+
 def _by_mask(ranks, reverse):
     return dict(sorted(ranks.items(), key=lambda kv: mask_of(kv[0]), reverse=reverse))
 

@@ -4,16 +4,40 @@
 ints with one byte per mask.  Each must give exactly what the sweeps in
 ``conftest`` give mask by mask: the same ``AxiomReport`` (verdict, axiom,
 witness and detail) and the same circuit list in the same order, on
-matroids and on tables that are not matroids.
+matroids and on tables that are not matroids.  The byte sets that depend
+on n alone are built once per size and kept; each must equal a fresh
+mask-by-mask build, whatever sizes ran before it.  A matroid's rank image
+is converted from its own mask table.
 """
 
 import random
 
 import pytest
 
-from matroidkit import Matroid, circuits, uniform, validate_axioms
+from matroidkit import (
+    Matroid,
+    VectorSpec,
+    circuits,
+    contract,
+    from_table,
+    graphic,
+    linear,
+    restrict,
+    tabulate,
+    uniform,
+    validate_axioms,
+)
+from matroidkit import core
+from matroidkit.core import _rank_bytes, bits
 
-from conftest import circuits_by_sweep, perturbed_tables, random_matroid, rank_function_by_pairs
+from conftest import (
+    _gf_rank,
+    circuits_by_sweep,
+    first_violation,
+    perturbed_tables,
+    random_matroid,
+    rank_function_by_pairs,
+)
 
 
 def _agree(m):
@@ -21,6 +45,7 @@ def _agree(m):
     report = validate_axioms(m)
     assert report == rank_function_by_pairs(m.mask_table(), m.n), m.name
     assert circuits(m, max_n=m.n) == circuits_by_sweep(m), m.name
+    assert m._rank_image == _rank_bytes(m.mask_table()), m.name
     return report
 
 
@@ -98,3 +123,79 @@ def test_kernels_match_the_references_on_ranks_above_a_byte():
         table = uniform(n, 2).mask_table()[:]
         table[mask] = 300
         assert not _agree(_tabled(n, table, f"U({n},2) r({mask})=300")).ok
+
+
+def test_a_rank_image_is_converted_from_its_own_table():
+    # from_table's axiom pass converts the table once; circuits reads that image
+    vectors = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 1))
+    m = from_table(tabulate(linear(VectorSpec(3, 3, vectors))))
+    image = m._rank_image
+    assert image == _rank_bytes(m.mask_table())
+    assert circuits(m) == circuits_by_sweep(m)
+    assert m._rank_image is image
+    # a contraction or restriction of a table-backed matroid converts its own table
+    for derived in (contract(m, [0]), contract(m, [1, 3]), restrict(m, [0, 2, 4])):
+        assert derived._rank_image is None
+        _agree(derived)
+        assert derived._rank_image != image
+    assert m._rank_image is image
+
+
+def _fresh_byte_sets(n, key):
+    """The byte set(s) _per_size(n, key) should hold, built mask by mask."""
+    if key == "ones":
+        return int.from_bytes(bytes(1 for _ in range(1 << n)), "little")
+    if key == "sizes":
+        return int.from_bytes(bytes(a.bit_count() for a in range(1 << n)), "little")
+    empty = bytes(len(key))
+    return [
+        int.from_bytes(b"".join(empty if a >> x & 1 else key for a in range(1 << n)), "little")
+        for x in range(n)
+    ]
+
+
+def _incidence(n, vertices, rng):
+    """A random graph on n edges and its edges' incidence vectors over GF(2)."""
+    edges = [(i, rng.randrange(vertices), rng.randrange(vertices)) for i in range(n)]
+    vectors = [[int(v in (a, b) and a != b) for v in range(vertices)] for _, a, b in edges]
+    return [(i, str(a), str(b)) for i, a, b in edges], vectors
+
+
+def test_kernels_and_counts_agree_at_interleaved_sizes():
+    # each size's byte sets are built for its first table and serve the
+    # later tables of that size, whatever sizes ran in between; at n = 16
+    # ranks are checked on a sample of masks and the axiom pass on a
+    # near-free matroid (one circuit) and on a table one entry off it
+    rng = random.Random(20)
+    for n in (3, 12, 0, 16, 3):
+        masks = range(1 << n) if n <= 12 else rng.sample(range(1 << n), 300)
+        gf2 = [tuple(rng.randrange(2) for _ in range(max(n - 2, 1))) for _ in range(n)]
+        gf3 = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(n)]
+        edges, incidence = _incidence(n, n // 2 + 2, rng)
+        for m, p, vectors in (
+            (linear(VectorSpec(2, max(n - 2, 1), tuple(gf2))), 2, gf2),
+            (linear(VectorSpec(3, 4, tuple(gf3))), 3, gf3),
+            (graphic(edges), 2, incidence),
+        ):
+            table = m.mask_table()
+            assert [table[a] for a in masks] == [
+                _gf_rank([list(vectors[i]) for i in bits(a)], p) for a in masks
+            ], m.name
+            if n <= 12:
+                assert _agree(m).ok, m.name
+                if n <= 3:
+                    assert validate_axioms(m) == first_violation(table, n), m.name
+        if n == 16:
+            free = [tuple(int(i == j) for j in range(15)) for i in range(15)] + [(1,) * 15]
+            m = linear(VectorSpec(2, 15, tuple(free)))
+            assert _agree(m).ok
+            assert circuits(m, max_n=16) == [core.Circuit(tuple(range(16)))]
+            table = list(m.mask_table())
+            table[0b11] += 2
+            assert not _agree(_tabled(n, table, "one circuit, r({0,1}) + 2")).ok
+    for n, built in core._BY_SIZE.items():
+        for key, value in built.items():
+            assert value == _fresh_byte_sets(n, key), (n, key)
+    for n in (0, 3, 12, 16):
+        assert {"ones", "sizes", b"\x01"} <= core._BY_SIZE[n].keys(), n
+    assert b"\xff" in core._BY_SIZE[12] and b"\xff\xff" in core._BY_SIZE[16]
