@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -15,6 +16,7 @@ from .core import (
     _count_table,
     _derived,
     _refuse_above,
+    _subset_pool,
     _walk_table,
     bits,
     mask_of,
@@ -253,17 +255,22 @@ def _row_basis(p: int, vecs: list[tuple[int, ...]], dim: int) -> list[list[int]]
 
 
 _INT = frozenset({int})
+_FROZENSET = frozenset({frozenset})
 
 
 @dataclass(frozen=True)
 class TableSpec:
     """An explicit rank table: one value per subset of range(n).
 
-    Every key must be a subset of range(n) whose ids are ints: an id that
-    only equals one (``True``, ``1.0``) is refused, as everywhere else.
-    The keys are checked by one subset test each and the ids by one pass
-    over their types, both in C; if either fails, the first key in the
-    dict's order with a bad id is named, before a short table is.
+    Every key must be a frozenset, and a subset of range(n) whose ids
+    are ints: an id that only equals one (``True``, ``1.0``) is refused,
+    as everywhere else.  A table keyed by :func:`tabulate`'s own subset
+    objects, every one in mask order (see ``core._subset_pool``), is
+    accepted by one identity test per key.  Any other table has its
+    keys' types checked in one pass, then its keys by one subset test
+    each and its ids by one pass over their types, all in C; if one
+    fails, the first bad key in the dict's order is named, before a
+    short table is.
     """
 
     n: int
@@ -273,6 +280,16 @@ class TableSpec:
         if self.n < 0:
             raise GroundSetError("ground set size must be nonnegative")
         _refuse_above(self.n, VALIDATION_BOUND, "mask table")
+        pool = _subset_pool(self.n)
+        if (
+            pool is not None
+            and len(self.ranks) == len(pool)
+            and all(map(operator.is_, self.ranks, pool))
+        ):
+            return
+        if not _FROZENSET.issuperset(map(type, self.ranks)):
+            bad = next(key for key in self.ranks if type(key) is not frozenset)
+            raise GroundSetError(f"rank table key {bad!r} is not a frozenset")
         ground = frozenset(range(self.n))
         if not all(map(ground.issuperset, self.ranks)) or not _INT.issuperset(
             map(type, itertools.chain.from_iterable(self.ranks))
@@ -294,20 +311,26 @@ class TableSpec:
 def from_table(spec: TableSpec) -> Matroid:
     """Matroid backed by an explicit table; rejects non-matroids.
 
-    Construction reads the table once, into a list indexed by each key's
-    mask (``TableSpec`` has checked that the keys are every subset of
-    range(n)), and the oracle reads that list.  The same list is the
-    mask table, once every entry is checked to be a nonnegative int
-    (not a bool); otherwise the first bad mask in mask order is refused
-    as a bad oracle value.  It then runs :func:`validate_axioms`, one
-    pass over the local unit-increase axioms in O(n^2) operations on
-    whole-table byte sets, and raises AxiomError (carrying the report
-    of the first local failure: the axiom it breaks and a witness that
-    breaks it) if the table is not a matroid rank function.
+    Construction reads the table once into a list in mask order
+    (``TableSpec`` has checked that the keys are every subset of
+    range(n)): one dict lookup per subset of ``core._subset_pool``, or,
+    above its bound, one ``mask_of`` per key.  The oracle reads that
+    list.  The same list is the mask table, once every entry is
+    checked to be a nonnegative int (not a bool); otherwise the first
+    bad mask in mask order is refused as a bad oracle value.  It then
+    runs :func:`validate_axioms`, one pass over the local unit-increase
+    axioms in O(n) operations on whole-table byte sets, and raises
+    AxiomError (carrying the report of the first local failure: the
+    axiom it breaks and a witness that breaks it) if the table is not a
+    matroid rank function.
     """
-    ranks = [0] * (1 << spec.n)
-    for key, r in spec.ranks.items():
-        ranks[mask_of(key)] = r
+    pool = _subset_pool(spec.n)
+    if pool is None:
+        ranks = [0] * (1 << spec.n)
+        for key, r in spec.ranks.items():
+            ranks[mask_of(key)] = r
+    else:
+        ranks = list(map(spec.ranks.__getitem__, pool))
 
     def table() -> list[int]:
         if set(map(type, ranks)) != {int} or min(ranks) < 0:
@@ -323,10 +346,17 @@ def from_table(spec: TableSpec) -> Matroid:
 
 
 def tabulate(m: Matroid) -> TableSpec:
-    """Freeze a matroid's oracle into an explicit table."""
+    """Freeze a matroid's oracle into an explicit table.
+
+    Up to ``core._SUBSET_POOL_BOUND`` elements the keys are the shared
+    subset objects of ``core._subset_pool``, in mask order, so tables of
+    one size share their keys and ``TableSpec`` accepts them by identity.
+    """
     table = m.mask_table()
-    ranks = {frozenset(bits(mask)): table[mask] for mask in range(1 << m.n)}
-    return TableSpec(m.n, ranks)
+    keys = _subset_pool(m.n)
+    if keys is None:
+        keys = map(frozenset, map(bits, range(1 << m.n)))
+    return TableSpec(m.n, dict(zip(keys, table)))
 
 
 def restrict(m: Matroid, elements) -> Matroid:

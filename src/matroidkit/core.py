@@ -312,31 +312,42 @@ def _submodularity(table: list[int], a: int, b: int) -> AxiomReport:
 # on all 2^n masks at once; shifting right by 8 << x moves mask a + x onto
 # mask a.  A set less another is a ^ (a & b), not a & ~b, which would
 # build the complement of a negative int.  Ranks are held the same way,
-# one byte per mask: a matroid's rank image is converted from its mask
-# table once and kept beside it (:func:`_rank_image`).  The byte sets
-# that depend on n alone (every mask, each mask's size, and the masks
-# without x in each lane width the kernels use) are built once per n and
-# kept for the life of the process (:func:`_per_size`).  The kernels run
-# on mask tables only, so n is at most VALIDATION_BOUND, and every size
-# up to 16 together keeps about 8 MB.
+# one byte per mask, capped at _RANK_CAP: a matroid's rank image is
+# converted from its mask table once and kept beside it
+# (:func:`_rank_image`).  The kernels only test bytes below 0x80 for zero
+# (ranks, ranks + 1 and sizes, and their XORs), which takes one
+# subtraction with no borrow between bytes (:func:`_zero_bytes`).  What
+# depends on n alone (every mask, each mask's size, the masks without x
+# in each lane the kernels use, and the subsets' frozensets that tables
+# are keyed by) is built once per n and kept for the life of the
+# process (:func:`_per_size`).  The kernels run on mask tables only, so
+# n is at most VALIDATION_BOUND, and every size up to 16 together keeps
+# at most 10 MB of byte sets; the frozensets are kept up to
+# _SUBSET_POOL_BOUND, 4.8 MB over every size up to 12 (tracemalloc).
 
-_IS_ZERO = bytes([1]) + bytes(255)  # bytes.translate table: 0 -> 1, else 0
-_RANK_CAP = 254
+_RANK_CAP = 126
+_CAPPED = bytes(min(b, _RANK_CAP) for b in range(256))  # bytes.translate table
+_SUBSET_POOL_BOUND = 12
 
 
 def _rank_bytes(table: list[int]) -> int:
     """The table with the rank of mask a in byte a, capped at _RANK_CAP.
 
-    The cap leaves room for r + 1 in a byte and is far above any rank of
-    a matroid on 16 elements.  It moves no first failure of the axiom
-    pass: a cap of at least n + 2 keeps the verdict at every mask ranked
-    at most n, and a mask A ranked above n breaks the unit-increase
-    axiom first at some prefix of A (adding A's elements in ascending
-    order from the empty set), a smaller mask ranked at most n.
+    The cap keeps r + 1 below 0x80, as :func:`_zero_bytes` needs, and is
+    far above any rank of a matroid on 16 elements.  It moves no first
+    failure of the axiom pass: a cap of at least n + 2 keeps the verdict
+    at every mask ranked at most n, and a mask A ranked above n breaks
+    the unit-increase axiom first at some prefix of A (adding A's
+    elements in ascending order from the empty set), a smaller mask
+    ranked at most n.  One ``bytes`` call and one ``translate`` do it;
+    only a table with a rank above 255, which ``bytes`` refuses, is
+    capped rank by rank.
     """
-    if max(table) > _RANK_CAP:
-        table = [min(r, _RANK_CAP) for r in table]
-    return int.from_bytes(bytes(table), "little")
+    try:
+        image = bytes(table).translate(_CAPPED)
+    except ValueError:
+        image = bytes([min(r, _RANK_CAP) for r in table])
+    return int.from_bytes(image, "little")
 
 
 def _rank_image(m: Matroid) -> int:
@@ -346,9 +357,16 @@ def _rank_image(m: Matroid) -> int:
     return m._rank_image
 
 
-def _zero_bytes(v: int, n: int) -> int:
-    """The byte set of the masks of range(n) whose byte in v is 0."""
-    return int.from_bytes(v.to_bytes(1 << n, "little").translate(_IS_ZERO), "little")
+def _zero_bytes(v: int, high: int, within: int) -> int:
+    """The byte set of the masks in ``within`` whose byte in v is 0.
+
+    ``high`` holds 0x80 in every byte (``_per_size(n, "high")``), and
+    ``within`` holds 0x80 at the masks to test and 0 at the others.
+    Exact when every byte of v is at most 0x80: then 0x80 - b borrows
+    from no other byte and has its top bit set iff b is 0 (the zero-byte
+    test of Warren, *Hacker's Delight*, section 6-1).
+    """
+    return ((high - v) & within) >> 7
 
 
 def _without(n: int, x: int, lane: bytes) -> int:
@@ -366,23 +384,42 @@ _BY_SIZE: dict[int, dict] = {}
 
 
 def _per_size(n: int, key: str | bytes):
-    """A byte set (or list of them) that depends on n alone, built once per (n, key).
+    """A value that depends on n alone, built once per (n, key).
 
-    ``"ones"``: every mask of range(n).  ``"sizes"``: byte a holds |a|.
-    A lane: the list of :func:`_without` ``(n, x, lane)`` for each x in
-    range(n).
+    ``"ones"``: every mask of range(n).  ``"high"``: byte a holds 0x80
+    for every mask.  ``"sizes"``: byte a holds |a|.  ``"subsets"``: the
+    list of ``frozenset(bits(a))`` in mask order, read through
+    :func:`_subset_pool` only.  A lane (``b"\\x01"``, ``b"\\x80"``,
+    ``b"\\xff"``, ``b"\\xff\\xff"``): the list of :func:`_without`
+    ``(n, x, lane)`` for each x in range(n).
     """
     built = _BY_SIZE.setdefault(n, {})
     value = built.get(key)
     if value is None:
         if key == "ones":
             value = int.from_bytes(bytes([1]) * (1 << n), "little")
+        elif key == "high":
+            value = _per_size(n, "ones") << 7
         elif key == "sizes":
             value = int.from_bytes(bytes(map(int.bit_count, range(1 << n))), "little")
+        elif key == "subsets":
+            value = list(map(frozenset, map(bits, range(1 << n))))
         else:
             value = [_without(n, x, key) for x in range(n)]
         built[key] = value
     return value
+
+
+def _subset_pool(n: int) -> list[frozenset[int]] | None:
+    """Every subset of range(n) as a frozenset, in mask order, or None above the bound.
+
+    ``tabulate`` keys its tables by these very objects, so ``TableSpec``
+    accepts such a table by one identity test per key and ``from_table``
+    reads its ranks by one dict lookup per subset.  Kept up to
+    _SUBSET_POOL_BOUND (n = 16 alone would keep 47 MB); above it, a pool
+    built per call would cost more than it saves.
+    """
+    return _per_size(n, "subsets") if n <= _SUBSET_POOL_BOUND else None
 
 
 def _plus_row(span: dict[int, list[int]], held: dict[int, int], p: int) -> dict:
@@ -528,13 +565,17 @@ def _is_rank_function(table: list[int], ranks: int, n: int) -> AxiomReport:
     :func:`_rank_bytes`); ``ranks`` is the table's rank image.  For
     each x, the ranks shifted by x against the ranks give flat(x), the
     masks A without x where r(A+x) = r(A), and the masks where
-    r(A+x) - r(A) is neither 0 nor 1.  A pair y < x
-    fails at the A in flat(x) and flat(y) whose A+x is not in flat(y):
-    one AND over all masks per pair.  That is O(n^2) operations on
-    2^n-byte ints, O(n^2 * 2^n) byte operations in all, none of them a
-    Python-level step per mask.  The first failing mask in mask order
-    is then reported by :func:`_local_failure`, as the classic axiom its
-    failure breaks:
+    r(A+x) - r(A) is neither 0 nor 1.  A pair y < x fails at the A in
+    flat(x) and flat(y) whose A+x is not in flat(y).  The pairs are
+    tested eight at a time: the flat(y) of each group of eight elements
+    are packed into one int, flat(y) in bit y mod 8 of each byte, and
+    the bytes of flat(x) spread to 0xFF select, in one AND per group,
+    every y of the group below x that fails.  With n <= 16 that is at
+    most two groups, so O(n) operations on 2^n-byte ints in all, none of
+    them a Python-level step per mask.  A byte fails iff some test fails
+    at its mask, so the first failing mask in mask order is then
+    reported by :func:`_local_failure`, as the classic axiom its failure
+    breaks:
 
     - r(A+x) < r(A): monotonicity at (A, A+x);
     - r(A+x) >= r(A) + 2: subcardinality at {x} if r({x}) >= 2, else
@@ -545,18 +586,23 @@ def _is_rank_function(table: list[int], ranks: int, n: int) -> AxiomReport:
     if table[0] != 0:
         return AxiomReport(False, "normalization", ((),), f"rank({{}}) = {table[0]}")
     plus_one = ranks + _per_size(n, "ones")
-    flats: list[int] = []  # flats[y]: the byte set flat(y)
+    high = _per_size(n, "high")
+    groups: list[int] = []  # groups[g]: flat(y) in bit y - 8g, for the y < x in group g
     failing = 0
-    for x, outside in enumerate(_per_size(n, b"\x01")):
-        bit = 1 << x
-        above = ranks >> (bit << 3)  # byte a holds r(a + x)
-        flat = _zero_bytes(above ^ ranks, n) & outside
-        unit = _zero_bytes(above ^ plus_one, n) & outside
+    for x, (outside, within) in enumerate(zip(_per_size(n, b"\x01"), _per_size(n, b"\x80"))):
+        shift = 8 << x
+        above = ranks >> shift  # byte a holds r(a + x)
+        flat = _zero_bytes(above ^ ranks, high, within)
+        unit = _zero_bytes(above ^ plus_one, high, within)
         failing |= outside ^ flat ^ unit  # flat and unit are disjoint parts of outside
-        for flat_y in flats:
-            # flat_y less the masks whose A+x is in flat_y, with no complement
-            failing |= flat & (flat_y ^ (flat_y & (flat_y >> (bit << 3))))
-        flats.append(flat)
+        spread = flat * 0xFF
+        for packed in groups:
+            # the y flat at A less those flat at A+x, with no complement
+            failing |= spread & (packed ^ (packed & (packed >> shift)))
+        if x & 7:
+            groups[-1] |= flat << (x & 7)
+        else:
+            groups.append(flat)
     if not failing:
         return AxiomReport(True)
     first = ((failing & -failing).bit_length() - 1) >> 3
@@ -567,9 +613,9 @@ def validate_axioms(m: Matroid) -> AxiomReport:
     """Exhaustively check that the rank oracle is a matroid rank function.
 
     Refuses (rather than sampling) above the mask table's ceiling,
-    VALIDATION_BOUND.  One pass over the mask table, O(n^2) operations
-    on whole-table byte sets, decides by the local unit-increase axioms
-    (see :func:`_is_rank_function`).  A failure
+    VALIDATION_BOUND.  One pass over the mask table, O(n) operations on
+    whole-table byte sets (the pairs tested eight at a time), decides by
+    the local unit-increase axioms (see :func:`_is_rank_function`).  A failure
     names the normalization, subcardinality, monotonicity or
     submodularity violation that its local test exposes, with witness
     subsets that break that axiom on the table; it is the first such
@@ -611,8 +657,9 @@ def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
     n = m.n
     ranks = _rank_image(m)
     ones, sizes = _per_size(n, "ones"), _per_size(n, "sizes")
-    found = _zero_bytes((ranks + ones) ^ sizes, n)
-    not_independent = ones ^ _zero_bytes(ranks ^ sizes, n)
+    high = _per_size(n, "high")
+    found = _zero_bytes((ranks + ones) ^ sizes, high, high)
+    not_independent = ones ^ _zero_bytes(ranks ^ sizes, high, high)
     for x, outside in enumerate(_per_size(n, b"\x01")):
         found ^= found & ((not_independent & outside) << (8 << x))
     flags = found.to_bytes(1 << n, "little")

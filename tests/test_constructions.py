@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 
@@ -7,6 +8,7 @@ from matroidkit import (
     BoundExceededError,
     GraphSpec,
     GroundSetError,
+    Matroid,
     MatroidError,
     TableSpec,
     VectorSpec,
@@ -19,8 +21,9 @@ from matroidkit import (
     uniform,
     validate_axioms,
 )
+from matroidkit import core
 from matroidkit.catalog import desk_suite, triangle
-from matroidkit.core import mask_of
+from matroidkit.core import bits, mask_of
 
 
 def test_uniform_examples():
@@ -198,6 +201,89 @@ def test_table_spec_refuses_ids_that_only_equal_an_int(impostor):
     assert _refusal(2, {frozenset({5}): 0, frozenset({e}): 1}) == (
         "subset {5} outside ground set (n=2)"
     )
+
+
+class _Subset(frozenset):
+    pass
+
+
+def test_table_spec_refuses_keys_that_are_not_frozensets():
+    # a tuple key passes a subset test and has int ids: it used to be read
+    # as a subset, so (0, 0) gave r({0}) and r({}) was never given
+    assert _refusal(1, {(0,): 1, (0, 0): 0}) == "rank table key (0,) is not a frozenset"
+    with pytest.raises(GroundSetError) as err:
+        from_table(TableSpec(1, {(): 0, (0,): 1}))  # every subset, none a frozenset
+    assert str(err.value) == "rank table key () is not a frozenset"
+    # an int key has no elements to test
+    assert _refusal(1, {frozenset(): 0, 5: 1}) == "rank table key 5 is not a frozenset"
+    assert _refusal(1, {frozenset(): 0, True: 1}) == "rank table key True is not a frozenset"
+    # the first such key in dict order, before a foreign id, an impostor
+    # id and a short table
+    assert _refusal(2, {frozenset({5}): 0, (1,): 1, 3: 0}) == (
+        "rank table key (1,) is not a frozenset"
+    )
+    assert _refusal(2, {frozenset({True}): 0, 3: 0}) == "rank table key 3 is not a frozenset"
+    assert _refusal(2, {frozenset(): 0, (0,): 1}) == "rank table key (0,) is not a frozenset"
+    # the type is tested, not equality: a subclass is not a frozenset
+    good = dict(tabulate(uniform(2, 1)).ranks)
+    ranks = {(_Subset(key) if key == {0} else key): r for key, r in good.items()}
+    assert _refusal(2, ranks) == "rank table key _Subset({0}) is not a frozenset"
+
+
+def test_tabulate_shares_its_keys_at_one_size():
+    a, b = tabulate(uniform(6, 3)), tabulate(uniform(6, 3))
+    assert a.ranks == b.ranks
+    assert all(map(operator.is_, a.ranks, b.ranks))
+    assert list(a.ranks) == [frozenset(bits(mask)) for mask in range(1 << 6)]
+    # and with another matroid of that size
+    c = tabulate(Matroid(6, lambda mask: min(mask.bit_count(), 1)))
+    assert all(map(operator.is_, a.ranks, c.ranks))
+
+
+def _variants(ranks):
+    """The table's keys reordered, one swapped for an equal fresh frozenset, one for {True}."""
+    keys = list(ranks)
+    fresh = frozenset(set(keys[2]))
+    assert fresh == keys[2] and fresh is not keys[2]
+    return (
+        dict(reversed(list(ranks.items()))),
+        {(fresh if key is keys[2] else key): r for key, r in ranks.items()},
+        {(frozenset({True}) if key == {1} else key): r for key, r in ranks.items()},
+    )
+
+
+@pytest.mark.parametrize("n", [3, 9, core._SUBSET_POOL_BOUND, core._SUBSET_POOL_BOUND + 1])
+def test_table_spec_checks_keys_that_are_not_its_own_as_before(n):
+    src = linear(VectorSpec(3, 3, tuple((i % 3, i // 3 % 3, 1) for i in range(n))))
+    spec = tabulate(src)
+    reordered, fresh, impostor = _variants(spec.ranks)
+    for ranks in (reordered, fresh):
+        assert from_table(TableSpec(n, ranks)).mask_table() == src.mask_table()
+    assert _refusal(n, impostor) == f"subset {{True}} outside ground set (n={n})"
+    # a table one entry off, in each accepted variant, gets one report
+    bad = {**spec.ranks, frozenset({0, 1}): 3}
+    reports = []
+    for ranks in (bad, *_variants(bad)[:2]):
+        with pytest.raises(AxiomError) as err:
+            from_table(TableSpec(n, ranks))
+        reports.append(err.value.report)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].axiom == "submodularity"
+    # the subset objects are kept up to the bound, and not above it
+    kept = "subsets" in core._BY_SIZE.get(n, {})
+    assert kept == (n <= core._SUBSET_POOL_BOUND)
+    assert all(map(operator.is_, spec.ranks, tabulate(src).ranks)) == kept
+
+
+def test_table_spec_names_a_missing_or_foreign_key_among_its_own_keys():
+    good = tabulate(uniform(3, 2)).ranks
+    keys = list(good)
+    short = {key: good[key] for key in keys[:-1]}
+    assert _refusal(3, short) == "rank table incomplete: 7 of 8 subsets (1 missing)"
+    swapped = {(frozenset({5}) if key is keys[-1] else key): r for key, r in good.items()}
+    assert _refusal(3, swapped) == "subset {5} outside ground set (n=3)"
+    extra = {**good, frozenset({0, 3}): 1}
+    assert _refusal(3, extra) == "subset {0,3} outside ground set (n=3)"
 
 
 def _by_mask(ranks, reverse):

@@ -4,7 +4,10 @@
 ints with one byte per mask.  Each must give exactly what the sweeps in
 ``conftest`` give mask by mask: the same ``AxiomReport`` (verdict, axiom,
 witness and detail) and the same circuit list in the same order, on
-matroids and on tables that are not matroids.  The byte sets that depend
+matroids and on tables that are not matroids.  The axiom pass packs its
+pair tests eight elements to an int, so it is checked on either side of
+each group's edge, with pairs that fail across it, and with ranks about
+the rank cap that its zero test relies on.  The byte sets that depend
 on n alone are built once per size and kept; each must equal a fresh
 mask-by-mask build, whatever sizes ran before it.  A matroid's rank image
 is converted from its own mask table.
@@ -28,7 +31,7 @@ from matroidkit import (
     validate_axioms,
 )
 from matroidkit import core
-from matroidkit.core import _rank_bytes, bits
+from matroidkit.core import _RANK_CAP, _per_size, _rank_bytes, _zero_bytes, bits
 
 from conftest import (
     _gf_rank,
@@ -125,6 +128,91 @@ def test_kernels_match_the_references_on_ranks_above_a_byte():
         assert not _agree(_tabled(n, table, f"U({n},2) r({mask})=300")).ok
 
 
+# the sizes at the packed pass's group edges: pairs are packed eight
+# elements to an int, so 8 fills one group and 9 and 16 open and fill a second
+EDGE_SIZES = (7, 8, 9, 15, 16)
+# around the rank cap (126), the zero test's 0x80, a byte's 255, and beyond
+LARGE = (0, 1, 2, 125, 126, 127, 128, 200, 255, 256, 10**6)
+# pairs y < x on either side of a group edge, and the first and last elements
+EDGE_PAIRS = ((0, 1), (6, 7), (7, 8), (0, 8), (8, 9), (7, 9), (0, -1), (7, -1), (8, -1), (-2, -1))
+
+
+def _pair_off(n, y, x, base, k):
+    """A table whose first failure is the pair y < x at mask ``base``.
+
+    U(k) on the elements other than y and x, which are loops, plus one
+    at every mask that holds base, x and y; base's elements are below
+    y, so every other failure is at a mask that holds x or y.
+    """
+    both = 1 << x | 1 << y
+    need = base | both
+    table = [min((a & ~both).bit_count(), k) + (a & need == need) for a in range(1 << n)]
+    return _tabled(n, table, f"n={n} pair {y},{x} at {base:#x} k={k}")
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_packed_pairs_match_the_references_at_group_edges(n):
+    rng = random.Random(21 + n)
+    verdicts = set()
+    for kind in ("gf2", "gf3", "graphic"):
+        m = random_matroid(rng, kind, n)
+        assert _agree(m).ok, m.name
+        for bad in _one_entry_off(rng, m, 3):
+            report = _agree(bad)
+            verdicts.add(report.ok)
+            if n == 7:
+                assert report.ok == first_violation(bad.mask_table(), n).ok, bad.name
+    for y, x in EDGE_PAIRS:
+        y, x = y % n, x % n
+        if y >= x:
+            continue
+        base = sum(1 << e for e in rng.sample(range(y), rng.randrange(y + 1)))
+        report = _agree(_pair_off(n, y, x, base, rng.randrange(1, 4)))
+        assert report.axiom == "submodularity" and report.witness == (
+            tuple(bits(base | 1 << y)), tuple(bits(base | 1 << x))
+        ), report
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_kernels_match_the_references_on_large_entries_at_group_edges(n):
+    # random tables with entries about the cap; and matroid tables with a
+    # few entries moved there, so the first failure lies deeper
+    rng = random.Random(22 + n)
+    base = random_matroid(rng, "gf2", n).mask_table()
+    for i in range(6):
+        table = [rng.choice(LARGE) for _ in range(1 << n)]
+        if i % 3:
+            table[0] = 0
+        _agree(_tabled(n, table, f"large n={n} #{i}"))
+        table = list(base)
+        for mask in rng.sample(range(1, 1 << n), 3):
+            table[mask] = rng.choice(LARGE)
+        report = _agree(_tabled(n, table, f"matroid n={n} moved #{i}"))
+        if n == 7:
+            assert report.ok == first_violation(table, n).ok
+
+
+def test_the_zero_test_is_exact_up_to_0x80():
+    rng = random.Random(23)
+    for n in (0, 1, 3, 8):
+        high = _per_size(n, "high")
+        for _ in range(20):
+            values = [rng.choice((0, 0, 1, 2, 0x7F, 0x80)) for _ in range(1 << n)]
+            within = [rng.choice((0, 0x80)) for _ in range(1 << n)]
+            word, mask = (int.from_bytes(bytes(b), "little") for b in (values, within))
+            got = _zero_bytes(word, high, mask)
+            assert got.to_bytes(1 << n, "little") == bytes(
+                int(v == 0 and w == 0x80) for v, w in zip(values, within)
+            )
+    # ranks above a byte are capped, so every byte the passes test stays below 0x80
+    table = list(LARGE)
+    assert _rank_bytes(table).to_bytes(len(table), "little") == bytes(
+        min(r, _RANK_CAP) for r in table
+    )
+    assert _RANK_CAP + 1 < 0x80
+
+
 def test_a_rank_image_is_converted_from_its_own_table():
     # from_table's axiom pass converts the table once; circuits reads that image
     vectors = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 1))
@@ -145,6 +233,10 @@ def _fresh_byte_sets(n, key):
     """The byte set(s) _per_size(n, key) should hold, built mask by mask."""
     if key == "ones":
         return int.from_bytes(bytes(1 for _ in range(1 << n)), "little")
+    if key == "high":
+        return int.from_bytes(bytes(0x80 for _ in range(1 << n)), "little")
+    if key == "subsets":
+        return [frozenset(x for x in range(n) if a >> x & 1) for a in range(1 << n)]
     if key == "sizes":
         return int.from_bytes(bytes(a.bit_count() for a in range(1 << n)), "little")
     empty = bytes(len(key))
@@ -197,5 +289,5 @@ def test_kernels_and_counts_agree_at_interleaved_sizes():
         for key, value in built.items():
             assert value == _fresh_byte_sets(n, key), (n, key)
     for n in (0, 3, 12, 16):
-        assert {"ones", "sizes", b"\x01"} <= core._BY_SIZE[n].keys(), n
+        assert {"ones", "high", "sizes", b"\x01", b"\x80"} <= core._BY_SIZE[n].keys(), n
     assert b"\xff" in core._BY_SIZE[12] and b"\xff\xff" in core._BY_SIZE[16]
