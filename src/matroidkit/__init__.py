@@ -26,12 +26,11 @@ from .constructions import (
     from_table,
     graphic,
     linear,
-    restrict,
     tabulate,
     uniform,
 )
 from .closure import closure, closure_by_intersection, is_closed
-from .contraction import contract, contracted_rank_by_minimization, fits
+from .contraction import contract, contracted_rank_by_minimization
 from .bases import (
     AnchorDecomposition,
     OrderedBase,

@@ -1,4 +1,4 @@
-"""Concrete rank oracles: uniform, graphic, linear over GF(p), tables, restriction."""
+"""Concrete rank oracles: uniform, graphic, linear over GF(p), tables."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .core import (
     Matroid,
     _bad_rank,
     _count_table,
-    _derived,
     _refuse_above,
     _subset_pool,
     _walk_table,
@@ -23,6 +22,12 @@ from .core import (
     set_literal,
     validate_axioms,
 )
+
+# Spec ids, sizes and coordinates are plain ints, and table keys plain
+# frozensets: a value that only equals an int (True, 1.0) would be
+# written back as text the file grammar refuses.
+_INT = frozenset({int})
+_FROZENSET = frozenset({frozenset})
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,8 @@ def _fold(start, step) -> Callable[[int], int]:
 
 def uniform(n: int, k: int) -> Matroid:
     """Uniform matroid: rank(A) = min(|A|, k)."""
+    if type(n) is not int or type(k) is not int:
+        raise GroundSetError(f"uniform needs int n and k, got n={n!r}, k={k!r}")
     if n < 0 or k < 0 or k > n:
         raise GroundSetError(f"uniform needs 0 <= k <= n, got n={n}, k={k}")
     spec = UniformSpec(n, k)
@@ -58,18 +65,29 @@ def uniform(n: int, k: int) -> Matroid:
 class GraphSpec:
     """A multigraph given as (edge id, endpoint, endpoint) triples.
 
-    Vertex tokens are arbitrary strings; self-loops (u == v) and parallel
-    edges are allowed.  Edge ids must be exactly 0..len-1.
+    Vertex tokens are nonempty strings without whitespace, so that each
+    is one token of an ``edge`` line; self-loops (u == v) and parallel
+    edges are allowed.  Edge ids are ints, exactly 0..len-1.
     """
 
     edges: tuple[tuple[int, str, str], ...]
 
     def __post_init__(self):
         ids = [e[0] for e in self.edges]
+        if not _INT.issuperset(map(type, ids)):
+            bad = next(i for i in ids if type(i) is not int)
+            raise GroundSetError(f"edge id {bad!r} is not an int")
         if len(set(ids)) != len(ids):
             raise GroundSetError("duplicate edge ids in graph spec")
         if sorted(ids) != list(range(len(ids))):
             raise GroundSetError("edge ids must be dense 0..n-1")
+        for e in self.edges:
+            for v in e[1:3]:
+                if type(v) is not str or v.split() != [v]:
+                    raise GroundSetError(
+                        f"vertex {v!r} of edge {e[0]} is not a nonempty string "
+                        "without whitespace"
+                    )
 
 
 def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Matroid:
@@ -137,13 +155,17 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class VectorSpec:
-    """Vectors over GF(p): a prime, a dimension, and one row per element."""
+    """Vectors over GF(p): a prime, a dimension, and one row per element, all ints."""
 
     p: int
     dim: int
     vectors: tuple[tuple[int, ...], ...]  # vectors[id] = coordinates
 
     def __post_init__(self):
+        if type(self.p) is not int or type(self.dim) is not int:
+            raise GroundSetError(
+                f"field order and dimension must be ints, got p={self.p!r}, dim={self.dim!r}"
+            )
         if self.p >= FIELD_ORDER_BOUND:
             raise GroundSetError(f"field order {self.p} is too large: it must be below 2^31")
         if not _is_prime(self.p):
@@ -153,6 +175,9 @@ class VectorSpec:
         for i, v in enumerate(self.vectors):
             if len(v) != self.dim:
                 raise GroundSetError(f"vector {i} has length {len(v)}, want {self.dim}")
+        if not _INT.issuperset(map(type, itertools.chain.from_iterable(self.vectors))):
+            i, c = next((i, c) for i, v in enumerate(self.vectors) for c in v if type(c) is not int)
+            raise GroundSetError(f"vector {i} has coordinate {c!r}, not an int")
 
 
 def linear(spec: VectorSpec, name: str = "") -> Matroid:
@@ -254,10 +279,6 @@ def _row_basis(p: int, vecs: list[tuple[int, ...]], dim: int) -> list[list[int]]
     return [row for _, row in basis]
 
 
-_INT = frozenset({int})
-_FROZENSET = frozenset({frozenset})
-
-
 @dataclass(frozen=True)
 class TableSpec:
     """An explicit rank table: one value per subset of range(n).
@@ -277,6 +298,8 @@ class TableSpec:
     ranks: dict[frozenset[int], int] = field(hash=False)
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise GroundSetError(f"ground set size must be an int, got {self.n!r}")
         if self.n < 0:
             raise GroundSetError("ground set size must be nonnegative")
         _refuse_above(self.n, VALIDATION_BOUND, "mask table")
@@ -358,16 +381,3 @@ def tabulate(m: Matroid) -> TableSpec:
         keys = map(frozenset, map(bits, range(1 << m.n)))
     return TableSpec(m.n, dict(zip(keys, table)))
 
-
-def restrict(m: Matroid, elements) -> Matroid:
-    """Restriction to a subset, re-indexed densely.
-
-    The result's ``element_map`` sends new ids back to the original ones,
-    and composes: restricting a restriction maps through to the root.
-    """
-    keep = tuple(bits(m._checked_mask(elements)))
-
-    def rank(a: int) -> int:
-        return m.rank_of_mask(mask_of(keep[i] for i in bits(a)))
-
-    return _derived(m, keep, rank, f"{m.name}|{set_literal(keep)}")

@@ -1,4 +1,4 @@
-"""Contraction by a subset, with the fitting-set machinery.
+"""Contraction by a subset.
 
 For finite ground sets the contracted rank is simply
 r'(A) = r(A u Z) - r(Z): the contracted set itself attains the minimum of
@@ -11,7 +11,6 @@ from __future__ import annotations
 from .core import (
     GroundSetError,
     Matroid,
-    _derived,
     _refuse_ground_set_scan,
     _sub_masks,
     bits,
@@ -24,7 +23,8 @@ def contract(m: Matroid, z) -> Matroid:
     """Contraction: matroid on the complement of z, re-indexed densely.
 
     r'(A) = r(A u z) - r(z).  The result carries an element_map from new
-    ids back to the original ones.
+    ids back to the original ones; it composes through m's, so a
+    contraction of a contraction names the root's ids.
     """
     _refuse_ground_set_scan(m.n)
     zmask = m._checked_mask(z)
@@ -34,7 +34,11 @@ def contract(m: Matroid, z) -> Matroid:
     def rank(a: int) -> int:
         return m.rank_of_mask(zmask | mask_of(keep[i] for i in bits(a))) - rz
 
-    return _derived(m, keep, rank, f"{m.name}/{set_literal(bits(zmask))}")
+    base_map = m.element_map
+    element_map = tuple(base_map[e] for e in keep) if base_map else keep
+    return Matroid(
+        len(keep), rank, name=f"{m.name}/{set_literal(bits(zmask))}", element_map=element_map
+    )
 
 
 def contracted_rank_by_minimization(m: Matroid, z, a) -> int:
@@ -46,21 +50,3 @@ def contracted_rank_by_minimization(m: Matroid, z, a) -> int:
     r = m.rank_of_mask
     return min(r(amask | z0) - r(z0) for z0 in _sub_masks(zmask))
 
-
-def fits(m: Matroid, z, a, z0) -> bool:
-    """Does z0 attain the contracted rank of a?
-
-    True iff r(a u z0) - r(z0) equals r'(a) computed with the full
-    contracted set.  z0 must be a subset of z, and a must avoid z.
-    """
-    zmask = m._checked_mask(z)
-    amask = m._checked_mask(a)
-    z0mask = m._checked_mask(z0)
-    if z0mask & ~zmask:
-        raise GroundSetError(
-            f"{set_literal(bits(z0mask))} is not a subset of {set_literal(bits(zmask))}"
-        )
-    if amask & zmask:
-        raise GroundSetError("subset must avoid the contracted set")
-    r = m.rank_of_mask
-    return r(amask | z0mask) - r(z0mask) == r(amask | zmask) - r(zmask)

@@ -65,15 +65,9 @@ def _refuse_ground_set_scan(n: int) -> None:
     _refuse_above(n, GROUND_SET_BOUND, "ground-set scan")
 
 
-def canonical(elements: Iterable[int]) -> tuple[int, ...]:
-    """Sorted duplicate-free tuple of element ids."""
-    out = tuple(sorted(set(elements)))
-    return out
-
-
 def set_literal(elements: Iterable[int]) -> str:
     """Render a subset as ``{i,j,k}`` with ascending ids (``{}`` if empty)."""
-    return "{" + ",".join(str(e) for e in canonical(elements)) + "}"
+    return "{" + ",".join(map(str, sorted(set(elements)))) + "}"
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -107,15 +101,14 @@ class Matroid:
     returns a nonnegative int (not a bool), and must be pure.  The only
     rank cache is :meth:`mask_table`: before it is built, every rank is
     one oracle call; after, none is.  ``spec`` is the typed
-    construction spec, or None for restrictions, contractions and user
-    oracles.  ``table``, set only by constructions, is a function of no
-    arguments that returns the rank of every mask, in mask order, with
-    no oracle call: :meth:`mask_table` calls it in place of the oracle
-    (``linear`` and ``graphic`` count row-space vectors, ``from_table``
-    hands over its checked rank list).  The whole-table kernels read the
-    table as one int with a byte per mask (:func:`_rank_image`), converted
-    at most once per table.  Instances are immutable apart from the
-    caches.
+    construction spec, or None for contractions and user oracles.
+    ``table``, set only by constructions, is a function of no arguments
+    that returns the rank of every mask, in mask order, with no oracle
+    call: :meth:`mask_table` calls it in place of the oracle (``linear``
+    and ``graphic`` count row-space vectors, ``from_table`` hands over
+    its checked rank list).  The whole-table kernels read the table as
+    one int with a byte per mask (:func:`_rank_image`), converted at
+    most once per table.  Instances are immutable apart from the caches.
     """
 
     def __init__(
@@ -132,7 +125,7 @@ class Matroid:
             raise GroundSetError("ground set size must be nonnegative")
         self.n = n
         self.name = name or f"matroid(n={n})"
-        #: for derived matroids (restriction, contraction): new id -> original id
+        #: for contractions: new id -> original (root) id
         self.element_map = element_map
         self.spec = spec
         self._oracle = oracle
@@ -244,16 +237,6 @@ def _walk_table(n: int, start, step) -> list[int]:
 
     visit(0, start, 0)
     return table
-
-
-def _derived(m: Matroid, keep: tuple[int, ...], oracle: Callable[[int], int], name: str) -> Matroid:
-    """A matroid whose element i is m's element keep[i] (restriction, contraction).
-
-    Its element_map composes through m's, so it always names root ids.
-    """
-    base_map = m.element_map
-    element_map = tuple(base_map[e] for e in keep) if base_map else keep
-    return Matroid(len(keep), oracle, name=name, element_map=element_map)
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ def serialize_matroid(m: Matroid) -> str:
     """Canonical text for a matroid, preferring its construction kind.
 
     Matroids built by uniform/graphic/linear/table re-emit their own
-    grammar; anything else (restrictions, contractions) is frozen into a
+    grammar; anything else (contractions, user oracles) is frozen into a
     table.  Output is byte-deterministic.
     """
     spec = m.spec

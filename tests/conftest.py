@@ -16,6 +16,7 @@ from matroidkit import (
     GroundSetError,
     ListChromaticResult,
     LoopError,
+    Matroid,
     MatroidError,
     VectorSpec,
     anchor_classes,
@@ -525,6 +526,11 @@ def random_matroid(rng, kind, n):
     dim = rng.randint(1, 3)
     vectors = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(n))
     return linear(VectorSpec(p, dim, vectors))
+
+
+def prefix(m, k):
+    """m restricted to range(k): the same oracle on the ids below k."""
+    return Matroid(k, m.rank_of_mask)
 
 
 def perturbed_tables(seed, per_base):

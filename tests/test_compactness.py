@@ -14,13 +14,12 @@ from matroidkit import (
     extend_coloring,
     first_uncolorable_level,
     is_proper,
-    restrict,
     uniform,
 )
 from matroidkit import compactness
 from matroidkit.compactness import disjoint_triangles, growing_cycle, growing_uniform
 
-from conftest import brute_list_colorings, random_matroid
+from conftest import brute_list_colorings, prefix, random_matroid
 
 
 def two_lists(n, colors=("a", "b")):
@@ -325,7 +324,7 @@ def test_chain_search_matches_bruteforce_on_random_prefix_chains():
         for _ in range(10):
             top = random_matroid(rng, kind, rng.randint(2, 8))
             sizes = sorted(rng.sample(range(1, top.n + 1), rng.randint(1, min(3, top.n))))
-            levels = [restrict(top, range(k)) for k in sizes]
+            levels = [prefix(top, k) for k in sizes]
             chain = chain_from_matroids(levels, name=f"{top.name} prefixes")
             depth = len(levels) - 1
             lists = _random_lists(rng, levels[-1].n)

@@ -16,7 +16,6 @@ from matroidkit import (
     from_table,
     graphic,
     linear,
-    restrict,
     tabulate,
     uniform,
     validate_axioms,
@@ -24,6 +23,7 @@ from matroidkit import (
 from matroidkit import core
 from matroidkit.catalog import desk_suite, triangle
 from matroidkit.core import bits, mask_of
+from matroidkit.files import parse_matroid_text, serialize_matroid
 
 
 def test_uniform_examples():
@@ -207,6 +207,32 @@ class _Subset(frozenset):
     pass
 
 
+@pytest.mark.parametrize("impostor", [True, 1.0], ids=repr)
+def test_specs_refuse_values_their_file_cannot_hold(impostor):
+    # a spec value that only equals an int would be written as text that
+    # parse_matroid_text refuses; the same spec with a plain int round-trips
+    builds = {
+        "uniform n": (lambda v: uniform(v, 1), 1),
+        "uniform k": (lambda v: uniform(2, v), 1),
+        "table n": (lambda v: from_table(TableSpec(v, {frozenset(): 0, frozenset({0}): 1})), 1),
+        "field order": (lambda v: linear(VectorSpec(v, 1, ((1,),))), 3),
+        "dimension": (lambda v: linear(VectorSpec(3, v, ((1,), (2,)))), 1),
+        "coordinate": (lambda v: linear(VectorSpec(3, 2, ((v, 0), (0, 1)))), 1),
+        "edge id": (lambda v: graphic([(0, "a", "b"), (v, "b", "c")]), 1),
+        "vertex": (lambda v: graphic([(0, "a", v)]), "1"),
+    }
+    for what, (build, good) in builds.items():
+        text = serialize_matroid(build(good))
+        assert serialize_matroid(parse_matroid_text(text)) == text, what
+        with pytest.raises(GroundSetError) as err:
+            build(impostor)
+        assert repr(impostor) in str(err.value), what
+    # an edge line holds each vertex as one token
+    for edges in ([(0, "a b", "c")], [(0, "a", "")], [(0, "1", "a"), (1, 1, "a")]):
+        with pytest.raises(GroundSetError, match="not a nonempty string without whitespace"):
+            graphic(edges)
+
+
 def test_table_spec_refuses_keys_that_are_not_frozensets():
     # a tuple key passes a subset test and has int ids: it used to be read
     # as a subset, so (0, 0) gave r({0}) and r({}) was never given
@@ -334,31 +360,6 @@ def test_from_table_graphic():
     src = triangle()
     m = from_table(tabulate(src))
     assert m.rank({0, 1, 2}) == 2
-
-
-def test_restrict_examples():
-    m = uniform(4, 2)
-    r = restrict(m, {0, 1, 2})
-    assert r.n == 3
-    for size in range(4):
-        for a in itertools.combinations(range(3), size):
-            assert r.rank(a) == uniform(3, 2).rank(a)
-    empty = restrict(m, set())
-    assert empty.n == 0 and empty.rank(()) == 0
-    whole = restrict(m, set(range(4)))
-    assert whole.n == 4
-    assert whole.element_map == (0, 1, 2, 3)
-
-
-def test_restrict_composes():
-    m = uniform(5, 3)
-    inner = restrict(m, {1, 2, 3, 4})  # new ids 0..3 = old 1..4
-    outer = restrict(inner, {0, 2, 3})  # old ids 1, 3, 4
-    direct = restrict(m, {1, 3, 4})
-    assert outer.element_map == direct.element_map == (1, 3, 4)
-    for size in range(4):
-        for a in itertools.combinations(range(3), size):
-            assert outer.rank(a) == direct.rank(a)
 
 
 def test_all_constructions_pass_axioms():

@@ -5,7 +5,6 @@ from matroidkit import (
     circuits,
     contract,
     contracted_rank_by_minimization,
-    fits,
     is_closed,
     is_loop_free,
     uniform,
@@ -37,6 +36,10 @@ def test_contract_triangle_edge_gives_parallel_pair():
     assert mc.n == 2
     assert mc.rank({0, 1}) == 1
     assert [c.members for c in circuits(mc)] == [(0, 1)]
+    # theta: contracting the tree {bc, bd} makes {ab, ca} a parallel pair
+    t = theta()
+    assert t.rank({0, 2}) == 2
+    assert contract(t, {1, 3}).rank({0, 1}) == 1
 
 
 def test_contract_everything():
@@ -53,25 +56,8 @@ def test_shortcut_matches_minimization(suite6):
             for a in powerset(others):
                 direct = m.rank(set(a) | zs) - m.rank(zs)
                 assert direct == contracted_rank_by_minimization(m, zs, a), m.name
-
-
-def test_fits_examples():
-    m = uniform(4, 2)
-    assert fits(m, {0}, {1}, set())  # both sides are 1
-    assert fits(m, {0, 1}, {2}, {0, 1})  # the whole set always fits
-    # theta: contracting the tree {bc, bd} makes {ab, ca} a parallel pair
-    t = theta()
-    assert not fits(t, {1, 3}, {0, 2}, set())  # r(a)=2 but contracted rank is 1
-    assert t.rank({0, 2}) == 2
-    assert contract(t, {1, 3}).rank({0, 1}) == 1
-
-
-def test_fits_validates_inputs():
-    m = uniform(4, 2)
     with pytest.raises(GroundSetError):
-        fits(m, {0}, {1}, {2})  # z0 not inside z
-    with pytest.raises(GroundSetError):
-        fits(m, {0}, {0, 1}, set())  # a meets z
+        contracted_rank_by_minimization(uniform(4, 2), {0}, {0, 1})  # a meets z
 
 
 def test_contractions_are_matroids(suite6):

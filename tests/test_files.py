@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from matroidkit import AxiomError, MatroidError, contract, restrict, uniform
+from matroidkit import AxiomError, MatroidError, contract, from_table, tabulate, uniform
 from matroidkit.catalog import desk_suite
 from matroidkit.files import (
     ParseError,
@@ -114,8 +114,10 @@ def test_derived_matroids_serialize_as_tables():
     text = serialize_matroid(m)
     assert text.startswith("matroid table")
     assert oracle_agrees(m, parse_matroid_text(text))
-    r = restrict(uniform(4, 2), {1, 3})
-    assert oracle_agrees(r, parse_matroid_text(serialize_matroid(r)))
+    # contracting nothing keeps every rank but drops the spec
+    whole = contract(uniform(4, 2), ())
+    assert whole.spec is None
+    assert serialize_matroid(whole) == serialize_matroid(from_table(tabulate(uniform(4, 2))))
 
 
 def test_subset_literal():

@@ -249,15 +249,18 @@ def test_table_count_refuses_17_elements_before_any_row_reduction(m):
 
 
 def test_table_walk_keeps_few_states_alive():
-    # the first build in a process also pays one-off allocations
-    _gf3(14, seed=1).mask_table()
-    m = _gf3(14, seed=2)
-    tracemalloc.start()
-    try:
-        table = m.mask_table()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # 7^6 > 2^14, so the table is walked; the first build in a process
+    # also pays one-off allocations
+    _gf(7, 6, 14, seed=1).mask_table()
+    m = _gf(7, 6, 14, seed=2)
+    with _counting() as calls:
+        tracemalloc.start()
+        try:
+            table = m.mask_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert calls["_walk_table"] == 1 and calls["_count_table"] == 0
     # one state per depth: the table itself is nearly all of the peak,
     # where one state per mask would cost several times the table
     assert peak < 2 * sys.getsizeof(table)
