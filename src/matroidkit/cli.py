@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 
 from . import __version__
@@ -31,9 +30,10 @@ from .contraction import contract
 from .core import (
     Matroid,
     MatroidError,
+    _masks_by_size,
     _refuse_ground_set_scan,
+    bits,
     circuits,
-    mask_of,
     set_literal,
     validate_axioms,
 )
@@ -173,9 +173,8 @@ def cmd_contract(args, out: _Out) -> int:
         " ".join(f"{new}:{old}" for new, old in enumerate(mc.element_map or ())) or "-",
     )
     table = mc.mask_table()
-    for size in range(mc.n + 1):
-        for combo in itertools.combinations(range(mc.n), size):
-            out.kv(f"rank {set_literal(combo)}", table[mask_of(combo)])
+    for a in _masks_by_size(mc.n):
+        out.kv(f"rank {set_literal(bits(a))}", table[a])
     out.note("contracted rank: r'(A) = r(A u Z) - r(Z), elements re-indexed densely")
     out.note("element-map lists new:original ids")
     return 0

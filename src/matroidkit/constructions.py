@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .core import (
     VALIDATION_BOUND,
@@ -38,19 +37,6 @@ class UniformSpec:
     k: int
 
 
-def _fold(start, step) -> Callable[[int], int]:
-    """The rank oracle that folds a construction's step over a subset's elements."""
-
-    def rank(a: int) -> int:
-        state, r = start, 0
-        for x in bits(a):
-            state, gain = step(state, x)
-            r += gain
-        return r
-
-    return rank
-
-
 def uniform(n: int, k: int) -> Matroid:
     """Uniform matroid: rank(A) = min(|A|, k)."""
     if type(n) is not int or type(k) is not int:
@@ -65,14 +51,18 @@ def uniform(n: int, k: int) -> Matroid:
 class GraphSpec:
     """A multigraph given as (edge id, endpoint, endpoint) triples.
 
-    Vertex tokens are nonempty strings without whitespace, so that each
-    is one token of an ``edge`` line; self-loops (u == v) and parallel
-    edges are allowed.  Edge ids are ints, exactly 0..len-1.
+    Each edge is a tuple of exactly three items.  Vertex tokens are
+    nonempty strings without whitespace, so that each is one token of an
+    ``edge`` line; self-loops (u == v) and parallel edges are allowed.
+    Edge ids are ints, exactly 0..len-1.
     """
 
     edges: tuple[tuple[int, str, str], ...]
 
     def __post_init__(self):
+        for e in self.edges:
+            if type(e) is not tuple or len(e) != 3:
+                raise GroundSetError(f"edge {e!r} is not an (id, endpoint, endpoint) triple")
         ids = [e[0] for e in self.edges]
         if not _INT.issuperset(map(type, ids)):
             bad = next(i for i in ids if type(i) is not int)
@@ -95,11 +85,11 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Mat
 
     rank(A) = (vertices covered by A) - (connected components of the
     subgraph those edges induce).  A self-loop covers one vertex and one
-    component, hence has rank 0.  The state of a set is a tuple of
-    component labels, one per vertex; an edge gains rank iff it joins two
-    components.  The oracle folds this step over the subset's edges.
+    component, hence has rank 0.  The oracle grows a union-find forest
+    over the vertices (:func:`_union`, with path halving) by the subset's
+    edges: an edge gains rank iff it joins two trees.
     The mask table counts row-space vectors (:func:`core._count_table`)
-    over GF(2), with no step and no oracle call: the rows are the vertex
+    over GF(2), with no oracle call: the rows are the vertex
     stars, the edges at a vertex other than its self-loops, so a
     self-loop is a zero column, and the stars of every vertex but one
     per component are a basis.
@@ -111,31 +101,36 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Mat
     vertex = {v: i for i, v in enumerate(sorted({v for edge in by_id.values() for v in edge}))}
     ends = [(vertex[by_id[e][0]], vertex[by_id[e][1]]) for e in range(n)]
 
-    def step(labels: tuple[int, ...], e: int) -> tuple[tuple[int, ...], int]:
-        u, v = ends[e]
-        keep, gone = labels[u], labels[v]
-        if keep == gone:
-            return labels, 0
-        return tuple(keep if c == gone else c for c in labels), 1
-
-    start = tuple(range(len(vertex)))
+    def rank(a: int) -> int:
+        parent = list(range(len(vertex)))
+        r = 0
+        for e in bits(a):
+            r += _union(parent, *ends[e])
+        return r
 
     def table() -> list[int]:
         stars = [[0] * n for _ in vertex]
-        parent = list(range(len(vertex)))  # a union-find forest, one root per component
+        parent = list(range(len(vertex)))  # one root per component
         for e, (u, v) in enumerate(ends):
             if u != v:
                 stars[u][e] = stars[v][e] = 1
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[v] != v:
-                    v = parent[v]
-                parent[u] = v
+                _union(parent, u, v)
         return _count_table(n, 2, [star for v, star in enumerate(stars) if parent[v] != v])
 
-    return Matroid(
-        n, _fold(start, step), name=name or f"graphic({n} edges)", spec=spec, table=table
-    )
+    return Matroid(n, rank, name=name or f"graphic({n} edges)", spec=spec, table=table)
+
+
+def _union(parent: list[int], u: int, v: int) -> bool:
+    """Join the trees of u and v in a union-find forest; False if they were one tree.
+
+    Each path to a root is halved on the way up.
+    """
+    while parent[u] != u:
+        parent[u] = u = parent[parent[u]]
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    parent[u] = v
+    return u != v
 
 
 # trial division up to sqrt(p) stays under 50,000 steps below this order
@@ -184,51 +179,38 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
     """Linear matroid of a list of vectors over a prime field.
 
     rank(A) = dimension of the span of A's vectors, computed exactly.
-    Coordinates are reduced mod p at construction.  The state of an
-    independent set is one echelon row on top of its parent's state,
+    Coordinates are reduced mod p at construction.  The oracle
+    row-reduces the matrix whose columns are A's vectors
+    (:func:`_row_basis`) and counts the rows left.
+
+    The mask table row-reduces the whole matrix the same way, to a basis
+    of r rows, and counts row-space vectors (:func:`core._count_table`).
+    Where that would enumerate more vectors than the table has masks,
+    p^r > 2^n (only for p >= 3), the table is walked by a rank step
+    instead (:func:`core._walk_table`).  The state of an independent set
+    is one echelon row on top of its parent's state,
     ``(parent, pivot, row, memo)``, with row[pivot] = 1 and the row zero
     at every ancestor's pivot; the empty set's state is None.  A vector
     gains rank iff its residual against the state's span is not zero,
     and that residual, scaled, is the new row.  Stepping vector i from a
-    state stores its residual in ``memo[i]``: the residual from a child
-    is then the parent's memo entry after one row operation.  The table
-    walk steps a node's elements top-down, so its children find every
-    residual they need in its memo, and each step costs one row
-    operation.  The oracle folds the same step over a subset's
-    elements; there no memo holds the element yet, so it is reduced
-    through at most rank-many ancestors' rows, root first.
-
-    The mask table row-reduces the matrix whose columns are the vectors
-    to a basis of r rows and counts row-space vectors
-    (:func:`core._count_table`).  Where that would enumerate more
-    vectors than the table has masks, p^r > 2^n (only for p >= 3),
-    the table is walked by the step instead (:func:`core._walk_table`).
+    state stores its residual in ``memo[i]``.  The walk steps i from a
+    child only after stepping it from the child's parent, so the
+    residual from the child is the parent's memo entry after one row
+    operation, and each step costs one row operation.
     """
     p = spec.p
     vecs = [tuple(c % p for c in v) for v in spec.vectors]
     zero = (0,) * spec.dim
 
-    def reduce_by(state, v):
-        """v reduced against the span of a state's rows, the root's row first."""
-        chain = []
-        while state is not None:
-            chain.append(state)
-            state = state[0]
-        for _, pivot, row, _ in reversed(chain):
-            f = v[pivot]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        return v
+    def rank(a: int) -> int:
+        return len(_row_basis(p, [vecs[i] for i in bits(a)], spec.dim))
 
     def step(state, i: int):
         v = vecs[i]
         if state is not None:
             parent, pivot, row, memo = state
             if parent is not None:
-                # the walk has stepped i from the parent already; a fold has not
-                v = parent[3].get(i)
-                if v is None:
-                    v = reduce_by(parent, vecs[i])
+                v = parent[3][i]
             f = v[pivot]
             if f:
                 v = [(a - f * b) % p for a, b in zip(v, row)]
@@ -252,8 +234,7 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
         return _count_table(n, p, rows)
 
     return Matroid(
-        len(vecs), _fold(None, step), name=name or f"linear(GF({p}),{len(vecs)} vecs)",
-        spec=spec, table=table,
+        len(vecs), rank, name=name or f"linear(GF({p}),{len(vecs)} vecs)", spec=spec, table=table
     )
 
 

@@ -215,11 +215,15 @@ def _walk_table(n: int, start, step) -> list[int]:
     unchanged, so the ranks of the whole subtree of A + x repeat those
     of A's masks above x: they are copied as one strided slice, not
     walked.  Each node's children are taken from the top element down,
-    so the ranks copied are final.  Reuse is keyed on object identity,
-    so the table is exact for any pure step; ``linear``'s step returns
-    its input state exactly when the gain is 0, so the walk steps only
-    from the independent sets, once per element above the top one.
-    The recursion holds one state per depth, at most n + 1 live.
+    so the ranks copied are final, and each element above x, the only
+    ones stepped from the state of A + x, has been stepped from A's
+    state first: ``linear``'s step, whose only caller this is, reads
+    the residual that the step from A left.  Reuse is keyed on object
+    identity, so the table is exact for any pure step; ``linear``'s
+    step returns its input state exactly when the gain is 0, so the walk
+    steps only from the independent sets, once per element above the
+    top one.  The recursion holds one state per depth, at most n + 1
+    live.
     """
     table = [0] * (1 << n)
 

@@ -9,8 +9,6 @@ Listing files hold one ``list <id> : tok ...`` line per element.
 
 from __future__ import annotations
 
-import itertools
-
 from .constructions import (
     GraphSpec,
     TableSpec,
@@ -22,7 +20,7 @@ from .constructions import (
     tabulate,
     uniform,
 )
-from .core import Matroid, MatroidError, set_literal
+from .core import Matroid, MatroidError, _masks_by_size, bits, set_literal
 
 
 class ParseError(MatroidError):
@@ -211,9 +209,9 @@ def serialize_matroid(m: Matroid) -> str:
         return "\n".join(lines) + "\n"
     spec = spec if isinstance(spec, TableSpec) else tabulate(m)
     lines = ["matroid table", f"n {spec.n}"]
-    for size in range(spec.n + 1):
-        for combo in itertools.combinations(range(spec.n), size):
-            lines.append(f"rank {set_literal(combo)} {spec.ranks[frozenset(combo)]}")
+    for a in _masks_by_size(spec.n):
+        subset = frozenset(bits(a))
+        lines.append(f"rank {set_literal(subset)} {spec.ranks[subset]}")
     return "\n".join(lines) + "\n"
 
 

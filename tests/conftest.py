@@ -45,8 +45,10 @@ def powerset(iterable):
 def _gf_rank(rows, p):
     """Gaussian elimination mod p with exact integer arithmetic.
 
-    The reference for linear matroids, whose oracle and mask table fold
-    an echelon-insertion step instead.
+    The reference for linear matroids, written apart from their oracle,
+    which row-reduces a subset's columns (``constructions._row_basis``),
+    and their mask table, which counts row-space vectors or walks an
+    echelon-insertion step.
     """
     rows = [r[:] for r in rows]
     rank = 0

@@ -54,6 +54,20 @@ def test_graphic_duplicate_ids():
         graphic([(1, "a", "b"), (2, "b", "c")])  # not dense
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [(0, "a", "b", "c"), (0, "a"), (0,), (), [0, "a", "b"], 0, "0 a b"],
+    ids=["four items", "two items", "one item", "empty", "list", "int", "str"],
+)
+def test_graphic_refuses_an_edge_that_is_not_a_triple(edge):
+    # a fourth item was dropped silently, and a short edge raised IndexError
+    with pytest.raises(GroundSetError) as err:
+        graphic([(0, "x", "y"), edge])
+    assert str(err.value) == f"edge {edge!r} is not an (id, endpoint, endpoint) triple"
+    with pytest.raises(GroundSetError):
+        GraphSpec((edge,))
+
+
 def test_graphic_rank_equals_forest_greedy(suite6):
     # rank(A) must equal the number of edges a greedy forest keeps
     for m in suite6:

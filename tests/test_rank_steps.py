@@ -1,19 +1,20 @@
-"""Mask tables of ``linear`` and ``graphic``, against per-mask ranks.
+"""Rank oracles and mask tables of ``linear`` and ``graphic``, against per-mask ranks.
 
-``Matroid.mask_table`` builds these tables by one of two routes.  The
-count row-reduces the representation and counts its row-space vectors
-by zero set (``core._count_table``); it serves ``graphic``, GF(2), and
-GF(p) wherever p^r <= 2^n.  The walk steps the construction's rank step
-over prefixes (``core._walk_table``); it serves ``linear`` over p >= 3
-where p^r > 2^n.  Either table must equal the table of the plain
+The oracles answer one mask at a time: ``graphic`` by a union-find
+forest over the subset's edges, ``linear`` by row-reducing the subset's
+vectors.  ``Matroid.mask_table`` builds the tables by one of two routes.
+The count row-reduces the representation and counts its row-space
+vectors by zero set (``core._count_table``); it serves ``graphic``,
+GF(2), and GF(p) wherever p^r <= 2^n.  The walk steps ``linear``'s rank
+step over prefixes (``core._walk_table``); it serves ``linear`` over
+p >= 3 where p^r > 2^n.  Oracle and table must equal the plain
 definition computed mask by mask: Gaussian elimination for vectors,
 covered vertices minus components for graphs.  Neither route may do
 other work.  The count makes no oracle call and no step call.  The walk
-makes no oracle call either; both steps return their input state when
-the gain is 0, and the walk then copies that subtree instead of
-stepping it, so it steps once per independent set and element above
-the set's top element.  Neither route does anything above the table's
-ceiling.
+makes no oracle call either; the step returns its input state when the
+gain is 0, and the walk then copies that subtree instead of stepping
+it, so it steps once per independent set and element above the set's
+top element.  Neither route does anything above the table's ceiling.
 """
 
 import contextlib
@@ -82,15 +83,15 @@ def test_linear_walked_table_equals_gaussian_elimination(spec):
     n = len(spec.vectors)
     want = [_gf_rank([list(spec.vectors[i]) for i in bits(a)], spec.p) for a in range(1 << n)]
     assert linear(spec).mask_table() == want
-    # the oracle folds the same step over each subset, with no table built
+    # the oracle row-reduces each subset's vectors, with no table built
     fresh = linear(spec)
     assert [fresh.rank_of_mask(a) for a in range(1 << n)] == want
 
 
 def test_linear_fold_over_thousands_of_elements_equals_gaussian_elimination():
-    # a fold reduces each element through its ancestors' rows, with no
-    # memo filled by a walk to help it; the even elements span only a
-    # 5-dimensional subspace, so a fold that drops a row shows
+    # the oracle row-reduces thousands of columns at once; the even
+    # elements span only a 5-dimensional subspace, so an elimination
+    # that keeps a dependent row shows
     rng = random.Random(3)
     span = [[rng.randrange(3) for _ in range(12)] for _ in range(5)]
 
@@ -109,8 +110,8 @@ def test_linear_fold_over_thousands_of_elements_equals_gaussian_elimination():
 
 
 def test_linear_fold_deeper_than_the_recursion_limit():
-    # a fold's state chain is as long as the rank; reducing through it
-    # must not recurse once per row
+    # the oracle keeps as many rows as the rank; reducing by them must
+    # not recurse once per row
     n = 1100
     vectors = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     assert linear(VectorSpec(2, n, vectors)).rank_of_mask((1 << n) - 1) == n
@@ -130,8 +131,9 @@ def test_graphic_walked_table_equals_component_count(edges):
 def _counting():
     """Count the calls made inside the block to each function of matroidkit, by name.
 
-    The fold oracle of ``linear`` and ``graphic`` is named ``rank``,
-    their rank step ``step`` and their table builder ``table``.
+    The oracles of ``linear`` and ``graphic`` are named ``rank`` and
+    their table builders ``table``; ``linear``'s walked rank step is
+    named ``step``.
     """
     package = os.path.dirname(matroidkit.__file__)
     calls = Counter()
@@ -282,6 +284,34 @@ def _graph_table(edges):
 def _random_graph(vertices, n, seed):
     rng = random.Random(seed)
     return [(i, str(rng.randrange(vertices)), str(rng.randrange(vertices))) for i in range(n)]
+
+
+# far above the table's ceiling, so only the oracle answers; the path's
+# edge i joins the vertices n - 1 - i and n - i, so a subset's edges are
+# met from the path's far end, and every edge of the star and the path
+# merges two trees
+LARGE_GRAPHS = {
+    **{f"multigraph seed {seed}": _random_graph(40, 120, seed) for seed in range(3)},
+    "star": [(i, "hub", f"v{i}") for i in range(300)],
+    "descending path": [(i, f"v{300 - 1 - i}", f"v{300 - i}") for i in range(300)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_GRAPHS))
+def test_graphic_union_find_equals_component_count_on_large_graphs(kind):
+    edges = LARGE_GRAPHS[kind]
+    n = len(edges)
+    rng = random.Random(n)
+    # the full mask, dense masks, and sparse ones that leave many trees
+    masks = [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(25)]
+    masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(25)]
+    want = [graph_rank(edges, a) for a in masks]
+    if not kind.startswith("multigraph"):
+        assert want == [a.bit_count() for a in masks]
+    m = graphic(edges)
+    with _counting() as calls:
+        assert [m.rank_of_mask(a) for a in masks] == want
+    assert calls["rank"] == len(masks) and not calls["table"]
 
 
 # (p, dim, n, rank, route): the route is the count iff p^rank <= 2^n; a
