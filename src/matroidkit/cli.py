@@ -30,9 +30,9 @@ from .contraction import contract
 from .core import (
     Matroid,
     MatroidError,
-    _masks_by_size,
     _refuse_ground_set_scan,
-    bits,
+    _subset_literals,
+    _subsets_by_size,
     circuits,
     set_literal,
     validate_axioms,
@@ -173,8 +173,9 @@ def cmd_contract(args, out: _Out) -> int:
         " ".join(f"{new}:{old}" for new, old in enumerate(mc.element_map or ())) or "-",
     )
     table = mc.mask_table()
-    for a in _masks_by_size(mc.n):
-        out.kv(f"rank {set_literal(bits(a))}", table[a])
+    literals = _subset_literals(mc.n)
+    for a in _subsets_by_size((1 << mc.n) - 1):
+        out.kv(f"rank {literals[a]}", table[a])
     out.note("contracted rank: r'(A) = r(A u Z) - r(Z), elements re-indexed densely")
     out.note("element-map lists new:original ids")
     return 0

@@ -11,9 +11,9 @@ from __future__ import annotations
 from .core import (
     CIRCUIT_BOUND,
     Matroid,
-    _masks_by_size,
     _refuse_above,
     _refuse_ground_set_scan,
+    _subsets_by_size,
     bits,
 )
 
@@ -61,4 +61,4 @@ def closure_by_intersection(m: Matroid, x) -> tuple[int, ...]:
 
 def _closed_masks(m: Matroid) -> list[int]:
     """Masks of all closed subsets, in (size, lexicographic) order."""
-    return [z for z in _masks_by_size(m.n) if _is_closed_mask(m, z)]
+    return [z for z in _subsets_by_size((1 << m.n) - 1) if _is_closed_mask(m, z)]

@@ -33,7 +33,7 @@ from .core import (
     GroundSetError,
     Matroid,
     MatroidError,
-    _masks_by_size,
+    _subsets_by_size,
     bits,
     set_literal,
 )
@@ -90,7 +90,7 @@ def _check_consistent(small: Matroid, big: Matroid, level: int):
     want = small.mask_table()
     got = big.mask_table()
     if got[: len(want)] != want:
-        a = next(a for a in _masks_by_size(small.n) if got[a] != want[a])
+        a = next(a for a in _subsets_by_size((1 << small.n) - 1) if got[a] != want[a])
         raise ChainError(
             f"level {level} disagrees with level {level-1} on "
             f"{set_literal(bits(a))}: {got[a]} vs {want[a]}"

@@ -243,10 +243,14 @@ def _row_basis(p: int, vecs: list[tuple[int, ...]], dim: int) -> list[list[int]]
 
     Gaussian elimination: each row is reduced by the basis rows kept
     before it, each 1 at its pivot and 0 at every earlier pivot, and is
-    kept, scaled to 1 at its first nonzero entry, if anything is left.
+    kept, scaled to 1 at its first nonzero entry if it is not 1 there
+    already, if anything is left.  Once every column holds a pivot the
+    basis spans all of GF(p)^len(vecs), so the rows left are not read.
     """
     basis: list[tuple[int, list[int]]] = []
     for j in range(dim):
+        if len(basis) == len(vecs):
+            break
         row = [v[j] for v in vecs]
         for pivot, kept in basis:
             f = row[pivot]
@@ -254,8 +258,10 @@ def _row_basis(p: int, vecs: list[tuple[int, ...]], dim: int) -> list[list[int]]
                 row = [(a - f * b) % p for a, b in zip(row, kept)]
         for pivot, a in enumerate(row):
             if a:
-                inv = pow(a, -1, p)
-                basis.append((pivot, [b * inv % p for b in row]))
+                if a != 1:
+                    inv = pow(a, -1, p)
+                    row = [b * inv % p for b in row]
+                basis.append((pivot, row))
                 break
     return [row for _, row in basis]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .core import (
     GroundSetError,
     Matroid,
+    _bad_rank,
     _refuse_ground_set_scan,
     _sub_masks,
     bits,
@@ -24,7 +25,12 @@ def contract(m: Matroid, z) -> Matroid:
 
     r'(A) = r(A u z) - r(z).  The result carries an element_map from new
     ids back to the original ones; it composes through m's, so a
-    contraction of a contraction names the root's ids.
+    contraction of a contraction names the root's ids.  A rank asked
+    before the mask table exists is one call to m; the table is built in
+    one pass, the masks z u A of m listed in mask order of A by doubling
+    over the kept ids, each read through ``m.rank_of_mask``.  A negative
+    contracted rank, possible only when m is not a matroid, is refused at
+    the first mask in mask order, as the oracle route refuses it.
     """
     _refuse_ground_set_scan(m.n)
     zmask = m._checked_mask(z)
@@ -34,10 +40,27 @@ def contract(m: Matroid, z) -> Matroid:
     def rank(a: int) -> int:
         return m.rank_of_mask(zmask | mask_of(keep[i] for i in bits(a))) - rz
 
+    def table() -> list[int]:
+        parents = [zmask]
+        for x in keep:
+            bit = 1 << x
+            parents += [p | bit for p in parents]
+        ranks = []
+        for a, p in enumerate(parents):
+            r = m.rank_of_mask(p) - rz
+            if r < 0:
+                raise _bad_rank(r, a)
+            ranks.append(r)
+        return ranks
+
     base_map = m.element_map
     element_map = tuple(base_map[e] for e in keep) if base_map else keep
     return Matroid(
-        len(keep), rank, name=f"{m.name}/{set_literal(bits(zmask))}", element_map=element_map
+        len(keep),
+        rank,
+        name=f"{m.name}/{set_literal(bits(zmask))}",
+        element_map=element_map,
+        table=table,
     )
 
 

@@ -102,11 +102,12 @@ class Matroid:
     rank cache is :meth:`mask_table`: before it is built, every rank is
     one oracle call; after, none is.  ``spec`` is the typed
     construction spec, or None for contractions and user oracles.
-    ``table``, set only by constructions, is a function of no arguments
-    that returns the rank of every mask, in mask order, with no oracle
-    call: :meth:`mask_table` calls it in place of the oracle (``linear``
-    and ``graphic`` count row-space vectors, ``from_table`` hands over
-    its checked rank list).  The whole-table kernels read the table as
+    ``table``, set only by constructions and contractions, is a function
+    of no arguments that returns the rank of every mask, in mask order,
+    with no call to this matroid's oracle: :meth:`mask_table` calls it
+    in place of the oracle (``linear`` and ``graphic`` count row-space
+    vectors, ``from_table`` hands over its checked rank list, a
+    contraction reads its parent's ranks in one pass).  The whole-table kernels read the table as
     one int with a byte per mask (:func:`_rank_image`), converted at
     most once per table.  Instances are immutable apart from the caches.
     """
@@ -187,8 +188,9 @@ class Matroid:
         (:func:`_count_table`), or walk their rank step
         (:func:`_walk_table`) where the count would enumerate more
         vectors than the table has masks; ``from_table`` hands over its
-        rank list once every entry is checked.  Any other matroid calls
-        its oracle once per mask.  Once built, every rank is read from
+        rank list once every entry is checked; a contraction reads its
+        parent's ranks.  Any other matroid calls its oracle once per
+        mask.  Once built, every rank is read from
         the table.
         """
         if self._mask_table is None:
@@ -265,12 +267,22 @@ class AxiomReport:
         return f"{self.axiom} fails at {sets}: {self.detail}"
 
 
-def _masks_by_size(n: int) -> list[int]:
-    out = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            out.append(mask_of(combo))
-    return out
+def _subsets_by_size(mask: int) -> list[int]:
+    """The subsets of a mask in (size, lexicographic) order of their members.
+
+    Built by doubling over the mask's elements from the top one down:
+    before element e is taken, ``by_size[s]`` lists the s-subsets of the
+    elements above e in lex order, and the s-subsets that contain e come
+    before them, as e joined to each (s - 1)-subset above it.  One list
+    comprehension per (element, size), with no Python step per subset
+    beyond it.
+    """
+    by_size = [[0]] + [[] for _ in range(mask.bit_count())]
+    for count, e in enumerate(reversed(list(bits(mask))), start=1):
+        bit = 1 << e
+        for s in range(count, 0, -1):
+            by_size[s] = [bit | a for a in by_size[s - 1]] + by_size[s]
+    return list(itertools.chain.from_iterable(by_size))
 
 
 def _monotonicity(table: list[int], a: int, b: int) -> AxiomReport:
@@ -305,12 +317,14 @@ def _submodularity(table: list[int], a: int, b: int) -> AxiomReport:
 # (ranks, ranks + 1 and sizes, and their XORs), which takes one
 # subtraction with no borrow between bytes (:func:`_zero_bytes`).  What
 # depends on n alone (every mask, each mask's size, the masks without x
-# in each lane the kernels use, and the subsets' frozensets that tables
-# are keyed by) is built once per n and kept for the life of the
-# process (:func:`_per_size`).  The kernels run on mask tables only, so
-# n is at most VALIDATION_BOUND, and every size up to 16 together keeps
-# at most 10 MB of byte sets; the frozensets are kept up to
-# _SUBSET_POOL_BOUND, 4.8 MB over every size up to 12 (tracemalloc).
+# in each lane the kernels use, the subsets' frozensets that tables are
+# keyed by, and the subsets' literal texts that table files hold) is
+# built once per n and kept for the life of the process
+# (:func:`_per_size`).  The kernels run on mask tables only, so n is at
+# most VALIDATION_BOUND, and every size up to 16 together keeps at most
+# 10 MB of byte sets; the frozensets and the texts are kept up to
+# _SUBSET_POOL_BOUND, 4.8 and 0.8 MB over every size up to 12
+# (tracemalloc).
 
 _RANK_CAP = 126
 _CAPPED = bytes(min(b, _RANK_CAP) for b in range(256))  # bytes.translate table
@@ -376,7 +390,11 @@ def _per_size(n: int, key: str | bytes):
     ``"ones"``: every mask of range(n).  ``"high"``: byte a holds 0x80
     for every mask.  ``"sizes"``: byte a holds |a|.  ``"subsets"``: the
     list of ``frozenset(bits(a))`` in mask order, read through
-    :func:`_subset_pool` only.  A lane (``b"\\x01"``, ``b"\\x80"``,
+    :func:`_subset_pool` only.  ``"literals"``: the list of
+    ``set_literal(bits(a))`` in mask order, and ``"by_literal"``: the
+    dict from each of those texts to its subset in ``"subsets"``, read
+    through :func:`_subset_literals` and :func:`_subset_by_literal`
+    only.  A lane (``b"\\x01"``, ``b"\\x80"``,
     ``b"\\xff"``, ``b"\\xff\\xff"``): the list of :func:`_without`
     ``(n, x, lane)`` for each x in range(n).
     """
@@ -388,9 +406,14 @@ def _per_size(n: int, key: str | bytes):
         elif key == "high":
             value = _per_size(n, "ones") << 7
         elif key == "sizes":
-            value = int.from_bytes(bytes(map(int.bit_count, range(1 << n))), "little")
+            # n in every byte, less one for each element the mask lacks
+            value = n * _per_size(n, "ones") - sum(_per_size(n, b"\x01"))
         elif key == "subsets":
             value = list(map(frozenset, map(bits, range(1 << n))))
+        elif key == "literals":
+            value = _literal_texts(n)
+        elif key == "by_literal":
+            value = dict(zip(_per_size(n, "literals"), _per_size(n, "subsets")))
         else:
             value = [_without(n, x, key) for x in range(n)]
         built[key] = value
@@ -407,6 +430,39 @@ def _subset_pool(n: int) -> list[frozenset[int]] | None:
     built per call would cost more than it saves.
     """
     return _per_size(n, "subsets") if n <= _SUBSET_POOL_BOUND else None
+
+
+def _literal_texts(n: int) -> list[str]:
+    """The ``set_literal`` text of every subset of range(n), in mask order.
+
+    Built by doubling: the subsets with top element x are those of
+    range(x), each with x appended.
+    """
+    inner = [""]
+    for x in range(n):
+        inner += [f"{s},{x}" if s else str(x) for s in inner]
+    return [f"{{{s}}}" for s in inner]
+
+
+def _subset_literals(n: int) -> list[str]:
+    """The ``set_literal`` text of every subset of range(n), in mask order.
+
+    Kept per size up to _SUBSET_POOL_BOUND, as the subset pool is, and
+    built per call above it.  Files and the CLI print table lines from
+    it, with no ``set_literal`` call per subset.
+    """
+    return _per_size(n, "literals") if n <= _SUBSET_POOL_BOUND else _literal_texts(n)
+
+
+def _subset_by_literal(n: int) -> dict[str, frozenset[int]]:
+    """Each subset of range(n), keyed by its ``set_literal`` text.
+
+    The values are the subset pool's own frozensets.  Kept up to
+    _SUBSET_POOL_BOUND; empty for a larger or negative n, so that a
+    lookup in it misses.  The table parser reads a canonical literal
+    through it, with no parse per line.
+    """
+    return _per_size(n, "by_literal") if 0 <= n <= _SUBSET_POOL_BOUND else {}
 
 
 def _plus_row(span: dict[int, list[int]], held: dict[int, int], p: int) -> dict:
@@ -628,17 +684,28 @@ class Circuit:
         return mask_of(self.members)
 
 
-def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
-    """All minimal dependent sets, ordered by (size, lexicographic).
+# The members of each byte value, ascending, for the low byte of a mask
+# and for its high byte: a mask below 2^16 (every mask a table holds)
+# lists its members as _LOW_MEMBERS[a & 255] + _HIGH_MEMBERS[a >> 8].
+_LOW_MEMBERS = [tuple(bits(b)) for b in range(256)]
+_HIGH_MEMBERS = [tuple(e + 8 for e in low) for low in _LOW_MEMBERS]
+
+
+def _members(masks: list[int]) -> list[tuple[int, ...]]:
+    """Each mask's members as an ascending tuple, by two lookups per mask."""
+    return [_LOW_MEMBERS[a & 255] + _HIGH_MEMBERS[a >> 8] for a in masks]
+
+
+def _found_circuits(m: Matroid, max_n: int | None) -> list[int]:
+    """The masks of m's circuits, in mask order, from one pass over the table.
 
     In a matroid, C is a circuit iff r(C) = |C| - 1 and r(C - e) = |C| - 1
     for every e in C: C is dependent and every maximal proper subset of
-    it is independent, so every proper subset is.  One pass over the
-    mask table finds them as a byte set (see the comment above
-    :func:`_rank_bytes`): the masks with r = size - 1, less, for each
-    element x, those whose mask minus x is not independent.  That is
-    O(n) operations on 2^n-byte ints; only the few circuits found are
-    then sorted one by one.
+    it is independent, so every proper subset is.  The pass finds them
+    as a byte set (see the comment above :func:`_rank_bytes`): the
+    masks with r = size - 1, less, for each element x, those whose mask
+    minus x is not independent.  That is O(n) operations on 2^n-byte
+    ints; only the circuits found are then listed, one ``find`` each.
     """
     _refuse_above(m.n, CIRCUIT_BOUND if max_n is None else max_n, "circuit enumeration")
     n = m.n
@@ -650,13 +717,35 @@ def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
     for x, outside in enumerate(_per_size(n, b"\x01")):
         found ^= found & ((not_independent & outside) << (8 << x))
     flags = found.to_bytes(1 << n, "little")
-    members = []
+    masks = []
     mask = flags.find(1)
     while mask >= 0:
-        members.append(tuple(bits(mask)))
+        masks.append(mask)
         mask = flags.find(1, mask + 1)
-    members.sort(key=lambda c: (len(c), c))
-    return [Circuit(c) for c in members]
+    return masks
+
+
+def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
+    """All minimal dependent sets, ordered by (size, lexicographic).
+
+    One pass over the mask table finds them (:func:`_found_circuits`);
+    each circuit's members are read by two lookups (:func:`_members`),
+    and the tuples are put in order by two sorts with no Python key:
+    lexicographic, then stably by size.
+    """
+    members = _members(_found_circuits(m, max_n))
+    members.sort()
+    members.sort(key=len)
+    return list(map(Circuit, members))
+
+
+def _circuit_masks(m: Matroid) -> list[int]:
+    """The masks of m's circuits, in the order of :func:`circuits`, with no
+    ``Circuit`` made: sorted by their member tuples, then stably by size."""
+    masks = _found_circuits(m, None)
+    masks.sort(key=dict(zip(masks, _members(masks))).__getitem__)
+    masks.sort(key=int.bit_count)
+    return masks
 
 
 def is_loop_free(m: Matroid) -> bool:
@@ -687,31 +776,31 @@ def check_circuit_elimination(m: Matroid) -> EliminationReport:
 
     For circuits C1 != C2 and e in their intersection there must be a
     circuit inside (C1 u C2) - e; additionally, for every e1 in C1 - C2
-    one such circuit must contain e1.
+    one such circuit must contain e1.  The circuits are masks throughout;
+    only a counterexample's pair is listed as tuples.
     """
-    circs = circuits(m)
-    masks = [c.mask() for c in circs]
+    masks = _circuit_masks(m)
     pairs = 0
-    for i, c1 in enumerate(circs):
-        for j, c2 in enumerate(circs):
-            if i == j:
+    for c1 in masks:
+        for c2 in masks:
+            if c1 == c2:
                 continue
-            common = masks[i] & masks[j]
+            common = c1 & c2
             if common == 0:
                 continue
             pairs += 1
-            union = masks[i] | masks[j]
-            only1 = masks[i] & ~masks[j]
+            union = c1 | c2
+            only1 = c1 & ~c2
             for e in bits(common):
                 allowed = union & ~(1 << e)
                 inside = [cm for cm in masks if cm & ~allowed == 0]
                 if not inside:
                     return EliminationReport(
-                        False, pairs, (c1.members, c2.members, e, None)
+                        False, pairs, (*_members([c1, c2]), e, None)
                     )
                 for e1 in bits(only1):
                     if not any(cm & (1 << e1) for cm in inside):
                         return EliminationReport(
-                            False, pairs, (c1.members, c2.members, e, e1)
+                            False, pairs, (*_members([c1, c2]), e, e1)
                         )
     return EliminationReport(True, pairs)

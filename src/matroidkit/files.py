@@ -20,7 +20,15 @@ from .constructions import (
     tabulate,
     uniform,
 )
-from .core import Matroid, MatroidError, _masks_by_size, bits, set_literal
+from .core import (
+    Matroid,
+    MatroidError,
+    _subset_by_literal,
+    _subset_literals,
+    _subset_pool,
+    _subsets_by_size,
+    bits,
+)
 
 
 class ParseError(MatroidError):
@@ -163,7 +171,16 @@ def _parse_linear(head_no: int, body) -> Matroid:
 
 
 def _parse_table(head_no: int, body) -> Matroid:
+    """A table matroid from its body lines.
+
+    Once the ``n`` line is read, a subset literal in canonical form (as
+    ``set_literal`` writes it) is looked up in ``core._subset_by_literal``,
+    up to its bound; any other token, or any token before the ``n``
+    line, goes through :func:`parse_subset_literal`, which names the
+    fault if there is one.
+    """
     n = None
+    canonical: dict[str, frozenset[int]] = {}
     ranks: dict[frozenset[int], int] = {}
     for no, line in body:
         parts = line.split(maxsplit=2)
@@ -171,12 +188,14 @@ def _parse_table(head_no: int, body) -> Matroid:
             if n is not None:
                 raise ParseError(no, "duplicate 'n' line")
             n = _want_int(no, parts[1], "n")
+            canonical = _subset_by_literal(n)
         elif parts[0] == "rank" and len(parts) == 3:
-            try:
-                subset = parse_subset_literal(parts[1])
-            except MatroidError as e:
-                raise ParseError(no, str(e)) from None
-            key = frozenset(subset)
+            key = canonical.get(parts[1])
+            if key is None:
+                try:
+                    key = frozenset(parse_subset_literal(parts[1]))
+                except MatroidError as e:
+                    raise ParseError(no, str(e)) from None
             if key in ranks:
                 raise ParseError(no, f"duplicate rank line for {parts[1]}")
             ranks[key] = _want_int(no, parts[2], "rank value")
@@ -208,10 +227,11 @@ def serialize_matroid(m: Matroid) -> str:
             lines.append("vec " + str(i) + " " + " ".join(str(c) for c in vec))
         return "\n".join(lines) + "\n"
     spec = spec if isinstance(spec, TableSpec) else tabulate(m)
-    lines = ["matroid table", f"n {spec.n}"]
-    for a in _masks_by_size(spec.n):
-        subset = frozenset(bits(a))
-        lines.append(f"rank {set_literal(subset)} {spec.ranks[subset]}")
+    n = spec.n
+    literals = _subset_literals(n)
+    keys = _subset_pool(n) or list(map(frozenset, map(bits, range(1 << n))))
+    lines = ["matroid table", f"n {n}"]
+    lines += [f"rank {literals[a]} {spec.ranks[keys[a]]}" for a in _subsets_by_size((1 << n) - 1)]
     return "\n".join(lines) + "\n"
 
 

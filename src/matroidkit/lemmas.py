@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .bases import OrderedBase, _circuit_base_part, all_bases, anchor_classes, is_base
-from .closure import _closed_masks, closure_by_intersection, is_closed
+from .closure import _closed_masks, _is_closed_mask
 from .closure import closure as closure_of
 from .coloring import chromatic_number, distinct_color_fallback, is_proper
 from .contraction import contract
@@ -22,7 +22,9 @@ from .core import (
     LoopError,
     Matroid,
     MatroidError,
+    _circuit_masks,
     _sub_masks,
+    _subsets_by_size,
     bits,
     check_circuit_elimination,
     circuits,
@@ -33,10 +35,11 @@ from .core import (
 )
 
 LEMMA_BOUND = 8
-# max_n may lift LEMMA_BOUND up to here, never past it.  L17 peels each
-# base once, so the slowest check is now L10ab's fitting sweep, about 5^n
-# subset triples: the battery on uniform(9, 7) takes 0.8 s, and at n = 10
-# it takes up to 6.8 s (uniform(10, 5)), L10ab 1.9-2.4 s of it
+# max_n may lift LEMMA_BOUND up to here, never past it.  The battery on
+# uniform(9, 7) takes 0.26-0.42 s, L10ab about half of it, and at n = 10
+# it takes about 5 s (uniform(10, 5)), 3.2-3.5 s of it in L2a and L2b's
+# scans of circuit pairs and 1.1-1.4 s in L10ab (2-vCPU x86-64 guest,
+# Python 3.11)
 LEMMA_N_CEILING = 9
 
 
@@ -85,7 +88,7 @@ def check_maximal_independent_size(m: Matroid) -> LemmaResult:
 
 def check_weak_elimination(m: Matroid) -> LemmaResult:
     key, title = "L2a", "circuit elimination (weak)"
-    cmasks = [c.mask() for c in circuits(m)]
+    cmasks = _circuit_masks(m)
     pairs = 0
     for i, c1 in enumerate(cmasks):
         for j, c2 in enumerate(cmasks):
@@ -115,7 +118,7 @@ def check_strong_elimination(m: Matroid) -> LemmaResult:
 
 def check_unique_circuit_in_base_extension(m: Matroid) -> LemmaResult:
     key, title = "L3", "exactly one circuit inside base + outside element"
-    cmasks = [c.mask() for c in circuits(m)]
+    cmasks = _circuit_masks(m)
     all_b = all_bases(m)
     for b in all_b:
         bmask = mask_of(b)
@@ -208,10 +211,30 @@ def check_closure_minimality(m: Matroid) -> LemmaResult:
 
 
 def check_closure_routes_agree(m: Matroid) -> LemmaResult:
+    """L8: closure(X) equals the meet of the closed supersets of X, for every X.
+
+    Closedness is decided by rank alone, once per mask in mask order,
+    after closure({}): the same oracle calls, in the same order, as
+    ``closure_by_intersection`` makes for X = {}, and they reach every
+    mask.  The meet of X's closed supersets is X itself if X is closed,
+    else the meet over X + y, y outside X, read from the masks above X.
+    """
     key, title = "L8", "flat-extension closure equals intersection of closed supersets"
-    for x in range(1 << m.n):
-        fast = closure_of(m, bits(x))
-        slow = closure_by_intersection(m, bits(x))
+    full = (1 << m.n) - 1
+    first = closure_of(m, ())
+    closed = [_is_closed_mask(m, z) for z in range(full + 1)]
+    meet = [0] * (full + 1)
+    for x in range(full, -1, -1):  # the whole set is closed, so every X has a closed superset
+        if closed[x]:
+            meet[x] = x
+        else:
+            acc = full
+            for y in bits(full & ~x):
+                acc &= meet[x | 1 << y]
+            meet[x] = acc
+    for x in range(full + 1):
+        fast = closure_of(m, bits(x)) if x else first
+        slow = tuple(bits(meet[x]))
         if fast != slow:
             return _fail(
                 key,
@@ -237,45 +260,56 @@ def check_base_characterization(m: Matroid) -> LemmaResult:
 
 
 def check_fitting_monotone(m: Matroid) -> LemmaResult:
+    """L10a: for every Z and A outside it, a subset of Z that contains a
+    fitting Z0 fits too, where W fits iff r(A u W) - r(W) = r(A u Z) - r(Z).
+
+    The gain r(A u W) - r(W) is read once per W inside Z.  Z1 that fit
+    are passed over, as no Z0 inside them can break the claim; for each
+    other Z1 the first fitting Z0, in the order of the sweep, is the
+    witness.
+    """
     key, title = "L10a", "supersets of a fitting set fit"
     t = m.mask_table()
     full = (1 << m.n) - 1
     for z in range(1 << m.n):
+        inside = list(_sub_masks(z))
         for a in _sub_masks(full & ~z):
             target = t[a | z] - t[z]
-            for z1 in _sub_masks(z):
-                r1 = t[a | z1] - t[z1]
-                for z0 in _sub_masks(z1):
-                    if t[a | z0] - t[z0] == target and r1 != target:
-                        return _fail(
-                            key,
-                            title,
-                            f"Z={set_literal(bits(z))} A={set_literal(bits(a))} "
-                            f"Z0={set_literal(bits(z0))} Z1={set_literal(bits(z1))}",
-                        )
+            gain = {w: t[a | w] - t[w] for w in inside}
+            for z1 in inside:
+                if gain[z1] == target:
+                    continue
+                z0 = next((w for w in _sub_masks(z1) if gain[w] == target), None)
+                if z0 is not None:
+                    return _fail(
+                        key,
+                        title,
+                        f"Z={set_literal(bits(z))} A={set_literal(bits(a))} "
+                        f"Z0={set_literal(bits(z0))} Z1={set_literal(bits(z1))}",
+                    )
     return _ok(key, title)
 
 
 def check_fitting_common(m: Matroid) -> LemmaResult:
+    """L10b: for every Z, the union of the first fitting subsets of Z, one
+    for each A of one or two elements outside Z, fits every such A.
+
+    The A are taken in (size, lex) order, and each first fitting subset
+    from the subsets of Z in (size, lex) order, listed once per Z.
+    """
     key, title = "L10b", "one finite set fits a whole finite family"
     t = m.mask_table()
     full = (1 << m.n) - 1
     for z in range(1 << m.n):
-        rest = full & ~z
-        family = [mask_of(c) for size in (1, 2) for c in itertools.combinations(list(bits(rest)), size)]
-        if not family:
+        singles = [1 << x for x in bits(full & ~z)]
+        if not singles:
             continue
+        family = singles + [a | b for i, a in enumerate(singles) for b in singles[i + 1 :]]
+        in_order = _subsets_by_size(z)
         union = 0
         for a in family:
-            # first fitting subset in (size, lex) order
             target = t[a | z] - t[z]
-            fit = next(
-                mask_of(c)
-                for size in range(z.bit_count() + 1)
-                for c in itertools.combinations(list(bits(z)), size)
-                if t[a | mask_of(c)] - t[mask_of(c)] == target
-            )
-            union |= fit
+            union |= next(w for w in in_order if t[a | w] - t[w] == target)
         for a in family:
             if t[a | union] - t[union] != t[a | z] - t[z]:
                 return _fail(
@@ -324,7 +358,7 @@ def check_contraction_independence(m: Matroid) -> LemmaResult:
 def check_contraction_loop_free(m: Matroid) -> LemmaResult:
     key, title = "L13", "contraction is loop-free iff the contracted set is closed"
     for z in range(1 << m.n):
-        if is_loop_free(contract(m, bits(z))) != is_closed(m, bits(z)):
+        if is_loop_free(contract(m, bits(z))) != _is_closed_mask(m, z):
             return _fail(key, title, f"Z={set_literal(bits(z))}")
     return _ok(key, title)
 
@@ -365,7 +399,7 @@ def check_distinct_fallback(m: Matroid) -> LemmaResult:
 
 def check_circuit_closure_absorption(m: Matroid) -> LemmaResult:
     key, title = "L16", "a circuit nearly inside a closed set is inside it"
-    cmasks = [c.mask() for c in circuits(m)]
+    cmasks = _circuit_masks(m)
     for z in _closed_masks(m):
         for cm in cmasks:
             if (cm & ~z).bit_count() == 1:

@@ -22,16 +22,31 @@ from matroidkit import (
     anchor_classes,
     catalog,
     circuits,
+    closure,
+    closure_by_intersection,
+    contract,
     graphic,
     is_base,
+    is_closed,
     is_loop_free,
     linear,
     loops,
     ordered_bases,
     uniform,
+    validate_axioms,
 )
 from matroidkit.coloring import CHROMATIC_BOUND, _first_list_coloring
-from matroidkit.core import AxiomReport, Circuit, _monotonicity, _submodularity, bits, mask_of, set_literal
+from matroidkit.core import (
+    AxiomReport,
+    Circuit,
+    EliminationReport,
+    _monotonicity,
+    _sub_masks,
+    _submodularity,
+    bits,
+    mask_of,
+    set_literal,
+)
 from matroidkit.lemmas import _fail, _ok
 
 
@@ -354,6 +369,140 @@ def anchor_repetition_by_sweep(m):
                     f"base {ob.elements} circuit {set_literal(c)}: all anchors distinct",
                 )
     return _ok(key, title)
+
+
+# References for the lemma checks that keep their subsets as masks: each
+# sweeps as the check's definition reads, one id tuple and one library
+# call per subset.  tests/test_lemmas.py asserts that every check gives
+# the same (status, detail), abort text included, as its reference.
+
+
+def closure_routes_by_intersection(m):
+    """L8 with each X's closed supersets swept by ``closure_by_intersection``."""
+    key, title = "L8", "flat-extension closure equals intersection of closed supersets"
+    for x in range(1 << m.n):
+        fast = closure(m, bits(x))
+        slow = closure_by_intersection(m, bits(x))
+        if fast != slow:
+            return _fail(
+                key,
+                title,
+                f"X={set_literal(bits(x))}: {set_literal(fast)} vs {set_literal(slow)}",
+            )
+    return _ok(key, title)
+
+
+def fitting_monotone_by_sweep(m):
+    """L10a by the full sweep over (Z, A, Z1, Z0), gains recomputed per pair."""
+    key, title = "L10a", "supersets of a fitting set fit"
+    t = m.mask_table()
+    full = (1 << m.n) - 1
+    for z in range(1 << m.n):
+        for a in _sub_masks(full & ~z):
+            target = t[a | z] - t[z]
+            for z1 in _sub_masks(z):
+                r1 = t[a | z1] - t[z1]
+                for z0 in _sub_masks(z1):
+                    if t[a | z0] - t[z0] == target and r1 != target:
+                        return _fail(
+                            key,
+                            title,
+                            f"Z={set_literal(bits(z))} A={set_literal(bits(a))} "
+                            f"Z0={set_literal(bits(z0))} Z1={set_literal(bits(z1))}",
+                        )
+    return _ok(key, title)
+
+
+def fitting_common_by_combinations(m):
+    """L10b with the family and each fitting subset from ``itertools.combinations``."""
+    key, title = "L10b", "one finite set fits a whole finite family"
+    t = m.mask_table()
+    full = (1 << m.n) - 1
+    for z in range(1 << m.n):
+        rest = full & ~z
+        family = [mask_of(c) for size in (1, 2) for c in itertools.combinations(list(bits(rest)), size)]
+        if not family:
+            continue
+        union = 0
+        for a in family:
+            target = t[a | z] - t[z]
+            fit = next(
+                mask_of(c)
+                for size in range(z.bit_count() + 1)
+                for c in itertools.combinations(list(bits(z)), size)
+                if t[a | mask_of(c)] - t[mask_of(c)] == target
+            )
+            union |= fit
+        for a in family:
+            if t[a | union] - t[union] != t[a | z] - t[z]:
+                return _fail(
+                    key,
+                    title,
+                    f"Z={set_literal(bits(z))}: union of fitting sets misses "
+                    f"A={set_literal(bits(a))}",
+                )
+    return _ok(key, title)
+
+
+def contract_by_oracle(m, z):
+    """The contraction m / z with no table: every rank is one call to m."""
+    zmask = m._checked_mask(z)
+    keep = tuple(x for x in range(m.n) if not zmask >> x & 1)
+    rz = m.rank_of_mask(zmask)
+    return Matroid(
+        len(keep), lambda a: m.rank_of_mask(zmask | mask_of(keep[i] for i in bits(a))) - rz
+    )
+
+
+def contraction_is_matroid_by_oracle(m):
+    """L11 with each contraction tabulated by its oracle, one call per mask."""
+    key, title = "L11", "contraction never raises rank and is a matroid"
+    t = m.mask_table()
+    full = (1 << m.n) - 1
+    for z in range(1 << m.n):
+        mc = contract_by_oracle(m, bits(z))
+        for a in _sub_masks(full & ~z):
+            if t[a | z] - t[z] > t[a]:
+                return _fail(key, title, f"Z={set_literal(bits(z))} A={set_literal(bits(a))}")
+        report = validate_axioms(mc)
+        if not report.ok:
+            return _fail(key, title, f"Z={set_literal(bits(z))}: {report.describe()}")
+    return _ok(key, title)
+
+
+def contraction_loop_free_by_is_closed(m):
+    """L13 with closedness by ``is_closed`` on id tuples."""
+    key, title = "L13", "contraction is loop-free iff the contracted set is closed"
+    for z in range(1 << m.n):
+        if is_loop_free(contract(m, bits(z))) != is_closed(m, bits(z)):
+            return _fail(key, title, f"Z={set_literal(bits(z))}")
+    return _ok(key, title)
+
+
+def circuit_elimination_by_circuits(m):
+    """``check_circuit_elimination`` on ``Circuit`` objects, masks by ``Circuit.mask``."""
+    circs = circuits(m)
+    masks = [c.mask() for c in circs]
+    pairs = 0
+    for i, c1 in enumerate(circs):
+        for j, c2 in enumerate(circs):
+            if i == j:
+                continue
+            common = masks[i] & masks[j]
+            if common == 0:
+                continue
+            pairs += 1
+            union = masks[i] | masks[j]
+            only1 = masks[i] & ~masks[j]
+            for e in bits(common):
+                allowed = union & ~(1 << e)
+                inside = [cm for cm in masks if cm & ~allowed == 0]
+                if not inside:
+                    return EliminationReport(False, pairs, (c1.members, c2.members, e, None))
+                for e1 in bits(only1):
+                    if not any(cm & (1 << e1) for cm in inside):
+                        return EliminationReport(False, pairs, (c1.members, c2.members, e, e1))
+    return EliminationReport(True, pairs)
 
 
 def chromatic_by_deepening(m, max_n=None):

@@ -2,6 +2,8 @@ import pytest
 
 from matroidkit import (
     GroundSetError,
+    Matroid,
+    MatroidError,
     circuits,
     contract,
     contracted_rank_by_minimization,
@@ -12,7 +14,9 @@ from matroidkit import (
 )
 from matroidkit.catalog import theta, triangle
 
-from conftest import powerset
+from matroidkit.core import bits, set_literal
+
+from conftest import contract_by_oracle, perturbed_tables, powerset
 
 
 def test_contract_u24_is_u13():
@@ -89,3 +93,41 @@ def test_independence_transfer(suite6):
                 lhs = mc.is_independent(xs)
                 rhs = all(m.is_independent(old | y) for y in indep_z)
                 assert lhs == rhs, m.name
+
+
+def _table_outcome(m):
+    try:
+        return m.mask_table()
+    except MatroidError as e:
+        return str(e)
+
+
+def test_contraction_table_equals_its_oracle_on_non_matroids():
+    # the table is read in one pass from the parent's ranks; it must equal
+    # the contraction's oracle asked mask by mask, and refuse the first
+    # negative rank in mask order with the oracle route's message
+    seen = set()
+    for label, n, table in perturbed_tables(seed=7, per_base=6):
+        parent = Matroid(n, table.__getitem__)
+        for z in range(1 << n):
+            mc = contract(parent, bits(z))
+            oracle = contract_by_oracle(parent, bits(z))
+            got = _table_outcome(mc)
+            assert got == _table_outcome(oracle), (label, z)
+            assert mc.name == f"{parent.name}/{set_literal(bits(z))}"
+            seen.add(type(got))
+    assert seen == {list, str}
+    bad = Matroid(3, [0, 1, 1, 2, 1, 2, 0, 2].__getitem__)
+    assert _table_outcome(contract(bad, [2])) == "oracle returned -1 for {1}"
+
+
+def test_contraction_oracle_answers_before_its_table():
+    # a rank asked before the table exists is one call to the parent
+    calls = []
+    parent = Matroid(4, lambda a: calls.append(a) or min(a.bit_count(), 2))
+    mc = contract(parent, [1])
+    assert calls == [0b0010]
+    assert mc.rank_of_mask(0b101) == 1  # new ids 0 and 2 are 0 and 3
+    assert calls[1:] == [0b1011]
+    assert mc.mask_table() == [0, 1, 1, 1, 1, 1, 1, 1]
+    assert calls[2:] == [0b0010 | a for a in (0, 1, 4, 5, 8, 9, 12, 13)]

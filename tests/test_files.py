@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from matroidkit import AxiomError, MatroidError, contract, from_table, tabulate, uniform
+from matroidkit import core, files
 from matroidkit.catalog import desk_suite
 from matroidkit.files import (
     ParseError,
@@ -151,3 +152,61 @@ def test_listing_roundtrip():
     text = serialize_listing(lists)
     assert text == "list 0 : p q\nlist 1 : r\n"
     assert parse_listing_text(text, n=2) == lists
+
+
+def _table_outcome(text):
+    try:
+        m = parse_matroid_text(text)
+    except MatroidError as e:
+        return type(e).__name__, str(e)
+    return m.n, m.mask_table()
+
+
+def _table_text(n, ranks, replace=None, before_n=()):
+    """A table file of n elements in canonical order, with literal tokens
+    swapped as ``replace`` says and rank lines put before the ``n`` line."""
+    literals = {a: "{" + ",".join(str(x) for x in range(n) if a >> x & 1) + "}" for a in ranks}
+    body = [f"rank {literals[a]} {ranks[a]}" for a in sorted(ranks, key=lambda a: (a.bit_count(), literals[a]))]
+    for old, new in (replace or {}).items():
+        body = [line.replace(f"rank {old} ", f"rank {new} ") for line in body]
+    head = [line for line in body if line.split()[1] in before_n]
+    body = [line for line in body if line not in head]
+    return "\n".join(["matroid table", *head, f"n {n}", *body]) + "\n"
+
+
+def test_canonical_literal_lookup_changes_no_parse_outcome(monkeypatch):
+    # each file must parse to the same ranks, or fail with the same text,
+    # with the lookup as with every literal through parse_subset_literal
+    u42 = dict(enumerate(uniform(4, 2).mask_table()))
+    u13 = dict(enumerate(uniform(13, 1).mask_table()))
+    texts = [
+        _table_text(4, u42),
+        _table_text(4, u42, {"{0,1}": "{1,0}"}),
+        _table_text(4, u42, {"{0,1}": "{0,0}"}),
+        _table_text(4, u42, {"{0,1}": "{00,1}"}),
+        _table_text(4, u42, {"{0,1}": "{0,5}"}),
+        _table_text(4, u42, {"{0,1}": "{ 0,1 }"}),
+        _table_text(4, u42, before_n=("{}", "{0}")),
+        _table_text(4, u42, before_n=("{1,0}",), replace={"{0,1}": "{1,0}"}),
+        _table_text(4, u42) + "rank {0,2} 2\n",
+        _table_text(4, u42) + "rank {0,02} 2\n",
+        _table_text(13, u13),
+        _table_text(13, u13, {"{3,4}": "{4,3}"}),
+    ]
+    with_lookup = [_table_outcome(text) for text in texts]
+    monkeypatch.setattr(files, "_subset_by_literal", lambda n: {})
+    assert [_table_outcome(text) for text in texts] == with_lookup
+    assert with_lookup[0] == (4, uniform(4, 2).mask_table())
+    assert with_lookup[10] == (13, uniform(13, 1).mask_table())
+    assert with_lookup[1] == (
+        "ParseError",
+        "line 8: subset literal must list distinct ids in ascending order: '{1,0}'",
+    )
+    assert [outcome[0] for outcome in with_lookup] == [
+        4, "ParseError", "ParseError", 4, "GroundSetError", "ParseError", 4, "ParseError",
+        "ParseError", "ParseError", 13, "ParseError",
+    ]
+
+
+def test_member_tuples_by_byte_lookup():
+    assert core._members(range(1 << 16)) == [tuple(core.bits(a)) for a in range(1 << 16)]

@@ -2,13 +2,40 @@ import ast
 import random
 from collections import Counter
 
-from matroidkit import Matroid, MatroidError, OrderedBase, anchor_classes, run_lemma_battery, uniform
+from matroidkit import (
+    Matroid,
+    MatroidError,
+    OrderedBase,
+    anchor_classes,
+    check_circuit_elimination,
+    graphic,
+    run_lemma_battery,
+    uniform,
+)
 from matroidkit import lemmas
 from matroidkit.core import bits
 from matroidkit.files import parse_subset_literal
-from matroidkit.lemmas import BATTERY, check_anchor_repetition
+from matroidkit.lemmas import (
+    BATTERY,
+    check_anchor_repetition,
+    check_closure_routes_agree,
+    check_contraction_is_matroid,
+    check_contraction_loop_free,
+    check_fitting_common,
+    check_fitting_monotone,
+)
 
-from conftest import anchor_repetition_by_sweep, perturbed_tables, random_matroid
+from conftest import (
+    anchor_repetition_by_sweep,
+    circuit_elimination_by_circuits,
+    closure_routes_by_intersection,
+    contraction_is_matroid_by_oracle,
+    contraction_loop_free_by_is_closed,
+    fitting_common_by_combinations,
+    fitting_monotone_by_sweep,
+    perturbed_tables,
+    random_matroid,
+)
 
 
 def test_battery_keys_and_order():
@@ -141,3 +168,77 @@ def test_anchor_repetition_builds_one_decomposition_per_base(monkeypatch):
         built.clear()
         assert check_anchor_repetition(m).status == "pass"
         assert len(built) == bases, m.name
+
+
+_MASK_CHECKS = (
+    (check_closure_routes_agree, closure_routes_by_intersection),
+    (check_fitting_monotone, fitting_monotone_by_sweep),
+    (check_fitting_common, fitting_common_by_combinations),
+    (check_contraction_is_matroid, contraction_is_matroid_by_oracle),
+    (check_contraction_loop_free, contraction_loop_free_by_is_closed),
+    (check_circuit_elimination, circuit_elimination_by_circuits),
+)
+
+
+def _mask_check_inputs(suite6):
+    """(label, make) pairs; make() gives a matroid with no rank cached yet
+    when its oracle may fault, so each run meets the faults afresh."""
+    for m in suite6:
+        yield m.name, lambda m=m: m
+    rng = random.Random(27)
+    for kind in ("uniform", "graphic", "gf2", "gf3"):
+        for n in range(1, 8):
+            for _ in range(2):
+                m = random_matroid(rng, kind, n)
+                yield m.name, lambda m=m: m
+    for seed in (4, 5, 6):
+        for label, n, table in perturbed_tables(seed=seed, per_base=10):
+            yield label, lambda n=n, t=table: Matroid(n, t.__getitem__)
+    bases = (uniform(3, 2), uniform(4, 1), graphic([(0, "a", "b"), (1, "b", "c"), (2, "a", "c"), (3, "c", "d")]))
+    for base in bases:
+        full = (1 << base.n) - 1
+        for bad in (-1, True, 1.5):
+            for mask in sorted({0, 1, 3, 5, full}):
+                table = list(base.mask_table())
+                table[mask] = bad
+                yield f"{base.name} {bad!r} at {mask}", lambda b=base, t=table: Matroid(b.n, t.__getitem__)
+        # two faults: the message names the one a check meets first
+        for first, second in ((3, full), (full, 3), (5, 6), (6, 5)):
+            table = list(base.mask_table())
+            table[first], table[second] = -1, 1.5
+            label = f"{base.name} -1 at {first}, 1.5 at {second}"
+            yield label, lambda b=base, t=table: Matroid(b.n, t.__getitem__)
+
+
+def _result(check, m):
+    try:
+        return check(m)
+    except MatroidError as e:
+        return "abort", f"check aborted: {e}"
+
+
+def test_mask_checks_match_their_references(suite6):
+    # each check that keeps its subsets as masks gives what its reference
+    # sweep gives, on a matroid whose ranks are not yet cached (so oracle
+    # faults are met in the check's own order) and, as the battery runs
+    # it after L1, on the same matroid once its mask table is built
+    outcomes = Counter()
+    for label, make in _mask_check_inputs(suite6):
+        m = make()
+        try:
+            m.mask_table()
+        except MatroidError:
+            m = None
+        for check, reference in _MASK_CHECKS:
+            got = _result(check, make())
+            assert got == _result(reference, make()), (label, check.__name__, got)
+            if isinstance(got, tuple):
+                outcomes[check.__name__, "abort"] += 1
+            else:
+                outcomes[check.__name__, "pass" if got.ok else "fail"] += 1
+            if m is not None:
+                assert _result(check, m) == _result(reference, m), (label, check.__name__)
+    # every check passes on some input, fails on another and aborts on a third
+    assert set(outcomes) == {
+        (check.__name__, status) for check, _ in _MASK_CHECKS for status in ("pass", "fail", "abort")
+    }, outcomes

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 import matroidkit
 from matroidkit import BoundExceededError, Matroid, VectorSpec, graphic, linear
+from matroidkit.constructions import _row_basis
 from matroidkit.core import _walk_table, bits
 
 from conftest import _gf_rank
@@ -107,6 +108,28 @@ def test_linear_fold_over_thousands_of_elements_equals_gaussian_elimination():
     want = {mask: _gf_rank([vectors[i] for i in bits(mask)], 3) for mask in (everything, even)}
     assert want == {everything: 12, even: 5}
     assert {mask: m.rank_of_mask(mask) for mask in want} == want
+
+
+@pytest.mark.parametrize("p", (2, 3, 7))
+def test_row_basis_equals_gaussian_elimination_on_random_subsets(p):
+    # the elimination stops once every column holds a pivot, as with 2
+    # vectors at dimension 40; what it returns must still be a basis of
+    # the whole row space, which the table count reads
+    rng = random.Random(p)
+    for dim, n in ((40, 2), (40, 6), (3, 8), (5, 5), (12, 30)):
+        vecs = [tuple(rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(dim)) for _ in range(n)]
+        for _ in range(40):
+            subset = [v for v in vecs if rng.random() < 0.5] or vecs[:1]
+            rows = _row_basis(p, subset, dim)
+            matrix = [[v[j] for v in subset] for j in range(dim)]
+            rank = _gf_rank(matrix, p)
+            assert len(rows) == rank
+            assert all(row[next(j for j, a in enumerate(row) if a)] == 1 for row in rows)
+            assert _gf_rank(matrix + rows, p) == rank  # the rows lie in the row space
+        m = linear(VectorSpec(p, dim, tuple(vecs)))
+        assert [m.rank_of_mask(a) for a in range(1 << min(n, 8))] == [
+            _gf_rank([list(vecs[i]) for i in bits(a)], p) for a in range(1 << min(n, 8))
+        ]
 
 
 def test_linear_fold_deeper_than_the_recursion_limit():

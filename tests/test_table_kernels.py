@@ -13,6 +13,7 @@ mask-by-mask build, whatever sizes ran before it.  A matroid's rank image
 is converted from its own mask table.
 """
 
+import operator
 import random
 
 import pytest
@@ -30,7 +31,8 @@ from matroidkit import (
     validate_axioms,
 )
 from matroidkit import core
-from matroidkit.core import _RANK_CAP, _per_size, _rank_bytes, _zero_bytes, bits
+from matroidkit.core import _RANK_CAP, _per_size, _rank_bytes, _zero_bytes, bits, set_literal
+from matroidkit.files import parse_matroid_text, serialize_matroid
 
 from conftest import (
     _gf_rank,
@@ -238,6 +240,13 @@ def _fresh_byte_sets(n, key):
         return [frozenset(x for x in range(n) if a >> x & 1) for a in range(1 << n)]
     if key == "sizes":
         return int.from_bytes(bytes(a.bit_count() for a in range(1 << n)), "little")
+    if key == "literals":
+        return [set_literal(x for x in range(n) if a >> x & 1) for a in range(1 << n)]
+    if key == "by_literal":
+        return {
+            set_literal(x for x in range(n) if a >> x & 1): frozenset(x for x in range(n) if a >> x & 1)
+            for a in range(1 << n)
+        }
     empty = bytes(len(key))
     return [
         int.from_bytes(b"".join(empty if a >> x & 1 else key for a in range(1 << n)), "little")
@@ -274,6 +283,8 @@ def test_kernels_and_counts_agree_at_interleaved_sizes():
             ], m.name
             if n <= 12:
                 assert _agree(m).ok, m.name
+                frozen = parse_matroid_text(serialize_matroid(contract(m, ())))
+                assert frozen.mask_table() == table, m.name
                 if n <= 3:
                     assert validate_axioms(m) == first_violation(table, n), m.name
         if n == 16:
@@ -287,6 +298,12 @@ def test_kernels_and_counts_agree_at_interleaved_sizes():
     for n, built in core._BY_SIZE.items():
         for key, value in built.items():
             assert value == _fresh_byte_sets(n, key), (n, key)
+        if "by_literal" in built:
+            # the parser's keys are the pool's own subsets
+            assert all(map(operator.is_, built["by_literal"].values(), built["subsets"])), n
     for n in (0, 3, 12, 16):
         assert {"ones", "high", "sizes", b"\x01", b"\x80"} <= core._BY_SIZE[n].keys(), n
+    for n in (0, 3, 12):
+        assert {"subsets", "literals", "by_literal"} <= core._BY_SIZE[n].keys(), n
+    assert not {"subsets", "literals", "by_literal"} & core._BY_SIZE[16].keys()
     assert b"\xff" in core._BY_SIZE[12] and b"\xff\xff" in core._BY_SIZE[16]
