@@ -14,6 +14,7 @@ from .core import (
     _bad_rank,
     _count_table,
     _refuse_above,
+    _sized_subset_pool,
     _subset_pool,
     _walk_table,
     bits,
@@ -273,12 +274,13 @@ class TableSpec:
     Every key must be a frozenset, and a subset of range(n) whose ids
     are ints: an id that only equals one (``True``, ``1.0``) is refused,
     as everywhere else.  A table keyed by :func:`tabulate`'s own subset
-    objects, every one in mask order (see ``core._subset_pool``), is
-    accepted by one identity test per key.  Any other table has its
-    keys' types checked in one pass, then its keys by one subset test
-    each and its ids by one pass over their types, all in C; if one
-    fails, the first bad key in the dict's order is named, before a
-    short table is.
+    objects, every one, in mask order (see ``core._subset_pool``) or in
+    the (size, lex) order in which a parsed table file holds them (see
+    ``core._sized_subset_pool``), is accepted by one identity test per
+    key.  Any other table has its keys' types checked in one pass, then
+    its keys by one subset test each and its ids by one pass over their
+    types, all in C; if one fails, the first bad key in the dict's order
+    is named, before a short table is.
     """
 
     n: int
@@ -294,7 +296,10 @@ class TableSpec:
         if (
             pool is not None
             and len(self.ranks) == len(pool)
-            and all(map(operator.is_, self.ranks, pool))
+            and (
+                all(map(operator.is_, self.ranks, pool))
+                or all(map(operator.is_, self.ranks, _sized_subset_pool(self.n)))
+            )
         ):
             return
         if not _FROZENSET.issuperset(map(type, self.ranks)):

@@ -323,8 +323,8 @@ def _submodularity(table: list[int], a: int, b: int) -> AxiomReport:
 # (:func:`_per_size`).  The kernels run on mask tables only, so n is at
 # most VALIDATION_BOUND, and every size up to 16 together keeps at most
 # 10 MB of byte sets; the frozensets and the texts are kept up to
-# _SUBSET_POOL_BOUND, 4.8 and 0.8 MB over every size up to 12
-# (tracemalloc).
+# _SUBSET_POOL_BOUND, 4.8 and 0.8 MB over every size up to 12, and the
+# frozensets' (size, lex) order 0.07 MB (tracemalloc).
 
 _RANK_CAP = 126
 _CAPPED = bytes(min(b, _RANK_CAP) for b in range(256))  # bytes.translate table
@@ -390,13 +390,14 @@ def _per_size(n: int, key: str | bytes):
     ``"ones"``: every mask of range(n).  ``"high"``: byte a holds 0x80
     for every mask.  ``"sizes"``: byte a holds |a|.  ``"subsets"``: the
     list of ``frozenset(bits(a))`` in mask order, read through
-    :func:`_subset_pool` only.  ``"literals"``: the list of
-    ``set_literal(bits(a))`` in mask order, and ``"by_literal"``: the
-    dict from each of those texts to its subset in ``"subsets"``, read
-    through :func:`_subset_literals` and :func:`_subset_by_literal`
-    only.  A lane (``b"\\x01"``, ``b"\\x80"``,
-    ``b"\\xff"``, ``b"\\xff\\xff"``): the list of :func:`_without`
-    ``(n, x, lane)`` for each x in range(n).
+    :func:`_subset_pool` only, and ``"sized subsets"``: the same objects
+    in (size, lex) order, read through :func:`_sized_subset_pool` only.
+    ``"literals"``: the list of ``set_literal(bits(a))`` in mask order,
+    and ``"by_literal"``: the dict from each of those texts to its
+    subset in ``"subsets"``, read through :func:`_subset_literals` and
+    :func:`_subset_by_literal` only.  A lane (``b"\\x01"``,
+    ``b"\\x80"``, ``b"\\xff"``, ``b"\\xff\\xff"``): the list of
+    :func:`_without` ``(n, x, lane)`` for each x in range(n).
     """
     built = _BY_SIZE.setdefault(n, {})
     value = built.get(key)
@@ -410,6 +411,8 @@ def _per_size(n: int, key: str | bytes):
             value = n * _per_size(n, "ones") - sum(_per_size(n, b"\x01"))
         elif key == "subsets":
             value = list(map(frozenset, map(bits, range(1 << n))))
+        elif key == "sized subsets":
+            value = list(map(_per_size(n, "subsets").__getitem__, _subsets_by_size((1 << n) - 1)))
         elif key == "literals":
             value = _literal_texts(n)
         elif key == "by_literal":
@@ -430,6 +433,17 @@ def _subset_pool(n: int) -> list[frozenset[int]] | None:
     built per call would cost more than it saves.
     """
     return _per_size(n, "subsets") if n <= _SUBSET_POOL_BOUND else None
+
+
+def _sized_subset_pool(n: int) -> list[frozenset[int]] | None:
+    """The subset pool's own frozensets in (size, lex) order, or None above its bound.
+
+    That is the order in which ``serialize_matroid`` writes a table's
+    lines, so a table file parsed up to the bound is keyed by these very
+    objects, in this order, and ``TableSpec`` accepts it by one identity
+    test per key.
+    """
+    return _per_size(n, "sized subsets") if n <= _SUBSET_POOL_BOUND else None
 
 
 def _literal_texts(n: int) -> list[str]:

@@ -13,16 +13,17 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .bases import OrderedBase, _circuit_base_part, all_bases, anchor_classes, is_base
-from .closure import _closed_masks, _is_closed_mask
-from .closure import closure as closure_of
+from .bases import OrderedBase, _circuit_base_part, _is_base_mask, all_bases, anchor_classes
+from .closure import _closed_masks, _closure_mask, _is_closed_mask
 from .coloring import chromatic_number, distinct_color_fallback, is_proper
-from .contraction import contract
 from .core import (
     LoopError,
     Matroid,
     MatroidError,
+    _bad_rank,
     _circuit_masks,
+    _is_rank_function,
+    _rank_bytes,
     _sub_masks,
     _subsets_by_size,
     bits,
@@ -36,10 +37,11 @@ from .core import (
 
 LEMMA_BOUND = 8
 # max_n may lift LEMMA_BOUND up to here, never past it.  The battery on
-# uniform(9, 7) takes 0.26-0.42 s, L10ab about half of it, and at n = 10
-# it takes about 5 s (uniform(10, 5)), 3.2-3.5 s of it in L2a and L2b's
-# scans of circuit pairs and 1.1-1.4 s in L10ab (2-vCPU x86-64 guest,
-# Python 3.11)
+# uniform(9, 7) takes 0.25-0.44 s, and on a 9-edge graph (K4 plus a
+# vertex joined to three of its vertices) 0.30-0.47 s, L10ab half or
+# more of it; at n = 10 it takes about 5 s (uniform(10, 5)), 3.2-3.5 s
+# of it in L2a and L2b's scans of circuit pairs and 1.1-1.4 s in L10ab
+# (2-vCPU x86-64 guest, Python 3.11)
 LEMMA_N_CEILING = 9
 
 
@@ -187,11 +189,16 @@ def check_closed_intersection(m: Matroid) -> LemmaResult:
 
 
 def check_closure_minimality(m: Matroid) -> LemmaResult:
+    """L7abc: closure(X) lies in every closed superset of X, and closure is
+    monotone and idempotent.
+
+    The closed sets are listed first; then each mask's closure is taken
+    by ``_closure_mask``, in mask order, with the rank reads ``closure``
+    makes, and kept as a mask.
+    """
     key, title = "L7abc", "closure is the least closed superset, monotone, idempotent"
     closed = _closed_masks(m)
-    sig = {}
-    for x in range(1 << m.n):
-        sig[x] = mask_of(closure_of(m, bits(x)))
+    sig = [_closure_mask(m, x) for x in range(1 << m.n)]
     for x in range(1 << m.n):
         for z in closed:
             if x & ~z == 0 and sig[x] & ~z != 0:
@@ -218,10 +225,12 @@ def check_closure_routes_agree(m: Matroid) -> LemmaResult:
     ``closure_by_intersection`` makes for X = {}, and they reach every
     mask.  The meet of X's closed supersets is X itself if X is closed,
     else the meet over X + y, y outside X, read from the masks above X.
+    Each closure is a mask from ``_closure_mask``, which reads the ranks
+    that ``closure`` reads, in its order.
     """
     key, title = "L8", "flat-extension closure equals intersection of closed supersets"
     full = (1 << m.n) - 1
-    first = closure_of(m, ())
+    first = _closure_mask(m, 0)
     closed = [_is_closed_mask(m, z) for z in range(full + 1)]
     meet = [0] * (full + 1)
     for x in range(full, -1, -1):  # the whole set is closed, so every X has a closed superset
@@ -233,18 +242,20 @@ def check_closure_routes_agree(m: Matroid) -> LemmaResult:
                 acc &= meet[x | 1 << y]
             meet[x] = acc
     for x in range(full + 1):
-        fast = closure_of(m, bits(x)) if x else first
-        slow = tuple(bits(meet[x]))
+        fast, slow = _closure_mask(m, x) if x else first, meet[x]
         if fast != slow:
             return _fail(
                 key,
                 title,
-                f"X={set_literal(bits(x))}: {set_literal(fast)} vs {set_literal(slow)}",
+                f"X={set_literal(bits(x))}: {set_literal(bits(fast))} vs {set_literal(bits(slow))}",
             )
     return _ok(key, title)
 
 
 def check_base_characterization(m: Matroid) -> LemmaResult:
+    """L9: B is a maximal independent set iff B is independent and its
+    closure is the ground set; the latter is ``is_base``'s test, made on
+    the mask by ``_is_base_mask``."""
     key, title = "L9", "bases are exactly the independent sets with full closure"
     t = m.mask_table()
     for b in range(1 << m.n):
@@ -253,7 +264,7 @@ def check_base_characterization(m: Matroid) -> LemmaResult:
         maximal = indep and all(
             t[b | 1 << x] == size for x in range(m.n) if not b >> x & 1
         )
-        via_closure = is_base(m, bits(b))
+        via_closure = _is_base_mask(m, b)
         if maximal != via_closure:
             return _fail(key, title, f"B={set_literal(bits(b))}")
     return _ok(key, title)
@@ -321,18 +332,49 @@ def check_fitting_common(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
+def _contracted_axioms(t: list[int], n: int, z: int):
+    """The axiom report of M/Z, read from M's mask table t, with no matroid built.
+
+    The ranks r(Z u A) - r(Z) are listed in mask order of A over the
+    kept ids, by doubling; the first negative one is refused as a
+    contraction's oracle would refuse it, in the contracted ids.
+    """
+    parents = [z]
+    for x in range(n):
+        if not z >> x & 1:
+            bit = 1 << x
+            parents += [p | bit for p in parents]
+    rz = t[z]
+    ranks = [t[p] - rz for p in parents]
+    for a, r in enumerate(ranks):
+        if r < 0:
+            raise _bad_rank(r, a)
+    return _is_rank_function(ranks, _rank_bytes(ranks), n - z.bit_count())
+
+
 def check_contraction_is_matroid(m: Matroid) -> LemmaResult:
+    """L11: for every Z, r(A u Z) - r(Z) <= r(A) for A outside Z, and M/Z is
+    a matroid.
+
+    M/Z's unit-increase tests are M's at the masks that hold Z, and its
+    empty set has rank 0, so when M passes :func:`validate_axioms` every
+    contraction passes too: M's one pass stands for all of them.  Only
+    when it fails is each M/Z validated, after Z's sweep, on its rank
+    list read from M's table.
+    """
     key, title = "L11", "contraction never raises rank and is a matroid"
     t = m.mask_table()
     full = (1 << m.n) - 1
+    contractions_hold = validate_axioms(m).ok
     for z in range(1 << m.n):
-        mc = contract(m, bits(z))
         for a in _sub_masks(full & ~z):
             if t[a | z] - t[z] > t[a]:
                 return _fail(
                     key, title, f"Z={set_literal(bits(z))} A={set_literal(bits(a))}"
                 )
-        report = validate_axioms(mc)
+        if contractions_hold:
+            continue
+        report = _contracted_axioms(t, m.n, z)
         if not report.ok:
             return _fail(key, title, f"Z={set_literal(bits(z))}: {report.describe()}")
     return _ok(key, title)
@@ -355,10 +397,33 @@ def check_contraction_independence(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
+def _contraction_loop_free(m: Matroid, z: int) -> bool:
+    """True iff M/Z has no loop: r(Z + x) - r(Z) = 1 for every x outside Z.
+
+    The reads are those of ``is_loop_free(contract(m, z))``: r(Z), then
+    each kept x in ascending order until a gain is not 1.  A negative
+    gain is refused as the contraction's oracle refuses it, at the
+    singleton of x's contracted id.
+    """
+    rz = m.rank_of_mask(z)
+    kept = (x for x in range(m.n) if not z >> x & 1)
+    for i, x in enumerate(kept):
+        gain = m.rank_of_mask(z | 1 << x) - rz
+        if gain < 0:
+            raise _bad_rank(gain, 1 << i)
+        if gain != 1:
+            return False
+    return True
+
+
 def check_contraction_loop_free(m: Matroid) -> LemmaResult:
+    """L13: M/Z is loop-free iff Z is closed, for every Z.
+
+    Both sides are read by rank on the mask, with no contraction built.
+    """
     key, title = "L13", "contraction is loop-free iff the contracted set is closed"
     for z in range(1 << m.n):
-        if is_loop_free(contract(m, bits(z))) != _is_closed_mask(m, z):
+        if _contraction_loop_free(m, z) != _is_closed_mask(m, z):
             return _fail(key, title, f"Z={set_literal(bits(z))}")
     return _ok(key, title)
 

@@ -377,6 +377,32 @@ def anchor_repetition_by_sweep(m):
 # the same (status, detail), abort text included, as its reference.
 
 
+def closure_minimality_by_closure(m):
+    """L7abc with each closure taken by ``closure`` on an id tuple, kept in a dict."""
+    key, title = "L7abc", "closure is the least closed superset, monotone, idempotent"
+    by_size = sorted(range(1 << m.n), key=lambda z: (z.bit_count(), tuple(bits(z))))
+    closed = [z for z in by_size if is_closed(m, bits(z))]
+    sig = {}
+    for x in range(1 << m.n):
+        sig[x] = mask_of(closure(m, bits(x)))
+    for x in range(1 << m.n):
+        for z in closed:
+            if x & ~z == 0 and sig[x] & ~z != 0:
+                return _fail(
+                    key, title, f"closure({set_literal(bits(x))}) exceeds a closed superset"
+                )
+    for y in range(1 << m.n):
+        for x in _sub_masks(y):
+            if sig[x] & ~sig[y] != 0:
+                return _fail(
+                    key, title, f"not monotone at {set_literal(bits(x))} <= {set_literal(bits(y))}"
+                )
+    for x in range(1 << m.n):
+        if sig[sig[x]] != sig[x]:
+            return _fail(key, title, f"not idempotent at {set_literal(bits(x))}")
+    return _ok(key, title)
+
+
 def closure_routes_by_intersection(m):
     """L8 with each X's closed supersets swept by ``closure_by_intersection``."""
     key, title = "L8", "flat-extension closure equals intersection of closed supersets"

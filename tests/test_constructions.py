@@ -20,7 +20,7 @@ from matroidkit import (
     uniform,
     validate_axioms,
 )
-from matroidkit import core
+from matroidkit import constructions, core
 from matroidkit.catalog import desk_suite, triangle
 from matroidkit.core import bits, mask_of
 from matroidkit.files import parse_matroid_text, serialize_matroid
@@ -313,6 +313,46 @@ def test_table_spec_checks_keys_that_are_not_its_own_as_before(n):
     kept = "subsets" in core._BY_SIZE.get(n, {})
     assert kept == (n <= core._SUBSET_POOL_BOUND)
     assert all(map(operator.is_, spec.ranks, tabulate(src).ranks)) == kept
+
+
+class _CountingTypes:
+    """Stands in for ``constructions._FROZENSET``: counts the full key checks."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def issuperset(self, types):
+        self.calls += 1
+        return frozenset({frozenset}).issuperset(types)
+
+
+@pytest.mark.parametrize("n", [3, 9, core._SUBSET_POOL_BOUND, core._SUBSET_POOL_BOUND + 1])
+def test_table_spec_accepts_a_parsed_files_keys_by_identity(n, monkeypatch):
+    # a table file lists its subsets in (size, lex) order, and up to the
+    # pool's bound the parser keys them by the pool's own frozensets, so
+    # they pass by one identity test each; any other order or key takes
+    # the full checks, with the same outcome
+    src = linear(VectorSpec(3, 3, tuple((i % 3, i // 3 % 3, 1) for i in range(n))))
+    text = serialize_matroid(from_table(tabulate(src)))
+    lines = text.splitlines()
+    checks = _CountingTypes()
+    monkeypatch.setattr(constructions, "_FROZENSET", checks)
+    parsed = parse_matroid_text(text)
+    assert parsed.mask_table() == src.mask_table()
+    assert checks.calls == (n > core._SUBSET_POOL_BOUND)
+    ranks = parsed.spec.ranks
+    assert [mask_of(key) for key in ranks] == core._subsets_by_size((1 << n) - 1)
+    reversed_text = "\n".join([*lines[:2], *reversed(lines[2:])]) + "\n"
+    reordered, fresh, impostor = _variants(ranks)
+    checks.calls = 0
+    assert parse_matroid_text(reversed_text).mask_table() == src.mask_table()
+    for variant in (reordered, fresh):
+        assert from_table(TableSpec(n, variant)).mask_table() == src.mask_table()
+    assert checks.calls == 3
+    assert _refusal(n, impostor) == f"subset {{True}} outside ground set (n={n})"
+    short = dict(itertools.islice(ranks.items(), len(ranks) - 1))
+    missing = f"rank table incomplete: {(1 << n) - 1} of {1 << n} subsets (1 missing)"
+    assert _refusal(n, short) == missing
 
 
 def test_table_spec_names_a_missing_or_foreign_key_among_its_own_keys():

@@ -8,16 +8,19 @@ from matroidkit import (
     OrderedBase,
     anchor_classes,
     check_circuit_elimination,
+    closure,
     graphic,
     run_lemma_battery,
     uniform,
 )
 from matroidkit import lemmas
-from matroidkit.core import bits
+from matroidkit.closure import _closure_mask
+from matroidkit.core import bits, mask_of
 from matroidkit.files import parse_subset_literal
 from matroidkit.lemmas import (
     BATTERY,
     check_anchor_repetition,
+    check_closure_minimality,
     check_closure_routes_agree,
     check_contraction_is_matroid,
     check_contraction_loop_free,
@@ -28,6 +31,7 @@ from matroidkit.lemmas import (
 from conftest import (
     anchor_repetition_by_sweep,
     circuit_elimination_by_circuits,
+    closure_minimality_by_closure,
     closure_routes_by_intersection,
     contraction_is_matroid_by_oracle,
     contraction_loop_free_by_is_closed,
@@ -171,6 +175,7 @@ def test_anchor_repetition_builds_one_decomposition_per_base(monkeypatch):
 
 
 _MASK_CHECKS = (
+    (check_closure_minimality, closure_minimality_by_closure),
     (check_closure_routes_agree, closure_routes_by_intersection),
     (check_fitting_monotone, fitting_monotone_by_sweep),
     (check_fitting_common, fitting_common_by_combinations),
@@ -194,6 +199,11 @@ def _mask_check_inputs(suite6):
     for seed in (4, 5, 6):
         for label, n, table in perturbed_tables(seed=seed, per_base=10):
             yield label, lambda n=n, t=table: Matroid(n, t.__getitem__)
+    yield from _faulting_tables()
+
+
+def _faulting_tables():
+    """(label, make) pairs for matroid tables with -1, True or 1.5 at one or two masks."""
     bases = (uniform(3, 2), uniform(4, 1), graphic([(0, "a", "b"), (1, "b", "c"), (2, "a", "c"), (3, "c", "d")]))
     for base in bases:
         full = (1 << base.n) - 1
@@ -242,3 +252,45 @@ def test_mask_checks_match_their_references(suite6):
     assert set(outcomes) == {
         (check.__name__, status) for check, _ in _MASK_CHECKS for status in ("pass", "fail", "abort")
     }, outcomes
+
+
+_REFERENCES = {
+    "L7abc": closure_minimality_by_closure,
+    "L8": closure_routes_by_intersection,
+    "L11": contraction_is_matroid_by_oracle,
+    "L13": contraction_loop_free_by_is_closed,
+}
+
+
+def test_battery_matches_the_battery_of_references(suite6, monkeypatch):
+    # the whole battery, with each mask check swapped for its reference
+    # (L10a and L10b inside L10ab), gives the same list: the checks before
+    # and after a mask check see the matroid as the reference leaves it
+    inputs = list(_mask_check_inputs(suite6))
+    got = [run_lemma_battery(make()) for _, make in inputs]
+    monkeypatch.setattr(lemmas, "BATTERY", tuple((key, _REFERENCES.get(key, fn)) for key, fn in BATTERY))
+    monkeypatch.setattr(lemmas, "check_fitting_monotone", fitting_monotone_by_sweep)
+    monkeypatch.setattr(lemmas, "check_fitting_common", fitting_common_by_combinations)
+    outcomes = Counter()
+    for (label, make), results in zip(inputs, got):
+        assert run_lemma_battery(make()) == results, label
+        for r in results:
+            if r.key in _REFERENCES or r.key == "L10ab":
+                outcomes[r.key, "abort" if r.detail.startswith("check aborted: ") else r.status] += 1
+    assert set(outcomes) == {
+        (key, status) for key in (*_REFERENCES, "L10ab") for status in ("pass", "fail", "abort")
+    }, outcomes
+
+
+def test_closure_mask_reads_as_closure(suite6):
+    for m in suite6:
+        for x in range(1 << m.n):
+            assert _closure_mask(m, x) == mask_of(closure(m, bits(x))), (m.name, x)
+    aborted = 0
+    for label, make in _faulting_tables():
+        for x in range(1 << make().n):
+            got = _result(lambda m: _closure_mask(m, x), make())
+            want = _result(lambda m: mask_of(closure(m, bits(x))), make())
+            assert got == want, (label, x)
+            aborted += isinstance(got, tuple)
+    assert aborted > 0

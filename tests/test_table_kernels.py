@@ -13,6 +13,7 @@ mask-by-mask build, whatever sizes ran before it.  A matroid's rank image
 is converted from its own mask table.
 """
 
+import itertools
 import operator
 import random
 
@@ -238,6 +239,8 @@ def _fresh_byte_sets(n, key):
         return int.from_bytes(bytes(0x80 for _ in range(1 << n)), "little")
     if key == "subsets":
         return [frozenset(x for x in range(n) if a >> x & 1) for a in range(1 << n)]
+    if key == "sized subsets":
+        return [frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(n), size)]
     if key == "sizes":
         return int.from_bytes(bytes(a.bit_count() for a in range(1 << n)), "little")
     if key == "literals":
@@ -301,9 +304,15 @@ def test_kernels_and_counts_agree_at_interleaved_sizes():
         if "by_literal" in built:
             # the parser's keys are the pool's own subsets
             assert all(map(operator.is_, built["by_literal"].values(), built["subsets"])), n
+        if "sized subsets" in built:
+            # and so are the keys of a parsed file, in the file's order
+            assert set(map(id, built["sized subsets"])) == set(map(id, built["subsets"])), n
     for n in (0, 3, 12, 16):
         assert {"ones", "high", "sizes", b"\x01", b"\x80"} <= core._BY_SIZE[n].keys(), n
     for n in (0, 3, 12):
         assert {"subsets", "literals", "by_literal"} <= core._BY_SIZE[n].keys(), n
-    assert not {"subsets", "literals", "by_literal"} & core._BY_SIZE[16].keys()
+    for n in (3, 12):
+        # a file lists its keys out of mask order from n = 3 on
+        assert "sized subsets" in core._BY_SIZE[n], n
+    assert not {"subsets", "sized subsets", "literals", "by_literal"} & core._BY_SIZE[16].keys()
     assert b"\xff" in core._BY_SIZE[12] and b"\xff\xff" in core._BY_SIZE[16]
