@@ -135,7 +135,9 @@ def anchor_classes(m: Matroid, b: OrderedBase) -> AnchorDecomposition:
 
     Requires a loop-free matroid; the classes partition the ground set
     with one fiber per base element.  Loops and the base are checked
-    once; each outside element's anchor is then read by swap tests.  The
+    once; each outside element's anchor is then read by swap tests, in
+    ascending id order, base membership by one bit test of the base's
+    mask.  The fibers are gathered in one pass over the anchor map.  The
     matroid caches only its last decomposition, keyed by base sequence.
     """
     last = m._anchor_cache
@@ -145,8 +147,12 @@ def anchor_classes(m: Matroid, b: OrderedBase) -> AnchorDecomposition:
     if lp:
         raise LoopError(f"anchor classes undefined: loops {set_literal(lp)}")
     _require_base(m, b)
-    mapping = {x: x if x in b else _top_swap(m, b, x) for x in range(m.n)}
-    classes = {e: tuple(x for x, a in mapping.items() if a == e) for e in b}
+    bmask = mask_of(b.elements)
+    mapping = {x: x if bmask >> x & 1 else _top_swap(m, b, x) for x in range(m.n)}
+    fibers: dict[int, list[int]] = {e: [] for e in b}
+    for x, a in mapping.items():
+        fibers[a].append(x)
+    classes = {e: tuple(xs) for e, xs in fibers.items()}
     decomp = AnchorDecomposition(b, mapping, classes)
     m._anchor_cache = decomp
     return decomp

@@ -49,11 +49,16 @@ def _check_total(m: Matroid, mapping, kind: str):
     """Refuse a mapping whose keys are not exactly the ids range(m.n).
 
     n distinct int keys in range(n) are exactly range(n), so the common
-    case is one pass; the two-set diagnosis is built only on failure.
+    case is accepted by one plain loop over the keys, with no generator
+    or set built; any other mapping gets the two-set diagnosis.
     """
     n = m.n
-    if len(mapping) == n and all(type(x) is int and 0 <= x < n for x in mapping):
-        return
+    if len(mapping) == n:
+        for x in mapping:
+            if type(x) is not int or not 0 <= x < n:
+                break
+        else:
+            return
     keys = set(mapping)
     want = set(range(n))
     if keys != want:
@@ -78,8 +83,13 @@ def _class_masks(m: Matroid, phi) -> list[int]:
 
 
 def is_proper(m: Matroid, phi) -> bool:
-    """True iff every color class of the (total) coloring is independent."""
-    return all(m.rank_of_mask(cls) == cls.bit_count() for cls in _class_masks(m, phi))
+    """True iff every color class of the (total) coloring is independent.
+
+    The ids are checked and the class masks built in one pass each; their
+    independence is one :meth:`Matroid._all_independent` call, a table
+    read per class once the table is built, else a rank call per class.
+    """
+    return m._all_independent(_class_masks(m, phi))
 
 
 def find_monochromatic_circuit(m: Matroid, phi) -> Circuit | None:
@@ -281,7 +291,12 @@ def color_from_base(m: Matroid, b: OrderedBase, lists) -> dict:
     Within each anchor class, elements greedily take a list color unused
     by the class so far; injectivity inside every class is what makes the
     result proper (any circuit carries two elements with equal anchors).
-    Every element's list must be at least as large as its class.
+    Every element's list must be at least as large as its class, and must
+    hold a color its class has not used yet (ListDeficitError).  The color
+    class masks are built as the elements take their colors, and their
+    independence is checked by one :meth:`Matroid._all_independent` call;
+    a dependent class means the oracle is not a matroid (MatroidError).
+    The classes cover range(n), so the ids need no second check.
     """
     _check_total(m, lists, "listing")
     decomp = anchor_classes(m, b)
@@ -296,13 +311,25 @@ def color_from_base(m: Matroid, b: OrderedBase, lists) -> dict:
                     f"(short by {need - len(norm[x])})"
                 )
     phi: dict[int, object] = {}
+    masks: dict = {}
     for base_elem in b:
+        members = decomp.classes[base_elem]
         used = set()
-        for x in decomp.classes[base_elem]:
-            c = next(c for c in norm[x] if c not in used)
+        for x in members:
+            for c in norm[x]:
+                if c not in used:
+                    break
+            else:  # a repeated color passed the size check above
+                have = len(set(norm[x]))
+                raise ListDeficitError(
+                    f"class of base element {base_elem} has {len(members)} members but "
+                    f"element {x} lists only {have} distinct colors "
+                    f"(short by {len(members) - have})"
+                )
             phi[x] = c
             used.add(c)
-    if not is_proper(m, phi):
+            masks[c] = masks.get(c, 0) | 1 << x
+    if not m._all_independent(masks.values()):
         raise MatroidError("not a matroid: a class-injective coloring is not proper")
     return phi
 

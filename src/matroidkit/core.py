@@ -176,6 +176,22 @@ class Matroid:
             raise _bad_rank(r, mask)
         return r
 
+    def _all_independent(self, masks: Iterable[int]) -> bool:
+        """True iff r(c) = |c| for every mask c (unchecked), in order, stopping
+        at the first dependent one.
+
+        Reads each rank straight from the mask table once it is built;
+        before that each rank is one :meth:`rank_of_mask` call, with its
+        checks of the oracle's answer.  It never builds the table, so
+        it serves any n up to GROUND_SET_BOUND.
+        """
+        t = self._mask_table
+        rank = self.rank_of_mask if t is None else t.__getitem__
+        for c in masks:  # a plain loop: no generator per call
+            if rank(c) != c.bit_count():
+                return False
+        return True
+
     def mask_table(self) -> list[int]:
         """Rank of every subset, indexed by bitmask.  Built once, cached.
 

@@ -35,7 +35,13 @@ from matroidkit import (
     uniform,
     validate_axioms,
 )
-from matroidkit.coloring import CHROMATIC_BOUND, _first_list_coloring
+from matroidkit.bases import _top_swap
+from matroidkit.coloring import (
+    CHROMATIC_BOUND,
+    ListDeficitError,
+    _first_list_coloring,
+    _sorted_lists,
+)
 from matroidkit.core import (
     AxiomReport,
     Circuit,
@@ -722,6 +728,80 @@ def perturbed_tables(seed, per_base):
                 table = list(base)
                 table[mask] += delta
                 yield f"{kind} n={n} mask={mask} {delta:+d}", n, table
+
+
+# References for the base-driven coloring, written step by step: the ids
+# checked by one generator and a two-set diagnosis, the anchor classes
+# gathered per base element with no cache, the greedy colors picked by
+# next(), and properness re-checked on the finished coloring, its ids
+# checked again and each class read by rank_of_mask.  tests/test_coloring.py
+# asserts that the library gives the same value, or the same exception
+# type and text, on odd key sets, desk matroids and perturbed tables.
+
+
+def check_total_by_sets(m, mapping, kind):
+    """Refuse a mapping whose keys are not exactly range(m.n): a generator
+    over the keys, then on failure the missing and unknown ids by sets."""
+    n = m.n
+    if len(mapping) == n and all(type(x) is int and 0 <= x < n for x in mapping):
+        return
+    keys = set(mapping)
+    want = set(range(n))
+    if keys != want:
+        missing = sorted(want - keys)
+        extra = sorted(keys - want)
+        parts = []
+        if missing:
+            parts.append(f"missing {set_literal(missing)}")
+        if extra:
+            parts.append(f"unknown {extra}")
+        raise GroundSetError(f"{kind} must cover the ground set exactly: " + ", ".join(parts))
+    m._checked_mask(keys)
+
+
+def is_proper_by_ranks(m, phi):
+    """Every color class independent, each read by one rank_of_mask call."""
+    check_total_by_sets(m, phi, "coloring")
+    classes = {}
+    for x, c in phi.items():
+        classes[c] = classes.get(c, 0) | 1 << x
+    return all(m.rank_of_mask(cls) == cls.bit_count() for cls in classes.values())
+
+
+def color_from_base_by_steps(m, b, lists):
+    """The anchor-class coloring, each step on its own.
+
+    A list whose distinct colors run out inside its class raises
+    StopIteration here, from next(); the library raises ListDeficitError.
+    """
+    check_total_by_sets(m, lists, "listing")
+    lp = loops(m)
+    if lp:
+        raise LoopError(f"anchor classes undefined: loops {set_literal(lp)}")
+    if not is_base(m, b.elements):
+        raise GroundSetError(f"{set_literal(b.elements)} is not a base of {m.name}")
+    mapping = {x: x if x in b else _top_swap(m, b, x) for x in range(m.n)}
+    classes = {e: tuple(x for x, a in mapping.items() if a == e) for e in b}
+    norm = _sorted_lists(lists, range(m.n))
+    for base_elem, members in classes.items():
+        need = len(members)
+        for x in members:
+            if len(norm[x]) < need:
+                raise ListDeficitError(
+                    f"class of base element {base_elem} has {need} members but "
+                    f"element {x} lists only {len(norm[x])} colors "
+                    f"(short by {need - len(norm[x])})"
+                )
+    phi = {}
+    for base_elem in b:
+        used = set()
+        for x in classes[base_elem]:
+            c = next(c for c in norm[x] if c not in used)
+            phi[x] = c
+            used.add(c)
+    if not is_proper_by_ranks(m, phi):
+        raise MatroidError("not a matroid: a class-injective coloring is not proper")
+    return phi
 
 
 def brute_max_independent_size(m, subset):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from enum import IntEnum
 
 import pytest
 
@@ -19,6 +20,8 @@ from matroidkit import (
     distinct_color_fallback,
     extend_coloring,
     find_monochromatic_circuit,
+    graphic,
+    greedy_base,
     is_list_colorable,
     is_proper,
     list_chromatic_number,
@@ -32,7 +35,10 @@ from matroidkit.lemmas import check_flat_extension_count, check_flat_extension_d
 
 from conftest import (
     brute_list_colorings,
+    check_total_by_sets,
     chromatic_by_deepening,
+    color_from_base_by_steps,
+    is_proper_by_ranks,
     list_chromatic_by_sweep,
     list_colorings_by_recursion,
     perturbed_tables,
@@ -373,6 +379,218 @@ def test_color_from_base_all_ordered_bases(suite6):
                 phi = color_from_base(m, ob, lists)
                 assert is_proper(m, phi), m.name
                 assert all(phi[x] in lists[x] for x in range(m.n))
+
+
+def test_color_from_base_refuses_a_list_that_repeats_a_color():
+    # the lists of 1 and 2 have three entries for a class of three, but one
+    # color; element 2 finds it taken by 1 and is short by two colors
+    m = uniform(4, 2)
+    lists = {0: ["a", "b"], 1: ["a", "a", "a"], 2: ["a", "a", "a"], 3: ["a", "b", "c"]}
+    with pytest.raises(ListDeficitError) as err:
+        color_from_base(m, greedy_base(m), lists)
+    assert str(err.value) == (
+        "class of base element 1 has 3 members but element 2 lists only 1 distinct colors "
+        "(short by 2)"
+    )
+
+
+def _result(route, *args):
+    """A route's value, or the type and text of what it raised."""
+    try:
+        return "value", route(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _check_color_from_base(m, b, lists):
+    """color_from_base against its step-by-step reference; a repeated color,
+    StopIteration in the reference, is a ListDeficitError here."""
+    got = _result(color_from_base, m, b, lists)
+    want = _result(color_from_base_by_steps, m, b, lists)
+    if want[0] is StopIteration:
+        assert got[0] is ListDeficitError and " distinct colors " in got[1], (m.name, b, lists)
+    else:
+        assert got == want, (m.name, b, lists)
+    return got[0]
+
+
+def _no_table(m):
+    """m's ranks through a new matroid whose table is never built."""
+    return Matroid(m.n, m.rank_of_mask, m.name)
+
+
+class _Id(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "n, keys",
+    [
+        (3, (0, 1, 2)),
+        (3, (2, 0, 1)),
+        (3, (0, True, 2)),
+        (3, (0, 1.0, 2)),
+        (3, (0, _Id.ONE, 2)),
+        (3, ("0", 1, 2)),
+        (3, (0, -1, 2)),
+        (3, (-1, -2, -3)),
+        (3, (0, 1, 2, 3)),
+        (3, (0, 1, 2, 7, 9)),
+        (3, (0, 1)),
+        (1, (True,)),
+        (0, ()),
+        (0, (0,)),
+    ],
+)
+def test_key_sets_match_the_set_reference(n, keys):
+    m = uniform(n, min(n, 2))
+    b = greedy_base(m)
+    mapping = {x: ("a", "b", "c") for x in keys}
+    assert _result(coloring._check_total, m, mapping, "listing") == _result(
+        check_total_by_sets, m, mapping, "listing"
+    )
+    phi = {x: i % 2 for i, x in enumerate(keys)}
+    for route in (m, _no_table(m)):
+        assert _result(is_proper, route, phi) == _result(is_proper_by_ranks, route, phi)
+        _check_color_from_base(route, b, mapping)
+
+
+def _seeded_lists(rng, n, palette):
+    """Lists of 1 to 4 colors; one in five a tuple with its first color twice."""
+    lists = {}
+    for x in range(n):
+        colors = rng.sample(palette, rng.randint(1, 4))
+        lists[x] = (colors[0], *colors) if rng.random() < 0.2 else frozenset(colors)
+    return lists
+
+
+def test_color_from_base_matches_the_reference_on_every_desk_ordered_base(suite6):
+    rng = random.Random(29)
+    palette = ["a", "b", "c", "d", "e"]
+    seen = Counter()
+    for m in suite6:
+        for ob in ordered_bases(m):
+            for route in (m, _no_table(m)):
+                for _ in range(2):
+                    seen[_check_color_from_base(route, ob, _seeded_lists(rng, m.n, palette))] += 1
+    # colorings, short lists, repeated colors and loops all occur
+    assert seen["value"] and seen[ListDeficitError] and seen[LoopError], seen
+
+
+def test_color_from_base_matches_the_reference_on_perturbed_tables():
+    rng = random.Random(290)
+    palette = ["a", "b", "c", "d", "e"]
+    seen = Counter()
+    for _, n, table in perturbed_tables(29, 4):
+        cold = Matroid(n, table.__getitem__)
+        warm = Matroid(n, table.__getitem__)
+        warm.mask_table()
+        for route in (cold, warm):
+            for ob in itertools.islice(ordered_bases(route), 3):
+                seen[_check_color_from_base(route, ob, _seeded_lists(rng, n, palette))] += 1
+            phi = {x: rng.randrange(2) for x in range(n)}
+            assert _result(is_proper, route, phi) == _result(is_proper_by_ranks, route, phi)
+    assert seen["value"] and seen[MatroidError], seen
+
+
+def test_coloring_keeps_the_oracle_checks_on_faulting_oracles():
+    # with no table, every class rank is a rank_of_mask call, so a rank
+    # that is not a nonnegative int is refused with the oracle's message
+    lists = {x: ("a", "b", "c") for x in range(4)}
+    refused = Counter()
+    for clean in (uniform(3, 2), uniform(4, 2)):
+        bases = list(itertools.islice(ordered_bases(clean), 3))
+        for bad, mask in itertools.product((-1, True, 1.5), range(1 << clean.n)):
+            table = list(clean.mask_table())
+            table[mask] = bad
+            m = Matroid(clean.n, table.__getitem__)
+            for ob in bases:
+                outcome = _check_color_from_base(m, ob, {x: lists[x] for x in range(m.n)})
+                refused["color_from_base"] += outcome is MatroidError
+            for phi in ({x: x % 2 for x in range(m.n)}, {x: 0 for x in range(m.n)}):
+                got = _result(is_proper, m, phi)
+                assert got == _result(is_proper_by_ranks, m, phi)
+                refused["is_proper"] += got[0] is MatroidError and got[1].startswith("oracle returned")
+    assert refused["color_from_base"] and refused["is_proper"], refused
+
+
+def test_color_from_base_refusals_on_perturbed_uniform_tables():
+    # every +-1 change of one entry of uniform(n, k), n = 3..5, under the
+    # first ordered bases that the changed table admits
+    refused = 0
+    for n in (3, 4, 5):
+        lists = {x: ("a", "b", "c", "d", "e") for x in range(n)}
+        for k in range(1, n + 1):
+            base = uniform(n, k).mask_table()
+            for mask, delta in itertools.product(range(1 << n), (-1, 1)):
+                if base[mask] + delta < 0:
+                    continue
+                table = list(base)
+                table[mask] += delta
+                m = Matroid(n, table.__getitem__)
+                for ob in itertools.islice(ordered_bases(m), 4):
+                    got = _result(color_from_base, m, ob, lists)
+                    assert got == _result(color_from_base_by_steps, m, ob, lists)
+                    refused += got == (
+                        MatroidError, "not a matroid: a class-injective coloring is not proper"
+                    )
+    assert refused
+
+
+def _is_forest(edges, mask):
+    """Reference independence for a graph: no cycle among the edges in mask."""
+    parent = {}
+
+    def root(v):
+        while parent.get(v, v) != v:
+            v = parent[v]
+        return v
+
+    for i in range(len(edges)):
+        if mask >> i & 1:
+            a, b = root(edges[i][0]), root(edges[i][1])
+            if a == b:
+                return False
+            parent[a] = b
+    return True
+
+
+# a path on 101 vertices with every edge doubled: 200 edges, above VALIDATION_BOUND
+_DOUBLED_PATH = [(f"v{i // 2}", f"v{i // 2 + 1}") for i in range(200)]
+
+
+@pytest.mark.parametrize(
+    "m, independent, palette",
+    [
+        (uniform(20, 3), lambda mask: mask.bit_count() <= 3, 18),
+        (uniform(6, 2), lambda mask: mask.bit_count() <= 2, 5),
+        (
+            graphic([(i, *e) for i, e in enumerate(_DOUBLED_PATH)]),
+            lambda mask: _is_forest(_DOUBLED_PATH, mask),
+            2,
+        ),
+    ],
+    ids=["uniform(20,3)", "uniform(6,2)", "doubled-path(101)"],
+)
+def test_coloring_reads_ranks_without_building_the_table(m, independent, palette):
+    # above VALIDATION_BOUND, or below it with no table built, properness is
+    # read rank by rank and the table stays unbuilt
+    assert m._mask_table is None
+    rng = random.Random(m.n)
+    colors = [f"c{i}" for i in range(palette)]
+    phi = color_from_base(m, greedy_base(m), {x: colors for x in range(m.n)})
+    assert set(phi) == set(range(m.n))
+    fixed = [phi, {x: x % 2 for x in range(m.n)}, {x: x // 2 for x in range(m.n)}]
+    answers = Counter()
+    for psi in fixed + [{x: rng.randrange(2) for x in range(m.n)} for _ in range(20)]:
+        classes = Counter()
+        for x, c in psi.items():
+            classes[c] |= 1 << x
+        proper = is_proper(m, psi)
+        assert proper == all(map(independent, classes.values()))
+        answers[proper] += 1
+    assert is_proper(m, phi) and answers[True] > 1 and answers[False]
+    assert m._mask_table is None
 
 
 def test_distinct_color_fallback():
