@@ -59,11 +59,7 @@ def is_base(m: Matroid, b) -> bool:
     That is, b is independent and its closure is the whole ground set.
     """
     _refuse_ground_set_scan(m.n)
-    return _is_base_mask(m, m._checked_mask(b))
-
-
-def _is_base_mask(m: Matroid, mask: int) -> bool:
-    """:func:`is_base` on a mask, unchecked: r(mask) first, then each r(mask + y)."""
+    mask = m._checked_mask(b)
     size = mask.bit_count()
     return m.rank_of_mask(mask) == size and all(
         m.rank_of_mask(mask | 1 << y) == size for y in range(m.n) if not mask >> y & 1

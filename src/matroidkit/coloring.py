@@ -16,13 +16,17 @@ from it would be a proper k-coloring.
 
 Every list-coloring question (chromatic_number's deepening,
 is_list_colorable and the chain queries of compactness) is one run of
-_first_list_coloring, on lists that _sorted_lists sorts once.
+_first_list_coloring, on lists that _sorted_lists sorts once.  A listing
+is read once, by one lookup pass, into a list of sorted tuples indexed
+by id, and the search reads its candidates from that list; no dict is
+built per call other than the coloring returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 
 from .bases import OrderedBase, anchor_classes
 from .core import (
@@ -133,7 +137,7 @@ def _deepening(table, n: int) -> ChromaticResult:
     if n == 0:
         return ChromaticResult(0, {})
     for k in range(-(-n // max(table)), n + 1):
-        lists = {x: range(min(x + 1, k)) for x in range(n)}
+        lists = [range(x + 1) for x in range(k)] + [range(k)] * (n - k)
         witness = _first_list_coloring(table, range(n), lists)[0]
         if witness is not None:
             return ChromaticResult(k, witness)
@@ -148,22 +152,23 @@ def _color_sort_key(c):
     return (c.__class__.__name__, str(c))
 
 
-def _sorted_lists(lists, elements) -> dict:
+def _sorted_lists(lists, elements) -> list[tuple]:
     """Each element's list as a tuple of its colors in _color_sort_key order,
-    keyed by the elements in their order (a range or other re-iterable).
+    one tuple per element in the order of `elements` (a range or other
+    re-iterable), read by one lookup pass.
 
-    When the lists read hold colors of one type, the type names tie and
-    ``key=str`` gives the same order with no Python call per color; mixed
-    types sort by _color_sort_key.  Nothing is cached by list value: {1}
-    and {True} are equal but sort and print differently.
+    A listing whose colors are all of exact type str sorts with no key,
+    since a str is its own str; one of another single type sorts by
+    ``key=str``, as the type names tie, with no Python call per color;
+    mixed types sort by _color_sort_key.  Nothing is cached by list
+    value: {1} and {True} are equal but sort and print differently.
     """
-    got = [lists[x] for x in elements]
+    got = list(map(lists.__getitem__, elements))
     types = set(map(type, chain.from_iterable(got)))
-    if len(types) > 1:
-        key = _color_sort_key
-    else:
-        key = None if str in types else str  # a str is its own str
-    return dict(zip(elements, [tuple(sorted(l, key=key)) for l in got]))
+    if types == {str}:
+        return list(map(tuple, map(sorted, got)))
+    key = _color_sort_key if len(types) > 1 else str
+    return [tuple(sorted(l, key=key)) for l in got]
 
 
 def _first_list_coloring(table, order, lists) -> tuple[dict | None, int]:
@@ -176,13 +181,16 @@ def _first_list_coloring(table, order, lists) -> tuple[dict | None, int]:
     search is exhaustive on prefixes, so on failure the length is that of
     the longest colorable prefix; it stops at the first empty list.
 
-    One backtracking loop: depth i resumes its iterator over the list of
-    order[i]; the stack keeps, per depth, that iterator, the color placed
-    and the color's previous class mask (None for a new class), so the
-    first complete stack is the coloring returned.
+    `lists` maps each element to its colors: a dict, or a list indexed
+    by id as _sorted_lists returns; the candidates of `order` are read
+    from it in one pass.  One backtracking loop: depth i resumes its
+    iterator over the list of order[i]; the stack keeps, per depth, that
+    iterator, the color placed and the color's previous class mask (None
+    for a new class), so the first complete stack is the coloring
+    returned, zipped with `order`.
     """
     order = tuple(order)
-    cands = [lists[x] for x in order]
+    cands = list(map(lists.__getitem__, order))
     whole = all(cands)
     if not whole:  # no prefix through an empty list is colorable
         del cands[next(i for i, l in enumerate(cands) if not l):]
@@ -219,7 +227,7 @@ def _first_list_coloring(table, order, lists) -> tuple[dict | None, int]:
         if i == last:
             if not whole:
                 return None, len(cands)
-            return {x: c for x, (_, c, _) in zip(order, stack)}, len(cands)
+            return dict(zip(order, map(itemgetter(1), stack))), len(cands)
         class_masks[c] = new
         i += 1
         it = iter(cands[i])
@@ -236,7 +244,7 @@ def is_list_colorable(m: Matroid, lists):
     """
     _check_total(m, lists, "listing")
     norm = _sorted_lists(lists, range(m.n))
-    order = sorted(range(m.n), key=[len(norm[x]) for x in range(m.n)].__getitem__)  # stable: ties by id
+    order = sorted(range(m.n), key=list(map(len, norm)).__getitem__)  # stable: ties by id
     return _first_list_coloring(m.mask_table(), order, norm)[0]
 
 
@@ -266,7 +274,8 @@ def list_chromatic_number(
 
     Exact by Seymour's counting bound (see the module docstring): the
     answer is the chromatic number chi, and for each k below it the
-    constant listing {0..k-1} is the uncolorable witness.  Bounds, and
+    constant listing {0..k-1} is the uncolorable witness: every element
+    maps to one tuple (0, ..., k-1), shared by the listing.  Bounds, and
     ``max_n``, are those of :func:`chromatic_number`.
     """
     _refuse_above(m.n, CHROMATIC_BOUND if max_n is None else max_n, "chromatic search")
@@ -278,7 +287,7 @@ def list_chromatic_number(
         raise LoopError(f"no list coloring exists: loops {set_literal(lp)}")
     chi = _deepening(table, m.n).value
     bad_listings = {
-        k: {x: tuple(range(k)) for x in range(m.n)} for k in range(1, min(chi, kmax + 1))
+        k: dict.fromkeys(range(m.n), tuple(range(k))) for k in range(1, min(chi, kmax + 1))
     }
     return ListChromaticResult(chi if chi <= kmax else None, kmax, bad_listings)
 

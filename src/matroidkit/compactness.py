@@ -163,20 +163,20 @@ def chain_from_matroids(ms: list[Matroid], name: str = "file-chain") -> MatroidC
 
 # --- coloring along the chain ----------------------------------------------
 
-def _level_lists(m: Matroid, lists) -> dict[int, tuple]:
-    """The sorted lists of m's elements.
+def _level_lists(m: Matroid, lists) -> list[tuple]:
+    """The sorted lists of m's elements, in id order.
 
     It refuses first any key that is no int, rather than read it as an id
-    (True and 1.0 both equal 1).  Elements are checked in id order, so a
-    listing that stops covering names its first gap.
+    (True and 1.0 both equal 1).  The lists are read in id order in one
+    lookup pass, so a listing that stops covering names its first gap.
     """
     if not set(map(type, lists)) <= {int}:
         bad = next(x for x in lists if type(x) is not int)
         raise GroundSetError(f"element {bad!r} outside ground set of size {m.n}")
-    if not all(map(lists.__contains__, range(m.n))):
-        gap = next(x for x in range(m.n) if x not in lists)
-        raise GroundSetError(f"listing does not cover element {gap}")
-    return _sorted_lists(lists, range(m.n))
+    try:
+        return _sorted_lists(lists, range(m.n))
+    except KeyError as e:  # the lookup pass stops at the first id not covered
+        raise GroundSetError(f"listing does not cover element {e.args[0]}") from None
 
 
 def _search_chain(chain: MatroidChain, lists, depth: int):

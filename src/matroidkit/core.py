@@ -784,7 +784,12 @@ def is_loop_free(m: Matroid) -> bool:
 
 
 def loops(m: Matroid) -> tuple[int, ...]:
-    return tuple(x for x in range(m.n) if m.rank_of_mask(1 << x) == 0)
+    """The elements of rank 0, ascending: read from the mask table once it
+    is built, else one :meth:`Matroid.rank_of_mask` call each, with its
+    checks of the oracle's answer."""
+    t = m._mask_table
+    rank = m.rank_of_mask if t is None else t.__getitem__
+    return tuple(x for x in range(m.n) if rank(1 << x) == 0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .bases import OrderedBase, _circuit_base_part, _is_base_mask, all_bases, anchor_classes
+from .bases import OrderedBase, _circuit_base_part, all_bases, anchor_classes
 from .closure import _closed_masks, _closure_mask, _is_closed_mask
 from .coloring import chromatic_number, distinct_color_fallback, is_proper
 from .core import (
@@ -254,18 +254,26 @@ def check_closure_routes_agree(m: Matroid) -> LemmaResult:
 
 def check_base_characterization(m: Matroid) -> LemmaResult:
     """L9: B is a maximal independent set iff B is independent and its
-    closure is the ground set; the latter is ``is_base``'s test, made on
-    the mask by ``_is_base_mask``."""
+    closure is the ground set.
+
+    "Maximal" reads r(B) = |B| and r(B + x) = |B| for each x outside B;
+    the closure of B is the meet of the closed sets that contain it,
+    found by ANDing each closed set, from ``_closed_masks``, into each of
+    its subsets, so the two sides read different ranks."""
     key, title = "L9", "bases are exactly the independent sets with full closure"
     t = m.mask_table()
-    for b in range(1 << m.n):
+    full = (1 << m.n) - 1
+    meet = [full] * (full + 1)
+    for z in _closed_masks(m):
+        for x in _sub_masks(z):
+            meet[x] &= z
+    for b in range(full + 1):
         size = b.bit_count()
         indep = t[b] == size
         maximal = indep and all(
             t[b | 1 << x] == size for x in range(m.n) if not b >> x & 1
         )
-        via_closure = _is_base_mask(m, b)
-        if maximal != via_closure:
+        if maximal != (indep and meet[b] == full):
             return _fail(key, title, f"B={set_literal(bits(b))}")
     return _ok(key, title)
 

@@ -40,7 +40,6 @@ from matroidkit.coloring import (
     CHROMATIC_BOUND,
     ListDeficitError,
     _first_list_coloring,
-    _sorted_lists,
 )
 from matroidkit.core import (
     AxiomReport,
@@ -198,6 +197,33 @@ def list_colorings_by_recursion(table, order, lists):
                 class_masks[c] = prev
 
     yield from dfs(0)
+
+
+def lists_by_color_key(lists, n):
+    """Each list of range(n) as a tuple sorted by (type name, str): one
+    keyed sort per list, whatever the colors' types."""
+    return {x: tuple(sorted(lists[x], key=lambda c: (type(c).__name__, str(c)))) for x in range(n)}
+
+
+def is_list_colorable_by_recursion(m, lists):
+    """The first coloring that list_colorings_by_recursion yields with the
+    elements by (list size, id) and each list sorted by lists_by_color_key."""
+    check_total_by_sets(m, lists, "listing")
+    norm = lists_by_color_key(lists, m.n)
+    order = sorted(range(m.n), key=lambda x: (len(norm[x]), x))
+    return next(list_colorings_by_recursion(m.mask_table(), order, norm), None)
+
+
+def chain_coloring_by_levels(chain, lists, depth):
+    """(first coloring of level `depth`, None), or (None, first level with
+    no coloring), by one recursive search per level in id order."""
+    for i in range(depth + 1):
+        m = chain.level(i)
+        norm = lists_by_color_key(lists, m.n)
+        phi = next(list_colorings_by_recursion(m.mask_table(), range(m.n), norm), None)
+        if phi is None:
+            return None, i
+    return phi, None
 
 
 def all_canonical_listings(n: int, k: int, colors: int):
@@ -406,6 +432,27 @@ def closure_minimality_by_closure(m):
     for x in range(1 << m.n):
         if sig[sig[x]] != sig[x]:
             return _fail(key, title, f"not idempotent at {set_literal(bits(x))}")
+    return _ok(key, title)
+
+
+def base_characterization_by_closed_sets(m):
+    """L9 with every rank first read in mask order, the closed sets from
+    ``closed_sets``, and each B's closure the meet of those containing B."""
+    key, title = "L9", "bases are exactly the independent sets with full closure"
+    full = (1 << m.n) - 1
+    indep = [m.rank(bits(b)) == b.bit_count() for b in range(full + 1)]
+    flats = [mask_of(z) for z in closed_sets(m)]
+    for b in range(full + 1):
+        ids = tuple(bits(b))
+        maximal = indep[b] and all(
+            m.rank(ids + (x,)) == len(ids) for x in range(m.n) if x not in ids
+        )
+        meet = full
+        for z in flats:
+            if b & ~z == 0:
+                meet &= z
+        if maximal != (indep[b] and meet == full):
+            return _fail(key, title, f"B={set_literal(ids)}")
     return _ok(key, title)
 
 
@@ -730,13 +777,14 @@ def perturbed_tables(seed, per_base):
                 yield f"{kind} n={n} mask={mask} {delta:+d}", n, table
 
 
-# References for the base-driven coloring, written step by step: the ids
-# checked by one generator and a two-set diagnosis, the anchor classes
-# gathered per base element with no cache, the greedy colors picked by
-# next(), and properness re-checked on the finished coloring, its ids
-# checked again and each class read by rank_of_mask.  tests/test_coloring.py
-# asserts that the library gives the same value, or the same exception
-# type and text, on odd key sets, desk matroids and perturbed tables.
+# References for the base-driven coloring and the fallback, written step
+# by step: the ids checked by one generator and a two-set diagnosis, each
+# list sorted by lists_by_color_key, the anchor classes gathered per base
+# element with no cache, the greedy colors picked by next(), and
+# properness re-checked on the finished coloring, its ids checked again
+# and each class read by rank_of_mask.  tests/test_coloring.py asserts
+# that the library gives the same value, or the same exception type and
+# text, on odd key sets, typed colors, desk matroids and perturbed tables.
 
 
 def check_total_by_sets(m, mapping, kind):
@@ -782,7 +830,7 @@ def color_from_base_by_steps(m, b, lists):
         raise GroundSetError(f"{set_literal(b.elements)} is not a base of {m.name}")
     mapping = {x: x if x in b else _top_swap(m, b, x) for x in range(m.n)}
     classes = {e: tuple(x for x, a in mapping.items() if a == e) for e in b}
-    norm = _sorted_lists(lists, range(m.n))
+    norm = lists_by_color_key(lists, m.n)
     for base_elem, members in classes.items():
         need = len(members)
         for x in members:
@@ -801,6 +849,22 @@ def color_from_base_by_steps(m, b, lists):
             used.add(c)
     if not is_proper_by_ranks(m, phi):
         raise MatroidError("not a matroid: a class-injective coloring is not proper")
+    return phi
+
+
+def distinct_color_fallback_by_steps(m, lists):
+    """Each element in id order takes the first color of its sorted list
+    that no earlier element took; a list with none left is refused."""
+    check_total_by_sets(m, lists, "listing")
+    norm = lists_by_color_key(lists, m.n)
+    phi = {}
+    for x in range(m.n):
+        free = [c for c in norm[x] if c not in phi.values()]
+        if not free:
+            raise GroundSetError(
+                f"list of element {x} exhausted; needs >= {m.n} colors for the fallback"
+            )
+        phi[x] = free[0]
     return phi
 
 

@@ -20,6 +20,7 @@ from matroidkit import (
     distinct_color_fallback,
     extend_coloring,
     find_monochromatic_circuit,
+    first_uncolorable_level,
     graphic,
     greedy_base,
     is_list_colorable,
@@ -30,14 +31,18 @@ from matroidkit import (
 )
 from matroidkit import coloring
 from matroidkit.catalog import triangle
+from matroidkit.compactness import disjoint_triangles, growing_cycle, growing_uniform
 from matroidkit.core import is_loop_free, loops, validate_axioms
 from matroidkit.lemmas import check_flat_extension_count, check_flat_extension_dependence
 
 from conftest import (
     brute_list_colorings,
+    chain_coloring_by_levels,
     check_total_by_sets,
     chromatic_by_deepening,
     color_from_base_by_steps,
+    distinct_color_fallback_by_steps,
+    is_list_colorable_by_recursion,
     is_proper_by_ranks,
     list_chromatic_by_sweep,
     list_colorings_by_recursion,
@@ -754,11 +759,76 @@ def test_sorted_lists_equal_the_color_sort_key_order(values):
     # every element's list, in the same listing as lists of other shapes
     lists = {0: list(values), 1: tuple(reversed(values)), 2: list(values[1:]) + list(values[:1])}
     got = coloring._sorted_lists(lists, range(3))
-    assert list(got) == [0, 1, 2]
+    assert type(got) is list and len(got) == 3  # one tuple per element, in id order
     for x, lst in lists.items():
         want = tuple(sorted(lst, key=coloring._color_sort_key))
         assert type(got[x]) is tuple
         assert [(type(c), c) for c in got[x]] == [(type(c), c) for c in want], x
+
+
+# colors that compare equal across types (1, True, 1.0), a str subclass
+# that sorts by its reverse, and plain strs; every pool is also drawn
+# with empty lists
+TYPED_POOLS = {
+    "ones": (1, True, 1.0, 0, False, 2, 2.0),
+    "reversed": (_Reversed("ab"), _Reversed("ba"), _Reversed("ca"), "ab", "ba", "c"),
+    "str": ("a", "b", "c", "d", "e"),
+    "mixed": (1, True, 1.0, _Reversed("1a"), "a1", "1"),
+}
+
+
+def _typed_outcome(route, *args):
+    """A route's coloring with its colors' types, or the type and text of
+    what it raised."""
+    try:
+        return "value", _typed(route(*args))
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _typed_listing(rng, n, pool):
+    sizes = (0, 1, 2, 2, 3, 3, len(pool))
+    return {x: rng.choice((list, tuple, frozenset))(rng.sample(pool, rng.choice(sizes))) for x in range(n)}
+
+
+@pytest.mark.parametrize("pool", sorted(TYPED_POOLS))
+def test_listing_routes_keep_color_types_and_order(pool):
+    # every list-coloring route against its reference in conftest, colors
+    # compared with their types: 1, True and 1.0 are one color there
+    # but print differently, so a route must return the one it sorted first
+    rng = random.Random(30)
+    colors = TYPED_POOLS[pool]
+    seen = Counter()
+    matroids = [uniform(4, 2), uniform(5, 3), triangle(), uniform(3, 1)]
+    for m in matroids:
+        for _ in range(25):
+            lists = _typed_listing(rng, m.n, colors)
+            got = _typed_outcome(is_list_colorable, m, lists)
+            assert got == _typed_outcome(is_list_colorable_by_recursion, m, lists), lists
+            seen["is_list_colorable", got[1] is not None] += 1
+            got = _typed_outcome(distinct_color_fallback, m, lists)
+            assert got == _typed_outcome(distinct_color_fallback_by_steps, m, lists), lists
+            seen["distinct_color_fallback", got[0] == "value"] += 1
+            b = rng.choice(list(itertools.islice(ordered_bases(m), 6)))
+            got = _typed_outcome(color_from_base, m, b, lists)
+            want = _typed_outcome(color_from_base_by_steps, m, b, lists)
+            if want[0] is StopIteration:  # a repeated color: see _check_color_from_base
+                assert got[0] is ListDeficitError and " distinct colors " in got[1], lists
+            else:
+                assert got == want, (b, lists)
+            seen["color_from_base", got[0] == "value"] += 1
+    for family, depth in ((growing_uniform, 2), (growing_cycle, 1), (disjoint_triangles, 1)):
+        chain = family()
+        for _ in range(25):
+            lists = _typed_listing(rng, chain.level(depth).n, colors)
+            want = chain_coloring_by_levels(chain, lists, depth)
+            got = _typed_outcome(extend_coloring, chain, lists, depth)
+            assert got == ("value", _typed(want[0])), lists
+            assert first_uncolorable_level(chain, lists, depth) == want[1], lists
+            seen["extend_coloring", want[0] is not None] += 1
+    for route in ("is_list_colorable", "distinct_color_fallback", "color_from_base",
+                  "extend_coloring"):
+        assert seen[route, True] and seen[route, False], (route, seen)
 
 
 @pytest.mark.parametrize(

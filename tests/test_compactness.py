@@ -205,6 +205,27 @@ def test_first_uncolorable_level_refuses_the_first_level_it_does_not_cover():
     assert built == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "keys, error",
+    [
+        ((0, True, 2, 4), "element True outside ground set of size 5"),  # gaps at 1 and 3
+        ((0, 2, 1.0), "element 1.0 outside ground set of size 5"),
+        ((0, 2, 4, 9), "listing does not cover element 1"),
+        ((0, 1, 2, 4), "listing does not cover element 3"),
+        ((4, 3, 2, 1), "listing does not cover element 0"),
+    ],
+)
+def test_level_lists_name_a_non_int_key_before_the_first_gap(keys, error):
+    m = uniform(5, 2)
+    lists = {x: ("b", "a") for x in keys}
+    with pytest.raises(GroundSetError) as err:
+        compactness._level_lists(m, lists)
+    assert str(err.value) == error
+    with pytest.raises(GroundSetError) as err:
+        extend_coloring(chain_from_matroids([m]), lists, 0)
+    assert str(err.value) == error
+
+
 def test_growing_cycle_extension():
     chain = growing_cycle()
     lists = two_lists(chain.level(3).n, ("x", "y"))

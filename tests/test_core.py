@@ -8,6 +8,7 @@ from matroidkit import (
     BoundExceededError,
     GroundSetError,
     Matroid,
+    MatroidError,
     check_circuit_elimination,
     circuits,
     is_loop_free,
@@ -193,6 +194,24 @@ def test_is_loop_free():
     assert is_loop_free(uniform(4, 2))
     assert not is_loop_free(uniform(3, 0))
     assert loops(uniform(3, 0)) == (0, 1, 2)
+
+
+def test_loops_call_the_checked_oracle_until_the_table_is_built():
+    calls = []
+    ranks = [0, 0, 1, 1, 1, 1, 1, 1]  # element 0 is a loop
+    m = Matroid(3, lambda a: calls.append(a) or ranks[a])
+    assert loops(m) == (0,)
+    assert calls == [1, 2, 4]
+    m.mask_table()
+    del calls[:]
+    assert loops(m) == (0,)
+    assert calls == []
+    for bad in (-1, True, 1.5):
+        # a rank that is no nonnegative int is refused before the table
+        m = Matroid(3, lambda a, bad=bad: bad if a == 2 else min(a, 1))
+        with pytest.raises(MatroidError) as err:
+            loops(m)
+        assert str(err.value) == f"oracle returned {bad!r} for {{1}}"
 
 
 def test_circuit_elimination_u24_and_triangle():

@@ -9,6 +9,7 @@ from matroidkit import (
     anchor_classes,
     check_circuit_elimination,
     closure,
+    closure_by_intersection,
     graphic,
     run_lemma_battery,
     uniform,
@@ -20,6 +21,7 @@ from matroidkit.files import parse_subset_literal
 from matroidkit.lemmas import (
     BATTERY,
     check_anchor_repetition,
+    check_base_characterization,
     check_closure_minimality,
     check_closure_routes_agree,
     check_contraction_is_matroid,
@@ -30,6 +32,7 @@ from matroidkit.lemmas import (
 
 from conftest import (
     anchor_repetition_by_sweep,
+    base_characterization_by_closed_sets,
     circuit_elimination_by_circuits,
     closure_minimality_by_closure,
     closure_routes_by_intersection,
@@ -177,12 +180,36 @@ def test_anchor_repetition_builds_one_decomposition_per_base(monkeypatch):
 _MASK_CHECKS = (
     (check_closure_minimality, closure_minimality_by_closure),
     (check_closure_routes_agree, closure_routes_by_intersection),
+    (check_base_characterization, base_characterization_by_closed_sets),
     (check_fitting_monotone, fitting_monotone_by_sweep),
     (check_fitting_common, fitting_common_by_combinations),
     (check_contraction_is_matroid, contraction_is_matroid_by_oracle),
     (check_contraction_loop_free, contraction_loop_free_by_is_closed),
     (check_circuit_elimination, circuit_elimination_by_circuits),
 )
+
+
+def test_base_characterization_fails_where_closure_and_maximality_part():
+    # "maximal" and "independent with full closure" read different ranks,
+    # so a table that is no matroid can set them apart; each failure names
+    # a B on which they differ
+    failed = []
+    for label, n, table in perturbed_tables(seed=6, per_base=3):
+        m = Matroid(n, table.__getitem__)
+        r = check_base_characterization(m)
+        if r.status == "fail":
+            b = mask_of(parse_subset_literal(r.detail.removeprefix("B=")))
+            size = b.bit_count()
+            maximal = table[b] == size and all(
+                table[b | 1 << x] == size for x in range(n) if not b >> x & 1
+            )
+            spans = closure_by_intersection(m, bits(b)) == tuple(range(n))
+            assert maximal != (table[b] == size and spans), label
+            failed.append(label)
+        else:
+            assert r.status == "pass", label
+    assert len(failed) == 11
+    assert "uniform n=4 mask=13 +1" in failed
 
 
 def _mask_check_inputs(suite6):
@@ -257,6 +284,7 @@ def test_mask_checks_match_their_references(suite6):
 _REFERENCES = {
     "L7abc": closure_minimality_by_closure,
     "L8": closure_routes_by_intersection,
+    "L9": base_characterization_by_closed_sets,
     "L11": contraction_is_matroid_by_oracle,
     "L13": contraction_loop_free_by_is_closed,
 }
