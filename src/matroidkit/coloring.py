@@ -162,6 +162,9 @@ def _sorted_lists(lists, elements) -> list[tuple]:
     ``key=str``, as the type names tie, with no Python call per color;
     mixed types sort by _color_sort_key.  Nothing is cached by list
     value: {1} and {True} are equal but sort and print differently.
+
+    A list that is a one-shot iterator is read up by the type scan, so
+    it sorts as empty; the routes refuse it by :func:`_refuse_spent`.
     """
     got = list(map(lists.__getitem__, elements))
     types = set(map(type, chain.from_iterable(got)))
@@ -169,6 +172,21 @@ def _sorted_lists(lists, elements) -> list[tuple]:
         return list(map(tuple, map(sorted, got)))
     key = _color_sort_key if len(types) > 1 else str
     return [tuple(sorted(l, key=key)) for l in got]
+
+
+def _refuse_spent(lists, elements, norm) -> None:
+    """Refuse a listing whose list for some element is a one-shot iterator,
+    naming the first such element.
+
+    The type scan of :func:`_sorted_lists` reads such a list up, so it
+    sorts as empty and the route fails on it; each route calls this
+    only on that failure, so a listing it colors takes no step for it.
+    """
+    for x, colors in zip(elements, norm):
+        if not colors and iter(lists[x]) is lists[x]:
+            raise GroundSetError(
+                f"list of element {x} is a one-shot iterator: its colors can be read only once"
+            )
 
 
 def _first_list_coloring(table, order, lists) -> tuple[dict | None, int]:
@@ -245,7 +263,10 @@ def is_list_colorable(m: Matroid, lists):
     _check_total(m, lists, "listing")
     norm = _sorted_lists(lists, range(m.n))
     order = sorted(range(m.n), key=list(map(len, norm)).__getitem__)  # stable: ties by id
-    return _first_list_coloring(m.mask_table(), order, norm)[0]
+    phi = _first_list_coloring(m.mask_table(), order, norm)[0]
+    if phi is None:
+        _refuse_spent(lists, range(m.n), norm)
+    return phi
 
 
 @dataclass(frozen=True)
@@ -314,6 +335,7 @@ def color_from_base(m: Matroid, b: OrderedBase, lists) -> dict:
         need = len(members)
         for x in members:
             if len(norm[x]) < need:
+                _refuse_spent(lists, range(m.n), norm)
                 raise ListDeficitError(
                     f"class of base element {base_elem} has {need} members but "
                     f"element {x} lists only {len(norm[x])} colors "
@@ -352,6 +374,7 @@ def distinct_color_fallback(m: Matroid, lists) -> dict:
     for x in range(m.n):
         free = [c for c in norm[x] if c not in used]
         if not free:
+            _refuse_spent(lists, range(m.n), norm)
             raise GroundSetError(
                 f"list of element {x} exhausted; needs >= {m.n} colors for the fallback"
             )

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .coloring import _first_list_coloring, _sorted_lists
+from .coloring import _first_list_coloring, _refuse_spent, _sorted_lists
 from .constructions import graphic, uniform
 from .core import (
     VALIDATION_BOUND,
@@ -190,6 +190,7 @@ def _search_chain(chain: MatroidChain, lists, depth: int):
     coloring, colored = _first_list_coloring(m.mask_table(), range(m.n), norm)
     if coloring is not None:
         return coloring, None
+    _refuse_spent(lists, range(m.n), norm)
     return None, next(i for i in range(depth + 1) if chain.level(i).n > colored)
 
 

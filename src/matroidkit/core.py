@@ -755,6 +755,61 @@ def _found_circuits(m: Matroid, max_n: int | None) -> list[int]:
     return masks
 
 
+def _step_masks(m: Matroid, offset: int) -> list[int]:
+    """For each mask A, the mask of the x outside A with r(A + x) = r(A) + offset:
+    with offset 0 the flat extensions of A, with offset 1 its unit steps.
+
+    One zero-byte test per element on the rank image finds, for each x,
+    the masks where the step to A + x is ``offset``; the byte sets of
+    the elements below 8, and of those from 8 up, are packed into one
+    byte per mask each.  A table with a rank above _RANK_CAP is read
+    rank by rank, as two capped ranks would read as equal.
+    """
+    t = m.mask_table()
+    n, size = m.n, 1 << m.n
+    if max(t) > _RANK_CAP:
+        return [
+            mask_of(x for x in range(n) if not a >> x & 1 and t[a | 1 << x] == t[a] + offset)
+            for a in range(size)
+        ]
+    ranks, high = _rank_image(m), _per_size(n, "high")
+    target = ranks + offset * _per_size(n, "ones")
+    sets = [
+        _zero_bytes((ranks >> (8 << x)) ^ target, high, within)
+        for x, within in enumerate(_per_size(n, b"\x80"))
+    ]
+    low = sum(s << x for x, s in enumerate(sets[:8])).to_bytes(size, "little")
+    if n <= 8:
+        return list(low)
+    top = sum(s << x for x, s in enumerate(sets[8:])).to_bytes(size, "little")
+    return [lo | hi << 8 for lo, hi in zip(low, top)]
+
+
+def _closed_flags(m: Matroid) -> bytes | list[bool]:
+    """Item z is true iff the mask z is closed: r(z + x) > r(z) for every x outside z.
+
+    A rank drop makes z not closed, so the test is r(z + x) > r(z), not
+    a flat test: in each byte, 0x80 + r(z + x) - (r(z) + 1) keeps its top
+    bit iff r(z + x) > r(z), and no borrow crosses a byte, as every rank
+    in the image is at most _RANK_CAP.  One subtraction per element
+    finds the masks that are not closed.  A table with a rank above
+    _RANK_CAP is read mask by mask.
+    """
+    t = m.mask_table()
+    n = m.n
+    if max(t) > _RANK_CAP:
+        return [
+            all(t[z | 1 << x] > t[z] for x in range(n) if not z >> x & 1) for z in range(1 << n)
+        ]
+    ranks, high = _rank_image(m), _per_size(n, "high")
+    plus_one = ranks + _per_size(n, "ones")
+    open_ = 0
+    for x, within in enumerate(_per_size(n, b"\x80")):
+        rises = (((ranks >> (8 << x)) | high) - plus_one) & within
+        open_ |= within ^ rises
+    return ((high ^ open_) >> 7).to_bytes(1 << n, "little")
+
+
 def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
     """All minimal dependent sets, ordered by (size, lexicographic).
 

@@ -21,6 +21,7 @@ from matroidkit import (
     VectorSpec,
     anchor_classes,
     catalog,
+    chromatic_number,
     circuits,
     closure,
     closure_by_intersection,
@@ -36,6 +37,7 @@ from matroidkit import (
     validate_axioms,
 )
 from matroidkit.bases import _top_swap
+from matroidkit.closure import _closed_masks
 from matroidkit.coloring import (
     CHROMATIC_BOUND,
     ListDeficitError,
@@ -520,6 +522,153 @@ def fitting_common_by_combinations(m):
                     f"Z={set_literal(bits(z))}: union of fitting sets misses "
                     f"A={set_literal(bits(a))}",
                 )
+    return _ok(key, title)
+
+
+def maximal_independent_size_by_sweep(m):
+    """L1 by the sweep over pairs B inside A, maximality read per element of A - B."""
+    key, title = "L1", "maximal independent subsets all have the subset's rank"
+    t = m.mask_table()
+    for a in range(1 << m.n):
+        for b in _sub_masks(a):
+            size = b.bit_count()
+            if t[b] != size:
+                continue
+            if any(t[b | (1 << x)] == size + 1 for x in bits(a & ~b)):
+                continue
+            if size != t[a]:
+                return _fail(
+                    key,
+                    title,
+                    f"max independent {set_literal(bits(b))} has size {size} "
+                    f"but rank({set_literal(bits(a))}) = {t[a]}",
+                )
+    return _ok(key, title)
+
+
+def weak_elimination_by_circuits(m):
+    """L2a on ``Circuit`` objects: for each ordered pair and common element,
+    a scan of every circuit for one inside the union less that element."""
+    key, title = "L2a", "circuit elimination (weak)"
+    circs = [c.mask() for c in circuits(m)]
+    pairs = 0
+    for i, j in itertools.permutations(range(len(circs)), 2):
+        c1, c2 = circs[i], circs[j]
+        if not c1 & c2:
+            continue
+        pairs += 1
+        for e in bits(c1 & c2):
+            allowed = (c1 | c2) & ~(1 << e)
+            if all(cm & ~allowed for cm in circs):
+                return _fail(key, title, f"no circuit inside {set_literal(bits(c1 | c2))}-{{{e}}}")
+    return _ok(key, title, "" if pairs else "vacuous: no intersecting circuit pair")
+
+
+def strong_elimination_by_circuits(m):
+    """L2b from ``circuit_elimination_by_circuits``."""
+    key, title = "L2b", "circuit elimination keeping a chosen element"
+    report = circuit_elimination_by_circuits(m)
+    if report.ok:
+        return _ok(key, title, "" if report.pairs_checked else "vacuous: no intersecting circuit pair")
+    c1, c2, e, e1 = report.counterexample
+    return _fail(key, title, f"pair {set_literal(c1)},{set_literal(c2)} drop {e} keep {e1}")
+
+
+def flatness_monotone_by_sweep(m):
+    """L4 by the sweep over (B, A inside B, x outside B), two reads per x."""
+    key, title = "L4", "rank-preserving extension transfers to supersets"
+    t = m.mask_table()
+    full = (1 << m.n) - 1
+    for b in range(1 << m.n):
+        for a in _sub_masks(b):
+            for x in bits(full & ~b):
+                if t[a | 1 << x] == t[a] and t[b | 1 << x] != t[b]:
+                    return _fail(key, title, f"A={set_literal(bits(a))} B={set_literal(bits(b))} x={x}")
+    return _ok(key, title)
+
+
+def flatness_joint_by_sweep(m):
+    """L5 with each A's flat extensions read element by element."""
+    key, title = "L5", "jointly adding rank-preserving elements preserves rank"
+    t = m.mask_table()
+    full = (1 << m.n) - 1
+    for a in range(1 << m.n):
+        flat = mask_of(x for x in bits(full & ~a) if t[a | 1 << x] == t[a])
+        for xs in _sub_masks(flat):
+            if t[a | xs] != t[a]:
+                return _fail(key, title, f"A={set_literal(bits(a))} X={set_literal(bits(xs))}")
+    return _ok(key, title)
+
+
+def closed_intersection_by_pairs(m):
+    """L6 by the sweep over every pair of closed sets, from ``_closed_masks``."""
+    key, title = "L6", "intersections of closed sets are closed"
+    closed = _closed_masks(m)
+    closed_set = set(closed)
+    for z1 in closed:
+        for z2 in closed:
+            if z1 & z2 not in closed_set:
+                return _fail(key, title, f"{set_literal(bits(z1))} meet {set_literal(bits(z2))}")
+    return _ok(key, title)
+
+
+def contraction_independence_by_ranks(m):
+    """L12 with every rank read by ``Matroid.rank`` on id tuples."""
+    key, title = "L12", "independent in contraction iff union with independent parts stays independent"
+    m.mask_table()
+    full = (1 << m.n) - 1
+    for z in range(1 << m.n):
+        zs = tuple(bits(z))
+        indep = [tuple(bits(y)) for y in _sub_masks(z) if m.is_independent(bits(y))]
+        for x in _sub_masks(full & ~z):
+            xs = tuple(bits(x))
+            lhs = m.rank(xs + zs) - m.rank(zs) == len(xs)
+            rhs = all(m.rank(xs + ys) == len(xs) + m.rank(ys) for ys in indep)
+            if lhs != rhs:
+                return _fail(key, title, f"Z={set_literal(zs)} X={set_literal(xs)}")
+    return _ok(key, title)
+
+
+def circuit_closure_absorption_by_closed_sets(m):
+    """L16 by the sweep over closed sets, from ``_closed_masks``, and circuits."""
+    key, title = "L16", "a circuit nearly inside a closed set is inside it"
+    cmasks = [c.mask() for c in circuits(m)]
+    for z in _closed_masks(m):
+        for cm in cmasks:
+            if (cm & ~z).bit_count() == 1:
+                return _fail(
+                    key,
+                    title,
+                    f"circuit {set_literal(bits(cm))} sticks one element out of {set_literal(bits(z))}",
+                )
+    return _ok(key, title, "" if cmasks else "vacuous: no circuits")
+
+
+def flat_extension_dependence_by_combinations(m):
+    """L18 with each A's flat extensions read element by element."""
+    key, title = "L18", "flat-extension elements beyond |A| are dependent"
+    t = m.mask_table()
+    full = (1 << m.n) - 1
+    for a in range(1 << m.n):
+        flat = [x for x in bits(full & ~a) if t[a | 1 << x] == t[a]]
+        for combo in itertools.combinations(flat, a.bit_count() + 1):
+            if t[mask_of(combo)] == len(combo):
+                return _fail(key, title, f"A={set_literal(bits(a))} X={set_literal(combo)} independent")
+    return _ok(key, title)
+
+
+def flat_extension_count_by_sweep(m):
+    """L19-analog with each A's flat extensions read element by element."""
+    key, title = "L19-analog", "flat extensions hold at most Chr * |A| elements"
+    if not is_loop_free(m):
+        return _ok(key, title, "vacuous: loops present")
+    t = m.mask_table()
+    full = (1 << m.n) - 1
+    chrom = chromatic_number(m).value
+    for a in range(1 << m.n):
+        flat = [x for x in bits(full & ~a) if t[a | 1 << x] == t[a]]
+        if len(flat) > chrom * a.bit_count():
+            return _fail(key, title, f"A={set_literal(bits(a))}: {len(flat)} > {chrom}*{a.bit_count()}")
     return _ok(key, title)
 
 

@@ -849,3 +849,52 @@ def test_check_total_messages(keys, error):
     with pytest.raises(GroundSetError) as err:
         coloring._check_total(m, {x: ("a",) for x in keys}, "listing")
     assert str(err.value) == error
+
+
+# each listing route on 4 elements (growing_uniform's level 1 has 4), with
+# lists of four colors
+_LISTING_ROUTES = {
+    "is_list_colorable": lambda lists: is_list_colorable(uniform(4, 2), lists),
+    "color_from_base": lambda lists: color_from_base(uniform(4, 2), OrderedBase((0, 1)), lists),
+    "distinct_color_fallback": lambda lists: distinct_color_fallback(uniform(4, 2), lists),
+    "extend_coloring": lambda lists: extend_coloring(growing_uniform(), lists, 1),
+    "first_uncolorable_level": lambda lists: first_uncolorable_level(growing_uniform(), lists, 1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_LISTING_ROUTES))
+@pytest.mark.parametrize(
+    "one_shot",
+    [
+        lambda colors: iter(colors),
+        lambda colors: (c for c in colors),
+        lambda colors: map(str, colors),
+    ],
+    ids=["iter", "generator", "map"],
+)
+def test_listing_routes_refuse_one_shot_iterator_lists(route, one_shot):
+    # the type scan would read a one-shot list up, so every route refuses
+    # it, naming the first such element, where the same colors in a list
+    # give an answer
+    run = _LISTING_ROUTES[route]
+    colors = ["a", "b", "c", "d"]
+    plain = {x: list(colors) for x in range(4)}
+    # a colorable listing: a coloring, or no uncolorable level
+    assert (run(plain) is None) == (route == "first_uncolorable_level")
+    for spent in (0, 2):
+        lists = {x: one_shot(colors) if x >= spent else list(colors) for x in range(4)}
+        with pytest.raises(GroundSetError) as err:
+            run(lists)
+        assert str(err.value) == f"list of element {spent} is a one-shot iterator: its colors can be read only once"
+    # an empty list that can be read again is a list with no colors, not refused
+    empty = {**plain, 1: []}
+    if route == "color_from_base":
+        with pytest.raises(ListDeficitError):
+            run(empty)
+    elif route == "distinct_color_fallback":
+        with pytest.raises(GroundSetError, match="exhausted"):
+            run(empty)
+    elif route == "first_uncolorable_level":
+        assert run(empty) == 0
+    else:
+        assert run(empty) is None

@@ -22,26 +22,46 @@ from matroidkit.lemmas import (
     BATTERY,
     check_anchor_repetition,
     check_base_characterization,
+    check_circuit_closure_absorption,
+    check_closed_intersection,
     check_closure_minimality,
     check_closure_routes_agree,
+    check_contraction_independence,
     check_contraction_is_matroid,
     check_contraction_loop_free,
     check_fitting_common,
     check_fitting_monotone,
+    check_flat_extension_count,
+    check_flat_extension_dependence,
+    check_flatness_joint,
+    check_flatness_monotone,
+    check_maximal_independent_size,
+    check_strong_elimination,
+    check_weak_elimination,
 )
 
 from conftest import (
     anchor_repetition_by_sweep,
     base_characterization_by_closed_sets,
+    circuit_closure_absorption_by_closed_sets,
     circuit_elimination_by_circuits,
+    closed_intersection_by_pairs,
     closure_minimality_by_closure,
     closure_routes_by_intersection,
+    contraction_independence_by_ranks,
     contraction_is_matroid_by_oracle,
     contraction_loop_free_by_is_closed,
     fitting_common_by_combinations,
     fitting_monotone_by_sweep,
+    flat_extension_count_by_sweep,
+    flat_extension_dependence_by_combinations,
+    flatness_joint_by_sweep,
+    flatness_monotone_by_sweep,
+    maximal_independent_size_by_sweep,
     perturbed_tables,
     random_matroid,
+    strong_elimination_by_circuits,
+    weak_elimination_by_circuits,
 )
 
 
@@ -178,13 +198,23 @@ def test_anchor_repetition_builds_one_decomposition_per_base(monkeypatch):
 
 
 _MASK_CHECKS = (
+    (check_maximal_independent_size, maximal_independent_size_by_sweep),
+    (check_weak_elimination, weak_elimination_by_circuits),
+    (check_strong_elimination, strong_elimination_by_circuits),
+    (check_flatness_monotone, flatness_monotone_by_sweep),
+    (check_flatness_joint, flatness_joint_by_sweep),
+    (check_closed_intersection, closed_intersection_by_pairs),
     (check_closure_minimality, closure_minimality_by_closure),
     (check_closure_routes_agree, closure_routes_by_intersection),
     (check_base_characterization, base_characterization_by_closed_sets),
     (check_fitting_monotone, fitting_monotone_by_sweep),
     (check_fitting_common, fitting_common_by_combinations),
     (check_contraction_is_matroid, contraction_is_matroid_by_oracle),
+    (check_contraction_independence, contraction_independence_by_ranks),
     (check_contraction_loop_free, contraction_loop_free_by_is_closed),
+    (check_circuit_closure_absorption, circuit_closure_absorption_by_closed_sets),
+    (check_flat_extension_dependence, flat_extension_dependence_by_combinations),
+    (check_flat_extension_count, flat_extension_count_by_sweep),
     (check_circuit_elimination, circuit_elimination_by_circuits),
 )
 
@@ -227,6 +257,20 @@ def _mask_check_inputs(suite6):
         for label, n, table in perturbed_tables(seed=seed, per_base=10):
             yield label, lambda n=n, t=table: Matroid(n, t.__getitem__)
     yield from _faulting_tables()
+    yield from _capped_tables()
+
+
+def _capped_tables():
+    """(label, make) pairs for tables with ranks above the rank image's cap
+    of 126, where two capped ranks would read as equal."""
+    for k in (100, 127, 200):
+        yield f"{k}*|A| on 3", lambda k=k: Matroid(3, lambda a: k * a.bit_count())
+        yield f"{k} + min(|A|, 2) on 4", lambda k=k: Matroid(4, lambda a: k + min(a.bit_count(), 2))
+        yield f"{k} + min(|A|, 2) on 4, 0 at {{}}", lambda k=k: Matroid(
+            4, lambda a: k + min(a.bit_count(), 2) if a else 0
+        )
+        table = [random.Random(k).choice((0, k, k + 1, 2 * k)) for _ in range(16)]
+        yield f"{k}-scaled random table on 4", lambda t=table: Matroid(4, t.__getitem__)
 
 
 def _faulting_tables():
@@ -239,8 +283,9 @@ def _faulting_tables():
                 table = list(base.mask_table())
                 table[mask] = bad
                 yield f"{base.name} {bad!r} at {mask}", lambda b=base, t=table: Matroid(b.n, t.__getitem__)
-        # two faults: the message names the one a check meets first
-        for first, second in ((3, full), (full, 3), (5, 6), (6, 5)):
+        # two faults: the message names the one a check meets first (a
+        # closure or closedness test reads {2} before {0,1})
+        for first, second in ((3, full), (full, 3), (5, 6), (6, 5), (3, 4), (4, 3)):
             table = list(base.mask_table())
             table[first], table[second] = -1, 1.5
             label = f"{base.name} -1 at {first}, 1.5 at {second}"
@@ -281,12 +326,66 @@ def test_mask_checks_match_their_references(suite6):
     }, outcomes
 
 
+# each check that decides by a local form first, and the sweep it falls
+# back to when the form does not certify
+_LOCAL_FORMS = (
+    (check_weak_elimination, "_weak_elimination_sweep"),
+    (check_strong_elimination, "check_circuit_elimination"),
+    (check_closed_intersection, "_closed_by_size"),
+    (check_closure_minimality, "_first_not_monotone"),
+    (check_fitting_monotone, "_fitting_monotone_sweep"),
+    (check_fitting_common, "_fitting_common_sweep"),
+    (check_contraction_is_matroid, "_contracted_axioms"),
+    (check_contraction_independence, "_contraction_independence_sweep"),
+    (check_circuit_closure_absorption, "_closed_by_size"),
+)
+
+
+def test_local_forms_certify_on_some_inputs_and_sweep_on_others(suite6, monkeypatch):
+    # each local form certifies on some input, with no sweep, and falls
+    # back to its sweep on another; test_mask_checks_match_their_references
+    # holds both routes to the reference
+    swept = []
+    for _, name in _LOCAL_FORMS:
+        def spy(*args, _name=name, _sweep=getattr(lemmas, name)):
+            swept.append(_name)
+            return _sweep(*args)
+
+        monkeypatch.setattr(lemmas, name, spy)
+    outcomes = Counter()
+    for label, make in _mask_check_inputs(suite6):
+        for check, name in _LOCAL_FORMS:
+            swept.clear()
+            got = _result(check, make())
+            if isinstance(got, tuple):
+                continue  # the oracle faulted before any form was read
+            if name in swept:
+                outcomes[check.__name__, "swept"] += 1
+            else:
+                outcomes[check.__name__, "certified"] += 1
+                # L7abc's form certifies monotonicity alone
+                assert got.status == "pass" or check is check_closure_minimality, (label, check.__name__)
+    assert set(outcomes) == {
+        (check.__name__, route) for check, _ in _LOCAL_FORMS for route in ("certified", "swept")
+    }, outcomes
+
+
 _REFERENCES = {
+    "L1": maximal_independent_size_by_sweep,
+    "L2a": weak_elimination_by_circuits,
+    "L2b": strong_elimination_by_circuits,
+    "L4": flatness_monotone_by_sweep,
+    "L5": flatness_joint_by_sweep,
+    "L6": closed_intersection_by_pairs,
     "L7abc": closure_minimality_by_closure,
     "L8": closure_routes_by_intersection,
     "L9": base_characterization_by_closed_sets,
     "L11": contraction_is_matroid_by_oracle,
+    "L12": contraction_independence_by_ranks,
     "L13": contraction_loop_free_by_is_closed,
+    "L16": circuit_closure_absorption_by_closed_sets,
+    "L18": flat_extension_dependence_by_combinations,
+    "L19-analog": flat_extension_count_by_sweep,
 }
 
 

@@ -7,7 +7,9 @@ witness and detail) and the same circuit list in the same order, on
 matroids and on tables that are not matroids.  The axiom pass packs its
 pair tests eight elements to an int, so it is checked on either side of
 each group's edge, with pairs that fail across it, and with ranks about
-the rank cap that its zero test relies on.  The byte sets that depend
+the rank cap that its zero test relies on.  The kernels that list each
+mask's flat extensions and unit steps, and its closedness, are held to
+the same tables, up to 10 elements.  The byte sets that depend
 on n alone are built once per size and kept; each must equal a fresh
 mask-by-mask build, whatever sizes ran before it.  A matroid's rank image
 is converted from its own mask table.
@@ -26,6 +28,7 @@ from matroidkit import (
     contract,
     from_table,
     graphic,
+    is_closed,
     linear,
     tabulate,
     uniform,
@@ -46,11 +49,20 @@ from conftest import (
 
 
 def _agree(m):
-    """The report of m's axiom pass; asserts both kernels match their references."""
+    """The report of m's axiom pass; asserts every kernel matches its reference
+    (the step and closedness kernels up to 10 elements, where the references
+    are quick)."""
     report = validate_axioms(m)
-    assert report == rank_function_by_pairs(m.mask_table(), m.n), m.name
+    t = m.mask_table()
+    assert report == rank_function_by_pairs(t, m.n), m.name
     assert circuits(m, max_n=m.n) == circuits_by_sweep(m), m.name
-    assert m._rank_image == _rank_bytes(m.mask_table()), m.name
+    assert m._rank_image == _rank_bytes(t), m.name
+    if m.n <= 10:
+        masks = range(1 << m.n)
+        for offset in (0, 1):
+            steps = [sum(1 << x for x in range(m.n) if x not in bits(a) and t[a | 1 << x] == t[a] + offset) for a in masks]
+            assert core._step_masks(m, offset) == steps, (m.name, offset)
+        assert [bool(c) for c in core._closed_flags(m)] == [is_closed(m, bits(z)) for z in masks], m.name
     return report
 
 
