@@ -169,14 +169,28 @@ def _level_lists(m: Matroid, lists) -> list[tuple]:
     It refuses first any key that is no int, rather than read it as an id
     (True and 1.0 both equal 1).  The lists are read in id order in one
     lookup pass, so a listing that stops covering names its first gap.
+    A mapping whose lookup fills a missing key (a ``defaultdict``) grows
+    in that pass: whether the pass returns or raises, its filled keys are
+    deleted again, and the first one, in id order, is refused as a gap,
+    as every other listing route refuses a listing that misses an
+    element.
     """
     if not set(map(type, lists)) <= {int}:
         bad = next(x for x in lists if type(x) is not int)
         raise GroundSetError(f"element {bad!r} outside ground set of size {m.n}")
+    size = len(lists)
     try:
         return _sorted_lists(lists, range(m.n))
     except KeyError as e:  # the lookup pass stops at the first id not covered
         raise GroundSetError(f"listing does not cover element {e.args[0]}") from None
+    finally:
+        # whatever the pass returned or raised (a filled value that the
+        # type scan cannot read raises TypeError), growth is a gap
+        if len(lists) != size:
+            filled = list(lists)[size:]  # in insertion order, the order of the lookups
+            for x in filled:
+                del lists[x]
+            raise GroundSetError(f"listing does not cover element {filled[0]}") from None
 
 
 def _search_chain(chain: MatroidChain, lists, depth: int):

@@ -91,9 +91,9 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Mat
     edges: an edge gains rank iff it joins two trees.
     The mask table counts row-space vectors (:func:`core._count_table`)
     over GF(2), with no oracle call: the rows are the vertex
-    stars, the edges at a vertex other than its self-loops, so a
-    self-loop is a zero column, and the stars of every vertex but one
-    per component are a basis.
+    stars, the edges at a vertex other than its self-loops, each held
+    as its support mask, so a self-loop is a zero column, and the stars
+    of every vertex but one per component are a basis.
     """
     if not isinstance(spec, GraphSpec):
         spec = GraphSpec(tuple(spec))
@@ -109,12 +109,13 @@ def graphic(spec: GraphSpec | list[tuple[int, str, str]], name: str = "") -> Mat
             r += _union(parent, *ends[e])
         return r
 
-    def table() -> list[int]:
-        stars = [[0] * n for _ in vertex]
+    def table() -> bytes:
+        stars = [0] * len(vertex)  # the support mask of each vertex star
         parent = list(range(len(vertex)))  # one root per component
         for e, (u, v) in enumerate(ends):
             if u != v:
-                stars[u][e] = stars[v][e] = 1
+                stars[u] |= 1 << e
+                stars[v] |= 1 << e
                 _union(parent, u, v)
         return _count_table(n, 2, [star for v, star in enumerate(stars) if parent[v] != v])
 
@@ -185,7 +186,8 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
     (:func:`_row_basis`) and counts the rows left.
 
     The mask table row-reduces the whole matrix the same way, to a basis
-    of r rows, and counts row-space vectors (:func:`core._count_table`).
+    of r rows, and counts row-space vectors (:func:`core._count_table`),
+    over GF(2) with each row given as its support mask.
     Where that would enumerate more vectors than the table has masks,
     p^r > 2^n (only for p >= 3), the table is walked by a rank step
     instead (:func:`core._walk_table`).  The state of an independent set
@@ -227,11 +229,13 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
             memo[i] = zero
         return state, 0
 
-    def table() -> list[int]:
+    def table() -> list[int] | bytes:
         n = len(vecs)
         rows = _row_basis(p, vecs, spec.dim)
         if p ** len(rows) > 1 << n:
             return _walk_table(n, None, step)
+        if p == 2:
+            rows = [mask_of(j for j, a in enumerate(row) if a) for row in rows]
         return _count_table(n, p, rows)
 
     return Matroid(

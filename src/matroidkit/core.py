@@ -104,12 +104,16 @@ class Matroid:
     construction spec, or None for contractions and user oracles.
     ``table``, set only by constructions and contractions, is a function
     of no arguments that returns the rank of every mask, in mask order,
-    with no call to this matroid's oracle: :meth:`mask_table` calls it
-    in place of the oracle (``linear`` and ``graphic`` count row-space
-    vectors, ``from_table`` hands over its checked rank list, a
-    contraction reads its parent's ranks in one pass).  The whole-table kernels read the table as
-    one int with a byte per mask (:func:`_rank_image`), converted at
-    most once per table.  Instances are immutable apart from the caches.
+    with no call to this matroid's oracle, as a list of ints or as bytes
+    (the rank of mask a in byte a): :meth:`mask_table` calls it in place
+    of the oracle (``linear`` and ``graphic`` count row-space vectors,
+    which returns bytes for at most 255 points, ``from_table`` hands
+    over its checked rank list, a contraction reads its parent's ranks
+    in one pass).  The whole-table kernels read the table as one int
+    with a byte per mask (:func:`_rank_image`): taken from the bytes a
+    ``table`` function returns, or else converted from the list at most
+    once per table.
+    Instances are immutable apart from the caches.
     """
 
     def __init__(
@@ -120,7 +124,7 @@ class Matroid:
         element_map: tuple[int, ...] | None = None,
         spec: object = None,
         *,
-        table: Callable[[], list[int]] | None = None,
+        table: Callable[[], list[int] | bytes] | None = None,
     ):
         if n < 0:
             raise GroundSetError("ground set size must be nonnegative")
@@ -132,7 +136,8 @@ class Matroid:
         self._oracle = oracle
         self._build_table = table
         self._mask_table: list[int] | None = None
-        #: the mask table as one int, a byte per mask, filled by _rank_image
+        #: the mask table as one int, a byte per mask, filled by mask_table
+        #: from a table function's bytes, else by _rank_image
         self._rank_image: int | None = None
         #: the last anchor decomposition, filled by bases.anchor_classes
         self._anchor_cache = None
@@ -206,15 +211,24 @@ class Matroid:
         vectors than the table has masks; ``from_table`` hands over its
         rank list once every entry is checked; a contraction reads its
         parent's ranks.  Any other matroid calls its oracle once per
-        mask.  Once built, every rank is read from
-        the table.
+        mask.  A ``table`` function that returns bytes, as the count
+        does in 1-byte lanes, hands over the rank image too: the table
+        is the list of those bytes, and the image is the same bytes read
+        as one int (a counted rank is at most n <= VALIDATION_BOUND,
+        below _RANK_CAP, so there is nothing to cap), and
+        :func:`_rank_bytes` never runs on that table.  The table is a
+        list either way.  Once built, every rank is read from the table.
         """
         if self._mask_table is None:
             _refuse_above(self.n, VALIDATION_BOUND, "mask table")
             if self._build_table is None:
                 self._mask_table = [self.rank_of_mask(x) for x in range(1 << self.n)]
             else:
-                self._mask_table = self._build_table()
+                built = self._build_table()
+                if type(built) is bytes:
+                    self._rank_image = int.from_bytes(built, "little")
+                    built = list(built)
+                self._mask_table = built
         return self._mask_table
 
 
@@ -327,9 +341,15 @@ def _submodularity(table: list[int], a: int, b: int) -> AxiomReport:
 # on all 2^n masks at once; shifting right by 8 << x moves mask a + x onto
 # mask a.  A set less another is a ^ (a & b), not a & ~b, which would
 # build the complement of a negative int.  Ranks are held the same way,
-# one byte per mask, capped at _RANK_CAP: a matroid's rank image is
-# converted from its mask table once and kept beside it
-# (:func:`_rank_image`).  The kernels only test bytes below 0x80 for zero
+# one byte per mask, capped at _RANK_CAP: a matroid's rank image is kept
+# beside its mask table.  A table counted in 1-byte lanes (``linear`` and
+# ``graphic`` wherever they count at most 255 points, see
+# :func:`_count_table`) comes as rank bytes, which :meth:`Matroid.mask_table`
+# reads as the image at once, so it skips :func:`_rank_bytes`; a table
+# counted in 2-byte lanes, a walked table, ``from_table``'s list, a
+# contraction's, an oracle's, and each contracted table that the lemma
+# battery's L11 reads are converted from their lists, at most once per
+# table (:func:`_rank_image`).  The kernels only test bytes below 0x80 for zero
 # (ranks, ranks + 1 and sizes, and their XORs), which takes one
 # subtraction with no borrow between bytes (:func:`_zero_bytes`).  What
 # depends on n alone (every mask, each mask's size, the masks without x
@@ -501,7 +521,7 @@ def _plus_row(span: dict[int, list[int]], held: dict[int, int], p: int) -> dict:
     ``span[c]`` lists, vector by vector, the positions where w holds c,
     and ``held[e]`` gives the positions where the row holds e; w + row
     holds c + e (mod p) where both hold.  Each value maps to a lazy
-    iterator over the span's vectors.
+    iterator over the span's vectors.  Serves the count over p >= 5.
     """
     out: dict = {}
     for e, at in held.items():
@@ -512,45 +532,88 @@ def _plus_row(span: dict[int, list[int]], held: dict[int, int], p: int) -> dict:
     return out
 
 
-def _count_table(n: int, p: int, rows: list[list[int]]) -> list[int]:
+def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
     """Ranks of all 2^n masks of a matrix over GF(p), from a basis of its row space.
 
-    ``rows`` are r linearly independent rows of n entries in range(p);
-    column j is element j.  The row-space vectors that vanish on a set
-    A of columns form a subspace of dimension r - r(A), the counting
-    identity behind Crapo and Rota's critical problem.  Up to nonzero
-    scaling, which keeps a vector's zero set, there are
-    (p^k - 1) / (p - 1) nonzero vectors in a k-dimensional space, so
-    A lies in the zero sets of exactly (p^(r - r(A)) - 1) / (p - 1) of
-    the points v_i + w, where v_i is row i and w runs over the span of
-    the rows before i.  The points are enumerated once, row by row, as
-    masks: over GF(2) a point is its support, and v + w is one XOR;
-    over GF(p) it is one mask per value it holds (see :func:`_plus_row`).
-    Their zero sets make a histogram in one lane per mask, 1 byte wide
-    while (p^r - 1) / (p - 1) <= 255 and 2 bytes above (held as
-    little-endian ints whatever the host's byte order).  Its superset
-    sums, a zeta transform of n shift/AND/add operations on one int
-    (Bjorklund, Husfeldt, Kaski and Koivisto 2007, "Fourier meets
-    Mobius"), give every count at once, and one ``bytes.translate``
-    (one lookup per lane for 2-byte lanes) maps each count to its
-    rank.  The work is O((p^r / (p - 1)) * p) mask operations plus
-    O(n * 2^n) bytes of int operations, with no Python step per mask.
+    ``rows`` are r linearly independent rows of n entries; column j is
+    element j.  Over GF(2) a row is given as its support mask, over
+    GF(p), p >= 3, as a list of entries in range(p).  The row-space
+    vectors that vanish on a set A of columns form a subspace of
+    dimension r - r(A), the counting identity behind Crapo and Rota's
+    critical problem.  Up to nonzero scaling, which keeps a vector's
+    zero set, there are (p^k - 1) / (p - 1) nonzero vectors in a
+    k-dimensional space, so A lies in the zero sets of exactly
+    (p^(r - r(A)) - 1) / (p - 1) of the points v_i + w, where v_i is
+    row i and w runs over the span of the rows before i.
+
+    The points are enumerated once, row by row.  Over GF(2) a point is
+    its support, and v + w is one XOR.  Over GF(3) the span is packed
+    into one int, a 16-bit lane per vector (n <= 16), and each vector
+    is bit-sliced into the masks of its 1s and of its 2s: 2v swaps the
+    two, v + w holds 1 at (v1 | w1) ^ (v & w) and 2 at
+    (v2 | w2) ^ (v & w), with v and w the supports, and its zero set is
+    ~(v | w) | (v1 & w2) | (v2 & w1), so a row costs a few int
+    operations on the whole span.  Over GF(p), p >= 5, a vector is one
+    mask per value it holds (see :func:`_plus_row`).  The zero sets make
+    a histogram in one lane per mask, 1 byte wide while
+    (p^r - 1) / (p - 1) <= 255 and 2 bytes above (held as little-endian
+    ints whatever the host's byte order).  Its superset sums, a zeta
+    transform of n shift/AND/add operations on one int (Bjorklund,
+    Husfeldt, Kaski and Koivisto 2007, "Fourier meets Mobius"), give
+    every count at once, and one ``bytes.translate`` (one lookup per
+    lane for 2-byte lanes) maps each count to its rank.  From 1-byte
+    lanes the ranks come back as bytes, the rank of mask a in byte a,
+    which :meth:`Matroid.mask_table` takes as the table and as its rank
+    image at once; from 2-byte lanes they come back as a list, whose
+    image is converted when first read.  The work is O((p^r / (p - 1)) * p) mask operations (over
+    GF(3), O(3^r) 16-bit lanes of int operations) plus O(n * 2^n) bytes
+    of int operations, with no Python step per mask.
     """
     r = len(rows)
     full = (1 << n) - 1
-    masks = []  # masks[i][c]: the positions where row i holds c, for 0 and each c it holds
-    for row in rows:
-        held = {0: 0}
-        for j, a in enumerate(row):
-            held[a] = held.get(a, 0) | 1 << j
-        masks.append(held)
     if p == 2:
         # a GF(2) vector is its support, so the points' zero sets are distinct
         span = [0]
-        for held in masks:
-            span += list(map(held[1].__xor__, span))
+        for row in rows:
+            span += list(map(row.__xor__, span))
         counts = dict.fromkeys(map(full.__xor__, span[1:]), 1)
+    elif p == 3:
+        parts = []  # the zero sets of each row's points, in 16-bit lanes
+        ones = twos = 0  # the span bit-sliced, lane k holding vector k
+        size = 1
+        for i, row in enumerate(rows):
+            every = int.from_bytes(b"\x01\x00" * size, "little")  # 1 in every lane
+            v1 = v2 = 0
+            for j, a in enumerate(row):
+                if a == 1:
+                    v1 |= 1 << j
+                elif a:
+                    v2 |= 1 << j
+            v1 *= every
+            v2 *= every
+            v, w = v1 | v2, ones | twos
+            parts.append(
+                (full * every ^ (v | w) | (v1 & twos) | (v2 & ones)).to_bytes(2 * size, "little")
+            )
+            if i < r - 1:
+                both = v & w
+                s1, s2 = (v1 | ones) ^ both, (v2 | twos) ^ both
+                # the span grows by the points v_i + w and their doubles
+                shift = 16 * size
+                ones |= s1 << shift | s2 << 2 * shift
+                twos |= s2 << shift | s1 << 2 * shift
+                size *= 3
+        zero_sets = array("H", b"".join(parts))
+        if sys.byteorder == "big":
+            zero_sets.byteswap()
+        counts = Counter(zero_sets)
     else:
+        masks = []  # masks[i][c]: the positions where row i holds c, for 0 and each c it holds
+        for row in rows:
+            held = {0: 0}
+            for j, a in enumerate(row):
+                held[a] = held.get(a, 0) | 1 << j
+            masks.append(held)
         # the span of the rows before i, as in _plus_row; values that no
         # vector holds are left out
         span = {0: [full]}
@@ -577,18 +640,18 @@ def _count_table(n: int, p: int, rows: list[list[int]]) -> list[int]:
         counts = Counter(zero_sets)
     rank = {(p**k - 1) // (p - 1): r - k for k in range(r + 1)}
     width = 1 if (p**r - 1) // (p - 1) <= 255 else 2
-    lanes = array("BH"[width - 1], bytes(width << n))
+    lanes = bytearray(1 << n) if width == 1 else array("H", bytes(2 << n))
     deque(map(lanes.__setitem__, counts.keys(), counts.values()), maxlen=0)
-    if sys.byteorder == "big":
+    if width == 2 and sys.byteorder == "big":
         lanes.byteswap()
-    f = int.from_bytes(lanes.tobytes(), "little")
+    f = int.from_bytes(lanes, "little")
     for x, outside in enumerate(_per_size(n, b"\xff" * width)):
         f += (f >> ((8 * width) << x)) & outside
     if width == 1:
         to_rank = bytearray(256)
         for count, r_a in rank.items():
             to_rank[count] = r_a
-        return list(f.to_bytes(1 << n, "little").translate(to_rank))
+        return f.to_bytes(1 << n, "little").translate(to_rank)
     lanes = array("H", f.to_bytes(2 << n, "little"))
     if sys.byteorder == "big":
         lanes.byteswap()
@@ -638,7 +701,10 @@ def _is_rank_function(table: list[int], ranks: int, n: int) -> AxiomReport:
     :func:`_rank_bytes`); ``ranks`` is the table's rank image.  For
     each x, the ranks shifted by x against the ranks give flat(x), the
     masks A without x where r(A+x) = r(A), and the masks where
-    r(A+x) - r(A) is neither 0 nor 1.  A pair y < x fails at the A in
+    r(A+x) - r(A) is neither 0 nor 1.  The zero-byte tests of
+    :func:`_zero_bytes` are inlined and leave both flags at 0x80, so the
+    masks where neither holds take one XOR against the masks tested, and
+    only flat(x) is shifted down to bit 0.  A pair y < x fails at the A in
     flat(x) and flat(y) whose A+x is not in flat(y).  The pairs are
     tested eight at a time: the flat(y) of each group of eight elements
     are packed into one int, flat(y) in bit y mod 8 of each byte, and
@@ -662,12 +728,14 @@ def _is_rank_function(table: list[int], ranks: int, n: int) -> AxiomReport:
     high = _per_size(n, "high")
     groups: list[int] = []  # groups[g]: flat(y) in bit y - 8g, for the y < x in group g
     failing = 0
-    for x, (outside, within) in enumerate(zip(_per_size(n, b"\x01"), _per_size(n, b"\x80"))):
+    for x, within in enumerate(_per_size(n, b"\x80")):
         shift = 8 << x
         above = ranks >> shift  # byte a holds r(a + x)
-        flat = _zero_bytes(above ^ ranks, high, within)
-        unit = _zero_bytes(above ^ plus_one, high, within)
-        failing |= outside ^ flat ^ unit  # flat and unit are disjoint parts of outside
+        # the zero-byte tests of _zero_bytes, flags left in the 0x80 lane
+        flat80 = (high - (above ^ ranks)) & within
+        unit80 = (high - (above ^ plus_one)) & within
+        failing |= within ^ flat80 ^ unit80  # flat and unit are disjoint parts of within
+        flat = flat80 >> 7
         spread = flat * 0xFF
         for packed in groups:
             # the y flat at A less those flat at A+x, with no complement

@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from enum import IntEnum
 
 import pytest
@@ -860,6 +860,29 @@ _LISTING_ROUTES = {
     "extend_coloring": lambda lists: extend_coloring(growing_uniform(), lists, 1),
     "first_uncolorable_level": lambda lists: first_uncolorable_level(growing_uniform(), lists, 1),
 }
+
+
+@pytest.mark.parametrize("route", sorted(_LISTING_ROUTES))
+def test_listing_routes_refuse_a_defaultdict_as_they_refuse_the_dict_it_holds(route):
+    # a lookup in a defaultdict fills the key it misses; every route refuses
+    # such a listing with the refusal of a plain dict that misses the same
+    # elements, and leaves the mapping holding the keys it held; so too when
+    # the filled value is one no list can be read from (int() is 0)
+    run = _LISTING_ROUTES[route]
+    colors = ("a", "b", "c", "d")
+    for factory in (lambda: colors, int):
+        for keys in ((), (0, 1, 3), (1, 2, 3), (0, 1, 2)):
+            plain = {x: colors for x in keys}
+            with pytest.raises(GroundSetError) as want:
+                run(dict(plain))
+            filling = defaultdict(factory, plain)
+            with pytest.raises(GroundSetError) as got:
+                run(filling)
+            assert str(got.value) == str(want.value), (factory, keys)
+            assert dict(filling) == plain
+    # one that covers every element is read as the dict it holds
+    full = {x: colors for x in range(4)}
+    assert run(defaultdict(lambda: colors, full)) == run(full)
 
 
 @pytest.mark.parametrize("route", sorted(_LISTING_ROUTES))

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -13,6 +13,7 @@ from matroidkit import (
     chain_from_matroids,
     extend_coloring,
     first_uncolorable_level,
+    is_list_colorable,
     is_proper,
     uniform,
 )
@@ -203,6 +204,20 @@ def test_first_uncolorable_level_refuses_the_first_level_it_does_not_cover():
     with pytest.raises(GroundSetError, match="^listing does not cover element 4$"):
         first_uncolorable_level(chain, lists, 3)
     assert built == [0, 1, 2, 3]
+
+
+def test_chain_routes_refuse_an_empty_defaultdict_and_leave_it_empty():
+    # the lookup pass would fill every key of growing_cycle's level 1 (5
+    # elements); is_list_colorable refuses the same listing as missing them
+    for route in (extend_coloring, first_uncolorable_level):
+        lists = defaultdict(lambda: ("a", "b"))
+        with pytest.raises(GroundSetError, match="^listing does not cover element 0$"):
+            route(growing_cycle(), lists, 1)
+        assert len(lists) == 0
+    lists = defaultdict(lambda: ("a", "b"))
+    with pytest.raises(GroundSetError, match=r"^listing must cover the ground set exactly: missing \{0,1,2,3,4\}$"):
+        is_list_colorable(growing_cycle().level(1), lists)
+    assert len(lists) == 0
 
 
 @pytest.mark.parametrize(

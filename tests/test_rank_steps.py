@@ -5,7 +5,10 @@ forest over the subset's edges, ``linear`` by row-reducing the subset's
 vectors.  ``Matroid.mask_table`` builds the tables by one of two routes.
 The count row-reduces the representation and counts its row-space
 vectors by zero set (``core._count_table``); it serves ``graphic``,
-GF(2), and GF(p) wherever p^r <= 2^n.  The walk steps ``linear``'s rank
+GF(2), and GF(p) wherever p^r <= 2^n, and, for at most 255 points,
+hands its ranks over as bytes, which become the table and its rank
+image.  Over GF(3) it is
+swept at every n up to 12 and every rank it takes.  The walk steps ``linear``'s rank
 step over prefixes (``core._walk_table``); it serves ``linear`` over
 p >= 3 where p^r > 2^n.  Oracle and table must equal the plain
 definition computed mask by mask: Gaussian elimination for vectors,
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 import matroidkit
 from matroidkit import BoundExceededError, Matroid, VectorSpec, graphic, linear
 from matroidkit.constructions import _row_basis
-from matroidkit.core import _walk_table, bits
+from matroidkit.core import _rank_image, _walk_table, bits
 
 from conftest import _gf_rank
 
@@ -426,3 +429,48 @@ def test_count_at_16_elements_below_full_rank():
     assert (gf2[-1], graph[-1]) == (12, 9)
     assert [gf2[a] for a in sample] == [_gf_rank([list(vectors[i]) for i in bits(a)], 2) for a in sample]
     assert [graph[a] for a in sample] == [graph_rank(edges, a) for a in sample]
+
+
+def _gf3_columns(rng, n, rank):
+    """n columns over GF(3) of the given rank, in dimension rank + 1, shuffled.
+
+    The first ``rank`` columns are independent; each column after them is
+    zero, a copy or a double of an earlier column, or a combination of
+    the independent ones.
+    """
+    dim = rank + 1
+    while True:
+        basis = [tuple(rng.randrange(3) for _ in range(dim)) for _ in range(rank)]
+        if _gf_rank([list(v) for v in basis], 3) == rank:
+            break
+    columns = list(basis)
+    while len(columns) < n:
+        kind = rng.choice(("zero", "copy", "double", "combination"))
+        if kind == "zero" or not columns:
+            columns.append((0,) * dim)
+        elif kind in ("copy", "double"):
+            c = 1 if kind == "copy" else 2
+            columns.append(tuple(c * a % 3 for a in rng.choice(columns)))
+        else:
+            cs = [rng.randrange(3) for _ in basis]
+            columns.append(tuple(sum(c * v[j] for c, v in zip(cs, basis)) % 3 for j in range(dim)))
+    rng.shuffle(columns)
+    return tuple(columns)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_gf3_count_equals_gaussian_elimination_at_every_rank_it_takes(n):
+    # every rank r with 3^r <= 2^n is counted, in 1-byte lanes up to
+    # r = 5 (121 points), whose rank bytes are handed over as the table and
+    # the rank image, and 2-byte lanes from r = 6 (364 points)
+    rng = random.Random(320 + n)
+    ranks = [r for r in range(n + 1) if 3**r <= 1 << n]
+    assert ranks[0] == 0
+    for rank in ranks:
+        columns = _gf3_columns(rng, n, rank)
+        want = _gf_table(3, columns)
+        assert want[-1] == rank
+        m = linear(VectorSpec(3, rank + 1, columns))
+        assert m.mask_table() == want, (n, rank, columns)
+        assert (m._rank_image is not None) == (rank <= 5)
+        assert _rank_image(m) == int.from_bytes(bytes(want), "little")

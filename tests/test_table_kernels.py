@@ -12,9 +12,12 @@ mask's flat extensions and unit steps, and its closedness, are held to
 the same tables, up to 10 elements.  The byte sets that depend
 on n alone are built once per size and kept; each must equal a fresh
 mask-by-mask build, whatever sizes ran before it.  A matroid's rank image
-is converted from its own mask table.
+is converted from its own mask table, or, where the table is counted in
+1-byte lanes, handed over with it; either way the table is a list and the image equals
+its conversion, on every route by which a table is built.
 """
 
+import functools
 import itertools
 import operator
 import random
@@ -241,6 +244,88 @@ def test_a_rank_image_is_converted_from_its_own_table():
         _agree(derived)
         assert derived._rank_image != image
     assert m._rank_image is image
+
+
+def _seeded_vectors(p, dim, n, seed):
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(n))
+
+
+@functools.cache
+def _gf_ranks(p, dim, vectors):
+    """The rank of every mask of the vectors over GF(p), by elimination."""
+    want = [_gf_rank([list(vectors[i]) for i in bits(a)], p) for a in range(1 << len(vectors))]
+    assert want[-1] == min(dim, len(vectors))
+    return want
+
+
+def _linear_route(p, dim, n, handed_over=True):
+    vectors = _seeded_vectors(p, dim, n, seed=n)
+    return lambda: linear(VectorSpec(p, dim, vectors)), lambda: _gf_ranks(p, dim, vectors), handed_over
+
+
+_GF3_9 = _seeded_vectors(3, 4, 9, seed=1)
+# self-loops (0, 5), parallel edges (1, 2) and two components
+_ROUTE_EDGES = [(0, "a", "a"), (1, "a", "b"), (2, "b", "a"), (3, "b", "c"), (4, "c", "a"),
+                (5, "x", "x"), (6, "x", "y"), (7, "y", "z"), (8, "z", "x")]
+
+
+def _contracted_ranks():
+    want = _gf_ranks(3, 4, _GF3_9)
+    # {0, 2} contracted: the kept ids 1, 3, 4, ... become 0, 1, 2, ...
+    return [want[0b101 | (a & 1) << 1 | a >> 1 << 3] - want[0b101] for a in range(1 << 7)]
+
+
+# each route by which a mask table is built: (a fresh matroid, its reference
+# ranks in mask order, whether its table builder hands over rank bytes)
+_IMAGE_ROUTES = {
+    "linear GF(2)": _linear_route(2, 5, 10),
+    # 40 points: 1-byte count lanes
+    "linear GF(3) 1-byte lanes": _linear_route(3, 4, 10),
+    # 3^6 <= 2^11, 364 points: 2-byte count lanes, whose ranks come as a list
+    "linear GF(3) 2-byte lanes": _linear_route(3, 6, 11, handed_over=False),
+    # 5^3 <= 2^8
+    "linear GF(5)": _linear_route(5, 3, 8),
+    # 7^4 > 2^9: the walk
+    "linear walk": _linear_route(7, 4, 9, handed_over=False),
+    "graphic": (
+        lambda: graphic(_ROUTE_EDGES),
+        lambda: list(map(graphic(_ROUTE_EDGES)._oracle, range(1 << len(_ROUTE_EDGES)))),
+        True,
+    ),
+    "contraction": (
+        lambda: contract(linear(VectorSpec(3, 4, _GF3_9)), [0, 2]), _contracted_ranks, False,
+    ),
+    "from_table": (
+        lambda: from_table(tabulate(linear(VectorSpec(3, 4, _GF3_9)))),
+        lambda: _gf_ranks(3, 4, _GF3_9),
+        False,
+    ),
+    "oracle only": (
+        lambda: Matroid(9, linear(VectorSpec(3, 4, _GF3_9)).rank_of_mask),
+        lambda: _gf_ranks(3, 4, _GF3_9),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_IMAGE_ROUTES))
+def test_table_routes_give_a_list_and_its_rank_image(route):
+    # a count hands over its rank bytes, which become the table, a list,
+    # and the rank image at once; every other route's image is converted
+    # from its list on first use
+    build, reference, handed_over = _IMAGE_ROUTES[route]
+    m = build()
+    if route == "from_table":  # its construction ran the axiom pass
+        assert m._rank_image is not None
+    else:
+        assert m._mask_table is None and m._rank_image is None
+    table = m.mask_table()
+    assert type(table) is list and table == reference()
+    assert (m._rank_image is not None) == (handed_over or route == "from_table")
+    assert core._rank_image(m) == _rank_bytes(table)
+    assert m.mask_table() is table
+    _agree(m)
 
 
 def _fresh_byte_sets(n, key):
