@@ -766,7 +766,7 @@ def validate_axioms(m: Matroid) -> AxiomReport:
     return _is_rank_function(m._mask_table, ranks, m.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circuit:
     """A minimal dependent set, stored in canonical ascending order."""
 

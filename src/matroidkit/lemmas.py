@@ -9,28 +9,34 @@ skipped above its size bound.  Vacuously-true cases pass with a note.
 The checks read shared whole-table facts, each built by one helper:
 the flat extensions and unit steps of every mask (``core._step_masks``)
 and the closed masks (``core._closed_flags``), each in O(n) operations
-on the rank image, and the meet of each mask's closed supersets
-(:func:`_closed_meets`), one AND per (mask, element).  A check whose
-lemma follows from a unit-step form decides by that form first: a table
-that passes the unit-increase rank axioms (:func:`validate_axioms`)
-certifies L2a, L2b, L10a, L10b, L11 and L12, and L6, L16 and L7abc's
-monotonicity are certified by a test per mask or per (mask, element).
-A form that does not certify runs the exact sweep, which names the same
-witness.  When the oracle faults, so that no mask table can be built,
-a check that reads ranks mask by mask meets the faults in that route's
-order.
+on the rank image, the meet of each mask's closed supersets
+(:func:`_closed_meets`), one AND per (mask, element), the axiom report,
+the circuit masks, the bases and the chromatic number.  One battery run
+builds each of them once, on its first read, in one :class:`_Facts`
+that it hands to every check; a check called on its own builds its
+own.  A check whose lemma follows from a unit-step form decides by that
+form first: a table that passes the unit-increase rank axioms
+(:func:`validate_axioms`) certifies L2a, L2b, L10a, L10b, L11 and L12,
+L6, L16 and L7abc's monotonicity are certified by a test per mask or
+per (mask, element), and L17 by a certificate per base and circuit
+that holds in every matroid.  A form that does not certify runs the
+exact sweep, which names the same witness.  When the oracle faults, so
+that no mask table can be built, a check that reads ranks mask by mask
+meets the faults in that route's order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
-from .bases import OrderedBase, _circuit_base_part, all_bases, anchor_classes
+from .bases import OrderedBase, all_bases, anchor_classes
 from .closure import _closed_masks, _closure_mask, _is_closed_mask
-from .coloring import chromatic_number, distinct_color_fallback, is_proper
+from .coloring import ChromaticResult, chromatic_number, distinct_color_fallback, is_proper
 from .core import (
+    AxiomReport,
     LoopError,
     Matroid,
     MatroidError,
@@ -44,7 +50,6 @@ from .core import (
     _subsets_by_size,
     bits,
     check_circuit_elimination,
-    circuits,
     is_loop_free,
     mask_of,
     set_literal,
@@ -52,14 +57,12 @@ from .core import (
 )
 
 LEMMA_BOUND = 8
-# max_n may lift LEMMA_BOUND up to here, never past it.  The battery on
-# uniform(9, 7) takes 0.009-0.010 s, on a 9-edge graph (K4 plus a vertex
-# joined to three of its vertices) 0.020-0.023 s and on uniform(8, 4)
-# 0.020-0.044 s; at n = 10 it takes 0.29-0.35 s (uniform(10, 5)), 0.25 s
-# of it in L17's anchor peel.  A table that is no matroid runs the
-# fallback sweeps: 0.17-0.24 s at n = 9, most of it in L10ab (2-vCPU
-# x86-64 guest, Python 3.11)
-LEMMA_N_CEILING = 9
+# max_n may lift LEMMA_BOUND up to here, never past it.  At n = 10 the
+# battery takes 0.028-0.032 s on uniform(10, 5), which has the most
+# bases of any 10-element matroid, and 0.019-0.022 s on K5.  A 10-element
+# table that is no matroid runs the fallback sweeps: 0.9-1.3 s, almost
+# all of it in L10ab's (2-vCPU x86-64 guest, Python 3.11)
+LEMMA_N_CEILING = 10
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,51 @@ def _closed_meets(closed, n: int) -> list[int]:
     return meet
 
 
+class _Facts:
+    """The whole-table facts of one matroid that several checks read.
+
+    Each is built on its first read and kept for the rest of one battery
+    run.  A build that raises keeps nothing, so the next check that
+    reads the fact builds it again and meets the oracle's fault in its
+    own order.
+    """
+
+    def __init__(self, m: Matroid):
+        self.m = m
+
+    @functools.cached_property
+    def axioms(self) -> AxiomReport:
+        return validate_axioms(self.m)
+
+    @functools.cached_property
+    def flat(self) -> list[int]:
+        return _step_masks(self.m, 0)
+
+    @functools.cached_property
+    def unit(self) -> list[int]:
+        return _step_masks(self.m, 1)
+
+    @functools.cached_property
+    def closed(self) -> bytes | list[bool]:
+        return _closed_flags(self.m)
+
+    @functools.cached_property
+    def meets(self) -> list[int]:
+        return _closed_meets(self.closed, self.m.n)
+
+    @functools.cached_property
+    def circuit_masks(self) -> list[int]:
+        return _circuit_masks(self.m)
+
+    @functools.cached_property
+    def bases(self) -> list[tuple[int, ...]]:
+        return all_bases(self.m)
+
+    @functools.cached_property
+    def chromatic(self) -> ChromaticResult:
+        return chromatic_number(self.m)
+
+
 def _closed_by_size(closed, n: int) -> list[int]:
     """The closed masks in (size, lexicographic) order, as ``_closed_masks`` lists them."""
     return [z for z in _subsets_by_size((1 << n) - 1) if closed[z]]
@@ -127,15 +175,15 @@ def _circuits_meet(cmasks: list[int]) -> bool:
     return sum(map(int.bit_count, cmasks)) > union.bit_count()
 
 
-def _certified_or_swept(m: Matroid, key: str, title: str, sweep, *args) -> LemmaResult:
+def _certified_or_swept(m: Matroid, facts: _Facts | None, key: str, title: str, sweep) -> LemmaResult:
     """A pass when m's table passes the unit-increase axioms, of which the
-    lemma is a consequence; else ``sweep(*args)``'s verdict, its fail
+    lemma is a consequence; else ``sweep(table, n)``'s verdict, its fail
     detail or None for a pass."""
-    detail = None if validate_axioms(m).ok else sweep(*args)
+    detail = None if (facts or _Facts(m)).axioms.ok else sweep(m.mask_table(), m.n)
     return _ok(key, title) if detail is None else _fail(key, title, detail)
 
 
-def check_maximal_independent_size(m: Matroid) -> LemmaResult:
+def check_maximal_independent_size(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L1: every maximal independent subset of A has size r(A), for every A.
 
     An independent B is maximal inside A iff A holds none of B's unit
@@ -146,7 +194,8 @@ def check_maximal_independent_size(m: Matroid) -> LemmaResult:
     t = m.mask_table()
     top = 1 << m.n
     gate = [
-        u if r == b.bit_count() else top for b, (r, u) in enumerate(zip(t, _step_masks(m, 1)))
+        u if r == b.bit_count() else top
+        for b, (r, u) in enumerate(zip(t, (facts or _Facts(m)).unit))
     ]
     for a in range(top):
         ra, tagged = t[a], a | top
@@ -175,15 +224,16 @@ def _weak_elimination_sweep(cmasks: list[int]) -> str | None:
     return None
 
 
-def check_weak_elimination(m: Matroid) -> LemmaResult:
+def check_weak_elimination(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L2a: for circuits C1 != C2 and e in both, some circuit lies inside (C1 u C2) - e.
 
     A table that passes the unit-increase axioms is a matroid's, where
     weak elimination holds; any other gets the sweep over circuit pairs.
     """
     key, title = "L2a", "circuit elimination (weak)"
-    cmasks = _circuit_masks(m)
-    if not validate_axioms(m).ok:
+    facts = facts or _Facts(m)
+    cmasks = facts.circuit_masks
+    if not facts.axioms.ok:
         detail = _weak_elimination_sweep(cmasks)
         if detail is not None:
             return _fail(key, title, detail)
@@ -191,13 +241,14 @@ def check_weak_elimination(m: Matroid) -> LemmaResult:
     return _ok(key, title, note)
 
 
-def check_strong_elimination(m: Matroid) -> LemmaResult:
+def check_strong_elimination(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L2b: strong circuit elimination, by :func:`check_circuit_elimination`
     on a table that fails the unit-increase axioms; a matroid's table
     passes it, as strong elimination holds in every matroid."""
     key, title = "L2b", "circuit elimination keeping a chosen element"
-    cmasks = _circuit_masks(m)
-    if validate_axioms(m).ok:
+    facts = facts or _Facts(m)
+    cmasks = facts.circuit_masks
+    if facts.axioms.ok:
         note = "" if _circuits_meet(cmasks) else "vacuous: no intersecting circuit pair"
         return _ok(key, title, note)
     report = check_circuit_elimination(m)
@@ -208,27 +259,31 @@ def check_strong_elimination(m: Matroid) -> LemmaResult:
     return _fail(key, title, f"pair {set_literal(c1)},{set_literal(c2)} drop {e} keep {e1}")
 
 
-def check_unique_circuit_in_base_extension(m: Matroid) -> LemmaResult:
+def check_unique_circuit_in_base_extension(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
+    """L3: for every base B and x outside it, exactly one circuit lies inside B + x.
+
+    A circuit lies inside B + x iff its part outside B is {x} or empty,
+    so the circuits' parts outside B, listed once per base, are counted
+    by one C-level ``list.count`` per x.
+    """
     key, title = "L3", "exactly one circuit inside base + outside element"
-    cmasks = _circuit_masks(m)
-    all_b = all_bases(m)
+    facts = facts or _Facts(m)
+    cmasks = facts.circuit_masks
+    all_b = facts.bases
     for b in all_b:
         bmask = mask_of(b)
+        beyond = list(map((~bmask).__and__, cmasks))
+        within = beyond.count(0)
         for x in range(m.n):
-            if bmask >> x & 1:
-                continue
-            inside = [cm for cm in cmasks if cm & ~(bmask | 1 << x) == 0]
-            if len(inside) != 1:
-                return _fail(
-                    key,
-                    title,
-                    f"base {set_literal(b)} + {x}: {len(inside)} circuits",
-                )
+            if not bmask >> x & 1:
+                inside = beyond.count(1 << x) + within
+                if inside != 1:
+                    return _fail(key, title, f"base {set_literal(b)} + {x}: {inside} circuits")
     note = "vacuous: no base/element pair" if not all_b or all(len(b) == m.n for b in all_b) else ""
     return _ok(key, title, note)
 
 
-def check_flatness_monotone(m: Matroid) -> LemmaResult:
+def check_flatness_monotone(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L4: r(A + x) = r(A) and A inside B imply r(B + x) = r(B), for x outside B.
 
     Each pair (A, B) takes one AND of flat-extension masks: the
@@ -236,7 +291,7 @@ def check_flatness_monotone(m: Matroid) -> LemmaResult:
     the lowest of them is the first x of a sweep over x.
     """
     key, title = "L4", "rank-preserving extension transfers to supersets"
-    flat = _step_masks(m, 0)
+    flat = (facts or _Facts(m)).flat
     full = (1 << m.n) - 1
     for b in range(full + 1):
         lost = full ^ (b | flat[b])
@@ -252,10 +307,10 @@ def check_flatness_monotone(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def check_flatness_joint(m: Matroid) -> LemmaResult:
+def check_flatness_joint(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     key, title = "L5", "jointly adding rank-preserving elements preserves rank"
     t = m.mask_table()
-    for a, flat in enumerate(_step_masks(m, 0)):
+    for a, flat in enumerate((facts or _Facts(m)).flat):
         for xs in _sub_masks(flat):
             if t[a | xs] != t[a]:
                 return _fail(
@@ -266,7 +321,7 @@ def check_flatness_joint(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def check_closed_intersection(m: Matroid) -> LemmaResult:
+def check_closed_intersection(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L6: the meet of two closed sets is closed.
 
     The closed sets are closed under meets iff, for every mask X, the
@@ -276,8 +331,9 @@ def check_closed_intersection(m: Matroid) -> LemmaResult:
     """
     key, title = "L6", "intersections of closed sets are closed"
     _table_or_fault(m, _closed_masks)
-    closed = _closed_flags(m)
-    if not all(closed[z] for z in _closed_meets(closed, m.n)):
+    facts = facts or _Facts(m)
+    closed = facts.closed
+    if not all(closed[z] for z in facts.meets):
         listed = _closed_by_size(closed, m.n)
         for z1 in listed:
             for z2 in listed:
@@ -301,7 +357,7 @@ def _first_not_monotone(sig: list[int]) -> tuple[int, int] | None:
     return None
 
 
-def check_closure_minimality(m: Matroid) -> LemmaResult:
+def check_closure_minimality(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L7abc: closure(X) lies in every closed superset of X, and closure is
     monotone and idempotent.
 
@@ -312,9 +368,10 @@ def check_closure_minimality(m: Matroid) -> LemmaResult:
     """
     key, title = "L7abc", "closure is the least closed superset, monotone, idempotent"
     _table_or_fault(m, _closed_masks)
+    facts = facts or _Facts(m)
     full = (1 << m.n) - 1
-    meet = _closed_meets(_closed_flags(m), m.n)
-    sig = [x | f for x, f in enumerate(_step_masks(m, 0))]
+    meet = facts.meets
+    sig = [x | f for x, f in enumerate(facts.flat)]
     for x in range(full + 1):
         if sig[x] & ~meet[x]:
             return _fail(
@@ -338,7 +395,7 @@ def _closure_route_reads(m: Matroid) -> None:
         _is_closed_mask(m, z)
 
 
-def check_closure_routes_agree(m: Matroid) -> LemmaResult:
+def check_closure_routes_agree(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L8: closure(X) equals the meet of the closed supersets of X, for every X.
 
     Each closure is X plus its flat extensions; each meet is read from
@@ -348,8 +405,9 @@ def check_closure_routes_agree(m: Matroid) -> LemmaResult:
     """
     key, title = "L8", "flat-extension closure equals intersection of closed supersets"
     _table_or_fault(m, _closure_route_reads)
-    meet = _closed_meets(_closed_flags(m), m.n)
-    for x, flat in enumerate(_step_masks(m, 0)):
+    facts = facts or _Facts(m)
+    meet = facts.meets
+    for x, flat in enumerate(facts.flat):
         if x | flat != meet[x]:
             return _fail(
                 key,
@@ -360,7 +418,7 @@ def check_closure_routes_agree(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def check_base_characterization(m: Matroid) -> LemmaResult:
+def check_base_characterization(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L9: B is a maximal independent set iff B is independent and its
     closure is the ground set.
 
@@ -370,9 +428,10 @@ def check_base_characterization(m: Matroid) -> LemmaResult:
     so the two sides read different ranks."""
     key, title = "L9", "bases are exactly the independent sets with full closure"
     t = m.mask_table()
+    facts = facts or _Facts(m)
     full = (1 << m.n) - 1
-    meet = _closed_meets(_closed_flags(m), m.n)
-    for b, flat in enumerate(_step_masks(m, 0)):
+    meet = facts.meets
+    for b, flat in enumerate(facts.flat):
         if t[b] == b.bit_count() and (b | flat == full) != (meet[b] == full):
             return _fail(key, title, f"B={set_literal(bits(b))}")
     return _ok(key, title)
@@ -404,7 +463,7 @@ def _fitting_monotone_sweep(t: list[int], n: int) -> str | None:
     return None
 
 
-def check_fitting_monotone(m: Matroid) -> LemmaResult:
+def check_fitting_monotone(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L10a: for every Z and A outside it, a subset of Z that contains a
     fitting Z0 fits too, where W fits iff r(A u W) - r(W) = r(A u Z) - r(Z).
 
@@ -415,7 +474,7 @@ def check_fitting_monotone(m: Matroid) -> LemmaResult:
     that passes them passes.  Any other table gets the sweep.
     """
     key, title = "L10a", "supersets of a fitting set fit"
-    return _certified_or_swept(m, key, title, _fitting_monotone_sweep, m.mask_table(), m.n)
+    return _certified_or_swept(m, facts, key, title, _fitting_monotone_sweep)
 
 
 def _fitting_common_sweep(t: list[int], n: int) -> str | None:
@@ -444,7 +503,7 @@ def _fitting_common_sweep(t: list[int], n: int) -> str | None:
     return None
 
 
-def check_fitting_common(m: Matroid) -> LemmaResult:
+def check_fitting_common(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L10b: for every Z, the union of the first fitting subsets of Z, one
     for each A of one or two elements outside Z, fits every such A.
 
@@ -454,7 +513,7 @@ def check_fitting_common(m: Matroid) -> LemmaResult:
     the sweep.
     """
     key, title = "L10b", "one finite set fits a whole finite family"
-    return _certified_or_swept(m, key, title, _fitting_common_sweep, m.mask_table(), m.n)
+    return _certified_or_swept(m, facts, key, title, _fitting_common_sweep)
 
 
 def _contracted_axioms(t: list[int], n: int, z: int):
@@ -477,7 +536,7 @@ def _contracted_axioms(t: list[int], n: int, z: int):
     return _is_rank_function(ranks, _rank_bytes(ranks), n - z.bit_count())
 
 
-def check_contraction_is_matroid(m: Matroid) -> LemmaResult:
+def check_contraction_is_matroid(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L11: for every Z, r(A u Z) - r(Z) <= r(A) for A outside Z, and M/Z is
     a matroid.
 
@@ -490,7 +549,7 @@ def check_contraction_is_matroid(m: Matroid) -> LemmaResult:
     """
     key, title = "L11", "contraction never raises rank and is a matroid"
     t = m.mask_table()
-    if validate_axioms(m).ok:
+    if (facts or _Facts(m)).axioms.ok:
         return _ok(key, title)
     full = (1 << m.n) - 1
     for z in range(1 << m.n):
@@ -519,7 +578,7 @@ def _contraction_independence_sweep(t: list[int], n: int) -> str | None:
     return None
 
 
-def check_contraction_independence(m: Matroid) -> LemmaResult:
+def check_contraction_independence(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L12: X outside Z is independent in M/Z iff X u Y is independent for
     every independent Y inside Z.
 
@@ -528,7 +587,7 @@ def check_contraction_independence(m: Matroid) -> LemmaResult:
     any other gets the sweep.
     """
     key, title = "L12", "independent in contraction iff union with independent parts stays independent"
-    return _certified_or_swept(m, key, title, _contraction_independence_sweep, m.mask_table(), m.n)
+    return _certified_or_swept(m, facts, key, title, _contraction_independence_sweep)
 
 
 def _contraction_loop_free(m: Matroid, z: int) -> bool:
@@ -550,7 +609,7 @@ def _contraction_loop_free(m: Matroid, z: int) -> bool:
     return True
 
 
-def check_contraction_loop_free(m: Matroid) -> LemmaResult:
+def check_contraction_loop_free(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L13: M/Z is loop-free iff Z is closed, for every Z.
 
     Both sides are read by rank on the mask, with no contraction built:
@@ -567,8 +626,9 @@ def check_contraction_loop_free(m: Matroid) -> LemmaResult:
                 return _fail(key, title, f"Z={set_literal(bits(z))}")
         return _ok(key, title)
     full = (1 << m.n) - 1
-    closed = _closed_flags(m)
-    for z, unit in enumerate(_step_masks(m, 1)):
+    facts = facts or _Facts(m)
+    closed = facts.closed
+    for z, unit in enumerate(facts.unit):
         odd = full ^ z ^ unit  # the x outside Z whose gain is not 1
         if odd:
             x = (odd & -odd).bit_length() - 1
@@ -580,11 +640,11 @@ def check_contraction_loop_free(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def check_colorability_iff_loop_free(m: Matroid) -> LemmaResult:
+def check_colorability_iff_loop_free(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     key, title = "L14", "proper colorings exist exactly for loop-free matroids"
     lf = is_loop_free(m)
     try:
-        result = chromatic_number(m)
+        result = (facts or _Facts(m)).chromatic
     except LoopError:
         if lf:
             return _fail(key, title, "loop-free matroid refused a coloring")
@@ -596,16 +656,24 @@ def check_colorability_iff_loop_free(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def check_distinct_fallback(m: Matroid) -> LemmaResult:
+@functools.lru_cache(maxsize=LEMMA_N_CEILING + 1)
+def _full_size_listings(n: int) -> tuple[dict[int, frozenset[str]], ...]:
+    """L15's three listings on n elements: n of 2n colors for each element,
+    drawn by ``random.Random(0)``, so the same for every matroid of size n.
+    Kept for as many sizes as the battery runs at and shared, so no caller
+    may change them."""
+    rng = random.Random(0)
+    pool = [f"c{i}" for i in range(2 * n)]
+    return tuple({x: frozenset(rng.sample(pool, n)) for x in range(n)} for _ in range(3))
+
+
+def check_distinct_fallback(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     key, title = "L15", "full-size lists always admit an all-distinct coloring"
     if not is_loop_free(m):
         return _ok(key, title, "vacuous: loops present")
     if m.n == 0:
         return _ok(key, title, "vacuous: empty ground set")
-    rng = random.Random(0)
-    pool = [f"c{i}" for i in range(2 * m.n)]
-    for _ in range(3):
-        lists = {x: frozenset(rng.sample(pool, m.n)) for x in range(m.n)}
+    for lists in _full_size_listings(m.n):
         phi = distinct_color_fallback(m, lists)
         if not is_proper(m, phi):
             return _fail(key, title, "fallback coloring not proper")
@@ -614,7 +682,7 @@ def check_distinct_fallback(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def check_circuit_closure_absorption(m: Matroid) -> LemmaResult:
+def check_circuit_closure_absorption(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L16: no circuit has exactly one element outside a closed set.
 
     A closed set holding C - e but not e exists iff e lies outside the
@@ -623,9 +691,10 @@ def check_circuit_closure_absorption(m: Matroid) -> LemmaResult:
     order, and the circuits swept for the first witness.
     """
     key, title = "L16", "a circuit nearly inside a closed set is inside it"
-    cmasks = _circuit_masks(m)
-    closed = _closed_flags(m)
-    meet = _closed_meets(closed, m.n)
+    facts = facts or _Facts(m)
+    cmasks = facts.circuit_masks
+    closed = facts.closed
+    meet = facts.meets
     if not all(meet[cm ^ 1 << e] >> e & 1 for cm in cmasks for e in bits(cm)):
         for z in _closed_by_size(closed, m.n):
             for cm in cmasks:
@@ -661,45 +730,81 @@ def _distinct_anchor_order(parts: list[int], base: int) -> tuple[int, ...] | Non
     return (*bits(base), *reversed(removed))
 
 
-def check_anchor_repetition(m: Matroid) -> LemmaResult:
+def _swap_sets(t: list[int], base: int, n: int) -> list[int]:
+    """For each element e of the ``base`` mask, ascending, the x whose part
+    F_x holds e: e itself, and each x outside the base with
+    r(B - e + x) = r(B), read from the mask table t."""
+    r = t[base]
+    outside = [1 << x for x in range(n) if not base >> x & 1]
+    return [
+        bit | sum(y for y in outside if t[base ^ bit | y] == r)
+        for bit in (1 << e for e in bits(base))
+    ]
+
+
+def _circuits_met_once(holders: list[int], y: int) -> int:
+    """The circuits that hold exactly one element of the mask y, one bit
+    per circuit, from holders[x], the circuits that hold x."""
+    once = twice = 0
+    for x in bits(y):
+        twice |= once & holders[x]
+        once |= holders[x]
+    return once & ~twice
+
+
+def check_anchor_repetition(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L17: under every ordered base, every circuit repeats an anchor.
 
     The anchor of x is the order-maximum of its fundamental-circuit base
-    part F_x ({x} for x in the base), so for each base, in all_bases
-    order, one peel per circuit decides whether some order of that base
-    gives the circuit distinct anchors.  anchor_classes runs once per
-    base for its loop, base and swap checks.  A failure names the first
-    such base and circuit, with an order the peel found.
+    part F_x ({x} for x in the base).  For a base B, a circuit C and
+    e in B, let S_e be the x in C whose part holds e.  In a matroid no
+    S_e has exactly one element: if S_e = {x0}, every other x in C lies
+    in cl(B - e) (its part, or x itself, avoids e), so x0 lies in
+    cl(C - x0), inside cl(B - e); but e in F_x0 says that B - e + x0 is
+    a base (or x0 = e), so x0 is outside cl(B - e).  So the order-maximum
+    of the union of the parts is the anchor of two elements of C, in
+    every order of B.  For each base, in all_bases order, one fold per
+    e in B over the circuit sets of the x whose part holds e certifies
+    that no S_e has one element; only a base where that fails (on a
+    table that is no matroid) gets one peel per circuit, which decides
+    exactly whether some order gives the circuit distinct anchors.  anchor_classes runs
+    once per base for its loop, base and swap checks.  A failure names
+    the first such base and circuit, with an order the peel found.
     """
     key, title = "L17", "every circuit repeats an anchor value"
     if not is_loop_free(m):
         return _ok(key, title, "vacuous: loops present")
-    circs = [c.members for c in circuits(m)]
-    if not circs:
+    facts = facts or _Facts(m)
+    cmasks = facts.circuit_masks
+    if not cmasks:
         return _ok(key, title, "vacuous: no circuits")
-    for b in all_bases(m):
-        ob = OrderedBase(b)
-        anchor_classes(m, ob)
+    t = m.mask_table()
+    holders = [0] * m.n
+    for i, cm in enumerate(cmasks):
+        for x in bits(cm):
+            holders[x] |= 1 << i
+    for b in facts.bases:
+        anchor_classes(m, OrderedBase(b))
         bmask = mask_of(b)
-        parts = [
-            1 << x if bmask >> x & 1 else mask_of(_circuit_base_part(m, ob, x))
-            for x in range(m.n)
-        ]
-        for c in circs:
-            order = _distinct_anchor_order([parts[x] for x in c], bmask)
+        swaps = _swap_sets(t, bmask, m.n)
+        if not any(_circuits_met_once(holders, y) for y in swaps):
+            continue
+        parts = [sum(1 << e for e, y in zip(b, swaps) if y >> x & 1) for x in range(m.n)]
+        for cm in cmasks:
+            order = _distinct_anchor_order([parts[x] for x in bits(cm)], bmask)
             if order is not None:
                 return _fail(
                     key,
                     title,
-                    f"base {order} circuit {set_literal(c)}: all anchors distinct",
+                    f"base {order} circuit {set_literal(bits(cm))}: all anchors distinct",
                 )
     return _ok(key, title)
 
 
-def check_flat_extension_dependence(m: Matroid) -> LemmaResult:
+def check_flat_extension_dependence(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     key, title = "L18", "flat-extension elements beyond |A| are dependent"
     t = m.mask_table()
-    for a, flat in enumerate(_step_masks(m, 0)):
+    for a, flat in enumerate((facts or _Facts(m)).flat):
         for combo in itertools.combinations(bits(flat), a.bit_count() + 1):
             if t[mask_of(combo)] == len(combo):
                 return _fail(
@@ -710,13 +815,14 @@ def check_flat_extension_dependence(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def check_flat_extension_count(m: Matroid) -> LemmaResult:
+def check_flat_extension_count(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     key, title = "L19-analog", "flat extensions hold at most Chr * |A| elements"
     if not is_loop_free(m):
         return _ok(key, title, "vacuous: loops present")
     m.mask_table()  # its faults and size refusal come before the chromatic search's
-    chrom = chromatic_number(m).value
-    for a, flat in enumerate(_step_masks(m, 0)):
+    facts = facts or _Facts(m)
+    chrom = facts.chromatic.value
+    for a, flat in enumerate(facts.flat):
         if flat.bit_count() > chrom * a.bit_count():
             return _fail(
                 key,
@@ -726,12 +832,13 @@ def check_flat_extension_count(m: Matroid) -> LemmaResult:
     return _ok(key, title)
 
 
-def _combined_fitting(m: Matroid) -> LemmaResult:
+def _combined_fitting(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     title = "fitting sets grow and combine"
-    a = check_fitting_monotone(m)
+    facts = facts or _Facts(m)
+    a = check_fitting_monotone(m, facts)
     if a.status == "fail":
         return LemmaResult("L10ab", title, "fail", a.detail)
-    b = check_fitting_common(m)
+    b = check_fitting_common(m, facts)
     return LemmaResult("L10ab", title, b.status, b.detail)
 
 
@@ -770,10 +877,11 @@ def run_lemma_battery(m: Matroid, max_n: int | None = None) -> list[LemmaResult]
             LemmaResult(key, "", "skipped", f"skipped (size {m.n} > {bound})")
             for key, _ in BATTERY
         ]
+    facts = _Facts(m)
     results = []
     for key, fn in BATTERY:
         try:
-            results.append(fn(m))
+            results.append(fn(m, facts))
         except MatroidError as e:
             # a check blowing up on a malformed oracle is still a failure
             results.append(LemmaResult(key, "", "fail", f"check aborted: {e}"))

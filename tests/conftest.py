@@ -564,6 +564,22 @@ def weak_elimination_by_circuits(m):
     return _ok(key, title, "" if pairs else "vacuous: no intersecting circuit pair")
 
 
+def unique_circuit_in_base_extension_by_circuits(m):
+    """L3 by its statement on ``Circuit`` objects: for each base (the r-sets
+    of rank r, lex) and each x outside it, the circuits inside B + x are
+    counted one subset test each."""
+    key, title = "L3", "exactly one circuit inside base + outside element"
+    circs = [set(c) for c in circuits(m)]
+    r = m.full_rank()
+    bases = [b for b in itertools.combinations(range(m.n), r) if m.rank(b) == r]
+    for b in bases:
+        for x in sorted(set(range(m.n)) - set(b)):
+            inside = sum(c <= {*b, x} for c in circs)
+            if inside != 1:
+                return _fail(key, title, f"base {set_literal(b)} + {x}: {inside} circuits")
+    return _ok(key, title, "" if any(len(b) < m.n for b in bases) else "vacuous: no base/element pair")
+
+
 def strong_elimination_by_circuits(m):
     """L2b from ``circuit_elimination_by_circuits``."""
     key, title = "L2b", "circuit elimination keeping a chosen element"

@@ -119,7 +119,7 @@ def test_check_lemmas_max_n_cannot_pass_the_ceiling(tmp_path):
     assert code == 0
     checks = {k: v for k, v in kv(out).items() if k.startswith("L")}
     assert len(checks) == 20
-    assert all(v == ["skipped (size 20 > 9)"] for v in checks.values())
+    assert all(v == ["skipped (size 20 > 10)"] for v in checks.values())
 
 
 def test_compactness_command(tmp_path):

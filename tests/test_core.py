@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from matroidkit.catalog import theta, triangle
 from matroidkit.core import (
     VALIDATION_BOUND,
     AxiomReport,
+    Circuit,
     bits,
     mask_of,
     set_literal,
@@ -176,6 +179,26 @@ def test_circuits_u24():
 def test_circuits_free_and_triangle():
     assert circuits(uniform(3, 3)) == []
     assert [c.members for c in circuits(triangle())] == [(0, 1, 2)]
+
+
+def test_circuits_are_slotted_frozen_values():
+    c = Circuit((0, 2, 5))
+    assert c == Circuit((0, 2, 5)) and c != Circuit((0, 2)) and c != (0, 2, 5)
+    assert hash(c) == hash(Circuit((0, 2, 5)))
+    assert repr(c) == "Circuit(members=(0, 2, 5))"
+    assert (list(c), len(c), c.mask()) == ([0, 2, 5], 3, 0b100101)
+    assert not hasattr(c, "__dict__")
+    with pytest.raises(AttributeError):
+        c.members = (1,)
+    # refused either way; Python 3.11's slotted frozen dataclasses raise
+    # TypeError, not FrozenInstanceError, for a name that is not a field
+    with pytest.raises((AttributeError, TypeError)):
+        c.note = "x"
+    found = circuits(triangle())
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(found, protocol)) == found
+    assert copy.deepcopy(found) == found and copy.copy(c) == c
+    assert {c: 1}[pickle.loads(pickle.dumps(c))] == 1
 
 
 def test_circuits_match_bruteforce(suite6):

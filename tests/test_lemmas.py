@@ -13,8 +13,9 @@ from matroidkit import (
     graphic,
     run_lemma_battery,
     uniform,
+    validate_axioms,
 )
-from matroidkit import lemmas
+from matroidkit import core, lemmas
 from matroidkit.closure import _closure_mask
 from matroidkit.core import bits, mask_of
 from matroidkit.files import parse_subset_literal
@@ -37,6 +38,7 @@ from matroidkit.lemmas import (
     check_flatness_monotone,
     check_maximal_independent_size,
     check_strong_elimination,
+    check_unique_circuit_in_base_extension,
     check_weak_elimination,
 )
 
@@ -61,6 +63,7 @@ from conftest import (
     perturbed_tables,
     random_matroid,
     strong_elimination_by_circuits,
+    unique_circuit_in_base_extension_by_circuits,
     weak_elimination_by_circuits,
 )
 
@@ -94,7 +97,7 @@ def test_battery_skips_above_bound():
 
 def test_battery_max_n_cannot_pass_the_ceiling():
     results = run_lemma_battery(uniform(20, 3), max_n=40)
-    assert [r.detail for r in results] == ["skipped (size 20 > 9)"] * len(BATTERY)
+    assert [r.detail for r in results] == ["skipped (size 20 > 10)"] * len(BATTERY)
     assert all(r.status == "skipped" for r in results)
 
 
@@ -197,10 +200,92 @@ def test_anchor_repetition_builds_one_decomposition_per_base(monkeypatch):
         assert len(built) == bases, m.name
 
 
+def test_anchor_repetition_peels_only_tables_that_are_no_matroid(suite7, monkeypatch):
+    # in a matroid no base element lies in the part of exactly one element
+    # of a circuit, which certifies the base with no peel
+    peeled = []
+
+    def spy(parts, base, _peel=lemmas._distinct_anchor_order):
+        peeled.append(base)
+        return _peel(parts, base)
+
+    monkeypatch.setattr(lemmas, "_distinct_anchor_order", spy)
+    routes = Counter()
+    for label, m in _anchor_oracles(suite7):
+        peeled.clear()
+        status, _ = _outcome(check_anchor_repetition, m)
+        try:
+            is_matroid = validate_axioms(m).ok
+        except MatroidError:
+            is_matroid = False
+        assert not (peeled and is_matroid), label
+        assert peeled or status != "fail", label
+        routes["matroid" if is_matroid else "no matroid", "peel" if peeled else "certificate"] += 1
+    assert routes["matroid", "certificate"] > 0
+    assert routes["no matroid", "peel"] > 0
+
+
+def test_one_battery_builds_each_fact_once(suite7, monkeypatch):
+    # every fact that several checks read is built once per battery run
+    built = Counter()
+
+    def count(module, name, argument=lambda args: None):
+        def counting(*args, _build=getattr(module, name)):
+            built[name, argument(args)] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(lemmas, "_step_masks", lambda args: args[1])
+    count(core, "_is_rank_function")
+    count(lemmas, "_closed_flags")
+    count(lemmas, "_closed_meets")
+    count(core, "_found_circuits")
+    count(lemmas, "all_bases")
+    count(lemmas, "chromatic_number")
+    seen = set()
+    for m in suite7:
+        built.clear()
+        assert all(r.status == "pass" for r in run_lemma_battery(m)), m.name
+        assert set(built.values()) <= {1}, (m.name, built)
+        seen |= set(built)
+    assert seen == {
+        ("_step_masks", 0), ("_step_masks", 1), ("_is_rank_function", None),
+        ("_closed_flags", None), ("_closed_meets", None), ("_found_circuits", None),
+        ("all_bases", None), ("chromatic_number", None),
+    }
+
+
+def _checks_alone(make):
+    """(key, status, detail) of each battery check run alone on a fresh make()."""
+    out = []
+    for key, check in BATTERY:
+        try:
+            r = check(make())
+        except MatroidError as e:
+            out.append((key, "fail", f"check aborted: {e}"))
+        else:
+            out.append((r.key, r.status, r.detail))
+    return out
+
+
+def test_battery_equals_each_check_run_alone(suite7):
+    # one fact set per run changes no result: not a fail or abort detail,
+    # and not the order in which a faulting oracle is read
+    outcomes = Counter()
+    for label, make in _mask_check_inputs(suite7):
+        got = [(r.key, r.status, r.detail) for r in run_lemma_battery(make())]
+        assert got == _checks_alone(make), label
+        for key, status, detail in got:
+            outcomes["abort" if detail.startswith("check aborted: ") else status] += 1
+    assert set(outcomes) == {"pass", "fail", "abort"}, outcomes
+
+
 _MASK_CHECKS = (
     (check_maximal_independent_size, maximal_independent_size_by_sweep),
     (check_weak_elimination, weak_elimination_by_circuits),
     (check_strong_elimination, strong_elimination_by_circuits),
+    (check_unique_circuit_in_base_extension, unique_circuit_in_base_extension_by_circuits),
     (check_flatness_monotone, flatness_monotone_by_sweep),
     (check_flatness_joint, flatness_joint_by_sweep),
     (check_closed_intersection, closed_intersection_by_pairs),
@@ -374,6 +459,7 @@ _REFERENCES = {
     "L1": maximal_independent_size_by_sweep,
     "L2a": weak_elimination_by_circuits,
     "L2b": strong_elimination_by_circuits,
+    "L3": unique_circuit_in_base_extension_by_circuits,
     "L4": flatness_monotone_by_sweep,
     "L5": flatness_joint_by_sweep,
     "L6": closed_intersection_by_pairs,
@@ -393,11 +479,17 @@ def test_battery_matches_the_battery_of_references(suite6, monkeypatch):
     # the whole battery, with each mask check swapped for its reference
     # (L10a and L10b inside L10ab), gives the same list: the checks before
     # and after a mask check see the matroid as the reference leaves it
+    # the battery hands each check its run's fact set, which a reference ignores
+    def ignoring_facts(reference):
+        return lambda m, facts=None: reference(m)
+
     inputs = list(_mask_check_inputs(suite6))
     got = [run_lemma_battery(make()) for _, make in inputs]
-    monkeypatch.setattr(lemmas, "BATTERY", tuple((key, _REFERENCES.get(key, fn)) for key, fn in BATTERY))
-    monkeypatch.setattr(lemmas, "check_fitting_monotone", fitting_monotone_by_sweep)
-    monkeypatch.setattr(lemmas, "check_fitting_common", fitting_common_by_combinations)
+    monkeypatch.setattr(lemmas, "BATTERY", tuple(
+        (key, ignoring_facts(_REFERENCES[key]) if key in _REFERENCES else fn) for key, fn in BATTERY
+    ))
+    monkeypatch.setattr(lemmas, "check_fitting_monotone", ignoring_facts(fitting_monotone_by_sweep))
+    monkeypatch.setattr(lemmas, "check_fitting_common", ignoring_facts(fitting_common_by_combinations))
     outcomes = Counter()
     for (label, make), results in zip(inputs, got):
         assert run_lemma_battery(make()) == results, label
