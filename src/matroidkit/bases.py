@@ -91,21 +91,33 @@ def _require_base(m: Matroid, b: OrderedBase):
         raise GroundSetError(f"{set_literal(b.elements)} is not a base of {m.name}")
 
 
+def _swap_masks(b: OrderedBase) -> list[tuple[int, int]]:
+    """(e, B - e) for each base element e, last in base order first."""
+    bmask = mask_of(b.elements)
+    return [(e, bmask ^ 1 << e) for e in reversed(b.elements)]
+
+
 def _circuit_base_part(m: Matroid, b: OrderedBase, x: int):
     """Base elements e with r(B - e + x) = |B|, last in base order first:
     x's fundamental circuit minus x.  Unchecked: b a base, x outside it."""
-    with_x = mask_of(b.elements) | 1 << x
-    for e in reversed(b.elements):
-        if m.rank_of_mask(with_x & ~(1 << e)) == len(b):
+    bit, size = 1 << x, len(b)
+    for e, rest in _swap_masks(b):
+        if m.rank_of_mask(rest | bit) == size:
             yield e
 
 
-def _top_swap(m: Matroid, b: OrderedBase, x: int) -> int:
+def _top_swap(m: Matroid, b: OrderedBase, x: int, swaps=None) -> int:
     """The anchor of x outside the base b, unchecked: the first element of
     _circuit_base_part.  When there is none, x is a loop (LoopError) or
-    the oracle is not a matroid (MatroidError)."""
-    for e in _circuit_base_part(m, b, x):
-        return e
+    the oracle is not a matroid (MatroidError).  ``swaps`` is b's
+    :func:`_swap_masks` if given; ranks are read from the mask table once
+    it is built."""
+    t = m._mask_table
+    rank = m.rank_of_mask if t is None else t.__getitem__
+    bit, size = 1 << x, len(b)
+    for e, rest in _swap_masks(b) if swaps is None else swaps:
+        if rank(rest | bit) == size:
+            return e
     if m.rank_of_mask(1 << x) == 0:
         raise LoopError(f"element {x} is a loop; it has no anchor")
     raise MatroidError(
@@ -132,7 +144,8 @@ def anchor_classes(m: Matroid, b: OrderedBase) -> AnchorDecomposition:
     Requires a loop-free matroid; the classes partition the ground set
     with one fiber per base element.  Loops and the base are checked
     once; each outside element's anchor is then read by swap tests, in
-    ascending id order, base membership by one bit test of the base's
+    ascending id order, against the base's swap masks B - e, built once
+    (:func:`_swap_masks`), base membership by one bit test of the base's
     mask.  The fibers are gathered in one pass over the anchor map.  The
     matroid caches only its last decomposition, keyed by base sequence.
     """
@@ -144,7 +157,8 @@ def anchor_classes(m: Matroid, b: OrderedBase) -> AnchorDecomposition:
         raise LoopError(f"anchor classes undefined: loops {set_literal(lp)}")
     _require_base(m, b)
     bmask = mask_of(b.elements)
-    mapping = {x: x if bmask >> x & 1 else _top_swap(m, b, x) for x in range(m.n)}
+    swaps = _swap_masks(b)
+    mapping = {x: x if bmask >> x & 1 else _top_swap(m, b, x, swaps) for x in range(m.n)}
     fibers: dict[int, list[int]] = {e: [] for e in b}
     for x, a in mapping.items():
         fibers[a].append(x)

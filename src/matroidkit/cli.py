@@ -60,10 +60,15 @@ class _Out:
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of a file; an unreadable file is an input error."""
+    """The UTF-8 text of a file; an unreadable file is an input error.
+
+    The file is read as bytes in one unbuffered read and decoded once,
+    with no text wrapper: a CR or CRLF is left in the text, where the
+    parsers' ``str.splitlines`` ends a line at it.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read().decode("utf-8")
     except OSError as e:
         raise MatroidError(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .core import (
     VALIDATION_BOUND,
@@ -181,32 +182,144 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
     """Linear matroid of a list of vectors over a prime field.
 
     rank(A) = dimension of the span of A's vectors, computed exactly.
-    Coordinates are reduced mod p at construction.  The oracle
-    row-reduces the matrix whose columns are A's vectors
-    (:func:`_row_basis`) and counts the rows left.
+    Coordinates are reduced mod p.  The matrix has one row per
+    coordinate and one column per element.  Over GF(2) and GF(3) a row
+    is bit-sliced over the elements: over GF(2) it is one mask, bit i
+    holding v_i[j] mod 2, and over GF(3) a (ones, twos) pair of masks
+    (:func:`_sliced_rows`).  Construction reduces the rows once to a
+    basis of r rows (:func:`_sliced_basis`), and every rank question
+    reads that basis.  The oracle's r(A) is the row rank of the basis
+    rows ANDed with A (restricting a spanning set of the row space
+    spans the restricted row space), so a call reduces at most r masked
+    rows.  Over GF(p), p >= 5, the oracle row-reduces the matrix whose
+    columns are A's vectors (:func:`_row_basis`) and counts the rows
+    left.
 
-    The mask table row-reduces the whole matrix the same way, to a basis
-    of r rows, and counts row-space vectors (:func:`core._count_table`),
-    over GF(2) with each row given as its support mask.
+    The mask table counts row-space vectors (:func:`core._count_table`)
+    from the basis rows, taken as they are over GF(2) and GF(3) and
+    from :func:`_row_basis` over the whole matrix above.
     Where that would enumerate more vectors than the table has masks,
     p^r > 2^n (only for p >= 3), the table is walked by a rank step
-    instead (:func:`core._walk_table`).  The state of an independent set
-    is one echelon row on top of its parent's state,
-    ``(parent, pivot, row, memo)``, with row[pivot] = 1 and the row zero
-    at every ancestor's pivot; the empty set's state is None.  A vector
-    gains rank iff its residual against the state's span is not zero,
-    and that residual, scaled, is the new row.  Stepping vector i from a
-    state stores its residual in ``memo[i]``.  The walk steps i from a
-    child only after stepping it from the child's parent, so the
-    residual from the child is the parent's memo entry after one row
-    operation, and each step costs one row operation.
+    instead (:func:`_echelon_step`, :func:`core._walk_table`), which
+    reads the vectors as coordinate tuples, built for the walk alone.
+    """
+    p, dim, n = spec.p, spec.dim, len(spec.vectors)
+    if p <= 3:
+        rows = _sliced_basis(p, _sliced_rows(p, spec.vectors, dim), n)
+        if p == 2:
+
+            def rank(a: int) -> int:
+                return len(_sliced_basis(2, map(a.__and__, rows), a.bit_count()))
+
+        else:
+            ones_rows, twos_rows = [v1 for v1, _ in rows], [v2 for _, v2 in rows]
+
+            def rank(a: int) -> int:
+                masked = zip(map(a.__and__, ones_rows), map(a.__and__, twos_rows))
+                return len(_sliced_basis(3, masked, a.bit_count()))
+
+    else:
+        vecs = [tuple(c % p for c in v) for v in spec.vectors]
+
+        def rank(a: int) -> int:
+            return len(_row_basis(p, [vecs[i] for i in bits(a)], dim))
+
+    def table() -> list[int] | bytes:
+        basis = rows if p <= 3 else _row_basis(p, vecs, dim)
+        if p ** len(basis) > 1 << n:
+            return _walk_table(n, None, _echelon_step(spec))
+        return _count_table(n, p, basis)
+
+    return Matroid(n, rank, name=name or f"linear(GF({p}),{n} vecs)", spec=spec, table=table)
+
+
+# byte value -> the digit b"1" where it equals c, else b"0" (bytes.translate tables)
+_DIGITS_OF = {c: bytes(48 + (b == c) for b in range(256)) for c in (1, 2)}
+
+
+def _sliced_rows(p: int, vectors, dim: int) -> list:
+    """The coordinate rows of the matrix whose column i is vectors[i], mod p in {2, 3}.
+
+    Over GF(2) row j is the mask of the elements i with v_i[j] = 1 (mod
+    2); over GF(3) it is the pair of masks of the elements where it
+    holds 1 and where it holds 2.  Every coordinate is reduced by one
+    C-level ``map`` into one bytes object, element n - 1 first; row j is
+    then a strided slice of it, translated to binary digits and read by
+    ``int(digits, 2)``, with no Python step per entry and in time linear
+    in n (summing one bit per element would be quadratic).
+    """
+    if not vectors:
+        return []
+    flat = bytes(map(p.__rmod__, itertools.chain.from_iterable(reversed(vectors))))
+    ones = flat.translate(_DIGITS_OF[1])
+    if p == 2:
+        return [int(ones[j::dim], 2) for j in range(dim)]
+    twos = flat.translate(_DIGITS_OF[2])
+    return [(int(ones[j::dim], 2), int(twos[j::dim], 2)) for j in range(dim)]
+
+
+def _sliced_basis(p: int, rows: Iterable, columns: int) -> list:
+    """A basis of the span of bit-sliced rows over GF(2) or GF(3) (see
+    :func:`_sliced_rows`) that are nonzero in at most ``columns`` columns.
+
+    Each row is reduced by the basis rows kept before it, whose pivots,
+    their lowest set bits, are distinct, until its own lowest set bit is
+    no pivot; it is then kept, scaled to 1 there, unless nothing is
+    left.  Over GF(2) a reduction is one XOR.  Over GF(3) it is one
+    bit-sliced add: v + w holds 1 at (v1 | w1) ^ (v & w) and 2 at
+    (v2 | w2) ^ (v & w), with v and w the supports; subtracting w adds
+    the swapped pair, and scaling by 2 swaps the pair.  Once every
+    column holds a pivot the basis spans every row, so the rows left
+    are not read.
+    """
+    basis: dict[int, object] = {}  # pivot bit -> the row kept with it
+    if p == 2:
+        for row in rows:
+            if len(basis) == columns:
+                break
+            while row:
+                low = row & -row
+                kept = basis.get(low)
+                if kept is None:
+                    basis[low] = row
+                    break
+                row ^= kept
+        return list(basis.values())
+    for ones, twos in rows:
+        if len(basis) == columns:
+            break
+        while v := ones | twos:
+            low = v & -v
+            kept = basis.get(low)
+            if kept is None:
+                basis[low] = (ones, twos) if ones & low else (twos, ones)
+                break
+            w1, w2 = kept  # 1 at the pivot
+            if ones & low:  # subtract kept: add 2 * kept, the swapped pair
+                w1, w2 = w2, w1
+            both = v & (w1 | w2)
+            ones, twos = (ones | w1) ^ both, (twos | w2) ^ both
+    return list(basis.values())
+
+
+def _echelon_step(spec: VectorSpec):
+    """``linear``'s rank step, for :func:`core._walk_table`, over the spec's
+    vectors reduced mod p as coordinate tuples.
+
+    The state of an independent set is one echelon row on top of its
+    parent's state, ``(parent, pivot, row, memo)``, with row[pivot] = 1
+    and the row zero at every ancestor's pivot; the empty set's state
+    is None.  A vector gains rank iff its residual against the state's
+    span is not zero, and that residual, scaled, is the new row.
+    Stepping vector i from a state stores its residual in ``memo[i]``.
+    The walk steps i from a child only after stepping it from the
+    child's parent, so the residual from the child is the parent's memo
+    entry after one row operation, and each step costs one row
+    operation.
     """
     p = spec.p
     vecs = [tuple(c % p for c in v) for v in spec.vectors]
     zero = (0,) * spec.dim
-
-    def rank(a: int) -> int:
-        return len(_row_basis(p, [vecs[i] for i in bits(a)], spec.dim))
 
     def step(state, i: int):
         v = vecs[i]
@@ -229,18 +342,7 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
             memo[i] = zero
         return state, 0
 
-    def table() -> list[int] | bytes:
-        n = len(vecs)
-        rows = _row_basis(p, vecs, spec.dim)
-        if p ** len(rows) > 1 << n:
-            return _walk_table(n, None, step)
-        if p == 2:
-            rows = [mask_of(j for j, a in enumerate(row) if a) for row in rows]
-        return _count_table(n, p, rows)
-
-    return Matroid(
-        len(vecs), rank, name=name or f"linear(GF({p}),{len(vecs)} vecs)", spec=spec, table=table
-    )
+    return step
 
 
 def _row_basis(p: int, vecs: list[tuple[int, ...]], dim: int) -> list[list[int]]:

@@ -24,8 +24,8 @@ CIRCUIT_BOUND = 12
 # Operations that scan the ground set element by element (greedy bases,
 # closure, closedness, contraction) refuse above this, so a scan makes at
 # most this many rank calls.  Budget: a greedy base within 1 s on files of
-# rank up to 12; at n = 10,000 it takes 0.05 s (uniform) to 0.95 s (GF(3),
-# dimension 12) on a 2-vCPU Xeon, Python 3.11.  The cost of one call,
+# rank up to 12; at n = 10,000 it takes 0.05 s (uniform) to 0.13 s (GF(3),
+# dimension 12) on 2 vCPUs, Python 3.11.  The cost of one call,
 # which grows with the rank and the mask, is not bounded by it.
 GROUND_SET_BOUND = 10_000
 
@@ -537,8 +537,10 @@ def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
 
     ``rows`` are r linearly independent rows of n entries; column j is
     element j.  Over GF(2) a row is given as its support mask, over
-    GF(p), p >= 3, as a list of entries in range(p).  The row-space
-    vectors that vanish on a set A of columns form a subspace of
+    GF(3) bit-sliced, as the pair (ones, twos) of the masks where it
+    holds 1 and 2, and over GF(p), p >= 5, as a list of entries in
+    range(p); the masks are used as they are.  The row-space vectors
+    that vanish on a set A of columns form a subspace of
     dimension r - r(A), the counting identity behind Crapo and Rota's
     critical problem.  Up to nonzero scaling, which keeps a vector's
     zero set, there are (p^k - 1) / (p - 1) nonzero vectors in a
@@ -549,8 +551,8 @@ def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
     The points are enumerated once, row by row.  Over GF(2) a point is
     its support, and v + w is one XOR.  Over GF(3) the span is packed
     into one int, a 16-bit lane per vector (n <= 16), and each vector
-    is bit-sliced into the masks of its 1s and of its 2s: 2v swaps the
-    two, v + w holds 1 at (v1 | w1) ^ (v & w) and 2 at
+    is bit-sliced, as the rows are, into the masks of its 1s and of its
+    2s: 2v swaps the two, v + w holds 1 at (v1 | w1) ^ (v & w) and 2 at
     (v2 | w2) ^ (v & w), with v and w the supports, and its zero set is
     ~(v | w) | (v1 & w2) | (v2 & w1), so a row costs a few int
     operations on the whole span.  Over GF(p), p >= 5, a vector is one
@@ -581,14 +583,8 @@ def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
         parts = []  # the zero sets of each row's points, in 16-bit lanes
         ones = twos = 0  # the span bit-sliced, lane k holding vector k
         size = 1
-        for i, row in enumerate(rows):
+        for i, (v1, v2) in enumerate(rows):
             every = int.from_bytes(b"\x01\x00" * size, "little")  # 1 in every lane
-            v1 = v2 = 0
-            for j, a in enumerate(row):
-                if a == 1:
-                    v1 |= 1 << j
-                elif a:
-                    v2 |= 1 << j
             v1 *= every
             v2 *= every
             v, w = v1 | v2, ones | twos
@@ -782,6 +778,10 @@ class Circuit:
         return mask_of(self.members)
 
 
+# sets a Circuit's one slot past the frozen __setattr__, for circuits()
+_SET_MEMBERS = Circuit.members.__set__
+
+
 # The members of each byte value, ascending, for the low byte of a mask
 # and for its high byte: a mask below 2^16 (every mask a table holds)
 # lists its members as _LOW_MEMBERS[a & 255] + _HIGH_MEMBERS[a >> 8].
@@ -884,12 +884,17 @@ def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
     One pass over the mask table finds them (:func:`_found_circuits`);
     each circuit's members are read by two lookups (:func:`_members`),
     and the tuples are put in order by two sorts with no Python key:
-    lexicographic, then stably by size.
+    lexicographic, then stably by size.  Each ``Circuit`` is made with
+    no Python ``__init__`` call: ``object.__new__``, then its slot set by
+    the slot's descriptor, both in C-level maps, which gives the value
+    ``Circuit(members)`` would.
     """
     members = _members(_found_circuits(m, max_n))
     members.sort()
     members.sort(key=len)
-    return list(map(Circuit, members))
+    made = list(map(object.__new__, itertools.repeat(Circuit, len(members))))
+    deque(map(_SET_MEMBERS, made, members), maxlen=0)
+    return made
 
 
 def _circuit_masks(m: Matroid) -> list[int]:

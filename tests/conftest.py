@@ -68,8 +68,10 @@ def _gf_rank(rows, p):
     """Gaussian elimination mod p with exact integer arithmetic.
 
     The reference for linear matroids, written apart from their oracle,
-    which row-reduces a subset's columns (``constructions._row_basis``),
-    and their mask table, which counts row-space vectors or walks an
+    which reduces bit-sliced basis rows masked by the subset over GF(2)
+    and GF(3) (``constructions._sliced_basis``) and row-reduces a
+    subset's columns above (``constructions._row_basis``), and their
+    mask table, which counts row-space vectors or walks an
     echelon-insertion step.
     """
     rows = [r[:] for r in rows]

@@ -509,3 +509,50 @@ def test_stdout_matches_golden(monkeypatch, name, code, argv):
     monkeypatch.chdir(DATA)
     expected = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
     assert invoke(argv) == (code, expected)
+
+
+def test_line_endings_and_a_bom_read_as_with_newline_translation(tmp_path, capsys):
+    # a file is decoded from one bytes read with no newline translation;
+    # the parsers end a line at LF, CRLF or a lone CR alike, so every
+    # output and every error line number is the LF file's, and a BOM is
+    # kept in the text, where the first line refuses it
+    m, lists = tmp_path / "m.m", tmp_path / "lists.l"
+    texts = {
+        m: "# comment\nmatroid uniform\nn 4\nk 2\n",
+        lists: "".join(f"list {x} : a b c\n" for x in range(4)),
+    }
+
+    def outputs(newline):
+        for path, text in texts.items():
+            path.write_bytes(text.replace("\n", newline).encode())
+        got = [
+            invoke(["circuits", "-i", str(m)]),
+            invoke(["color-from-base", "-i", str(m), "--lists", str(lists)]),
+        ]
+        m.write_bytes("matroid uniform\nn 4\nk two\n".replace("\n", newline).encode())
+        got.append((invoke(["validate", "-i", str(m)])[0], capsys.readouterr().err))
+        return got
+
+    want = outputs("\n")
+    assert want[2] == (2, "error: line 3: k must be an integer, got 'two'\n")
+    assert outputs("\r\n") == outputs("\r") == want
+    m.write_bytes(b"\xef\xbb\xbf" + texts[m].encode())
+    assert invoke(["validate", "-i", str(m)])[0] == 2
+    assert capsys.readouterr().err == "error: line 1: expected 'matroid <kind>', got '\\ufeff# comment'\n"
+
+
+@pytest.mark.parametrize(
+    "data, reason, at",
+    [
+        (b"matroid uniform\nn 4\xff\nk 2\n", "invalid start byte", 19),
+        (b"matroid \xe2\x82 uniform\n", "invalid continuation byte", 8),
+        (b"matroid uniform\r\nn 4\r\nk 2\r\n\xe2\x82", "unexpected end of data", 27),
+        (b"# x\r\n" * 30000 + b"\xff", "invalid start byte", 150000),
+    ],
+    ids=["start", "continuation", "end-after-crlf", "past-the-first-buffer"],
+)
+def test_not_utf8_names_the_byte(tmp_path, capsys, data, reason, at):
+    path = tmp_path / "bad.m"
+    path.write_bytes(data)
+    assert invoke(["validate", "-i", str(path)])[0] == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: not UTF-8 ({reason} at byte {at})\n"

@@ -201,6 +201,20 @@ def test_circuits_are_slotted_frozen_values():
     assert {c: 1}[pickle.loads(pickle.dumps(c))] == 1
 
 
+def test_found_circuits_equal_constructed_circuits(suite6):
+    # circuits() makes its objects with no __init__ call; each must be
+    # the very value Circuit(members) is
+    found = [c for m in suite6 + [theta(), uniform(9, 4)] for c in circuits(m)]
+    assert len(found) > 126
+    for c in found:
+        want = Circuit(c.members)
+        assert type(c) is Circuit and c == want and hash(c) == hash(want)
+        assert repr(c) == repr(want) and not hasattr(c, "__dict__")
+        assert pickle.loads(pickle.dumps(c)) == want
+        with pytest.raises(AttributeError):
+            c.members = ()
+
+
 def test_circuits_match_bruteforce(suite6):
     rng = random.Random(3)
     randoms = [

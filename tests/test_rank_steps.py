@@ -1,10 +1,12 @@
 """Rank oracles and mask tables of ``linear`` and ``graphic``, against per-mask ranks.
 
 The oracles answer one mask at a time: ``graphic`` by a union-find
-forest over the subset's edges, ``linear`` by row-reducing the subset's
-vectors.  ``Matroid.mask_table`` builds the tables by one of two routes.
-The count row-reduces the representation and counts its row-space
-vectors by zero set (``core._count_table``); it serves ``graphic``,
+forest over the subset's edges, ``linear`` over GF(2) and GF(3) by
+reducing its bit-sliced basis rows ANDed with the mask, and over
+GF(p), p >= 5, by row-reducing the subset's vectors.
+``Matroid.mask_table`` builds the tables by one of two routes.
+The count takes a basis of the representation's row space and counts
+its row-space vectors by zero set (``core._count_table``); it serves ``graphic``,
 GF(2), and GF(p) wherever p^r <= 2^n, and, for at most 255 points,
 hands its ranks over as bytes, which become the table and its rank
 image.  Over GF(3) it is
@@ -474,3 +476,66 @@ def test_gf3_count_equals_gaussian_elimination_at_every_rank_it_takes(n):
         assert m.mask_table() == want, (n, rank, columns)
         assert (m._rank_image is not None) == (rank <= 5)
         assert _rank_image(m) == int.from_bytes(bytes(want), "little")
+
+
+def _odd_columns(p, dim, n, seed):
+    """n unreduced columns over GF(p): coordinates from -7 to 8, zero
+    columns, and columns repeated or doubled from earlier ones, each
+    shifted by multiples of p."""
+    rng = random.Random(seed)
+    columns = []
+    for _ in range(n):
+        kind = rng.choice(("fresh",) * 5 + ("zero", "repeat", "double"))
+        if kind == "zero":
+            v = tuple(p * rng.randrange(-2, 3) for _ in range(dim))
+        elif kind != "fresh" and columns:
+            c = 1 if kind == "repeat" else 2
+            v = tuple(c * a + p * rng.randrange(-1, 2) for a in rng.choice(columns))
+        else:
+            v = tuple(rng.randrange(-7, 9) for _ in range(dim))
+        columns.append(v)
+    return tuple(columns)
+
+
+# (p, dim, n): full and deficient rank, dim above n, and n = 0 and 1;
+# over GF(3), dimensions 12 and 15 reach ranks whose count would pass 2^n
+# points, so those tables are walked
+SLICED_CASES = [
+    (p, dim, n)
+    for p in (2, 3)
+    for dim, n in ((3, 0), (2, 1), (4, 6), (6, 9), (3, 12), (5, 12), (12, 12), (15, 7))
+]
+
+
+@pytest.mark.parametrize("p, dim, n", SLICED_CASES)
+def test_sliced_basis_oracle_and_table_equal_gaussian_elimination(p, dim, n):
+    # every mask, by the oracle before any table exists and by the table
+    routes = set()
+    for seed in range(3):
+        vectors = _odd_columns(p, dim, n, seed=100 * n + 10 * dim + seed)
+        spec = VectorSpec(p, dim, vectors)
+        want = _gf_table(p, vectors)
+        fresh = linear(spec)
+        assert [fresh.rank_of_mask(a) for a in range(1 << n)] == want, vectors
+        assert fresh._mask_table is None
+        with _counting() as calls:
+            assert linear(spec).mask_table() == want, vectors
+        walked = p ** want[-1] > 1 << n
+        assert calls["_walk_table"] == walked and calls["_count_table"] == (not walked)
+        routes.add(walked)
+    if p == 3 and dim >= 12:
+        assert True in routes
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("dim", (4, 12, 40))
+def test_sliced_oracle_on_random_masks_of_300_elements(p, dim):
+    vectors = _odd_columns(p, dim, 300, seed=dim)
+    m = linear(VectorSpec(p, dim, vectors))
+    rng = random.Random(p * dim)
+    masks = [0, (1 << 300) - 1] + [rng.getrandbits(300) for _ in range(15)]
+    masks += [rng.getrandbits(300) & rng.getrandbits(300) & rng.getrandbits(300) for _ in range(15)]
+    masks += [1 << rng.randrange(300) | 1 << rng.randrange(300) for _ in range(10)]
+    want = [_gf_rank([list(vectors[i]) for i in bits(a)], p) for a in masks]
+    assert [m.rank_of_mask(a) for a in masks] == want
+    assert m._mask_table is None
