@@ -97,21 +97,12 @@ def _swap_masks(b: OrderedBase) -> list[tuple[int, int]]:
     return [(e, bmask ^ 1 << e) for e in reversed(b.elements)]
 
 
-def _circuit_base_part(m: Matroid, b: OrderedBase, x: int):
-    """Base elements e with r(B - e + x) = |B|, last in base order first:
-    x's fundamental circuit minus x.  Unchecked: b a base, x outside it."""
-    bit, size = 1 << x, len(b)
-    for e, rest in _swap_masks(b):
-        if m.rank_of_mask(rest | bit) == size:
-            yield e
-
-
 def _top_swap(m: Matroid, b: OrderedBase, x: int, swaps=None) -> int:
-    """The anchor of x outside the base b, unchecked: the first element of
-    _circuit_base_part.  When there is none, x is a loop (LoopError) or
-    the oracle is not a matroid (MatroidError).  ``swaps`` is b's
-    :func:`_swap_masks` if given; ranks are read from the mask table once
-    it is built."""
+    """The anchor of x outside the base b, unchecked: the first e, taking
+    b from its last element, with r(B - e + x) = |B|.  When there is
+    none, x is a loop (LoopError) or the oracle is not a matroid
+    (MatroidError).  ``swaps`` is b's :func:`_swap_masks` if given; ranks
+    are read from the mask table once it is built."""
     t = m._mask_table
     rank = m.rank_of_mask if t is None else t.__getitem__
     bit, size = 1 << x, len(b)

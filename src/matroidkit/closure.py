@@ -30,21 +30,6 @@ def is_closed(m: Matroid, z) -> bool:
     return _is_closed_mask(m, m._checked_mask(z))
 
 
-def _closure_mask(m: Matroid, x: int) -> int:
-    """The closure of the mask x, as a mask, unchecked.
-
-    The same rank reads, in the same order, as :func:`closure` makes:
-    r(x), then r(x + y) for each y outside x in ascending order.
-    """
-    rx = m.rank_of_mask(x)
-    flat = x
-    for y in range(m.n):
-        bit = 1 << y
-        if not x & bit and m.rank_of_mask(x | bit) == rx:
-            flat |= bit
-    return flat
-
-
 def closure(m: Matroid, x) -> tuple[int, ...]:
     """Smallest closed superset: x plus every element that keeps rank flat.
 

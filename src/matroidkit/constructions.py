@@ -195,13 +195,13 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
     columns are A's vectors (:func:`_row_basis`) and counts the rows
     left.
 
-    The mask table counts row-space vectors (:func:`core._count_table`)
-    from the basis rows, taken as they are over GF(2) and GF(3) and
-    from :func:`_row_basis` over the whole matrix above.
-    Where that would enumerate more vectors than the table has masks,
-    p^r > 2^n (only for p >= 3), the table is walked by a rank step
-    instead (:func:`_echelon_step`, :func:`core._walk_table`), which
-    reads the vectors as coordinate tuples, built for the walk alone.
+    Over GF(2) and GF(3) the mask table counts row-space vectors
+    (:func:`core._count_table`) from the basis rows, taken as they are.
+    Over any other field, and where the count would enumerate more
+    vectors than the table has masks, 3^r > 2^n, the table is walked by
+    a rank step instead (:func:`_echelon_step`, :func:`core._walk_table`),
+    which reads the vectors as coordinate tuples, built for the walk
+    alone.
     """
     p, dim, n = spec.p, spec.dim, len(spec.vectors)
     if p <= 3:
@@ -225,10 +225,9 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
             return len(_row_basis(p, [vecs[i] for i in bits(a)], dim))
 
     def table() -> list[int] | bytes:
-        basis = rows if p <= 3 else _row_basis(p, vecs, dim)
-        if p ** len(basis) > 1 << n:
-            return _walk_table(n, None, _echelon_step(spec))
-        return _count_table(n, p, basis)
+        if p <= 3 and p ** len(rows) <= 1 << n:
+            return _count_table(n, p, rows)
+        return _walk_table(n, None, _echelon_step(spec))
 
     return Matroid(n, rank, name=name or f"linear(GF({p}),{n} vecs)", spec=spec, table=table)
 

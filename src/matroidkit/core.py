@@ -10,7 +10,6 @@ only through :class:`Matroid`.
 from __future__ import annotations
 
 import itertools
-import operator
 import sys
 from array import array
 from collections import Counter, deque
@@ -106,8 +105,9 @@ class Matroid:
     of no arguments that returns the rank of every mask, in mask order,
     with no call to this matroid's oracle, as a list of ints or as bytes
     (the rank of mask a in byte a): :meth:`mask_table` calls it in place
-    of the oracle (``linear`` and ``graphic`` count row-space vectors,
-    which returns bytes for at most 255 points, ``from_table`` hands
+    of the oracle (``graphic`` and ``linear`` over GF(2) and GF(3) count
+    row-space vectors, which returns bytes for at most 255 points,
+    ``linear`` walks its rank step elsewhere, ``from_table`` hands
     over its checked rank list, a contraction reads its parent's ranks
     in one pass).  The whole-table kernels read the table as one int
     with a byte per mask (:func:`_rank_image`): taken from the bytes a
@@ -204,13 +204,13 @@ class Matroid:
         only sensible for small n (2^n entries), so it refuses above
         VALIDATION_BOUND even when a caller's own bound is higher, before
         any rank is computed.  A matroid built with a ``table`` function
-        gets its table from it, with no oracle call: ``linear`` and
-        ``graphic`` count the vectors of their row space
-        (:func:`_count_table`), or walk their rank step
-        (:func:`_walk_table`) where the count would enumerate more
-        vectors than the table has masks; ``from_table`` hands over its
-        rank list once every entry is checked; a contraction reads its
-        parent's ranks.  Any other matroid calls its oracle once per
+        gets its table from it, with no oracle call: ``graphic`` and
+        ``linear`` over GF(2) and GF(3) count the vectors of their row
+        space (:func:`_count_table`); ``linear`` walks its rank step
+        (:func:`_walk_table`) over any other field, and where the count
+        would enumerate more vectors than the table has masks;
+        ``from_table`` hands over its rank list once every entry is
+        checked; a contraction reads its parent's ranks.  Any other matroid calls its oracle once per
         mask.  A ``table`` function that returns bytes, as the count
         does in 1-byte lanes, hands over the rank image too: the table
         is the list of those bytes, and the image is the same bytes read
@@ -515,38 +515,23 @@ def _subset_by_literal(n: int) -> dict[str, frozenset[int]]:
     return _per_size(n, "by_literal") if 0 <= n <= _SUBSET_POOL_BOUND else {}
 
 
-def _plus_row(span: dict[int, list[int]], held: dict[int, int], p: int) -> dict:
-    """For each vector w of a span and each value d, the positions where w + row holds d.
-
-    ``span[c]`` lists, vector by vector, the positions where w holds c,
-    and ``held[e]`` gives the positions where the row holds e; w + row
-    holds c + e (mod p) where both hold.  Each value maps to a lazy
-    iterator over the span's vectors.  Serves the count over p >= 5.
-    """
-    out: dict = {}
-    for e, at in held.items():
-        for c, where in span.items():
-            d = (c + e) % p
-            part = map(at.__and__, where)
-            out[d] = map(operator.or_, out[d], part) if d in out else part
-    return out
-
-
 def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
-    """Ranks of all 2^n masks of a matrix over GF(p), from a basis of its row space.
+    """Ranks of all 2^n masks of a matrix over GF(2) or GF(3), from a
+    basis of its row space.
 
     ``rows`` are r linearly independent rows of n entries; column j is
-    element j.  Over GF(2) a row is given as its support mask, over
+    element j.  Over GF(2) a row is given as its support mask, and over
     GF(3) bit-sliced, as the pair (ones, twos) of the masks where it
-    holds 1 and 2, and over GF(p), p >= 5, as a list of entries in
-    range(p); the masks are used as they are.  The row-space vectors
-    that vanish on a set A of columns form a subspace of
+    holds 1 and 2; the masks are used as they are.  The row-space
+    vectors that vanish on a set A of columns form a subspace of
     dimension r - r(A), the counting identity behind Crapo and Rota's
     critical problem.  Up to nonzero scaling, which keeps a vector's
     zero set, there are (p^k - 1) / (p - 1) nonzero vectors in a
     k-dimensional space, so A lies in the zero sets of exactly
     (p^(r - r(A)) - 1) / (p - 1) of the points v_i + w, where v_i is
-    row i and w runs over the span of the rows before i.
+    row i and w runs over the span of the rows before i.  Over any
+    other field ``linear`` walks its table instead (see
+    :func:`_walk_table`).
 
     The points are enumerated once, row by row.  Over GF(2) a point is
     its support, and v + w is one XOR.  Over GF(3) the span is packed
@@ -555,9 +540,8 @@ def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
     2s: 2v swaps the two, v + w holds 1 at (v1 | w1) ^ (v & w) and 2 at
     (v2 | w2) ^ (v & w), with v and w the supports, and its zero set is
     ~(v | w) | (v1 & w2) | (v2 & w1), so a row costs a few int
-    operations on the whole span.  Over GF(p), p >= 5, a vector is one
-    mask per value it holds (see :func:`_plus_row`).  The zero sets make
-    a histogram in one lane per mask, 1 byte wide while
+    operations on the whole span.  The zero sets make a histogram in
+    one lane per mask, 1 byte wide while
     (p^r - 1) / (p - 1) <= 255 and 2 bytes above (held as little-endian
     ints whatever the host's byte order).  Its superset sums, a zeta
     transform of n shift/AND/add operations on one int (Bjorklund,
@@ -567,9 +551,10 @@ def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
     lanes the ranks come back as bytes, the rank of mask a in byte a,
     which :meth:`Matroid.mask_table` takes as the table and as its rank
     image at once; from 2-byte lanes they come back as a list, whose
-    image is converted when first read.  The work is O((p^r / (p - 1)) * p) mask operations (over
-    GF(3), O(3^r) 16-bit lanes of int operations) plus O(n * 2^n) bytes
-    of int operations, with no Python step per mask.
+    image is converted when first read.  The work is O(2^r) mask
+    operations over GF(2), O(3^r) 16-bit lanes of int operations over
+    GF(3), plus O(n * 2^n) bytes of int operations, with no Python step
+    per mask.
     """
     r = len(rows)
     full = (1 << n) - 1
@@ -579,7 +564,7 @@ def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
         for row in rows:
             span += list(map(row.__xor__, span))
         counts = dict.fromkeys(map(full.__xor__, span[1:]), 1)
-    elif p == 3:
+    else:
         parts = []  # the zero sets of each row's points, in 16-bit lanes
         ones = twos = 0  # the span bit-sliced, lane k holding vector k
         size = 1
@@ -602,37 +587,6 @@ def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
         zero_sets = array("H", b"".join(parts))
         if sys.byteorder == "big":
             zero_sets.byteswap()
-        counts = Counter(zero_sets)
-    else:
-        masks = []  # masks[i][c]: the positions where row i holds c, for 0 and each c it holds
-        for row in rows:
-            held = {0: 0}
-            for j, a in enumerate(row):
-                held[a] = held.get(a, 0) | 1 << j
-            masks.append(held)
-        # the span of the rows before i, as in _plus_row; values that no
-        # vector holds are left out
-        span = {0: [full]}
-        size = 1
-        zero_sets: list[int] = []
-        for i, held in enumerate(masks):
-            points = _plus_row(span, held, p)
-            if i == r - 1:
-                zero_sets += points[0]
-                break
-            points = {d: list(it) for d, it in points.items()}
-            zero_sets += points[0]
-            # m * (v_i + w), m != 0, holds m * d where v_i + w holds d
-            zeros = [0] * size
-            inverses = [pow(m, -1, p) for m in range(1, p)]
-            values = span.keys() | {m * d % p for m in range(1, p) for d in points}
-            span = {
-                c: list(itertools.chain(
-                    span.get(c, zeros), *(points.get(c * m % p, zeros) for m in inverses)
-                ))
-                for c in values
-            }
-            size *= p
         counts = Counter(zero_sets)
     rank = {(p**k - 1) // (p - 1): r - k for k in range(r + 1)}
     width = 1 if (p**r - 1) // (p - 1) <= 255 else 2

@@ -17,7 +17,6 @@ from .constructions import (
     from_table,
     graphic,
     linear,
-    tabulate,
     uniform,
 )
 from .core import (
@@ -25,9 +24,7 @@ from .core import (
     MatroidError,
     _subset_by_literal,
     _subset_literals,
-    _subset_pool,
     _subsets_by_size,
-    bits,
 )
 
 
@@ -209,9 +206,11 @@ def _parse_table(head_no: int, body) -> Matroid:
 def serialize_matroid(m: Matroid) -> str:
     """Canonical text for a matroid, preferring its construction kind.
 
-    Matroids built by uniform/graphic/linear/table re-emit their own
-    grammar; anything else (contractions, user oracles) is frozen into a
-    table.  Output is byte-deterministic.
+    Matroids built by uniform/graphic/linear re-emit their own grammar;
+    a table matroid, and anything else (contractions, user oracles),
+    writes its mask table, one line per subset in (size, lex) order.  A
+    table matroid's mask table is its spec's ranks in mask order.
+    Output is byte-deterministic.
     """
     spec = m.spec
     if isinstance(spec, UniformSpec):
@@ -226,12 +225,10 @@ def serialize_matroid(m: Matroid) -> str:
         for i, vec in enumerate(spec.vectors):
             lines.append("vec " + str(i) + " " + " ".join(str(c) for c in vec))
         return "\n".join(lines) + "\n"
-    spec = spec if isinstance(spec, TableSpec) else tabulate(m)
-    n = spec.n
+    n, table = m.n, m.mask_table()
     literals = _subset_literals(n)
-    keys = _subset_pool(n) or list(map(frozenset, map(bits, range(1 << n))))
     lines = ["matroid table", f"n {n}"]
-    lines += [f"rank {literals[a]} {spec.ranks[keys[a]]}" for a in _subsets_by_size((1 << n) - 1)]
+    lines += [f"rank {literals[a]} {table[a]}" for a in _subsets_by_size((1 << n) - 1)]
     return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 
 from .bases import OrderedBase, all_bases, anchor_classes
-from .closure import _closed_masks, _closure_mask, _is_closed_mask
+from .closure import _closed_masks, _is_closed_mask, closure
 from .coloring import ChromaticResult, chromatic_number, distinct_color_fallback, is_proper
 from .core import (
     AxiomReport,
@@ -390,7 +390,7 @@ def check_closure_minimality(m: Matroid, facts: _Facts | None = None) -> LemmaRe
 
 def _closure_route_reads(m: Matroid) -> None:
     """The ranks of closure({}), then of each mask's closedness test, in mask order."""
-    _closure_mask(m, 0)
+    closure(m, ())
     for z in range(1 << m.n):
         _is_closed_mask(m, z)
 
@@ -767,9 +767,13 @@ def check_anchor_repetition(m: Matroid, facts: _Facts | None = None) -> LemmaRes
     e in B over the circuit sets of the x whose part holds e certifies
     that no S_e has one element; only a base where that fails (on a
     table that is no matroid) gets one peel per circuit, which decides
-    exactly whether some order gives the circuit distinct anchors.  anchor_classes runs
-    once per base for its loop, base and swap checks.  A failure names
-    the first such base and circuit, with an order the peel found.
+    exactly whether some order gives the circuit distinct anchors.  On a
+    table that fails the unit-increase axioms, anchor_classes runs once
+    per base for its loop, base and swap checks.  On one that passes
+    them none of its refusals can fire: loops return early, every
+    all_bases member is a base, and every element outside a base of a
+    loop-free matroid has a fundamental circuit.  A failure names the
+    first such base and circuit, with an order the peel found.
     """
     key, title = "L17", "every circuit repeats an anchor value"
     if not is_loop_free(m):
@@ -784,7 +788,8 @@ def check_anchor_repetition(m: Matroid, facts: _Facts | None = None) -> LemmaRes
         for x in bits(cm):
             holders[x] |= 1 << i
     for b in facts.bases:
-        anchor_classes(m, OrderedBase(b))
+        if not facts.axioms.ok:
+            anchor_classes(m, OrderedBase(b))
         bmask = mask_of(b)
         swaps = _swap_sets(t, bmask, m.n)
         if not any(_circuits_met_once(holders, y) for y in swaps):

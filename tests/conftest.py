@@ -145,6 +145,16 @@ def fundamental_circuit_bruteforce(m, b, x):
     return Circuit(found[0])
 
 
+def circuit_base_part(m, b, x):
+    """Base elements e with r(B - e + x) = |B|, last in base order first:
+    x's fundamental circuit minus x, by one swap test per base element.
+    Unchecked: b a base, x outside it."""
+    bmask, size = mask_of(b.elements), len(b)
+    for e in reversed(b.elements):
+        if m.rank_of_mask((bmask ^ 1 << e) | 1 << x) == size:
+            yield e
+
+
 def brute_list_colorings(m, lists, order):
     """Proper list colorings by a sweep over the product of the lists.
 

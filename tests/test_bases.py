@@ -28,7 +28,13 @@ from matroidkit import bases
 from matroidkit.catalog import self_loop_triangle, theta, triangle
 from matroidkit.core import is_loop_free, loops, mask_of
 
-from conftest import brute_anchor, fundamental_circuit_bruteforce, perturbed_tables, random_matroid
+from conftest import (
+    brute_anchor,
+    circuit_base_part,
+    fundamental_circuit_bruteforce,
+    perturbed_tables,
+    random_matroid,
+)
 
 
 def test_greedy_base_examples():
@@ -117,14 +123,14 @@ def test_is_base_matches_maximal_independent(suite6):
 
 def _fundamental_circuit(m, b, x):
     """x's fundamental circuit in the ordered base b: x and its base part."""
-    return tuple(sorted([x, *bases._circuit_base_part(m, b, x)]))
+    return tuple(sorted([x, *circuit_base_part(m, b, x)]))
 
 
 def test_fundamental_circuit_examples():
     m = uniform(4, 2)
     b = OrderedBase((0, 1))
     assert _fundamental_circuit(m, b, 2) == (0, 1, 2)
-    assert list(bases._circuit_base_part(m, b, 2)) == [1, 0]  # last in base order first
+    assert list(circuit_base_part(m, b, 2)) == [1, 0]  # last in base order first
     t = triangle()
     assert _fundamental_circuit(t, OrderedBase((0, 1)), 2) == (0, 1, 2)
     # theta: tree {ab, bc, bd}; chord ca closes the left triangle,

@@ -16,11 +16,16 @@ from matroidkit import (
     uniform,
 )
 from matroidkit.catalog import triangle
-from matroidkit.bases import _circuit_base_part
 from matroidkit.closure import _closed_masks
 from matroidkit.core import bits
 
-from conftest import closed_sets, fundamental_circuit_bruteforce, powerset, random_matroid
+from conftest import (
+    circuit_base_part,
+    closed_sets,
+    fundamental_circuit_bruteforce,
+    powerset,
+    random_matroid,
+)
 
 
 def test_is_closed_examples():
@@ -104,4 +109,4 @@ def test_closure_routes_match_definitions_on_random_matroids(kind, n, seed):
         for x in range(m.n):
             if x not in ob:
                 want = fundamental_circuit_bruteforce(m, ob, x).members
-                assert tuple(sorted([x, *_circuit_base_part(m, ob, x)])) == want
+                assert tuple(sorted([x, *circuit_base_part(m, ob, x)])) == want

@@ -7,14 +7,15 @@ GF(p), p >= 5, by row-reducing the subset's vectors.
 ``Matroid.mask_table`` builds the tables by one of two routes.
 The count takes a basis of the representation's row space and counts
 its row-space vectors by zero set (``core._count_table``); it serves ``graphic``,
-GF(2), and GF(p) wherever p^r <= 2^n, and, for at most 255 points,
+GF(2), and GF(3) wherever 3^r <= 2^n, and, for at most 255 points,
 hands its ranks over as bytes, which become the table and its rank
-image.  Over GF(3) it is
-swept at every n up to 12 and every rank it takes.  The walk steps ``linear``'s rank
-step over prefixes (``core._walk_table``); it serves ``linear`` over
-p >= 3 where p^r > 2^n.  Oracle and table must equal the plain
-definition computed mask by mask: Gaussian elimination for vectors,
-covered vertices minus components for graphs.  Neither route may do
+image.  Over GF(3) it is swept at every n up to 12 and every rank it
+takes.  The walk steps ``linear``'s rank step over prefixes
+(``core._walk_table``); it serves ``linear`` over GF(3) where
+3^r > 2^n and over every field GF(p), p >= 5, at every rank, which is
+swept over GF(5), GF(7) and GF(11) at every n up to 10.  Oracle and
+table must equal the plain definition computed mask by mask: Gaussian
+elimination for vectors, covered vertices minus components for graphs.  Neither route may do
 other work.  The count makes no oracle call and no step call.  The walk
 makes no oracle call either; the step returns its input state when the
 gain is 0, and the walk then copies that subtree instead of stepping
@@ -35,8 +36,9 @@ from hypothesis import strategies as st
 
 import matroidkit
 from matroidkit import BoundExceededError, Matroid, VectorSpec, graphic, linear
+from matroidkit import constructions
 from matroidkit.constructions import _row_basis
-from matroidkit.core import _rank_image, _walk_table, bits
+from matroidkit.core import _rank_bytes, _rank_image, _walk_table, bits
 
 from conftest import _gf_rank
 
@@ -119,7 +121,7 @@ def test_linear_fold_over_thousands_of_elements_equals_gaussian_elimination():
 def test_row_basis_equals_gaussian_elimination_on_random_subsets(p):
     # the elimination stops once every column holds a pivot, as with 2
     # vectors at dimension 40; what it returns must still be a basis of
-    # the whole row space, which the table count reads
+    # the whole row space
     rng = random.Random(p)
     for dim, n in ((40, 2), (40, 6), (3, 8), (5, 5), (12, 30)):
         vecs = [tuple(rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(dim)) for _ in range(n)]
@@ -342,8 +344,9 @@ def test_graphic_union_find_equals_component_count_on_large_graphs(kind):
     assert calls["rank"] == len(masks) and not calls["table"]
 
 
-# (p, dim, n, rank, route): the route is the count iff p^rank <= 2^n; a
-# count of more than 255 points, (p^rank - 1) / (p - 1), takes 2-byte lanes
+# (p, dim, n, rank, route): the route is the count iff p <= 3 and
+# p^rank <= 2^n; a count of more than 255 points, (p^rank - 1) / (p - 1),
+# takes 2-byte lanes
 VECTOR_CASES = {
     "GF(2) rank 8, 255 points": (2, 8, 10, 8, "count"),
     "GF(2) rank 9, 511 points": (2, 9, 11, 9, "count"),
@@ -351,7 +354,7 @@ VECTOR_CASES = {
     "GF(3) 3^5 just above 2^7": (3, 5, 7, 5, "walk"),
     "GF(3) 3^6 just below 2^10, 364 points": (3, 6, 10, 6, "count"),
     "GF(3) 3^6 just above 2^9": (3, 6, 9, 6, "walk"),
-    "GF(5) 5^3 just below 2^7": (5, 3, 7, 3, "count"),
+    "GF(5) 5^3 just below 2^7": (5, 3, 7, 3, "walk"),
     "GF(5) 5^3 just above 2^6": (5, 3, 6, 3, "walk"),
     "GF(2) dim 9 > n": (2, 9, 5, 5, "count"),
     "GF(3) dim 7 > n": (3, 7, 4, 4, "walk"),
@@ -369,21 +372,23 @@ def test_linear_table_routes_equal_gaussian_elimination(case):
     assert calls[f"_{route}_table"] == 1 and calls["_count_table"] + calls["_walk_table"] == 1
 
 
+# (matroid, table, route): rank 0 is counted over GF(2) and GF(3), and
+# walked over any other field
 ODD_CASES = {
-    "linear n=0": (linear(VectorSpec(2, 3, ())), [0]),
-    "linear zero vectors": (linear(VectorSpec(3, 2, ((0, 0), (3, 6), (0, -3), (0, 0)))), [0] * 16),
-    "linear GF(2^31-1) zero vectors": (linear(VectorSpec(2**31 - 1, 2, ((0, 0),) * 3)), [0] * 8),
-    "graphic n=0": (graphic([]), [0]),
-    "graphic self-loops": (graphic([(0, "a", "a"), (1, "b", "b"), (2, "a", "a")]), [0] * 8),
+    "linear n=0": (linear(VectorSpec(2, 3, ())), [0], "count"),
+    "linear zero vectors": (linear(VectorSpec(3, 2, ((0, 0), (3, 6), (0, -3), (0, 0)))), [0] * 16, "count"),
+    "linear GF(2^31-1) zero vectors": (linear(VectorSpec(2**31 - 1, 2, ((0, 0),) * 3)), [0] * 8, "walk"),
+    "graphic n=0": (graphic([]), [0], "count"),
+    "graphic self-loops": (graphic([(0, "a", "a"), (1, "b", "b"), (2, "a", "a")]), [0] * 8, "count"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ODD_CASES))
 def test_table_count_of_degenerate_matroids(case):
-    m, want = ODD_CASES[case]
+    m, want, route = ODD_CASES[case]
     with _counting() as calls:
         assert m.mask_table() == want
-    assert calls["_count_table"] == 1
+    assert calls[f"_{route}_table"] == 1 and calls["_count_table"] + calls["_walk_table"] == 1
 
 
 @pytest.mark.parametrize(
@@ -433,17 +438,18 @@ def test_count_at_16_elements_below_full_rank():
     assert [graph[a] for a in sample] == [graph_rank(edges, a) for a in sample]
 
 
-def _gf3_columns(rng, n, rank):
-    """n columns over GF(3) of the given rank, in dimension rank + 1, shuffled.
+def _gf_columns(rng, p, n, rank):
+    """n columns over GF(p) of the given rank, in dimension rank + 1, shuffled.
 
     The first ``rank`` columns are independent; each column after them is
-    zero, a copy or a double of an earlier column, or a combination of
-    the independent ones.
+    zero, a copy or a multiple of an earlier column (its double over
+    GF(3), a random scale from 2 to p - 1 otherwise), or a combination
+    of the independent ones.
     """
     dim = rank + 1
     while True:
-        basis = [tuple(rng.randrange(3) for _ in range(dim)) for _ in range(rank)]
-        if _gf_rank([list(v) for v in basis], 3) == rank:
+        basis = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(rank)]
+        if _gf_rank([list(v) for v in basis], p) == rank:
             break
     columns = list(basis)
     while len(columns) < n:
@@ -451,11 +457,11 @@ def _gf3_columns(rng, n, rank):
         if kind == "zero" or not columns:
             columns.append((0,) * dim)
         elif kind in ("copy", "double"):
-            c = 1 if kind == "copy" else 2
-            columns.append(tuple(c * a % 3 for a in rng.choice(columns)))
+            c = 1 if kind == "copy" else 2 if p == 3 else rng.randrange(2, p)
+            columns.append(tuple(c * a % p for a in rng.choice(columns)))
         else:
-            cs = [rng.randrange(3) for _ in basis]
-            columns.append(tuple(sum(c * v[j] for c, v in zip(cs, basis)) % 3 for j in range(dim)))
+            cs = [rng.randrange(p) for _ in basis]
+            columns.append(tuple(sum(c * v[j] for c, v in zip(cs, basis)) % p for j in range(dim)))
     rng.shuffle(columns)
     return tuple(columns)
 
@@ -469,13 +475,34 @@ def test_gf3_count_equals_gaussian_elimination_at_every_rank_it_takes(n):
     ranks = [r for r in range(n + 1) if 3**r <= 1 << n]
     assert ranks[0] == 0
     for rank in ranks:
-        columns = _gf3_columns(rng, n, rank)
+        columns = _gf_columns(rng, 3, n, rank)
         want = _gf_table(3, columns)
         assert want[-1] == rank
         m = linear(VectorSpec(3, rank + 1, columns))
         assert m.mask_table() == want, (n, rank, columns)
         assert (m._rank_image is not None) == (rank <= 5)
         assert _rank_image(m) == int.from_bytes(bytes(want), "little")
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+@pytest.mark.parametrize("n", range(11))
+def test_gf_p_tables_are_walked_at_every_rank(p, n, monkeypatch):
+    # over any field but GF(2) and GF(3) the table is walked at every
+    # rank, even where p^r <= 2^n; its image is converted from the list
+    def no_count(*args):
+        raise AssertionError("the count serves GF(2) and GF(3) only")
+
+    monkeypatch.setattr(constructions, "_count_table", no_count)
+    rng = random.Random(1000 * p + n)
+    for rank in range(n + 1):
+        columns = _gf_columns(rng, p, n, rank)
+        want = _gf_table(p, columns)
+        assert want[-1] == rank
+        m = linear(VectorSpec(p, rank + 1, columns))
+        table = m.mask_table()
+        assert table == want, (p, n, rank, columns)
+        assert m._rank_image is None
+        assert _rank_image(m) == _rank_bytes(want)
 
 
 def _odd_columns(p, dim, n, seed):

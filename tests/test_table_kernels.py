@@ -284,8 +284,8 @@ _IMAGE_ROUTES = {
     "linear GF(3) 1-byte lanes": _linear_route(3, 4, 10),
     # 3^6 <= 2^11, 364 points: 2-byte count lanes, whose ranks come as a list
     "linear GF(3) 2-byte lanes": _linear_route(3, 6, 11, handed_over=False),
-    # 5^3 <= 2^8
-    "linear GF(5)": _linear_route(5, 3, 8),
+    # any field but GF(2) and GF(3) is walked, even where 5^3 <= 2^8
+    "linear GF(5)": _linear_route(5, 3, 8, handed_over=False),
     # 7^4 > 2^9: the walk
     "linear walk": _linear_route(7, 4, 9, handed_over=False),
     "graphic": (
