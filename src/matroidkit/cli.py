@@ -285,6 +285,8 @@ def cmd_check_lemmas(args, out: _Out) -> int:
 
 
 def cmd_compactness(args, out: _Out) -> int:
+    if not args.family:
+        raise MatroidError("this command needs a chain (--family NAME or FILE)")
     if args.family in BUILTIN_FAMILIES:
         chain = BUILTIN_FAMILIES[args.family]()
     else:

@@ -75,8 +75,11 @@ class MatroidChain:
 
 
 def _refuse_depth(i: int) -> None:
-    """Refuse a negative depth, and one above VALIDATION_BOUND: levels grow,
+    """Refuse a depth that is no int (a bool or a float that equals one
+    too), a negative depth, and one above VALIDATION_BOUND: levels grow,
     so level i has at least i elements, too many for its mask table."""
+    if type(i) is not int:
+        raise GroundSetError(f"chain depth must be an int, got {i!r}")
     if i < 0:
         raise GroundSetError("chain levels are indexed from 0")
     if i > VALIDATION_BOUND:

@@ -17,7 +17,6 @@ from .core import (
     _refuse_above,
     _sized_subset_pool,
     _subset_pool,
-    _walk_table,
     bits,
     mask_of,
     set_literal,
@@ -197,11 +196,10 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
 
     Over GF(2) and GF(3) the mask table counts row-space vectors
     (:func:`core._count_table`) from the basis rows, taken as they are.
-    Over any other field, and where the count would enumerate more
-    vectors than the table has masks, 3^r > 2^n, the table is walked by
-    a rank step instead (:func:`_echelon_step`, :func:`core._walk_table`),
-    which reads the vectors as coordinate tuples, built for the walk
-    alone.
+    Over GF(p), p >= 5, and over GF(3) where the count would enumerate
+    more vectors than the table has masks, 3^r > 2^n, no table function
+    is passed, so :meth:`Matroid.mask_table` fills the table through the
+    oracle, one call per mask.
     """
     p, dim, n = spec.p, spec.dim, len(spec.vectors)
     if p <= 3:
@@ -224,12 +222,14 @@ def linear(spec: VectorSpec, name: str = "") -> Matroid:
         def rank(a: int) -> int:
             return len(_row_basis(p, [vecs[i] for i in bits(a)], dim))
 
-    def table() -> list[int] | bytes:
-        if p <= 3 and p ** len(rows) <= 1 << n:
-            return _count_table(n, p, rows)
-        return _walk_table(n, None, _echelon_step(spec))
+    counted = p <= 3 and p ** len(rows) <= 1 << n
 
-    return Matroid(n, rank, name=name or f"linear(GF({p}),{n} vecs)", spec=spec, table=table)
+    def table() -> list[int] | bytes:
+        return _count_table(n, p, rows)
+
+    return Matroid(
+        n, rank, name=name or f"linear(GF({p}),{n} vecs)", spec=spec, table=table if counted else None
+    )
 
 
 # byte value -> the digit b"1" where it equals c, else b"0" (bytes.translate tables)
@@ -299,49 +299,6 @@ def _sliced_basis(p: int, rows: Iterable, columns: int) -> list:
             both = v & (w1 | w2)
             ones, twos = (ones | w1) ^ both, (twos | w2) ^ both
     return list(basis.values())
-
-
-def _echelon_step(spec: VectorSpec):
-    """``linear``'s rank step, for :func:`core._walk_table`, over the spec's
-    vectors reduced mod p as coordinate tuples.
-
-    The state of an independent set is one echelon row on top of its
-    parent's state, ``(parent, pivot, row, memo)``, with row[pivot] = 1
-    and the row zero at every ancestor's pivot; the empty set's state
-    is None.  A vector gains rank iff its residual against the state's
-    span is not zero, and that residual, scaled, is the new row.
-    Stepping vector i from a state stores its residual in ``memo[i]``.
-    The walk steps i from a child only after stepping it from the
-    child's parent, so the residual from the child is the parent's memo
-    entry after one row operation, and each step costs one row
-    operation.
-    """
-    p = spec.p
-    vecs = [tuple(c % p for c in v) for v in spec.vectors]
-    zero = (0,) * spec.dim
-
-    def step(state, i: int):
-        v = vecs[i]
-        if state is not None:
-            parent, pivot, row, memo = state
-            if parent is not None:
-                v = parent[3][i]
-            f = v[pivot]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        for pivot, c in enumerate(v):
-            if c:
-                if state is not None:
-                    memo[i] = v
-                if c != 1:
-                    inv = pow(c, -1, p)
-                    v = [a * inv % p for a in v]
-                return (state, pivot, v, {}), 1
-        if state is not None:
-            memo[i] = zero
-        return state, 0
-
-    return step
 
 
 def _row_basis(p: int, vecs: list[tuple[int, ...]], dim: int) -> list[list[int]]:

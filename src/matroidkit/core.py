@@ -107,12 +107,13 @@ class Matroid:
     (the rank of mask a in byte a): :meth:`mask_table` calls it in place
     of the oracle (``graphic`` and ``linear`` over GF(2) and GF(3) count
     row-space vectors, which returns bytes for at most 255 points,
-    ``linear`` walks its rank step elsewhere, ``from_table`` hands
-    over its checked rank list, a contraction reads its parent's ranks
-    in one pass).  The whole-table kernels read the table as one int
-    with a byte per mask (:func:`_rank_image`): taken from the bytes a
-    ``table`` function returns, or else converted from the list at most
-    once per table.
+    ``from_table`` hands over its checked rank list, a contraction
+    reads its parent's ranks in one pass).  Without one, and so for
+    ``linear`` wherever the count does not serve, :meth:`mask_table`
+    calls the oracle once per mask.  The whole-table kernels read the
+    table as one int with a byte per mask (:func:`_rank_image`): taken
+    from the bytes a ``table`` function returns, or else converted from
+    the list at most once per table.
     Instances are immutable apart from the caches.
     """
 
@@ -206,13 +207,13 @@ class Matroid:
         any rank is computed.  A matroid built with a ``table`` function
         gets its table from it, with no oracle call: ``graphic`` and
         ``linear`` over GF(2) and GF(3) count the vectors of their row
-        space (:func:`_count_table`); ``linear`` walks its rank step
-        (:func:`_walk_table`) over any other field, and where the count
-        would enumerate more vectors than the table has masks;
-        ``from_table`` hands over its rank list once every entry is
-        checked; a contraction reads its parent's ranks.  Any other matroid calls its oracle once per
-        mask.  A ``table`` function that returns bytes, as the count
-        does in 1-byte lanes, hands over the rank image too: the table
+        space (:func:`_count_table`); ``from_table`` hands over its
+        rank list once every entry is checked; a contraction reads its
+        parent's ranks.  Any other matroid calls its oracle once per
+        mask: so does ``linear`` over any other field, and where the
+        count would enumerate more vectors than the table has masks.
+        A ``table`` function that returns bytes, as the count does in
+        1-byte lanes, hands over the rank image too: the table
         is the list of those bytes, and the image is the same bytes read
         as one int (a counted rank is at most n <= VALIDATION_BOUND,
         below _RANK_CAP, so there is nothing to cap), and
@@ -235,44 +236,6 @@ class Matroid:
 def _bad_rank(r: object, mask: int) -> MatroidError:
     """The refusal of a rank that is not a nonnegative int (a bool is not one)."""
     return MatroidError(f"oracle returned {r!r} for {set_literal(bits(mask))}")
-
-
-def _walk_table(n: int, start, step) -> list[int]:
-    """Ranks of all 2^n masks by one depth-first walk over prefixes.
-
-    Every nonempty mask A + x, with x its top element, is reached from
-    its prefix A: r(A + x) = r(A) + gain, where ``step(state of A, x)``
-    returns ``(state of A + x, gain)``.  A step that returns the very
-    state object it was given, with gain 0, leaves every later step
-    unchanged, so the ranks of the whole subtree of A + x repeat those
-    of A's masks above x: they are copied as one strided slice, not
-    walked.  Each node's children are taken from the top element down,
-    so the ranks copied are final, and each element above x, the only
-    ones stepped from the state of A + x, has been stepped from A's
-    state first: ``linear``'s step, whose only caller this is, reads
-    the residual that the step from A left.  Reuse is keyed on object
-    identity, so the table is exact for any pure step; ``linear``'s
-    step returns its input state exactly when the gain is 0, so the walk
-    steps only from the independent sets, once per element above the
-    top one.  The recursion holds one state per depth, at most n + 1
-    live.
-    """
-    table = [0] * (1 << n)
-
-    def visit(mask: int, state, lo: int) -> None:
-        rank = table[mask]
-        for x in range(n - 1, lo - 1, -1):
-            child, gain = step(state, x)
-            bit = 1 << x
-            if child is state and not gain:
-                # the masks mask + x + S, S above x, repeat mask + S
-                table[mask | bit :: bit << 1] = table[mask :: bit << 1]
-            else:
-                table[mask | bit] = rank + gain
-                visit(mask | bit, child, x + 1)
-
-    visit(0, start, 0)
-    return table
 
 
 @dataclass(frozen=True)
@@ -346,10 +309,10 @@ def _submodularity(table: list[int], a: int, b: int) -> AxiomReport:
 # ``graphic`` wherever they count at most 255 points, see
 # :func:`_count_table`) comes as rank bytes, which :meth:`Matroid.mask_table`
 # reads as the image at once, so it skips :func:`_rank_bytes`; a table
-# counted in 2-byte lanes, a walked table, ``from_table``'s list, a
-# contraction's, an oracle's, and each contracted table that the lemma
-# battery's L11 reads are converted from their lists, at most once per
-# table (:func:`_rank_image`).  The kernels only test bytes below 0x80 for zero
+# counted in 2-byte lanes, ``from_table``'s list, a contraction's, an
+# oracle's, and each contracted table that the lemma battery's L11 reads
+# are converted from their lists, at most once per table
+# (:func:`_rank_image`).  The kernels only test bytes below 0x80 for zero
 # (ranks, ranks + 1 and sizes, and their XORs), which takes one
 # subtraction with no borrow between bytes (:func:`_zero_bytes`).  What
 # depends on n alone (every mask, each mask's size, the masks without x
@@ -530,8 +493,8 @@ def _count_table(n: int, p: int, rows: list) -> list[int] | bytes:
     k-dimensional space, so A lies in the zero sets of exactly
     (p^(r - r(A)) - 1) / (p - 1) of the points v_i + w, where v_i is
     row i and w runs over the span of the rows before i.  Over any
-    other field ``linear`` walks its table instead (see
-    :func:`_walk_table`).
+    other field ``linear`` fills its table through its oracle, one
+    call per mask.
 
     The points are enumerated once, row by row.  Over GF(2) a point is
     its support, and v + w is one XOR.  Over GF(3) the span is packed

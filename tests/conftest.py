@@ -71,8 +71,8 @@ def _gf_rank(rows, p):
     which reduces bit-sliced basis rows masked by the subset over GF(2)
     and GF(3) (``constructions._sliced_basis``) and row-reduces a
     subset's columns above (``constructions._row_basis``), and their
-    mask table, which counts row-space vectors or walks an
-    echelon-insertion step.
+    mask table, which counts row-space vectors or is filled by that
+    oracle.
     """
     rows = [r[:] for r in rows]
     rank = 0

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from matroidkit import __version__, list_chromatic_number
+from matroidkit import __version__, cli, list_chromatic_number
 from matroidkit.cli import build_parser, run
 
 DATA = Path(__file__).parent / "data"
@@ -217,6 +217,18 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     assert code == 0
     code, _ = invoke(["closure", "-i", U24])  # missing --subset
     assert code == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--lists", "lists.l", "--depth", "1"]], ids=["bare", "lists"])
+def test_compactness_without_a_family_exits_2_before_reading(monkeypatch, capsys, extra):
+    def no_read(path):
+        raise AssertionError(f"read {path!r}")
+
+    monkeypatch.setattr(cli, "_read_text", no_read)
+    code, out = invoke(["compactness", *extra])
+    assert code == 2
+    assert capsys.readouterr().err == "error: this command needs a chain (--family NAME or FILE)\n"
+    assert out == "tool: matroidkit %s\ncommand: compactness\nseed: 0\n" % __version__
 
 
 def test_parser_errors_exit_2_and_help_exits_0(capsys):

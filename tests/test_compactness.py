@@ -107,6 +107,17 @@ def test_every_chain_query_refuses_a_negative_depth_before_building_a_level():
     assert built == []
 
 
+@pytest.mark.parametrize("depth", [True, 1.0, "1"], ids=["True", "1.0", "str"])
+def test_every_chain_query_refuses_a_depth_that_is_no_int(depth):
+    # True and 1.0 equal 1, but a depth is an int, as an element id is
+    built = []
+    chain = MatroidChain("counted", lambda i: built.append(i) or uniform(i + 2, 1))
+    for query in (extend_coloring, first_uncolorable_level):
+        with pytest.raises(GroundSetError, match=rf"^chain depth must be an int, got {depth!r}$"):
+            query(chain, two_lists(3), depth)
+    assert built == []
+
+
 def test_every_chain_query_refuses_a_depth_above_the_table_bound_before_building_a_level():
     # level i has at least i elements, so a depth above 16 has a level the
     # mask table refuses

@@ -10,24 +10,21 @@ its row-space vectors by zero set (``core._count_table``); it serves ``graphic``
 GF(2), and GF(3) wherever 3^r <= 2^n, and, for at most 255 points,
 hands its ranks over as bytes, which become the table and its rank
 image.  Over GF(3) it is swept at every n up to 12 and every rank it
-takes.  The walk steps ``linear``'s rank step over prefixes
-(``core._walk_table``); it serves ``linear`` over GF(3) where
-3^r > 2^n and over every field GF(p), p >= 5, at every rank, which is
-swept over GF(5), GF(7) and GF(11) at every n up to 10.  Oracle and
-table must equal the plain definition computed mask by mask: Gaussian
-elimination for vectors, covered vertices minus components for graphs.  Neither route may do
-other work.  The count makes no oracle call and no step call.  The walk
-makes no oracle call either; the step returns its input state when the
-gain is 0, and the walk then copies that subtree instead of stepping
-it, so it steps once per independent set and element above the set's
-top element.  Neither route does anything above the table's ceiling.
+takes.  Everywhere else, over GF(3) where 3^r > 2^n and over every
+field GF(p), p >= 5, at every rank, ``linear`` passes no table function,
+so the table is filled by its own oracle, one call per mask; GF(5),
+GF(7) and GF(11) are swept at every n up to 10.  Oracle and table must
+equal the plain definition computed mask by mask: Gaussian elimination
+for vectors, covered vertices minus components for graphs.  Neither
+route may do other work: the count makes no oracle call, and the
+oracle route calls no table function and no count.  Neither route does
+anything above the table's ceiling.
 """
 
 import contextlib
 import os
 import random
 import sys
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -35,10 +32,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matroidkit
-from matroidkit import BoundExceededError, Matroid, VectorSpec, graphic, linear
+from matroidkit import BoundExceededError, VectorSpec, graphic, linear
 from matroidkit import constructions
 from matroidkit.constructions import _row_basis
-from matroidkit.core import _rank_bytes, _rank_image, _walk_table, bits
+from matroidkit.core import _rank_bytes, _rank_image, bits
 
 from conftest import _gf_rank
 
@@ -162,8 +159,7 @@ def _counting():
     """Count the calls made inside the block to each function of matroidkit, by name.
 
     The oracles of ``linear`` and ``graphic`` are named ``rank`` and
-    their table builders ``table``; ``linear``'s walked rank step is
-    named ``step``.
+    their table builders ``table``.
     """
     package = os.path.dirname(matroidkit.__file__)
     calls = Counter()
@@ -188,7 +184,8 @@ def _gf3(n, seed=0):
     return _gf(3, 4, n, seed)
 
 
-WALKED = {
+# tables that no count serves, so the oracle fills them
+ORACLE_FILLED = {
     # 7^4 = 2401 > 2^10
     "linear": _gf(7, 4, 10),
     # zero (2) and parallel (0, 1) vectors; 5^2 = 25 > 2^4
@@ -215,24 +212,21 @@ COUNTED = {
 }
 
 
-def _walk_steps(m):
-    """Steps the walk should make, read from the oracle alone.
+def _assert_route(calls, route, n):
+    """The count: one ``_count_table`` call and no oracle call.  The
+    oracle: one ``rank`` call per mask, and no table function or count."""
+    if route == "count":
+        assert calls["_count_table"] == 1 and not calls["rank"]
+    else:
+        assert calls["rank"] == 1 << n and not calls["table"] and not calls["_count_table"]
 
-    n at the root, plus n - 1 - top(M) for every nonempty M whose
-    elements each raised the rank, in ascending order, when added: the
-    independent sets.  Any other mask lies in a subtree that is copied.
-    """
-    return sum(m.n - a.bit_length() for a in range(1 << m.n) if m._oracle(a) == a.bit_count())
 
-
-@pytest.mark.parametrize("kind", sorted(WALKED))
-def test_table_walk_steps_once_per_independent_set_and_element_above_it(kind):
-    m = WALKED[kind]
+@pytest.mark.parametrize("kind", sorted(ORACLE_FILLED))
+def test_table_oracle_calls_rank_once_per_mask(kind):
+    m = ORACLE_FILLED[kind]
     with _counting() as calls:
         table = m.mask_table()
-    assert calls["_walk_table"] == 1 and not calls["_count_table"]
-    assert calls["step"] == _walk_steps(m)
-    assert not calls["rank"]
+    _assert_route(calls, "oracle", m.n)
     assert table == [m._oracle(a) for a in range(1 << m.n)]
 
 
@@ -241,23 +235,8 @@ def test_table_count_makes_no_oracle_or_step_call(kind):
     m = COUNTED[kind]
     with _counting() as calls:
         table = m.mask_table()
-    assert calls["_count_table"] == 1 and not calls["_walk_table"]
-    assert not calls["step"] and not calls["rank"]
+    _assert_route(calls, "count", m.n)
     assert table == [m._oracle(a) for a in range(1 << m.n)]
-
-
-def test_table_walk_copies_only_a_kept_state_with_no_gain():
-    # a step that keeps its state but gains 1 (the free matroid), and one
-    # that gains 0 but moves its state (r(A) = |A| - 1, not a matroid),
-    # must be walked, not copied
-    n = 9
-    free = Matroid(n, int.bit_count, table=lambda: _walk_table(n, None, lambda s, x: (s, 1)))
-    assert free.mask_table() == [a.bit_count() for a in range(1 << n)]
-    late = Matroid(
-        n, lambda a: max(a.bit_count() - 1, 0),
-        table=lambda: _walk_table(n, 0, lambda s, x: (s + 1, int(s > 0))),
-    )
-    assert late.mask_table() == [max(a.bit_count() - 1, 0) for a in range(1 << n)]
 
 
 def _refused_calls(m):
@@ -267,8 +246,12 @@ def _refused_calls(m):
     return calls
 
 
-def test_table_walk_refuses_17_elements_before_any_step():
-    assert _refused_calls(_gf(2**31 - 1, 2, 17)) == Counter(mask_table=1, _refuse_above=1)
+@pytest.mark.parametrize(
+    "m", [_gf(2**31 - 1, 2, 17), _gf(3, 12, 17)], ids=["GF(2^31-1)", "GF(3) rank 12"]
+)
+def test_table_oracle_refuses_17_elements_before_any_call(m):
+    # 3^12 > 2^17, so no count serves either table
+    assert _refused_calls(m) == Counter(mask_table=1, _refuse_above=1)
 
 
 @pytest.mark.parametrize(
@@ -278,24 +261,6 @@ def test_table_walk_refuses_17_elements_before_any_step():
 )
 def test_table_count_refuses_17_elements_before_any_row_reduction(m):
     assert _refused_calls(m) == Counter(mask_table=1, _refuse_above=1)
-
-
-def test_table_walk_keeps_few_states_alive():
-    # 7^6 > 2^14, so the table is walked; the first build in a process
-    # also pays one-off allocations
-    _gf(7, 6, 14, seed=1).mask_table()
-    m = _gf(7, 6, 14, seed=2)
-    with _counting() as calls:
-        tracemalloc.start()
-        try:
-            table = m.mask_table()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert calls["_walk_table"] == 1 and calls["_count_table"] == 0
-    # one state per depth: the table itself is nearly all of the peak,
-    # where one state per mask would cost several times the table
-    assert peak < 2 * sys.getsizeof(table)
 
 
 def _vectors(p, dim, n, seed=0):
@@ -345,19 +310,19 @@ def test_graphic_union_find_equals_component_count_on_large_graphs(kind):
 
 
 # (p, dim, n, rank, route): the route is the count iff p <= 3 and
-# p^rank <= 2^n; a count of more than 255 points, (p^rank - 1) / (p - 1),
-# takes 2-byte lanes
+# p^rank <= 2^n, else the oracle; a count of more than 255 points,
+# (p^rank - 1) / (p - 1), takes 2-byte lanes
 VECTOR_CASES = {
     "GF(2) rank 8, 255 points": (2, 8, 10, 8, "count"),
     "GF(2) rank 9, 511 points": (2, 9, 11, 9, "count"),
     "GF(3) 3^5 just below 2^8": (3, 5, 8, 5, "count"),
-    "GF(3) 3^5 just above 2^7": (3, 5, 7, 5, "walk"),
+    "GF(3) 3^5 just above 2^7": (3, 5, 7, 5, "oracle"),
     "GF(3) 3^6 just below 2^10, 364 points": (3, 6, 10, 6, "count"),
-    "GF(3) 3^6 just above 2^9": (3, 6, 9, 6, "walk"),
-    "GF(5) 5^3 just below 2^7": (5, 3, 7, 3, "walk"),
-    "GF(5) 5^3 just above 2^6": (5, 3, 6, 3, "walk"),
+    "GF(3) 3^6 just above 2^9": (3, 6, 9, 6, "oracle"),
+    "GF(5) 5^3 just below 2^7": (5, 3, 7, 3, "oracle"),
+    "GF(5) 5^3 just above 2^6": (5, 3, 6, 3, "oracle"),
     "GF(2) dim 9 > n": (2, 9, 5, 5, "count"),
-    "GF(3) dim 7 > n": (3, 7, 4, 4, "walk"),
+    "GF(3) dim 7 > n": (3, 7, 4, 4, "oracle"),
 }
 
 
@@ -369,15 +334,15 @@ def test_linear_table_routes_equal_gaussian_elimination(case):
     assert want[-1] == rank
     with _counting() as calls:
         assert linear(VectorSpec(p, dim, vectors)).mask_table() == want
-    assert calls[f"_{route}_table"] == 1 and calls["_count_table"] + calls["_walk_table"] == 1
+    _assert_route(calls, route, n)
 
 
 # (matroid, table, route): rank 0 is counted over GF(2) and GF(3), and
-# walked over any other field
+# filled by the oracle over any other field
 ODD_CASES = {
     "linear n=0": (linear(VectorSpec(2, 3, ())), [0], "count"),
     "linear zero vectors": (linear(VectorSpec(3, 2, ((0, 0), (3, 6), (0, -3), (0, 0)))), [0] * 16, "count"),
-    "linear GF(2^31-1) zero vectors": (linear(VectorSpec(2**31 - 1, 2, ((0, 0),) * 3)), [0] * 8, "walk"),
+    "linear GF(2^31-1) zero vectors": (linear(VectorSpec(2**31 - 1, 2, ((0, 0),) * 3)), [0] * 8, "oracle"),
     "graphic n=0": (graphic([]), [0], "count"),
     "graphic self-loops": (graphic([(0, "a", "a"), (1, "b", "b"), (2, "a", "a")]), [0] * 8, "count"),
 }
@@ -388,7 +353,7 @@ def test_table_count_of_degenerate_matroids(case):
     m, want, route = ODD_CASES[case]
     with _counting() as calls:
         assert m.mask_table() == want
-    assert calls[f"_{route}_table"] == 1 and calls["_count_table"] + calls["_walk_table"] == 1
+    _assert_route(calls, route, m.n)
 
 
 @pytest.mark.parametrize(
@@ -487,7 +452,7 @@ def test_gf3_count_equals_gaussian_elimination_at_every_rank_it_takes(n):
 @pytest.mark.parametrize("p", (5, 7, 11))
 @pytest.mark.parametrize("n", range(11))
 def test_gf_p_tables_are_walked_at_every_rank(p, n, monkeypatch):
-    # over any field but GF(2) and GF(3) the table is walked at every
+    # over any field but GF(2) and GF(3) the oracle fills the table at every
     # rank, even where p^r <= 2^n; its image is converted from the list
     def no_count(*args):
         raise AssertionError("the count serves GF(2) and GF(3) only")
@@ -526,7 +491,7 @@ def _odd_columns(p, dim, n, seed):
 
 # (p, dim, n): full and deficient rank, dim above n, and n = 0 and 1;
 # over GF(3), dimensions 12 and 15 reach ranks whose count would pass 2^n
-# points, so those tables are walked
+# points, so the oracle fills those tables
 SLICED_CASES = [
     (p, dim, n)
     for p in (2, 3)
@@ -547,11 +512,11 @@ def test_sliced_basis_oracle_and_table_equal_gaussian_elimination(p, dim, n):
         assert fresh._mask_table is None
         with _counting() as calls:
             assert linear(spec).mask_table() == want, vectors
-        walked = p ** want[-1] > 1 << n
-        assert calls["_walk_table"] == walked and calls["_count_table"] == (not walked)
-        routes.add(walked)
+        route = "oracle" if p ** want[-1] > 1 << n else "count"
+        _assert_route(calls, route, n)
+        routes.add(route)
     if p == 3 and dim >= 12:
-        assert True in routes
+        assert "oracle" in routes
 
 
 @pytest.mark.parametrize("p", (2, 3))

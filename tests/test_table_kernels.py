@@ -284,10 +284,10 @@ _IMAGE_ROUTES = {
     "linear GF(3) 1-byte lanes": _linear_route(3, 4, 10),
     # 3^6 <= 2^11, 364 points: 2-byte count lanes, whose ranks come as a list
     "linear GF(3) 2-byte lanes": _linear_route(3, 6, 11, handed_over=False),
-    # any field but GF(2) and GF(3) is walked, even where 5^3 <= 2^8
+    # any field but GF(2) and GF(3) is filled by the oracle, even where 5^3 <= 2^8
     "linear GF(5)": _linear_route(5, 3, 8, handed_over=False),
-    # 7^4 > 2^9: the walk
-    "linear walk": _linear_route(7, 4, 9, handed_over=False),
+    # 7^4 > 2^9: the oracle too
+    "linear GF(7)": _linear_route(7, 4, 9, handed_over=False),
     "graphic": (
         lambda: graphic(_ROUTE_EDGES),
         lambda: list(map(graphic(_ROUTE_EDGES)._oracle, range(1 << len(_ROUTE_EDGES)))),
