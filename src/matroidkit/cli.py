@@ -7,7 +7,9 @@ machine-readable block of ``key: value`` lines followed by ``#``
 certificate lines, and nothing else; identical inputs (and seed) give
 byte-identical stdout.  Exit codes: 0 success/pass, 1 a checked property
 failed (a witness is printed), 2 input error (argparse's own usage
-errors exit 2 as well).
+errors exit 2 as well), 3 an internal error: an exception that is no
+``MatroidError`` is a fault of matroidkit, not a verdict, and is
+reported as ``error: internal: <Type>: <message>``.
 """
 
 from __future__ import annotations
@@ -383,6 +385,10 @@ def run(argv=None) -> int:
         out.dump()
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        out.dump()
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     out.dump()
     return code
 

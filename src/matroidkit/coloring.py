@@ -24,6 +24,7 @@ built per call other than the coloring returned.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -37,6 +38,7 @@ from .core import (
     Matroid,
     MatroidError,
     _refuse_above,
+    _size_bound,
     circuits,
     loops,
     set_literal,
@@ -49,13 +51,27 @@ class ListDeficitError(MatroidError):
     """A color list is smaller than the anchor class containing its element."""
 
 
+def _refuse_non_mapping(value, kind: str) -> None:
+    """Refuse a listing or coloring that is no mapping from element ids: a
+    sequence would be read by position, or crash.  Callers call it only
+    on a value whose type is not exactly dict, so a plain dict takes one
+    type test."""
+    if not isinstance(value, Mapping):
+        raise GroundSetError(
+            f"{kind} must be a mapping from element ids, got {type(value).__name__}"
+        )
+
+
 def _check_total(m: Matroid, mapping, kind: str):
-    """Refuse a mapping whose keys are not exactly the ids range(m.n).
+    """Refuse a value that is no mapping, or a mapping whose keys are not
+    exactly the ids range(m.n).
 
     n distinct int keys in range(n) are exactly range(n), so the common
     case is accepted by one plain loop over the keys, with no generator
     or set built; any other mapping gets the two-set diagnosis.
     """
+    if type(mapping) is not dict:
+        _refuse_non_mapping(mapping, kind)
     n = m.n
     if len(mapping) == n:
         for x in mapping:
@@ -124,7 +140,7 @@ def chromatic_number(m: Matroid, max_n: int | None = None) -> ChromaticResult:
     LoopError when no proper coloring exists at all, and MatroidError
     when a loop-free oracle admits none: some singleton has rank > 1.
     """
-    _refuse_above(m.n, CHROMATIC_BOUND if max_n is None else max_n, "chromatic search")
+    _refuse_above(m.n, _size_bound(max_n, CHROMATIC_BOUND), "chromatic search")
     table = m.mask_table()
     lp = loops(m)
     if lp:
@@ -297,9 +313,12 @@ def list_chromatic_number(
     answer is the chromatic number chi, and for each k below it the
     constant listing {0..k-1} is the uncolorable witness: every element
     maps to one tuple (0, ..., k-1), shared by the listing.  Bounds, and
-    ``max_n``, are those of :func:`chromatic_number`.
+    ``max_n``, are those of :func:`chromatic_number`; a ``kmax`` or
+    ``max_n`` whose type is not exactly int is refused.
     """
-    _refuse_above(m.n, CHROMATIC_BOUND if max_n is None else max_n, "chromatic search")
+    _refuse_above(m.n, _size_bound(max_n, CHROMATIC_BOUND), "chromatic search")
+    if type(kmax) is not int:
+        raise BoundExceededError(f"kmax must be an int, got {kmax!r}")
     if kmax < 1:
         raise BoundExceededError(f"kmax must be at least 1, got {kmax}")
     table = m.mask_table()  # its size refusal, as in chromatic_number, comes before loops

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .coloring import _first_list_coloring, _refuse_spent, _sorted_lists
+from .coloring import _first_list_coloring, _refuse_non_mapping, _refuse_spent, _sorted_lists
 from .constructions import graphic, uniform
 from .core import (
     VALIDATION_BOUND,
@@ -169,7 +169,8 @@ def chain_from_matroids(ms: list[Matroid], name: str = "file-chain") -> MatroidC
 def _level_lists(m: Matroid, lists) -> list[tuple]:
     """The sorted lists of m's elements, in id order.
 
-    It refuses first any key that is no int, rather than read it as an id
+    It refuses first a listing that is no mapping, then any key that is
+    no int, rather than read it as an id
     (True and 1.0 both equal 1).  The lists are read in id order in one
     lookup pass, so a listing that stops covering names its first gap.
     A mapping whose lookup fills a missing key (a ``defaultdict``) grows
@@ -178,6 +179,8 @@ def _level_lists(m: Matroid, lists) -> list[tuple]:
     as every other listing route refuses a listing that misses an
     element.
     """
+    if type(lists) is not dict:
+        _refuse_non_mapping(lists, "listing")
     if not set(map(type, lists)) <= {int}:
         bad = next(x for x in lists if type(x) is not int)
         raise GroundSetError(f"element {bad!r} outside ground set of size {m.n}")

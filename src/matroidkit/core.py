@@ -59,6 +59,17 @@ def _refuse_above(n: int, bound: int, what: str) -> None:
         raise BoundExceededError(f"{what} needs n <= {bound}, got {n}")
 
 
+def _size_bound(max_n: int | None, default: int) -> int:
+    """A caller's ``max_n``, or ``default`` when it is None.  One whose type
+    is not exactly int is refused: a bool would read as a bound of 0 or 1,
+    and a float or a str cannot be compared with n or with a ceiling."""
+    if max_n is None:
+        return default
+    if type(max_n) is not int:
+        raise BoundExceededError(f"max_n must be an int, got {max_n!r}")
+    return max_n
+
+
 def _refuse_ground_set_scan(n: int) -> None:
     """Refuse an element-by-element scan of a ground set above GROUND_SET_BOUND."""
     _refuse_above(n, GROUND_SET_BOUND, "ground-set scan")
@@ -309,9 +320,9 @@ def _submodularity(table: list[int], a: int, b: int) -> AxiomReport:
 # ``graphic`` wherever they count at most 255 points, see
 # :func:`_count_table`) comes as rank bytes, which :meth:`Matroid.mask_table`
 # reads as the image at once, so it skips :func:`_rank_bytes`; a table
-# counted in 2-byte lanes, ``from_table``'s list, a contraction's, an
-# oracle's, and each contracted table that the lemma battery's L11 reads
-# are converted from their lists, at most once per table
+# counted in 2-byte lanes, ``from_table``'s list, a contraction's (the
+# lemma battery's L11 validates each M/Z as a contraction) and an
+# oracle's are converted from their lists, at most once per table
 # (:func:`_rank_image`).  The kernels only test bytes below 0x80 for zero
 # (ranks, ranks + 1 and sizes, and their XORs), which takes one
 # subtraction with no borrow between bytes (:func:`_zero_bytes`).  What
@@ -722,7 +733,7 @@ def _found_circuits(m: Matroid, max_n: int | None) -> list[int]:
     minus x is not independent.  That is O(n) operations on 2^n-byte
     ints; only the circuits found are then listed, one ``find`` each.
     """
-    _refuse_above(m.n, CIRCUIT_BOUND if max_n is None else max_n, "circuit enumeration")
+    _refuse_above(m.n, _size_bound(max_n, CIRCUIT_BOUND), "circuit enumeration")
     n = m.n
     ranks = _rank_image(m)
     ones, sizes = _per_size(n, "ones"), _per_size(n, "sizes")

@@ -22,7 +22,10 @@ per (mask, element), and L17 by a certificate per base and circuit
 that holds in every matroid.  A form that does not certify runs the
 exact sweep, which names the same witness.  When the oracle faults, so
 that no mask table can be built, a check that reads ranks mask by mask
-meets the faults in that route's order.
+meets the faults in that route's order, through the code that owns the
+route: :mod:`.closure` lists closed sets and closes sets, and a
+contraction (:func:`.contraction.contract`) reads and refuses M/Z's
+ranks, so M/Z's refusals name its own ids.
 """
 
 from __future__ import annotations
@@ -33,18 +36,17 @@ import random
 from dataclasses import dataclass
 
 from .bases import OrderedBase, all_bases, anchor_classes
-from .closure import _closed_masks, _is_closed_mask, closure
+from .closure import _closed_masks, _is_closed_mask, closure, closure_by_intersection
 from .coloring import ChromaticResult, chromatic_number, distinct_color_fallback, is_proper
+from .contraction import contract
 from .core import (
     AxiomReport,
     LoopError,
     Matroid,
     MatroidError,
-    _bad_rank,
     _circuit_masks,
     _closed_flags,
-    _is_rank_function,
-    _rank_bytes,
+    _size_bound,
     _step_masks,
     _sub_masks,
     _subsets_by_size,
@@ -159,11 +161,6 @@ class _Facts:
     @functools.cached_property
     def chromatic(self) -> ChromaticResult:
         return chromatic_number(self.m)
-
-
-def _closed_by_size(closed, n: int) -> list[int]:
-    """The closed masks in (size, lexicographic) order, as ``_closed_masks`` lists them."""
-    return [z for z in _subsets_by_size((1 << n) - 1) if closed[z]]
 
 
 def _circuits_meet(cmasks: list[int]) -> bool:
@@ -334,7 +331,7 @@ def check_closed_intersection(m: Matroid, facts: _Facts | None = None) -> LemmaR
     facts = facts or _Facts(m)
     closed = facts.closed
     if not all(closed[z] for z in facts.meets):
-        listed = _closed_by_size(closed, m.n)
+        listed = _closed_masks(m)
         for z1 in listed:
             for z2 in listed:
                 if not closed[z1 & z2]:
@@ -388,23 +385,17 @@ def check_closure_minimality(m: Matroid, facts: _Facts | None = None) -> LemmaRe
     return _ok(key, title)
 
 
-def _closure_route_reads(m: Matroid) -> None:
-    """The ranks of closure({}), then of each mask's closedness test, in mask order."""
-    closure(m, ())
-    for z in range(1 << m.n):
-        _is_closed_mask(m, z)
-
-
 def check_closure_routes_agree(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L8: closure(X) equals the meet of the closed supersets of X, for every X.
 
     Each closure is X plus its flat extensions; each meet is read from
-    :func:`_closed_meets`.  When the oracle faults, the ranks are read
-    as ``closure_by_intersection`` reads them for X = {}, then mask by
-    mask, which meets the fault that route meets first.
+    :func:`_closed_meets`.  When the oracle faults, ``closure`` and then
+    ``closure_by_intersection`` close X = {}, which meets the fault that
+    the two routes meet first; the latter's CIRCUIT_BOUND is above every
+    size the battery runs at.
     """
     key, title = "L8", "flat-extension closure equals intersection of closed supersets"
-    _table_or_fault(m, _closure_route_reads)
+    _table_or_fault(m, lambda m: (closure(m, ()), closure_by_intersection(m, ())))
     facts = facts or _Facts(m)
     meet = facts.meets
     for x, flat in enumerate(facts.flat):
@@ -516,26 +507,6 @@ def check_fitting_common(m: Matroid, facts: _Facts | None = None) -> LemmaResult
     return _certified_or_swept(m, facts, key, title, _fitting_common_sweep)
 
 
-def _contracted_axioms(t: list[int], n: int, z: int):
-    """The axiom report of M/Z, read from M's mask table t, with no matroid built.
-
-    The ranks r(Z u A) - r(Z) are listed in mask order of A over the
-    kept ids, by doubling; the first negative one is refused as a
-    contraction's oracle would refuse it, in the contracted ids.
-    """
-    parents = [z]
-    for x in range(n):
-        if not z >> x & 1:
-            bit = 1 << x
-            parents += [p | bit for p in parents]
-    rz = t[z]
-    ranks = [t[p] - rz for p in parents]
-    for a, r in enumerate(ranks):
-        if r < 0:
-            raise _bad_rank(r, a)
-    return _is_rank_function(ranks, _rank_bytes(ranks), n - z.bit_count())
-
-
 def check_contraction_is_matroid(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L11: for every Z, r(A u Z) - r(Z) <= r(A) for A outside Z, and M/Z is
     a matroid.
@@ -545,7 +516,8 @@ def check_contraction_is_matroid(m: Matroid, facts: _Facts | None = None) -> Lem
     contraction passes too: M's one pass stands for all of them.  So
     does the rank bound, r(A u Z) + r({}) <= r(A) + r(Z) being
     submodularity with r({}) = 0.  Only when the pass fails is each Z
-    swept, and each M/Z validated on its rank list read from M's table.
+    swept, and each M/Z, as :func:`.contraction.contract` builds it from
+    M's table, validated by :func:`validate_axioms`.
     """
     key, title = "L11", "contraction never raises rank and is a matroid"
     t = m.mask_table()
@@ -558,7 +530,7 @@ def check_contraction_is_matroid(m: Matroid, facts: _Facts | None = None) -> Lem
                 return _fail(
                     key, title, f"Z={set_literal(bits(z))} A={set_literal(bits(a))}"
                 )
-        report = _contracted_axioms(t, m.n, z)
+        report = validate_axioms(contract(m, bits(z)))
         if not report.ok:
             return _fail(key, title, f"Z={set_literal(bits(z))}: {report.describe()}")
     return _ok(key, title)
@@ -590,39 +562,22 @@ def check_contraction_independence(m: Matroid, facts: _Facts | None = None) -> L
     return _certified_or_swept(m, facts, key, title, _contraction_independence_sweep)
 
 
-def _contraction_loop_free(m: Matroid, z: int) -> bool:
-    """True iff M/Z has no loop: r(Z + x) - r(Z) = 1 for every x outside Z.
-
-    The reads are those of ``is_loop_free(contract(m, z))``: r(Z), then
-    each kept x in ascending order until a gain is not 1.  A negative
-    gain is refused as the contraction's oracle refuses it, at the
-    singleton of x's contracted id.
-    """
-    rz = m.rank_of_mask(z)
-    kept = (x for x in range(m.n) if not z >> x & 1)
-    for i, x in enumerate(kept):
-        gain = m.rank_of_mask(z | 1 << x) - rz
-        if gain < 0:
-            raise _bad_rank(gain, 1 << i)
-        if gain != 1:
-            return False
-    return True
-
-
 def check_contraction_loop_free(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L13: M/Z is loop-free iff Z is closed, for every Z.
 
-    Both sides are read by rank on the mask, with no contraction built:
-    M/Z is loop-free iff every x outside Z is a unit step of Z, and the
-    first x that is not has the gain that ``_contraction_loop_free``
-    reads last.  When the oracle faults, each Z is read mask by mask.
+    Both sides are read from the unit steps and closed flags of the
+    table: M/Z is loop-free iff every x outside Z is a unit step of Z.
+    Only when the first x that is not has a negative gain is M/Z built,
+    and ``is_loop_free`` on it meets that gain last and refuses it as
+    M/Z's oracle does.  When the oracle faults, each Z is read mask by
+    mask, ``is_loop_free(contract(m, Z))`` against ``_is_closed_mask``.
     """
     key, title = "L13", "contraction is loop-free iff the contracted set is closed"
     try:
         t = m.mask_table()
     except MatroidError:
         for z in range(1 << m.n):
-            if _contraction_loop_free(m, z) != _is_closed_mask(m, z):
+            if is_loop_free(contract(m, bits(z))) != _is_closed_mask(m, z):
                 return _fail(key, title, f"Z={set_literal(bits(z))}")
         return _ok(key, title)
     full = (1 << m.n) - 1
@@ -630,11 +585,8 @@ def check_contraction_loop_free(m: Matroid, facts: _Facts | None = None) -> Lemm
     closed = facts.closed
     for z, unit in enumerate(facts.unit):
         odd = full ^ z ^ unit  # the x outside Z whose gain is not 1
-        if odd:
-            x = (odd & -odd).bit_length() - 1
-            gain = t[z | 1 << x] - t[z]
-            if gain < 0:
-                raise _bad_rank(gain, 1 << ((full ^ z) & ((1 << x) - 1)).bit_count())
+        if odd and t[z | odd & -odd] < t[z]:
+            is_loop_free(contract(m, bits(z)))  # M/Z's oracle refuses the negative gain
         if (not odd) != bool(closed[z]):
             return _fail(key, title, f"Z={set_literal(bits(z))}")
     return _ok(key, title)
@@ -693,10 +645,9 @@ def check_circuit_closure_absorption(m: Matroid, facts: _Facts | None = None) ->
     key, title = "L16", "a circuit nearly inside a closed set is inside it"
     facts = facts or _Facts(m)
     cmasks = facts.circuit_masks
-    closed = facts.closed
     meet = facts.meets
     if not all(meet[cm ^ 1 << e] >> e & 1 for cm in cmasks for e in bits(cm)):
-        for z in _closed_by_size(closed, m.n):
+        for z in _closed_masks(m):
             for cm in cmasks:
                 if (cm & ~z).bit_count() == 1:
                     return _fail(
@@ -874,9 +825,10 @@ BATTERY = (
 def run_lemma_battery(m: Matroid, max_n: int | None = None) -> list[LemmaResult]:
     """Run every battery check on one matroid, skipping above the bound.
 
-    ``max_n`` raises the size bound, but not past LEMMA_N_CEILING.
+    ``max_n`` raises the size bound, but not past LEMMA_N_CEILING; one
+    whose type is not exactly int is refused.
     """
-    bound = LEMMA_BOUND if max_n is None else min(max_n, LEMMA_N_CEILING)
+    bound = min(_size_bound(max_n, LEMMA_BOUND), LEMMA_N_CEILING)
     if m.n > bound:
         return [
             LemmaResult(key, "", "skipped", f"skipped (size {m.n} > {bound})")

@@ -231,6 +231,20 @@ def test_compactness_without_a_family_exits_2_before_reading(monkeypatch, capsys
     assert out == "tool: matroidkit %s\ncommand: compactness\nseed: 0\n" % __version__
 
 
+def test_an_internal_error_exits_3_after_the_stdout_so_far(monkeypatch, capsys):
+    # an exception that is no MatroidError is a crash, not a verdict: not
+    # exit 1 ("a checked property failed"), nor exit 2 (an input error)
+    def crash(args, out):
+        out.kv("partial", "yes")
+        return 1 // 0
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", crash)
+    code, out = invoke(["validate", "-i", U24])
+    assert code == 3
+    assert capsys.readouterr().err == "error: internal: ZeroDivisionError: integer division or modulo by zero\n"
+    assert out == f"tool: matroidkit {__version__}\ncommand: validate\nseed: 0\ninput: {U24}\npartial: yes\n"
+
+
 def test_parser_errors_exit_2_and_help_exits_0(capsys):
     for argv in (
         [],

@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter, defaultdict
 from enum import IntEnum
+from types import MappingProxyType
 
 import pytest
 
@@ -15,6 +16,7 @@ from matroidkit import (
     OrderedBase,
     chain_from_matroids,
     chromatic_number,
+    circuits,
     closure,
     color_from_base,
     distinct_color_fallback,
@@ -33,7 +35,11 @@ from matroidkit import coloring
 from matroidkit.catalog import triangle
 from matroidkit.compactness import disjoint_triangles, growing_cycle, growing_uniform
 from matroidkit.core import is_loop_free, loops, validate_axioms
-from matroidkit.lemmas import check_flat_extension_count, check_flat_extension_dependence
+from matroidkit.lemmas import (
+    check_flat_extension_count,
+    check_flat_extension_dependence,
+    run_lemma_battery,
+)
 
 from conftest import (
     brute_list_colorings,
@@ -308,6 +314,29 @@ def test_list_chromatic_refuses_kmax_below_one_after_the_size_bound_before_loops
         list_chromatic_number(uniform(13, 0), kmax=0)
     with pytest.raises(LoopError, match=r"^no list coloring exists: loops \{0,1,2\}$"):
         list_chromatic_number(loopy, kmax=1)
+
+
+# each route that takes a bound, with the name of that bound
+_BOUND_ROUTES = {
+    "chromatic_number": ("max_n", lambda v: chromatic_number(uniform(4, 2), max_n=v)),
+    "circuits": ("max_n", lambda v: circuits(uniform(4, 2), max_n=v)),
+    "run_lemma_battery": ("max_n", lambda v: run_lemma_battery(uniform(4, 2), max_n=v)),
+    "list_chromatic_number": ("max_n", lambda v: list_chromatic_number(uniform(4, 2), max_n=v)),
+    "list_chromatic_number:kmax": ("kmax", lambda v: list_chromatic_number(uniform(4, 2), kmax=v)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_BOUND_ROUTES))
+@pytest.mark.parametrize("bound", ["9", 9.0, 2.5, True, False], ids=repr)
+def test_bounds_that_are_no_int_are_refused(route, bound):
+    # a bool equals 0 or 1 and a float may equal an int, but neither is
+    # read as a bound; None stays max_n's default
+    name, run = _BOUND_ROUTES[route]
+    with pytest.raises(BoundExceededError) as err:
+        run(bound)
+    assert str(err.value) == f"{name} must be an int, got {bound!r}"
+    if name == "max_n":
+        assert run(None) == run(9)
 
 
 def test_list_chromatic_answers_past_the_old_listing_bounds():
@@ -883,6 +912,23 @@ def test_listing_routes_refuse_a_defaultdict_as_they_refuse_the_dict_it_holds(ro
     # one that covers every element is read as the dict it holds
     full = {x: colors for x in range(4)}
     assert run(defaultdict(lambda: colors, full)) == run(full)
+
+
+@pytest.mark.parametrize("route", sorted(_LISTING_ROUTES) + ["is_proper", "find_monochromatic_circuit"])
+def test_listings_and_colorings_that_are_no_mapping_are_refused(route):
+    # a sequence is no mapping from element ids: every route refuses it
+    # with one GroundSetError, and takes any other Mapping as the dict it holds
+    if route in _LISTING_ROUTES:
+        run, kind, value = _LISTING_ROUTES[route], "listing", ("a", "b", "c", "d")
+    else:
+        check = is_proper if route == "is_proper" else find_monochromatic_circuit
+        run, kind, value = (lambda phi: check(uniform(4, 2), phi)), "coloring", 0
+    for sequence, name in (([value] * 4, "list"), ((value,) * 4, "tuple")):
+        with pytest.raises(GroundSetError) as err:
+            run(sequence)
+        assert str(err.value) == f"{kind} must be a mapping from element ids, got {name}"
+    full = {x: value for x in range(4)}
+    assert run(MappingProxyType(full)) == run(full)
 
 
 @pytest.mark.parametrize("route", sorted(_LISTING_ROUTES))

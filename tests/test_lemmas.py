@@ -434,13 +434,13 @@ def test_mask_checks_match_their_references(suite6):
 _LOCAL_FORMS = (
     (check_weak_elimination, "_weak_elimination_sweep"),
     (check_strong_elimination, "check_circuit_elimination"),
-    (check_closed_intersection, "_closed_by_size"),
+    (check_closed_intersection, "_closed_masks"),
     (check_closure_minimality, "_first_not_monotone"),
     (check_fitting_monotone, "_fitting_monotone_sweep"),
     (check_fitting_common, "_fitting_common_sweep"),
-    (check_contraction_is_matroid, "_contracted_axioms"),
+    (check_contraction_is_matroid, "contract"),
     (check_contraction_independence, "_contraction_independence_sweep"),
-    (check_circuit_closure_absorption, "_closed_by_size"),
+    (check_circuit_closure_absorption, "_closed_masks"),
 )
 
 
