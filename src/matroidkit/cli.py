@@ -1,22 +1,32 @@
 """Deterministic command-line front end.
 
-One parser serves every command: the first positional names the command
-(a key of ``_HANDLERS``) and all commands share one flag set, each
-ignoring the flags it does not read.  Every command prints a
-machine-readable block of ``key: value`` lines followed by ``#``
-certificate lines, and nothing else; identical inputs (and seed) give
-byte-identical stdout.  Exit codes: 0 success/pass, 1 a checked property
-failed (a witness is printed), 2 input error (argparse's own usage
-errors exit 2 as well), 3 an internal error: an exception that is no
-``MatroidError`` is a fault of matroidkit, not a verdict, and is
-reported as ``error: internal: <Type>: <message>``.
+One flag table, ``_FLAGS``, serves every command: the one positional
+names the command (a key of ``_HANDLERS``) and all commands share the
+table's flags, each ignoring the flags it does not read.  ``run`` reads
+argv in one pass over the table (``_scan``) when it has the plain form
+``command -i FILE [--flag value ...]``.  Anything else (``-h``, an
+abbreviation, ``--flag=value``, a value that starts with ``-``, a usage
+error) goes to the argparse parser that ``build_parser`` makes from the
+same table, so help and usage errors are argparse's own.  A file larger
+than ``FILE_BYTES_BOUND`` bytes is refused before it is decoded.
+
+Every command prints a machine-readable block of ``key: value`` lines
+followed by ``#`` certificate lines, and nothing else; identical inputs
+(and seed) give byte-identical stdout.  Exit codes: 0 success/pass, 1 a
+checked property failed (a witness is printed), 2 input error
+(argparse's own usage errors exit 2 as well), 3 an internal error: an
+exception that is no ``MatroidError`` is a fault of matroidkit, not a
+verdict, and is reported as ``error: internal: <Type>: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .bases import greedy_base, anchor_classes
@@ -61,20 +71,43 @@ class _Out:
         sys.stdout.write("\n".join(self.lines) + "\n")
 
 
+# A 16-element table file is about 1.8 MB, and a chain file holds at most
+# 17 such levels (depth <= 16): the bound is about twice that chain.
+FILE_BYTES_BOUND = 1 << 26
+_READ_CHUNK = 1 << 16
+
+
 def _read_text(path: str) -> str:
     """The UTF-8 text of a file; an unreadable file is an input error.
 
-    The file is read as bytes in one unbuffered read and decoded once,
-    with no text wrapper: a CR or CRLF is left in the text, where the
-    parsers' ``str.splitlines`` ends a line at it.
+    The file is read as bytes and decoded once, with no text wrapper: a
+    CR or CRLF is left in the text, where the parsers' ``str.splitlines``
+    ends a line at it.  A file above FILE_BYTES_BOUND is refused before
+    it is decoded: a regular file by its size, before any read, and any
+    other file (a pipe, a device) once its chunks pass the bound.
     """
     try:
         with open(path, "rb", buffering=0) as fh:
-            return fh.read().decode("utf-8")
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode):
+                if st.st_size > FILE_BYTES_BOUND:
+                    raise _too_large(path)
+                data = fh.read()
+            else:
+                data = bytearray()
+                while chunk := fh.read(_READ_CHUNK):
+                    data += chunk
+                    if len(data) > FILE_BYTES_BOUND:
+                        raise _too_large(path)
+            return data.decode("utf-8")
     except OSError as e:
         raise MatroidError(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise MatroidError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+
+
+def _too_large(path: str) -> MatroidError:
+    return MatroidError(f"cannot read {path}: larger than {FILE_BYTES_BOUND} bytes")
 
 
 def _load_matroid(args) -> Matroid:
@@ -347,24 +380,42 @@ def _subset_arg(args, m: Matroid):
     return subset
 
 
+class _Flag(NamedTuple):
+    options: tuple[str, ...]
+    dest: str
+    type: type | None
+    default: int | None
+    help: str
+
+
+# every flag of every command: build_parser and _scan both read this table
+_FLAGS = (
+    _Flag(("-i", "--input"), "input", None, None, "matroid file"),
+    _Flag(("--subset",), "subset", None, None, "subset literal like {0,1}"),
+    _Flag(("--contract",), "contract", None, None, "subset literal to contract"),
+    _Flag(("--lists",), "lists", None, None, "listing file"),
+    _Flag(("--order",), "order", None, None, "comma-separated permutation, e.g. 0,2,1"),
+    _Flag(("--kmax",), "kmax", int, 3, "largest list size to report"),
+    _Flag(("--depth",), "depth", int, 0, "chain depth"),
+    _Flag(("--family",), "family", None, None, "chain family name or chain file"),
+    _Flag(("--seed",), "seed", int, 0, "seed echoed into output"),
+    _Flag(("--max-n",), "max_n", int, None,
+          "lift the size bound of circuits, chromatic, list-chromatic "
+          "and check-lemmas, up to each one's ceiling"),
+)
+_FLAG_OF = {option: flag for flag in _FLAGS for option in flag.options}
+_DEFAULTS = {"command": None, **{flag.dest: flag.default for flag in _FLAGS}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matroidkit",
         description="matroid rank-oracle toolkit with deterministic certificates",
     )
     parser.add_argument("command", choices=_HANDLERS)
-    parser.add_argument("-i", "--input", help="matroid file")
-    parser.add_argument("--subset", help="subset literal like {0,1}")
-    parser.add_argument("--contract", help="subset literal to contract")
-    parser.add_argument("--lists", help="listing file")
-    parser.add_argument("--order", help="comma-separated permutation, e.g. 0,2,1")
-    parser.add_argument("--kmax", type=int, default=3, help="largest list size to report")
-    parser.add_argument("--depth", type=int, default=0, help="chain depth")
-    parser.add_argument("--family", help="chain family name or chain file")
-    parser.add_argument("--seed", type=int, default=0, help="seed echoed into output")
-    parser.add_argument("--max-n", type=int, default=None, dest="max_n",
-                        help="lift the size bound of circuits, chromatic, list-chromatic "
-                             "and check-lemmas, up to each one's ceiling")
+    for flag in _FLAGS:
+        parser.add_argument(*flag.options, dest=flag.dest, type=flag.type,
+                            default=flag.default, help=flag.help)
     return parser
 
 
@@ -375,8 +426,51 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _scan(argv) -> argparse.Namespace | None:
+    """argv's Namespace in one pass over ``_FLAGS``, or None when argv is
+    not the plain form: str tokens, one command, and each option string
+    of the table followed by a value that does not start with ``-``.
+
+    Whatever it accepts, argparse parses to an equal Namespace; the rest
+    (help, abbreviations, ``--flag=value``, ``--``, a value that starts
+    with ``-``, a usage error) is left to argparse.
+    """
+    if type(argv) not in (list, tuple):
+        return None
+    values = dict(_DEFAULTS)
+    i, end = 0, len(argv)
+    while i < end:
+        token = argv[i]
+        if type(token) is not str:
+            return None
+        if token[:1] != "-":
+            if values["command"] is not None or token not in _HANDLERS:
+                return None
+            values["command"] = token
+            i += 1
+            continue
+        flag = _FLAG_OF.get(token)
+        if flag is None or i + 1 == end:
+            return None
+        value = argv[i + 1]
+        if type(value) is not str or value[:1] == "-":
+            return None
+        if flag.type is not None:
+            try:
+                value = flag.type(value)
+            except ValueError:
+                return None
+        values[flag.dest] = value
+        i += 2
+    if values["command"] is None:
+        return None
+    return argparse.Namespace(**values)
+
+
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _scan(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     out = _Out()
     _header(out, args)
     try:

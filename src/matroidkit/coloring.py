@@ -314,7 +314,8 @@ def list_chromatic_number(
     constant listing {0..k-1} is the uncolorable witness: every element
     maps to one tuple (0, ..., k-1), shared by the listing.  Bounds, and
     ``max_n``, are those of :func:`chromatic_number`; a ``kmax`` or
-    ``max_n`` whose type is not exactly int is refused.
+    ``max_n`` whose type is not exactly int is refused, as is a negative
+    ``max_n``.
     """
     _refuse_above(m.n, _size_bound(max_n, CHROMATIC_BOUND), "chromatic search")
     if type(kmax) is not int:

@@ -62,11 +62,15 @@ def _refuse_above(n: int, bound: int, what: str) -> None:
 def _size_bound(max_n: int | None, default: int) -> int:
     """A caller's ``max_n``, or ``default`` when it is None.  One whose type
     is not exactly int is refused: a bool would read as a bound of 0 or 1,
-    and a float or a str cannot be compared with n or with a ceiling."""
+    and a float or a str cannot be compared with n or with a ceiling.  A
+    negative one is refused too: no ground set is that small, so it would
+    only name a size that no instance can meet."""
     if max_n is None:
         return default
     if type(max_n) is not int:
         raise BoundExceededError(f"max_n must be an int, got {max_n!r}")
+    if max_n < 0:
+        raise BoundExceededError(f"max_n must be nonnegative, got {max_n}")
     return max_n
 
 

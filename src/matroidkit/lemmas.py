@@ -826,7 +826,7 @@ def run_lemma_battery(m: Matroid, max_n: int | None = None) -> list[LemmaResult]
     """Run every battery check on one matroid, skipping above the bound.
 
     ``max_n`` raises the size bound, but not past LEMMA_N_CEILING; one
-    whose type is not exactly int is refused.
+    whose type is not exactly int, or that is negative, is refused.
     """
     bound = min(_size_bound(max_n, LEMMA_BOUND), LEMMA_N_CEILING)
     if m.n > bound:

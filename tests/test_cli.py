@@ -1,4 +1,8 @@
 import io
+import os
+import random
+import sys
+import threading
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -274,6 +278,160 @@ def test_shared_parser_is_unharmed_by_usage_errors_and_caller_copies(capsys):
     assert first[0] == 0
     assert first == second
     assert "seed: 0\n" in first[1] and "kmax: 3\n" in first[1]
+
+
+class _Token(str):
+    """A str subclass: argparse reads it, the scan leaves it to argparse."""
+
+
+# values that the plain form may carry, and tokens it may not
+_SCAN_VALUES = ("u24.m", "", "{0,1}", "0,2,1", "3", "0", "17", " 7", "1_0", "\u0663",
+                "x", "2.5", "9" * 5000, "a b", "validate", "{}", "a=b")
+_SCAN_ODD = ("-h", "--help", "--", "-", "-1", "--seed -1", "--seed=4", "--input=u24.m",
+             "-iu24.m", "--inp", "--max", "--bogus", "-x", "-i", 5, None,
+             b"validate", _Token("validate"), _Token("-i"))
+
+
+def _scan_argv(rng):
+    """A seeded argv: the plain form from the flag table's option strings,
+    with no to three edits that mostly leave it."""
+    options = [option for flag in cli._FLAGS for option in flag.options]
+    commands = sorted(cli._HANDLERS) + ["nosuch", "", "Validate"]
+    pairs = [[rng.choice(options), rng.choice(_SCAN_VALUES)] for _ in range(rng.randrange(5))]
+    if rng.random() < 0.9:
+        pairs.insert(rng.randrange(len(pairs) + 1), [rng.choice(commands)])
+    argv = [token for pair in pairs for token in pair]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        edit, at = rng.randrange(4), rng.randrange(len(argv) + 1)
+        pool = (_SCAN_ODD, _SCAN_VALUES, options, commands)[rng.randrange(4)]
+        if edit == 0 or not argv:
+            argv.insert(at, rng.choice(pool))
+        elif edit == 1:
+            del argv[at - 1]
+        elif edit == 2:
+            argv[at - 1] = rng.choice(pool)
+        else:
+            argv.append(rng.choice(argv))
+    return argv
+
+
+def test_scan_agrees_with_argparse_on_seeded_argv(capsys):
+    # argparse is the reference: what the scan accepts parses to an equal
+    # Namespace there, and whatever argparse refuses (an exit or an
+    # exception), the scan leaves to it
+    rng = random.Random(38)
+    parser = build_parser()
+    accepted = refused = 0
+    for _ in range(4000):
+        argv = _scan_argv(rng)
+        scanned = cli._scan(argv)
+        try:
+            parsed = parser.parse_args(argv)
+        except (SystemExit, Exception):
+            assert scanned is None, argv
+            refused += 1
+            continue
+        if scanned is not None:
+            assert vars(scanned) == vars(parsed), argv
+            accepted += 1
+    capsys.readouterr()
+    assert accepted > 500 and refused > 1000, (accepted, refused)
+    assert cli._scan(tuple(["validate", "-i", U24])) == parser.parse_args(["validate", "-i", U24])
+    assert cli._scan(iter(["validate", "-i", U24])) is None
+
+
+def test_golden_invocations_never_reach_argparse(monkeypatch):
+    def no_parser():
+        raise AssertionError("the plain form reached argparse")
+
+    monkeypatch.chdir(DATA)
+    monkeypatch.setattr(cli, "_parser", no_parser)
+    cases = [case.values for case in _golden_cases()]
+    assert len(cases) == 46
+    for name, code, argv in cases:
+        expected = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+        assert invoke(argv) == (code, expected), name
+    # run() with no argv scans sys.argv the same way
+    name, code, argv = cases[0]
+    monkeypatch.setattr(sys, "argv", ["matroidkit", *argv])
+    assert invoke(None) == (code, (GOLDEN / f"{name}.out").read_bytes().decode("utf-8"))
+
+
+def test_scan_defaults_come_from_the_flag_table():
+    copy = build_parser()
+    copy.set_defaults(kmax=99, seed=7)
+    scanned = cli._scan(["list-chromatic", "-i", U24])
+    assert scanned.kmax == 3 and scanned.seed == 0
+    assert vars(scanned) == vars(build_parser().parse_args(["list-chromatic", "-i", U24]))
+    assert copy.parse_args(["list-chromatic", "-i", U24]).kmax == 99
+
+
+def test_a_device_with_no_end_is_refused_at_the_byte_bound(capsys):
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    code, out = invoke(["validate", "-i", "/dev/zero"])
+    assert code == 2
+    bound = cli.FILE_BYTES_BOUND
+    assert capsys.readouterr().err == f"error: cannot read /dev/zero: larger than {bound} bytes\n"
+    assert out.endswith("input: /dev/zero\n")
+
+
+def test_a_regular_file_over_the_byte_bound_is_refused_by_its_size(tmp_path, capsys):
+    # sparse: the file takes no disk, and it is refused before it is read
+    path = tmp_path / "sparse.m"
+    with open(path, "wb") as fh:
+        fh.truncate(cli.FILE_BYTES_BOUND + 1)
+    assert invoke(["validate", "-i", str(path)])[0] == 2
+    bound = cli.FILE_BYTES_BOUND
+    assert capsys.readouterr().err == f"error: cannot read {path}: larger than {bound} bytes\n"
+
+
+def _fifo_with(path, data: bytes):
+    """A named pipe at path that a thread fills with data once it is opened."""
+    os.mkfifo(path)
+
+    def fill():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=fill, daemon=True)
+    writer.start()
+    return writer
+
+
+@pytest.mark.parametrize("kind", ["regular", "pipe"])
+def test_a_file_at_the_byte_bound_is_read(tmp_path, monkeypatch, capsys, kind):
+    # a bound of a few pipe chunks stands in for FILE_BYTES_BOUND: a file
+    # of exactly the bound is read, and one byte more is refused
+    text = (DATA / "u24.m").read_bytes()
+    padded = text + b"#" * (3 * cli._READ_CHUNK + 5)
+    path = tmp_path / "u24-padded.m"
+    for bound, want in ((len(padded), 0), (len(padded) - 1, 2)):
+        monkeypatch.setattr(cli, "FILE_BYTES_BOUND", bound)
+        if kind == "regular":
+            path.write_bytes(padded)
+        else:
+            writer = _fifo_with(path, padded)
+        code, out = invoke(["validate", "-i", str(path)])
+        if kind == "pipe":
+            path.unlink()
+            writer.join(timeout=10)
+        err = capsys.readouterr().err
+        assert code == want, err
+        if want == 0:
+            assert kv(out)["axioms"] == ["pass"]
+        else:
+            assert err == f"error: cannot read {path}: larger than {bound} bytes\n"
+
+
+@pytest.mark.parametrize("command", ["circuits", "chromatic", "list-chromatic", "check-lemmas"])
+def test_a_negative_max_n_exits_2(capsys, command):
+    code, out = invoke([command, "-i", U24, "--max-n", "-3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: max_n must be nonnegative, got -3\n"
+    assert "skipped" not in out and "needs n" not in out
+    code, out = invoke(["check-lemmas", "-i", U24, "--max-n", "0"])
+    assert code == 0 and "L1: skipped (size 4 > 0)" in out
 
 
 def test_kmax_default_matches_library():

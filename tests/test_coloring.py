@@ -339,6 +339,22 @@ def test_bounds_that_are_no_int_are_refused(route, bound):
         assert run(None) == run(9)
 
 
+@pytest.mark.parametrize("route", sorted(r for r, (name, _) in _BOUND_ROUTES.items() if name == "max_n"))
+@pytest.mark.parametrize("bound", [-1, -3, -(10**30)])
+def test_a_negative_max_n_is_refused(route, bound):
+    # no ground set is smaller than 0: a negative bound only names a size
+    # that no instance meets.  0 stays a bound, and uniform(4, 2) is above it
+    _, run = _BOUND_ROUTES[route]
+    with pytest.raises(BoundExceededError) as err:
+        run(bound)
+    assert str(err.value) == f"max_n must be nonnegative, got {bound}"
+    if route == "run_lemma_battery":
+        assert {r.detail for r in run(0)} == {"skipped (size 4 > 0)"}
+    else:
+        with pytest.raises(BoundExceededError, match=r"needs n <= 0, got 4$"):
+            run(0)
+
+
 def test_list_chromatic_answers_past_the_old_listing_bounds():
     # kmax has no upper limit: there are at most chi - 1 bad listings
     res = list_chromatic_number(uniform(6, 1), kmax=9)
