@@ -37,7 +37,7 @@ from .coloring import (
     is_proper,
     list_chromatic_number,
 )
-from .compactness import BUILTIN_FAMILIES, _search_chain, chain_from_matroids
+from .compactness import BUILTIN_FAMILIES, _chain_of, _search_chain
 from .contraction import contract
 from .core import (
     Matroid,
@@ -50,7 +50,8 @@ from .core import (
     validate_axioms,
 )
 from .files import (
-    parse_chain_text,
+    _chain_blocks,
+    _parse_block,
     parse_listing_text,
     parse_matroid_text,
     parse_subset_literal,
@@ -325,14 +326,17 @@ def cmd_compactness(args, out: _Out) -> int:
     if args.family in BUILTIN_FAMILIES:
         chain = BUILTIN_FAMILIES[args.family]()
     else:
-        # a file of concatenated matroid blocks acts as an explicit chain
+        # a file of concatenated matroid blocks acts as an explicit chain;
+        # block i is parsed only when level i is first built, so blocks
+        # above --depth are never parsed
         try:
             text = _read_text(args.family)
         except MatroidError as e:
             raise MatroidError(
                 f"--family must name one of {sorted(BUILTIN_FAMILIES)} or a chain file; {e}"
             ) from None
-        chain = chain_from_matroids(parse_chain_text(text), name=args.family)
+        blocks = _chain_blocks(text)
+        chain = _chain_of(len(blocks), lambda i: _parse_block(blocks[i]), args.family)
     depth = args.depth
     top = chain.level(depth)
     lists = _load_lists(args, top.n)

@@ -153,13 +153,19 @@ BUILTIN_FAMILIES = {
 
 def chain_from_matroids(ms: list[Matroid], name: str = "file-chain") -> MatroidChain:
     """Chain whose levels are the given matroids (consistency still checked)."""
-    if not ms:
+    return _chain_of(len(ms), ms.__getitem__, name)
+
+
+def _chain_of(count: int, make: Callable[[int], Matroid], name: str) -> MatroidChain:
+    """Chain of ``count`` levels whose level i is ``make(i)``, called only when
+    level i is first built; a level at or past ``count`` is refused."""
+    if not count:
         raise GroundSetError("a chain needs at least one level")
 
     def build(i: int) -> Matroid:
-        if i >= len(ms):
-            raise GroundSetError(f"chain has {len(ms)} levels, level {i} requested")
-        return ms[i]
+        if i >= count:
+            raise GroundSetError(f"chain has {count} levels, level {i} requested")
+        return make(i)
 
     return MatroidChain(name, build)
 

@@ -126,9 +126,13 @@ class Matroid:
     reads its parent's ranks in one pass).  Without one, and so for
     ``linear`` wherever the count does not serve, :meth:`mask_table`
     calls the oracle once per mask.  The whole-table kernels read the
-    table as one int with a byte per mask (:func:`_rank_image`): taken
-    from the bytes a ``table`` function returns, or else converted from
-    the list at most once per table.
+    table as one int with a byte per mask (:func:`_rank_image`), which
+    builds the table before it converts anything.  Where the ``table``
+    function returns bytes, building the table sets the image from
+    them, whichever call builds it: :meth:`mask_table` or the first
+    whole-table pass (``validate_axioms``, ``circuits``, ...).  Any
+    other table is converted from its list once, by the first pass that
+    reads it (``from_table``'s by its own axiom pass, at construction).
     Instances are immutable apart from the caches.
     """
 
@@ -153,7 +157,7 @@ class Matroid:
         self._build_table = table
         self._mask_table: list[int] | None = None
         #: the mask table as one int, a byte per mask, filled by mask_table
-        #: from a table function's bytes, else by _rank_image
+        #: from a table function's bytes, else converted by _rank_image
         self._rank_image: int | None = None
         #: the last anchor decomposition, filled by bases.anchor_classes
         self._anchor_cache = None
@@ -232,8 +236,10 @@ class Matroid:
         is the list of those bytes, and the image is the same bytes read
         as one int (a counted rank is at most n <= VALIDATION_BOUND,
         below _RANK_CAP, so there is nothing to cap), and
-        :func:`_rank_bytes` never runs on that table.  The table is a
-        list either way.  Once built, every rank is read from the table.
+        :func:`_rank_bytes` never runs on that table, whether this method
+        is called directly or by the first whole-table pass through
+        :func:`_rank_image`.  The table is a list either way.  Once
+        built, every rank is read from the table.
         """
         if self._mask_table is None:
             _refuse_above(self.n, VALIDATION_BOUND, "mask table")
@@ -323,11 +329,14 @@ def _submodularity(table: list[int], a: int, b: int) -> AxiomReport:
 # beside its mask table.  A table counted in 1-byte lanes (``linear`` and
 # ``graphic`` wherever they count at most 255 points, see
 # :func:`_count_table`) comes as rank bytes, which :meth:`Matroid.mask_table`
-# reads as the image at once, so it skips :func:`_rank_bytes`; a table
-# counted in 2-byte lanes, ``from_table``'s list, a contraction's (the
-# lemma battery's L11 validates each M/Z as a contraction) and an
-# oracle's are converted from their lists, at most once per table
-# (:func:`_rank_image`).  The kernels only test bytes below 0x80 for zero
+# reads as the image at once, so it skips :func:`_rank_bytes` on every
+# entry path: :func:`_rank_image` builds the table before it converts, so
+# a pass that enters with no table built (``validate_axioms``,
+# ``circuits``) finds the image already set.  A table counted in 2-byte
+# lanes, ``from_table``'s list, a contraction's (the lemma battery's L11
+# validates each M/Z as a contraction) and an oracle's are converted from
+# their lists by :func:`_rank_image`, once per table, in the first pass
+# that reads them.  The kernels only test bytes below 0x80 for zero
 # (ranks, ranks + 1 and sizes, and their XORs), which takes one
 # subtraction with no borrow between bytes (:func:`_zero_bytes`).  What
 # depends on n alone (every mask, each mask's size, the masks without x
@@ -366,9 +375,15 @@ def _rank_bytes(table: list[int]) -> int:
 
 
 def _rank_image(m: Matroid) -> int:
-    """m's mask table as :func:`_rank_bytes` gives it, converted at most once."""
+    """m's mask table as :func:`_rank_bytes` gives it, converted at most once.
+
+    The table is built first: a table function that returns bytes hands
+    over the image as it builds, and only a table without one is converted.
+    """
     if m._rank_image is None:
-        m._rank_image = _rank_bytes(m.mask_table())
+        table = m.mask_table()
+        if m._rank_image is None:
+            m._rank_image = _rank_bytes(table)
     return m._rank_image
 
 

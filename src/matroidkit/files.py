@@ -69,9 +69,19 @@ def parse_matroid_text(text: str) -> Matroid:
 def parse_chain_text(text: str) -> list[Matroid]:
     """Parse a chain file: matroid blocks, one per level, in file order.
 
+    The file is split into blocks by :func:`_chain_blocks`, then every
+    block is parsed.  Error line numbers count from the top of the file.
+    """
+    return [_parse_block(b) for b in _chain_blocks(text)]
+
+
+def _chain_blocks(text: str) -> list[list[tuple[int, str]]]:
+    """A chain file's matroid blocks, unparsed: each block's content lines,
+    each paired with its line number in the file, for :func:`_parse_block`.
+
     A block opens at each line whose first token is ``matroid``; ``#`` and
     blank lines before the first block are skipped, anything else there is
-    an input error.  Error line numbers count from the top of the file.
+    an input error.
     """
     blocks: list[list[tuple[int, str]]] = []
     for no, line in _content_lines(text):
@@ -80,7 +90,7 @@ def parse_chain_text(text: str) -> list[Matroid]:
         elif not blocks:
             raise ParseError(no, f"chain file must open with 'matroid <kind>', got {line!r}")
         blocks[-1].append((no, line))
-    return [_parse_block(b) for b in blocks]
+    return blocks
 
 
 def _parse_block(lines: list[tuple[int, str]]) -> Matroid:

@@ -210,6 +210,51 @@ def test_chain_file_parse_error_names_the_file_line(tmp_path, capsys):
     assert err == ["error: line 5: uniform matroid needs both 'n' and 'k' lines"]
 
 
+def test_chain_file_blocks_above_depth_are_not_parsed(tmp_path, capsys):
+    # block 1 is malformed: no error at depth 0, which never builds level 1
+    chain = tmp_path / "chain.m"
+    chain.write_text("matroid uniform\nn 3\nk 2\nmatroid uniform\nn four\nk 2\n")
+    lists = tmp_path / "lists.l"
+    lists.write_text("".join(f"list {x} : a b c\n" for x in range(3)))
+    argv = ["compactness", "--family", str(chain), "--lists", str(lists), "--depth"]
+    code, out = invoke(argv + ["0"])
+    assert code == 0
+    assert kv(out)["levels"] == ["3"] and kv(out)["extended"] == ["true"]
+    capsys.readouterr()
+    code, _ = invoke(argv + ["1"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: line 5: n must be an integer, got 'four'"]
+
+
+def test_chain_file_parses_one_block_per_level_built(tmp_path, capsys, monkeypatch):
+    # four copies of one 16-element table block: --depth 0 parses only the
+    # first, and an absurd depth is refused before any block is parsed
+    from matroidkit import contract, uniform
+    from matroidkit.files import serialize_matroid
+
+    chain = tmp_path / "u16x4.m"
+    chain.write_text(serialize_matroid(contract(uniform(16, 8), ())) * 4)
+    lists = tmp_path / "lists.l"
+    lists.write_text("".join(f"list {x} : a b\n" for x in range(16)))
+    parsed = []
+
+    def counted(lines):
+        parsed.append(lines[0])
+        return real(lines)
+
+    real = cli._parse_block
+    monkeypatch.setattr(cli, "_parse_block", counted)
+    argv = ["compactness", "--family", str(chain), "--lists", str(lists), "--depth"]
+    code, out = invoke(argv + ["0"])
+    assert code == 0
+    assert kv(out)["levels"] == ["16"] and kv(out)["extended"] == ["true"]
+    assert parsed == [(1, "matroid table")]
+    code, _ = invoke(argv + ["3000"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: chain levels need depth <= 16, got 3000"]
+    assert len(parsed) == 1
+
+
 def test_exit_code_2_on_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.m"
     bad.write_text("matroid table\nn 1\nrank {} 1\nrank {0} 1\n")

@@ -14,7 +14,8 @@ on n alone are built once per size and kept; each must equal a fresh
 mask-by-mask build, whatever sizes ran before it.  A matroid's rank image
 is converted from its own mask table, or, where the table is counted in
 1-byte lanes, handed over with it; either way the table is a list and the image equals
-its conversion, on every route by which a table is built.
+its conversion, on every route by which a table is built, and a whole-table
+pass that builds the table converts it at most once.
 """
 
 import functools
@@ -326,6 +327,38 @@ def test_table_routes_give_a_list_and_its_rank_image(route):
     assert core._rank_image(m) == _rank_bytes(table)
     assert m.mask_table() is table
     _agree(m)
+
+
+# each whole-table pass, entered on a matroid whose table is not built yet
+_COLD_PASSES = {
+    "validate_axioms": validate_axioms,
+    "circuits": circuits,
+    "_step_masks": lambda m: core._step_masks(m, 0),
+    "_closed_flags": core._closed_flags,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COLD_PASSES))
+@pytest.mark.parametrize("route", sorted(_IMAGE_ROUTES))
+def test_a_cold_pass_converts_each_table_at_most_once(route, entry, monkeypatch):
+    # a pass that builds the table keeps the rank bytes a count hands
+    # over; any other table is converted once, from_table's already by
+    # its construction's axiom pass
+    build, _, handed_over = _IMAGE_ROUTES[route]
+    m = build()
+    converted = []
+
+    def counted(table):
+        converted.append(table)
+        return _rank_bytes(table)
+
+    monkeypatch.setattr(core, "_rank_bytes", counted)
+    _COLD_PASSES[entry](m)
+    _COLD_PASSES[entry](m)
+    assert len(converted) == (0 if handed_over or route == "from_table" else 1)
+    table = m.mask_table()
+    assert all(t is table for t in converted)
+    assert core._rank_image(m) == _rank_bytes(table)
 
 
 def _fresh_byte_sets(n, key):
