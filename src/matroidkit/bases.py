@@ -69,13 +69,16 @@ def is_base(m: Matroid, b) -> bool:
 def greedy_base(m: Matroid, order=None) -> OrderedBase:
     """Scan the ground set in the given order, keeping rank-increasing elements.
 
-    Loops are never added.  The base order is the insertion order.
+    Loops are never added.  The base order is the insertion order.  An
+    order that is no permutation of range(n), or no iterable at all, is
+    refused.
     """
     _refuse_ground_set_scan(m.n)
-    if order is None:
-        order = range(m.n)
-    order = tuple(order)
-    if m._checked_mask(order) != (1 << m.n) - 1 or len(order) != m.n:
+    try:
+        order = tuple(range(m.n) if order is None else order)
+    except TypeError:  # no iterable, so no permutation
+        order = None
+    if order is None or m._checked_mask(order) != (1 << m.n) - 1 or len(order) != m.n:
         raise GroundSetError("order must be a permutation of the ground set")
     picked: list[int] = []
     mask = 0
@@ -138,11 +141,15 @@ def anchor_classes(m: Matroid, b: OrderedBase) -> AnchorDecomposition:
     ascending id order, against the base's swap masks B - e, built once
     (:func:`_swap_masks`), base membership by one bit test of the base's
     mask.  The fibers are gathered in one pass over the anchor map.  The
-    matroid caches only its last decomposition, keyed by base sequence.
+    matroid caches only its last decomposition, keyed by base sequence;
+    a base that is no :class:`OrderedBase` is refused after that cache
+    test, which it never passes.
     """
     last = m._anchor_cache
     if last is not None and last.base == b:
         return last
+    if not isinstance(b, OrderedBase):
+        raise GroundSetError(f"base must be an OrderedBase, got {type(b).__name__}")
     lp = loops(m)
     if lp:
         raise LoopError(f"anchor classes undefined: loops {set_literal(lp)}")

@@ -19,7 +19,9 @@ is_list_colorable and the chain queries of compactness) is one run of
 _first_list_coloring, on lists that _sorted_lists sorts once.  A listing
 is read once, by one lookup pass, into a list of sorted tuples indexed
 by id, and the search reads its candidates from that list; no dict is
-built per call other than the coloring returned.
+built per call other than the coloring returned.  That pass also
+refuses a list that cannot be iterated or is a one-shot iterator, so no
+search runs on a listing that will be refused.
 """
 
 from __future__ import annotations
@@ -179,30 +181,35 @@ def _sorted_lists(lists, elements) -> list[tuple]:
     mixed types sort by _color_sort_key.  Nothing is cached by list
     value: {1} and {True} are equal but sort and print differently.
 
-    A list that is a one-shot iterator is read up by the type scan, so
-    it sorts as empty; the routes refuse it by :func:`_refuse_spent`.
+    The first element whose list cannot be iterated is refused when the
+    type scan fails; a one-shot iterator is read up by that scan, so it
+    sorts as empty, and only a listing with an empty list is searched
+    for one.
     """
     got = list(map(lists.__getitem__, elements))
-    types = set(map(type, chain.from_iterable(got)))
+    try:
+        types = set(map(type, chain.from_iterable(got)))
+    except TypeError:
+        for x, l in zip(elements, got):
+            try:
+                iter(l)
+            except TypeError:
+                raise GroundSetError(
+                    f"list of element {x} must be an iterable of colors, got {type(l).__name__}"
+                ) from None
+        raise
     if types == {str}:
-        return list(map(tuple, map(sorted, got)))
-    key = _color_sort_key if len(types) > 1 else str
-    return [tuple(sorted(l, key=key)) for l in got]
-
-
-def _refuse_spent(lists, elements, norm) -> None:
-    """Refuse a listing whose list for some element is a one-shot iterator,
-    naming the first such element.
-
-    The type scan of :func:`_sorted_lists` reads such a list up, so it
-    sorts as empty and the route fails on it; each route calls this
-    only on that failure, so a listing it colors takes no step for it.
-    """
-    for x, colors in zip(elements, norm):
-        if not colors and iter(lists[x]) is lists[x]:
-            raise GroundSetError(
-                f"list of element {x} is a one-shot iterator: its colors can be read only once"
-            )
+        norm = list(map(tuple, map(sorted, got)))
+    else:
+        key = _color_sort_key if len(types) > 1 else str
+        norm = [tuple(sorted(l, key=key)) for l in got]
+    if () in norm:
+        for x, l, colors in zip(elements, got, norm):
+            if not colors and iter(l) is l:
+                raise GroundSetError(
+                    f"list of element {x} is a one-shot iterator: its colors can be read only once"
+                )
+    return norm
 
 
 def _first_list_coloring(table, order, lists) -> tuple[dict | None, int]:
@@ -274,15 +281,14 @@ def is_list_colorable(m: Matroid, lists):
     ascending list size (ties by id) and colors in sorted order, so the
     returned coloring is the first in that deterministic order.  Returns
     None if the lists admit no proper coloring.  Independence is read from
-    the rank table, so the bound is the table's own, VALIDATION_BOUND.
+    the rank table, so the bound is the table's own, VALIDATION_BOUND; a
+    listing that does not cover the ground set exactly, or has a list
+    :func:`_sorted_lists` refuses, is refused before that bound.
     """
     _check_total(m, lists, "listing")
     norm = _sorted_lists(lists, range(m.n))
     order = sorted(range(m.n), key=list(map(len, norm)).__getitem__)  # stable: ties by id
-    phi = _first_list_coloring(m.mask_table(), order, norm)[0]
-    if phi is None:
-        _refuse_spent(lists, range(m.n), norm)
-    return phi
+    return _first_list_coloring(m.mask_table(), order, norm)[0]
 
 
 @dataclass(frozen=True)
@@ -355,7 +361,6 @@ def color_from_base(m: Matroid, b: OrderedBase, lists) -> dict:
         need = len(members)
         for x in members:
             if len(norm[x]) < need:
-                _refuse_spent(lists, range(m.n), norm)
                 raise ListDeficitError(
                     f"class of base element {base_elem} has {need} members but "
                     f"element {x} lists only {len(norm[x])} colors "
@@ -394,7 +399,6 @@ def distinct_color_fallback(m: Matroid, lists) -> dict:
     for x in range(m.n):
         free = [c for c in norm[x] if c not in used]
         if not free:
-            _refuse_spent(lists, range(m.n), norm)
             raise GroundSetError(
                 f"list of element {x} exhausted; needs >= {m.n} colors for the fallback"
             )

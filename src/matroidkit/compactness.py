@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .coloring import _first_list_coloring, _refuse_non_mapping, _refuse_spent, _sorted_lists
+from .coloring import _first_list_coloring, _refuse_non_mapping, _sorted_lists
 from .constructions import graphic, uniform
 from .core import (
     VALIDATION_BOUND,
@@ -176,47 +176,35 @@ def _level_lists(m: Matroid, lists) -> list[tuple]:
     """The sorted lists of m's elements, in id order.
 
     It refuses first a listing that is no mapping, then any key that is
-    no int, rather than read it as an id
-    (True and 1.0 both equal 1).  The lists are read in id order in one
-    lookup pass, so a listing that stops covering names its first gap.
-    A mapping whose lookup fills a missing key (a ``defaultdict``) grows
-    in that pass: whether the pass returns or raises, its filled keys are
-    deleted again, and the first one, in id order, is refused as a gap,
-    as every other listing route refuses a listing that misses an
-    element.
+    no int, rather than read it as an id (True and 1.0 both equal 1),
+    then the first id of range(m.n) that is no key, for any mapping
+    type: a lookup that would answer for it (a ``defaultdict`` filling
+    the key, a ``Counter``'s 0) is never made, so the listing is only
+    read, never changed.  Further keys are allowed, for deeper levels.
     """
     if type(lists) is not dict:
         _refuse_non_mapping(lists, "listing")
     if not set(map(type, lists)) <= {int}:
         bad = next(x for x in lists if type(x) is not int)
         raise GroundSetError(f"element {bad!r} outside ground set of size {m.n}")
-    size = len(lists)
-    try:
-        return _sorted_lists(lists, range(m.n))
-    except KeyError as e:  # the lookup pass stops at the first id not covered
-        raise GroundSetError(f"listing does not cover element {e.args[0]}") from None
-    finally:
-        # whatever the pass returned or raised (a filled value that the
-        # type scan cannot read raises TypeError), growth is a gap
-        if len(lists) != size:
-            filled = list(lists)[size:]  # in insertion order, the order of the lookups
-            for x in filled:
-                del lists[x]
-            raise GroundSetError(f"listing does not cover element {filled[0]}") from None
+    if not all(map(lists.__contains__, range(m.n))):
+        gap = next(x for x in range(m.n) if x not in lists)
+        raise GroundSetError(f"listing does not cover element {gap}")
+    return _sorted_lists(lists, range(m.n))
 
 
 def _search_chain(chain: MatroidChain, lists, depth: int):
     """(first coloring of level `depth`, None), or (None, first level with
-    no coloring): one search on level `depth`'s table, after the listing
-    is checked.  A failed search names the longest prefix it colored, and
-    the first level longer than that is the first uncolorable one.
+    no coloring): one search on level `depth`'s table, run only on a
+    listing that :func:`_level_lists` accepted, and followed by no check
+    of it.  A failed search names the longest prefix it colored, and the
+    first level longer than that is the first uncolorable one.
     """
     m = chain.level(depth)
     norm = _level_lists(m, lists)
     coloring, colored = _first_list_coloring(m.mask_table(), range(m.n), norm)
     if coloring is not None:
         return coloring, None
-    _refuse_spent(lists, range(m.n), norm)
     return None, next(i for i in range(depth + 1) if chain.level(i).n > colored)
 
 

@@ -166,7 +166,14 @@ class Matroid:
         return f"<Matroid {self.name}>"
 
     def _checked_mask(self, elements: Iterable[int]) -> int:
-        """The bitmask of a subset of range(n); a bool id is refused, not read as 0/1."""
+        """The bitmask of a subset of range(n); a bool id is refused, not read
+        as 0/1, and so is an object that cannot be iterated."""
+        try:
+            elements = iter(elements)
+        except TypeError:
+            raise GroundSetError(
+                f"a subset must be a collection of element ids, got {type(elements).__name__}"
+            ) from None
         mask = 0
         for e in elements:
             if type(e) is not int or e < 0 or e >= self.n:

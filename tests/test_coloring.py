@@ -31,7 +31,7 @@ from matroidkit import (
     ordered_bases,
     uniform,
 )
-from matroidkit import coloring
+from matroidkit import coloring, compactness
 from matroidkit.catalog import triangle
 from matroidkit.compactness import disjoint_triangles, growing_cycle, growing_uniform
 from matroidkit.core import is_loop_free, loops, validate_axioms
@@ -983,3 +983,35 @@ def test_listing_routes_refuse_one_shot_iterator_lists(route, one_shot):
         assert run(empty) == 0
     else:
         assert run(empty) is None
+
+
+@pytest.mark.parametrize("route", sorted(_LISTING_ROUTES))
+def test_listing_routes_refuse_a_one_shot_list_before_any_search(route, monkeypatch):
+    # the one-shot list is refused by the pass that reads the listing, so
+    # no route searches a listing it then refuses
+    calls = []
+    real = coloring._first_list_coloring
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coloring, "_first_list_coloring", counted)
+    monkeypatch.setattr(compactness, "_first_list_coloring", counted)
+    lists = {x: ["a", "b", "c", "d"] for x in range(4)}
+    lists[3] = iter("abcd")
+    with pytest.raises(GroundSetError, match="^list of element 3 is a one-shot iterator"):
+        _LISTING_ROUTES[route](lists)
+    assert calls == []
+
+
+@pytest.mark.parametrize("route", sorted(_LISTING_ROUTES))
+@pytest.mark.parametrize("value", [1, None, 2.5, True])
+def test_listing_routes_refuse_a_list_that_cannot_be_iterated(route, value):
+    # the first such element is named, also when a later one is one-shot
+    lists = {0: "abcd", 1: value, 2: value, 3: iter("abcd")}
+    with pytest.raises(GroundSetError) as err:
+        _LISTING_ROUTES[route](lists)
+    assert str(err.value) == (
+        f"list of element 1 must be an iterable of colors, got {type(value).__name__}"
+    )

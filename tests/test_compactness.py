@@ -1,5 +1,5 @@
 import random
-from collections import Counter, defaultdict
+from collections import Counter, UserDict, defaultdict
 
 import pytest
 
@@ -229,6 +229,20 @@ def test_chain_routes_refuse_an_empty_defaultdict_and_leave_it_empty():
     with pytest.raises(GroundSetError, match=r"^listing must cover the ground set exactly: missing \{0,1,2,3,4\}$"):
         is_list_colorable(growing_cycle().level(1), lists)
     assert len(lists) == 0
+    # a lookup that answers for a missing id without storing it (a
+    # Counter's 0, a UserDict's __missing__) is never made: the id is
+    # refused as a gap, and the mapping is left as it was
+    class Answering(UserDict):
+        def __missing__(self, key):
+            return ["a", "b"]
+
+    held = {0: ["a", "b"], 1: ["a", "b"]}
+    for make in (Counter, Answering):
+        for route in (extend_coloring, first_uncolorable_level):
+            lists = make(held)
+            with pytest.raises(GroundSetError, match="^listing does not cover element 2$"):
+                route(chain_from_matroids([uniform(3, 2)]), lists, 0)
+            assert dict(lists) == held
 
 
 @pytest.mark.parametrize(
