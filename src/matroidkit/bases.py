@@ -32,12 +32,35 @@ from .core import (
 
 @dataclass(frozen=True)
 class OrderedBase:
-    """A base of a matroid with a total order (the sequence order)."""
+    """A base of a matroid with a total order (the sequence order).
+
+    The elements must be a sequence of distinct hashable values: a value
+    that cannot be iterated or has no length (an int, a generator), a
+    member that cannot be hashed, or a repeated member is refused here;
+    whether the members are ids of a base is checked where the base is
+    used.
+    """
 
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        try:
+            size = len(self.elements)
+            members = iter(self.elements)
+        except TypeError:
+            raise GroundSetError(
+                f"an ordered base must be a sequence of element ids, got {type(self.elements).__name__}"
+            ) from None
+        try:
+            distinct = len(set(members))
+        except TypeError:
+            for e in self.elements:
+                try:
+                    hash(e)
+                except TypeError:
+                    raise GroundSetError(f"ordered base member {e!r} is not an element id") from None
+            raise
+        if distinct != size:
             raise GroundSetError("ordered base contains duplicates")
 
     def __iter__(self):

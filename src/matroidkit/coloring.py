@@ -96,11 +96,20 @@ def _check_total(m: Matroid, mapping, kind: str):
 
 
 def _class_masks(m: Matroid, phi) -> list[int]:
-    """The mask of each color class of a total coloring, its ids checked."""
+    """The mask of each color class of a total coloring, its ids checked.
+
+    A color that cannot be hashed is refused at its element by the
+    class lookup's own hash, so a coloring that passes hashes no color
+    twice.  The try block holds the lookup alone: a ``TypeError`` that
+    the mapping raises as it is read is its own, not a color's.
+    """
     _check_total(m, phi, "coloring")
     classes: dict = {}
     for x, c in phi.items():
-        classes[c] = classes.get(c, 0) | 1 << x
+        try:
+            classes[c] = classes.get(c, 0) | 1 << x
+        except TypeError:
+            raise GroundSetError(f"color of element {x} is unhashable: {type(c).__name__}") from None
     return list(classes.values())
 
 
@@ -176,10 +185,11 @@ def _sorted_lists(lists, elements) -> list[tuple]:
     re-iterable), read by one lookup pass.
 
     A listing whose colors are all of exact type str sorts with no key,
-    since a str is its own str; one of another single type sorts by
-    ``key=str``, as the type names tie, with no Python call per color;
-    mixed types sort by _color_sort_key.  Nothing is cached by list
-    value: {1} and {True} are equal but sort and print differently.
+    since a str is its own str; any other sorts by _color_sort_key, and
+    its colors are then hashed in one C-level set build, so that the
+    first unhashable color, by element and then in sorted order, is
+    refused before any search.  Nothing is cached by list value: {1}
+    and {True} are equal but sort and print differently.
 
     The first element whose list cannot be iterated is refused when the
     type scan fails; a one-shot iterator is read up by that scan, so it
@@ -201,8 +211,19 @@ def _sorted_lists(lists, elements) -> list[tuple]:
     if types == {str}:
         norm = list(map(tuple, map(sorted, got)))
     else:
-        key = _color_sort_key if len(types) > 1 else str
-        norm = [tuple(sorted(l, key=key)) for l in got]
+        norm = [tuple(sorted(l, key=_color_sort_key)) for l in got]
+        try:
+            set(chain.from_iterable(norm))
+        except TypeError:
+            for x, colors in zip(elements, norm):
+                for c in colors:
+                    try:
+                        hash(c)
+                    except TypeError:
+                        raise GroundSetError(
+                            f"list of element {x} holds an unhashable color of type {type(c).__name__}"
+                        ) from None
+            raise
     if () in norm:
         for x, l, colors in zip(elements, got, norm):
             if not colors and iter(l) is l:

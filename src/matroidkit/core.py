@@ -777,59 +777,49 @@ def _found_circuits(m: Matroid, max_n: int | None) -> list[int]:
     return masks
 
 
-def _step_masks(m: Matroid, offset: int) -> list[int]:
-    """For each mask A, the mask of the x outside A with r(A + x) = r(A) + offset:
-    with offset 0 the flat extensions of A, with offset 1 its unit steps.
+def _step_masks(m: Matroid) -> tuple[list[int], list[int], bytes | list[bool]]:
+    """(flat, unit, closed) of every mask A: the mask of the x outside A
+    with r(A + x) = r(A), of those with r(A + x) = r(A) + 1, and whether
+    A is closed, r(A + x) > r(A) for every x outside A.
 
-    One zero-byte test per element on the rank image finds, for each x,
-    the masks where the step to A + x is ``offset``; the byte sets of
-    the elements below 8, and of those from 8 up, are packed into one
-    byte per mask each.  A table with a rank above _RANK_CAP is read
-    rank by rank, as two capped ranks would read as equal.
+    One loop over the elements shifts the rank image once per element:
+    two zero-byte tests find where the step to A + x is 0 and where it
+    is 1, and a rise test finds where it is positive.  A rank drop makes
+    A not closed, so the rise test is not a flat test: in each byte,
+    0x80 + r(A + x) - (r(A) + 1) keeps its top bit iff r(A + x) > r(A),
+    and no borrow crosses a byte, as every rank in the image is at most
+    _RANK_CAP.  The byte sets of the elements below 8, and of those from
+    8 up, are packed into one byte per mask each.  A table with a rank
+    above _RANK_CAP is read mask by mask, as two capped ranks would read
+    as equal.
     """
     t = m.mask_table()
     n, size = m.n, 1 << m.n
     if max(t) > _RANK_CAP:
-        return [
-            mask_of(x for x in range(n) if not a >> x & 1 and t[a | 1 << x] == t[a] + offset)
-            for a in range(size)
-        ]
-    ranks, high = _rank_image(m), _per_size(n, "high")
-    target = ranks + offset * _per_size(n, "ones")
-    sets = [
-        _zero_bytes((ranks >> (8 << x)) ^ target, high, within)
-        for x, within in enumerate(_per_size(n, b"\x80"))
-    ]
-    low = sum(s << x for x, s in enumerate(sets[:8])).to_bytes(size, "little")
-    if n <= 8:
-        return list(low)
-    top = sum(s << x for x, s in enumerate(sets[8:])).to_bytes(size, "little")
-    return [lo | hi << 8 for lo, hi in zip(low, top)]
-
-
-def _closed_flags(m: Matroid) -> bytes | list[bool]:
-    """Item z is true iff the mask z is closed: r(z + x) > r(z) for every x outside z.
-
-    A rank drop makes z not closed, so the test is r(z + x) > r(z), not
-    a flat test: in each byte, 0x80 + r(z + x) - (r(z) + 1) keeps its top
-    bit iff r(z + x) > r(z), and no borrow crosses a byte, as every rank
-    in the image is at most _RANK_CAP.  One subtraction per element
-    finds the masks that are not closed.  A table with a rank above
-    _RANK_CAP is read mask by mask.
-    """
-    t = m.mask_table()
-    n = m.n
-    if max(t) > _RANK_CAP:
-        return [
-            all(t[z | 1 << x] > t[z] for x in range(n) if not z >> x & 1) for z in range(1 << n)
-        ]
+        flat, unit, closed = [], [], []
+        for a, r in enumerate(t):
+            steps = [(x, t[a | 1 << x] - r) for x in range(n) if not a >> x & 1]
+            flat.append(mask_of(x for x, d in steps if d == 0))
+            unit.append(mask_of(x for x, d in steps if d == 1))
+            closed.append(all(d > 0 for _, d in steps))
+        return flat, unit, closed
     ranks, high = _rank_image(m), _per_size(n, "high")
     plus_one = ranks + _per_size(n, "ones")
-    open_ = 0
+    flat, unit, open_ = [], [], 0
     for x, within in enumerate(_per_size(n, b"\x80")):
-        rises = (((ranks >> (8 << x)) | high) - plus_one) & within
-        open_ |= within ^ rises
-    return ((high ^ open_) >> 7).to_bytes(1 << n, "little")
+        shifted = ranks >> (8 << x)
+        flat.append(_zero_bytes(shifted ^ ranks, high, within))
+        unit.append(_zero_bytes(shifted ^ plus_one, high, within))
+        open_ |= within ^ (((shifted | high) - plus_one) & within)
+
+    def packed(sets: list[int]) -> list[int]:
+        low = sum(s << x for x, s in enumerate(sets[:8])).to_bytes(size, "little")
+        if n <= 8:
+            return list(low)
+        top = sum(s << x for x, s in enumerate(sets[8:])).to_bytes(size, "little")
+        return [lo | hi << 8 for lo, hi in zip(low, top)]
+
+    return packed(flat), packed(unit), ((high ^ open_) >> 7).to_bytes(size, "little")
 
 
 def circuits(m: Matroid, max_n: int | None = None) -> list[Circuit]:
@@ -888,36 +878,37 @@ class EliminationReport:
     counterexample: tuple | None = None
 
 
+def _eliminations(masks: list[int]):
+    """The steps of the circuit-elimination sweep over the circuit masks:
+    for each ordered pair C1 != C2 that meets, in mask-list order, and
+    each e in C1 & C2, ascending, one (pairs met so far, C1, C2, e, the
+    masks inside (C1 u C2) - e)."""
+    pairs = 0
+    for c1 in masks:
+        for c2 in masks:
+            common = c1 & c2
+            if c1 == c2 or not common:
+                continue
+            pairs += 1
+            for e in bits(common):
+                allowed = (c1 | c2) & ~(1 << e)
+                yield pairs, c1, c2, e, [cm for cm in masks if cm & ~allowed == 0]
+
+
 def check_circuit_elimination(m: Matroid) -> EliminationReport:
     """Verify circuit elimination on every ordered pair of circuits.
 
     For circuits C1 != C2 and e in their intersection there must be a
     circuit inside (C1 u C2) - e; additionally, for every e1 in C1 - C2
-    one such circuit must contain e1.  The circuits are masks throughout;
-    only a counterexample's pair is listed as tuples.
+    one such circuit must contain e1.  One pass of
+    :func:`_eliminations` over the circuit masks tests both; only a
+    counterexample's pair is listed as tuples.
     """
-    masks = _circuit_masks(m)
     pairs = 0
-    for c1 in masks:
-        for c2 in masks:
-            if c1 == c2:
-                continue
-            common = c1 & c2
-            if common == 0:
-                continue
-            pairs += 1
-            union = c1 | c2
-            only1 = c1 & ~c2
-            for e in bits(common):
-                allowed = union & ~(1 << e)
-                inside = [cm for cm in masks if cm & ~allowed == 0]
-                if not inside:
-                    return EliminationReport(
-                        False, pairs, (*_members([c1, c2]), e, None)
-                    )
-                for e1 in bits(only1):
-                    if not any(cm & (1 << e1) for cm in inside):
-                        return EliminationReport(
-                            False, pairs, (*_members([c1, c2]), e, e1)
-                        )
+    for pairs, c1, c2, e, inside in _eliminations(_circuit_masks(m)):
+        if not inside:
+            return EliminationReport(False, pairs, (*_members([c1, c2]), e, None))
+        for e1 in bits(c1 & ~c2):
+            if not any(cm >> e1 & 1 for cm in inside):
+                return EliminationReport(False, pairs, (*_members([c1, c2]), e, e1))
     return EliminationReport(True, pairs)

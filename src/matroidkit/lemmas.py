@@ -7,9 +7,9 @@ are stable battery ids; a check either passes, fails with a witness, or is
 skipped above its size bound.  Vacuously-true cases pass with a note.
 
 The checks read shared whole-table facts, each built by one helper:
-the flat extensions and unit steps of every mask (``core._step_masks``)
-and the closed masks (``core._closed_flags``), each in O(n) operations
-on the rank image, the meet of each mask's closed supersets
+the flat extensions, unit steps and closedness of every mask, all three
+from one pass of O(n) operations on the rank image
+(``core._step_masks``), the meet of each mask's closed supersets
 (:func:`_closed_meets`), one AND per (mask, element), the axiom report,
 the circuit masks, the bases and the chromatic number.  One battery run
 builds each of them once, on its first read, in one :class:`_Facts`
@@ -20,7 +20,9 @@ form first: a table that passes the unit-increase rank axioms
 L6, L16 and L7abc's monotonicity are certified by a test per mask or
 per (mask, element), and L17 by a certificate per base and circuit
 that holds in every matroid.  A form that does not certify runs the
-exact sweep, which names the same witness.  When the oracle faults, so
+exact sweep, which names the same witness; L2a and L2b read one
+circuit-elimination sweep (``core._eliminations``), L2b through
+:func:`check_circuit_elimination`.  When the oracle faults, so
 that no mask table can be built, a check that reads ranks mask by mask
 meets the faults in that route's order, through the code that owns the
 route: :mod:`.closure` lists closed sets and closes sets, and a
@@ -45,7 +47,7 @@ from .core import (
     Matroid,
     MatroidError,
     _circuit_masks,
-    _closed_flags,
+    _eliminations,
     _size_bound,
     _step_masks,
     _sub_masks,
@@ -122,9 +124,10 @@ class _Facts:
     """The whole-table facts of one matroid that several checks read.
 
     Each is built on its first read and kept for the rest of one battery
-    run.  A build that raises keeps nothing, so the next check that
-    reads the fact builds it again and meets the oracle's fault in its
-    own order.
+    run; ``flat``, ``unit`` and ``closed`` are read from one ``steps``
+    fact, built by one :func:`.core._step_masks` pass.  A build that
+    raises keeps nothing, so the next check that reads the fact builds
+    it again and meets the oracle's fault in its own order.
     """
 
     def __init__(self, m: Matroid):
@@ -135,16 +138,20 @@ class _Facts:
         return validate_axioms(self.m)
 
     @functools.cached_property
+    def steps(self) -> tuple[list[int], list[int], bytes | list[bool]]:
+        return _step_masks(self.m)
+
+    @property
     def flat(self) -> list[int]:
-        return _step_masks(self.m, 0)
+        return self.steps[0]
 
-    @functools.cached_property
+    @property
     def unit(self) -> list[int]:
-        return _step_masks(self.m, 1)
+        return self.steps[1]
 
-    @functools.cached_property
+    @property
     def closed(self) -> bytes | list[bool]:
-        return _closed_flags(self.m)
+        return self.steps[2]
 
     @functools.cached_property
     def meets(self) -> list[int]:
@@ -207,33 +214,21 @@ def check_maximal_independent_size(m: Matroid, facts: _Facts | None = None) -> L
     return _ok(key, title)
 
 
-def _weak_elimination_sweep(cmasks: list[int]) -> str | None:
-    """The first (C1, C2, e) of weak elimination's sweep with no circuit inside
-    (C1 u C2) - e, as L2a's fail detail, or None."""
-    for i, c1 in enumerate(cmasks):
-        for j, c2 in enumerate(cmasks):
-            if i == j or not c1 & c2:
-                continue
-            for e in bits(c1 & c2):
-                allowed = (c1 | c2) & ~(1 << e)
-                if not any(cm & ~allowed == 0 for cm in cmasks):
-                    return f"no circuit inside {set_literal(bits(c1 | c2))}-{{{e}}}"
-    return None
-
-
 def check_weak_elimination(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L2a: for circuits C1 != C2 and e in both, some circuit lies inside (C1 u C2) - e.
 
     A table that passes the unit-increase axioms is a matroid's, where
-    weak elimination holds; any other gets the sweep over circuit pairs.
+    weak elimination holds; any other gets the elimination sweep
+    (:func:`.core._eliminations`), which fails at its first step with no
+    circuit inside (C1 u C2) - e.
     """
     key, title = "L2a", "circuit elimination (weak)"
     facts = facts or _Facts(m)
     cmasks = facts.circuit_masks
     if not facts.axioms.ok:
-        detail = _weak_elimination_sweep(cmasks)
-        if detail is not None:
-            return _fail(key, title, detail)
+        for _, c1, c2, e, inside in _eliminations(cmasks):
+            if not inside:
+                return _fail(key, title, f"no circuit inside {set_literal(bits(c1 | c2))}-{{{e}}}")
     note = "" if _circuits_meet(cmasks) else "vacuous: no intersecting circuit pair"
     return _ok(key, title, note)
 
@@ -241,16 +236,14 @@ def check_weak_elimination(m: Matroid, facts: _Facts | None = None) -> LemmaResu
 def check_strong_elimination(m: Matroid, facts: _Facts | None = None) -> LemmaResult:
     """L2b: strong circuit elimination, by :func:`check_circuit_elimination`
     on a table that fails the unit-increase axioms; a matroid's table
-    passes it, as strong elimination holds in every matroid."""
+    passes it, as strong elimination holds in every matroid.  A pass is
+    vacuous on either route when no two circuits meet
+    (:func:`_circuits_meet`)."""
     key, title = "L2b", "circuit elimination keeping a chosen element"
     facts = facts or _Facts(m)
-    cmasks = facts.circuit_masks
-    if facts.axioms.ok:
-        note = "" if _circuits_meet(cmasks) else "vacuous: no intersecting circuit pair"
-        return _ok(key, title, note)
-    report = check_circuit_elimination(m)
-    if report.ok:
-        note = "" if report.pairs_checked else "vacuous: no intersecting circuit pair"
+    report = None if facts.axioms.ok else check_circuit_elimination(m)
+    if report is None or report.ok:
+        note = "" if _circuits_meet(facts.circuit_masks) else "vacuous: no intersecting circuit pair"
         return _ok(key, title, note)
     c1, c2, e, e1 = report.counterexample
     return _fail(key, title, f"pair {set_literal(c1)},{set_literal(c2)} drop {e} keep {e1}")

@@ -3,9 +3,10 @@
 Malformed arguments go to every public route that takes them: listings
 whose lists cannot be iterated or are one-shot iterators, mappings whose
 lookup answers for an id they do not hold, id collections that cannot be
-iterated, and bases that are no ``OrderedBase``.  Each call must answer
-or raise a ``MatroidError`` subclass; nothing else may escape.  The
-colors drawn are hashable: an unhashable color is outside this contract.
+iterated, bases that are no ``OrderedBase``, colors that cannot be
+hashed in listings and colorings, and ``OrderedBase`` values that are no
+sequence or hold an unhashable member.  Each call must answer or raise a
+``MatroidError`` subclass; nothing else may escape.
 """
 
 import random
@@ -26,12 +27,14 @@ from matroidkit import (
     contracted_rank_by_minimization,
     distinct_color_fallback,
     extend_coloring,
+    find_monochromatic_circuit,
     first_uncolorable_level,
     graphic,
     greedy_base,
     is_base,
     is_closed,
     is_list_colorable,
+    is_proper,
     uniform,
 )
 from matroidkit.compactness import growing_uniform
@@ -39,6 +42,7 @@ from matroidkit.compactness import growing_uniform
 CASES = 300
 COLORS = ("a", "b", "c", 0, 1, True, 2.5)
 NOT_ITERABLE = (None, 5, 2.5, True, object())
+UNHASHABLE = ([0], {"a": 1}, (0, [1]), {"b"})
 
 
 class Answering(UserDict):
@@ -143,6 +147,119 @@ def test_malformed_arguments_raise_only_matroid_errors():
                 refused[name] += 1
     # every route met input that it refused
     assert set(refused) == {name for name, _ in _calls(rng, uniform(2, 1))}
+
+
+def _mixed_list(rng: random.Random):
+    """One element's list: hashable colors with, most often, an unhashable one."""
+    colors = rng.sample(COLORS, rng.randint(0, 3))
+    if rng.random() < 0.7:
+        colors.insert(rng.randint(0, len(colors)), rng.choice(UNHASHABLE))
+    return colors if rng.random() < 0.5 else tuple(colors)
+
+
+def _mixed_listing(rng: random.Random, n: int):
+    return {x: _mixed_list(rng) for x in range(n)}
+
+
+def _mixed_coloring(rng: random.Random, n: int):
+    """A total coloring whose colors are hashable or, now and then, not."""
+    return {x: rng.choice(UNHASHABLE) if rng.random() < 0.3 else rng.choice(COLORS) for x in range(n)}
+
+
+def _unusable_base(rng: random.Random, m):
+    """An ``OrderedBase`` of a base, of a base with an unhashable member, or
+    of a value that is no sequence; built when the route is called."""
+    elements = list(greedy_base(m))
+    shape = rng.randrange(4)
+    if shape == 0:
+        return OrderedBase(tuple(elements))
+    if shape == 1:
+        elements.insert(rng.randint(0, len(elements)), rng.choice(UNHASHABLE))
+        return OrderedBase(tuple(elements))
+    if shape == 2:
+        return OrderedBase(x for x in elements)
+    return OrderedBase(rng.choice(NOT_ITERABLE))
+
+
+def _hashing_calls(rng: random.Random, m):
+    """(name, thunk) for every listing, coloring and base route."""
+    n = m.n
+    listing = _mixed_listing(rng, n)
+    coloring = _mixed_coloring(rng, n)
+    yield "is_list_colorable", lambda: is_list_colorable(m, listing)
+    yield "distinct_color_fallback", lambda: distinct_color_fallback(m, listing)
+    yield "color_from_base", lambda: color_from_base(m, _unusable_base(rng, m), listing)
+    yield "anchor_classes", lambda: anchor_classes(m, _unusable_base(rng, m))
+    yield "extend_coloring", lambda: extend_coloring(chain_from_matroids([m]), listing, 0)
+    yield "first_uncolorable_level", lambda: first_uncolorable_level(
+        growing_uniform(), _mixed_listing(rng, 5), rng.randint(0, 2)
+    )
+    yield "is_proper", lambda: is_proper(m, coloring)
+    yield "find_monochromatic_circuit", lambda: find_monochromatic_circuit(m, coloring)
+
+
+def test_unhashable_colors_and_unusable_bases_raise_only_matroid_errors():
+    rng = random.Random(41)
+    refused = Counter()
+    for _ in range(CASES):
+        m = rng.choice(_matroids())
+        for name, call in _hashing_calls(rng, m):
+            try:
+                call()
+            except MatroidError:
+                refused[name] += 1
+    # every route met input that it refused
+    assert set(refused) == {name for name, _ in _hashing_calls(rng, uniform(2, 1))}
+
+
+_UNHASHABLE_LISTS = {x: [[x]] for x in range(3)}
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (
+            lambda m: is_list_colorable(m, _UNHASHABLE_LISTS),
+            "list of element 0 holds an unhashable color of type list",
+        ),
+        (
+            lambda m: is_list_colorable(m, {0: ["a", "b"], 1: [2, (0, [1])], 2: [{}]}),
+            "list of element 1 holds an unhashable color of type tuple",
+        ),
+        (
+            lambda m: distinct_color_fallback(m, {0: "abc", 1: "abc", 2: ["a", {"b": 1}]}),
+            "list of element 2 holds an unhashable color of type dict",
+        ),
+        (
+            lambda m: color_from_base(m, OrderedBase((0, 1)), _UNHASHABLE_LISTS),
+            "list of element 0 holds an unhashable color of type list",
+        ),
+        (
+            lambda m: extend_coloring(chain_from_matroids([m]), _UNHASHABLE_LISTS, 0),
+            "list of element 0 holds an unhashable color of type list",
+        ),
+        (lambda m: is_proper(m, {0: "a", 1: ["b"], 2: "c"}), "color of element 1 is unhashable: list"),
+        (
+            lambda m: find_monochromatic_circuit(m, {0: "a", 1: "b", 2: {}}),
+            "color of element 2 is unhashable: dict",
+        ),
+        (lambda m: OrderedBase(5), "an ordered base must be a sequence of element ids, got int"),
+        (
+            lambda m: OrderedBase(x for x in (0, 1)),
+            "an ordered base must be a sequence of element ids, got generator",
+        ),
+        (lambda m: OrderedBase((0, [1])), "ordered base member [1] is not an element id"),
+    ],
+    ids=[
+        "is_list_colorable", "is_list_colorable-mixed", "distinct_color_fallback", "color_from_base",
+        "extend_coloring", "is_proper", "find_monochromatic_circuit", "OrderedBase-int",
+        "OrderedBase-generator", "OrderedBase-member",
+    ],
+)
+def test_unhashable_colors_and_unusable_ordered_bases_are_refused(call, error):
+    with pytest.raises(GroundSetError) as err:
+        call(uniform(3, 2))
+    assert str(err.value) == error
 
 
 @pytest.mark.parametrize(

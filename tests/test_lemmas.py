@@ -247,16 +247,15 @@ def test_one_battery_builds_each_fact_once(suite7, monkeypatch):
     # every fact that several checks read is built once per battery run
     built = Counter()
 
-    def count(module, name, argument=lambda args: None):
+    def count(module, name):
         def counting(*args, _build=getattr(module, name)):
-            built[name, argument(args)] += 1
+            built[name] += 1
             return _build(*args)
 
         monkeypatch.setattr(module, name, counting)
 
-    count(lemmas, "_step_masks", lambda args: args[1])
+    count(lemmas, "_step_masks")
     count(core, "_is_rank_function")
-    count(lemmas, "_closed_flags")
     count(lemmas, "_closed_meets")
     count(core, "_found_circuits")
     count(lemmas, "all_bases")
@@ -268,9 +267,8 @@ def test_one_battery_builds_each_fact_once(suite7, monkeypatch):
         assert set(built.values()) <= {1}, (m.name, built)
         seen |= set(built)
     assert seen == {
-        ("_step_masks", 0), ("_step_masks", 1), ("_is_rank_function", None),
-        ("_closed_flags", None), ("_closed_meets", None), ("_found_circuits", None),
-        ("all_bases", None), ("chromatic_number", None),
+        "_step_masks", "_is_rank_function", "_closed_meets", "_found_circuits",
+        "all_bases", "chromatic_number",
     }
 
 
@@ -432,7 +430,7 @@ def test_mask_checks_match_their_references(suite6):
 # each check that decides by a local form first, and the sweep it falls
 # back to when the form does not certify
 _LOCAL_FORMS = (
-    (check_weak_elimination, "_weak_elimination_sweep"),
+    (check_weak_elimination, "_eliminations"),
     (check_strong_elimination, "check_circuit_elimination"),
     (check_closed_intersection, "_closed_masks"),
     (check_closure_minimality, "_first_not_monotone"),

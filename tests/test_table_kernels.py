@@ -38,7 +38,7 @@ from matroidkit import (
     uniform,
     validate_axioms,
 )
-from matroidkit import core
+from matroidkit import core, lemmas
 from matroidkit.core import _RANK_CAP, _per_size, _rank_bytes, _zero_bytes, bits, set_literal
 from matroidkit.files import parse_matroid_text, serialize_matroid
 
@@ -63,10 +63,11 @@ def _agree(m):
     assert m._rank_image == _rank_bytes(t), m.name
     if m.n <= 10:
         masks = range(1 << m.n)
-        for offset in (0, 1):
+        flat, unit, closed = core._step_masks(m)
+        for offset, got in enumerate((flat, unit)):
             steps = [sum(1 << x for x in range(m.n) if x not in bits(a) and t[a | 1 << x] == t[a] + offset) for a in masks]
-            assert core._step_masks(m, offset) == steps, (m.name, offset)
-        assert [bool(c) for c in core._closed_flags(m)] == [is_closed(m, bits(z)) for z in masks], m.name
+            assert got == steps, (m.name, offset)
+        assert [bool(c) for c in closed] == [is_closed(m, bits(z)) for z in masks], m.name
     return report
 
 
@@ -333,8 +334,9 @@ def test_table_routes_give_a_list_and_its_rank_image(route):
 _COLD_PASSES = {
     "validate_axioms": validate_axioms,
     "circuits": circuits,
-    "_step_masks": lambda m: core._step_masks(m, 0),
-    "_closed_flags": core._closed_flags,
+    "_step_masks": core._step_masks,
+    # the closed masks are a fact of the lemma battery's step pass
+    "_closed_flags": lambda m: lemmas._Facts(m).closed,
 }
 
 
